@@ -34,8 +34,7 @@ from .certify import (ArchimedeanThreshold, Certificate, MonomialLift,
                       feasibility_certificate, infeasibility_certificate,
                       lift_description, verify_subharmonic,
                       verify_superharmonic)
-from .bench import (DenseInstance, GenSpec, benchmark, gen_random,
-                    phase_diagram, to_csv)
+from .bench import GenSpec, benchmark, gen_random, phase_diagram, to_csv
 
 __version__ = "0.1.0"
 
@@ -62,6 +61,6 @@ __all__ = [
     "verify_subharmonic", "verify_superharmonic", "check_certificate",
     "feasibility_certificate", "infeasibility_certificate",
     "lift_description", "archimedean_threshold",
-    "GenSpec", "DenseInstance", "gen_random", "phase_diagram", "benchmark",
+    "GenSpec", "gen_random", "phase_diagram", "benchmark",
     "to_csv",
 ]

@@ -6,12 +6,14 @@ tropical sign and off-diagonal entries a negative one, and completes
 symmetrically.  Those choices make every instance well formed as soon as
 m >= 2, so the game translation never needs a preprocessing pass.
 
-Sweeps and benchmarks bypass the object pipeline: a generated instance is
-fully dense, so its dynamic-programming operator is two dense max/min
-reductions (`DenseInstance.step`).  The grid moduli are dyadic with
-denominator 2^31, hence exactly representable in float64 — the dense loop
-computes the same iterates the exact loop would, up to the rounding of the
-averages themselves.
+Sweeps and benchmarks skip the object pipeline but not the solver: the
+float operator arrays of a generated instance (`_dense_engine`) are built
+straight from its numerators, equal to `_DoubleEngine.from_game` of the
+generated pencil's game, and are iterated by the same loop as `check`
+(`shapley._iterate`).  The grid moduli are dyadic with denominator 2^31,
+hence exactly representable in float64 — the float loop computes the same
+iterates the exact loop would, up to the rounding of the averages
+themselves.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .pencil import Pencil
+from .shapley import _DoubleEngine, _iterate
 from .tropical import SignedTrop
 
 DEFAULT_GRID = 2**31
@@ -81,49 +84,28 @@ def gen_random(spec: GenSpec) -> Pencil:
     return Pencil.from_entries(spec.n, spec.m, entries)
 
 
-class DenseInstance:
-    """Dense dynamic-programming operator for a generated instance.
-
-    Stores the diagonal moduli as an (m, n) array and the off-diagonal
-    moduli as an (n, P) array over the P = m(m-1)/2 unordered row pairs;
-    one step is y_i = max_k (diag[i,k] + x_k) followed by
-    F_k = min_p ((y_i + y_j)/2 - off[k,p]).
-    """
-
-    def __init__(self, spec: GenSpec):
-        if spec.m < 2:
-            raise ValidationError("dense instances need m >= 2 so Min can move")
-        self.spec = spec
-        numerators = _draw_moduli(spec).astype(np.float64) / spec.entry_grid
-        pairs = _upper_triangle(spec.m)
-        diag_cols = [t for t, (i, j) in enumerate(pairs) if i == j]
-        off_cols = [t for t, (i, j) in enumerate(pairs) if i < j]
-        self.diag = numerators[:, diag_cols].T.copy()   # (m, n)
-        self.off = numerators[:, off_cols].copy()       # (n, P)
-        self.row_i = np.array([pairs[t][0] for t in off_cols])
-        self.row_j = np.array([pairs[t][1] for t in off_cols])
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        y = (self.diag + x).max(axis=1)
-        pair_avg = 0.5 * (y[self.row_i] + y[self.row_j])
-        return (pair_avg[np.newaxis, :] - self.off).min(axis=1)
-
-
-def _iterate_dense(inst: DenseInstance, epsilon: float, max_iters: int):
-    """Fixed-precision feasibility loop on the dense operator; returns
-    (verdict, iterations)."""
-    u = np.zeros(inst.n)
-    iters = 0
-    while u.max() > -epsilon and u.min() < epsilon:
-        if iters >= max_iters:
-            return "Indeterminate", iters
-        u = inst.step(u)
-        iters += 1
-    return ("Infeasible" if u.max() <= -epsilon else "Feasible"), iters
+def _dense_engine(spec: GenSpec) -> _DoubleEngine:
+    """Operator arrays of the generated instance, laid out as
+    ``game_from_pencil`` orders its actions: Max state i moves to every
+    variable k, rewarded by the diagonal modulus (i, i) of matrix k; Min
+    state k moves to every row pair i < j, paying the modulus (i, j)."""
+    if spec.m < 2:
+        raise ValidationError("dense instances need m >= 2 so Min can move")
+    n, m = spec.n, spec.m
+    moduli = _draw_moduli(spec) / spec.entry_grid
+    pairs = _upper_triangle(m)
+    diag_cols = [t for t, (i, j) in enumerate(pairs) if i == j]
+    off_cols = [t for t, (i, j) in enumerate(pairs) if i < j]
+    rows = np.array([pairs[t] for t in off_cols], dtype=np.intp)
+    p = len(off_cols)
+    return _DoubleEngine(
+        max_r=moduli[:, diag_cols].T.ravel(),
+        max_t=np.tile(np.arange(n, dtype=np.intp), m),
+        max_seg=np.arange(0, m * n, n, dtype=np.intp),
+        min_r=-moduli[:, off_cols].ravel(),
+        min_i=np.tile(rows[:, 0], n),
+        min_j=np.tile(rows[:, 1], n),
+        min_seg=np.arange(0, n * p, p, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -152,31 +134,26 @@ class CellResult:
 CSV_HEADER = "n,m,samples,feasible_ratio,indeterminate,mean_iters,mean_time_s"
 
 
-def _worker_count() -> int:
-    env = os.environ.get("TROPSDP_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _sample_seed(seed: int, n: int, m: int, s: int) -> int:
     """Deterministic per-sample 64-bit seed, independent of scheduling."""
     return int(np.random.SeedSequence((seed, n, m, s)).generate_state(1)[0])
 
 
 def _run_sample(spec: GenSpec, epsilon: float, max_iters: int, reps: int):
-    """Solve one instance `reps` times; returns (verdict, iters,
+    """Solve one instance `reps` times; returns (status, iters,
     median wall time or None)."""
-    inst = DenseInstance(spec)
+    engine = _dense_engine(spec)
+    solve = lambda: _iterate(engine.step, np.zeros(spec.n), float(epsilon),
+                             max_iters)[:2]
     if reps <= 0:
-        verdict, iters = _iterate_dense(inst, epsilon, max_iters)
-        return verdict, iters, None
+        status, iters = solve()
+        return status, iters, None
     times = []
     for _ in range(reps):
         start = time.perf_counter()
-        verdict, iters = _iterate_dense(inst, epsilon, max_iters)
+        status, iters = solve()
         times.append(time.perf_counter() - start)
-    return verdict, iters, statistics.median(times)
+    return status, iters, statistics.median(times)
 
 
 def _run_cell(n: int, m: int, samples: int, epsilon: float, seed: int,
@@ -184,8 +161,8 @@ def _run_cell(n: int, m: int, samples: int, epsilon: float, seed: int,
     specs = [GenSpec(n, m, _sample_seed(seed, n, m, s)) for s in range(samples)]
     results = list(pool.map(
         lambda sp: _run_sample(sp, epsilon, max_iters, reps), specs))
-    feasible = sum(1 for v, _, _ in results if v == "Feasible")
-    indeterminate = sum(1 for v, _, _ in results if v == "Indeterminate")
+    feasible = sum(1 for v, _, _ in results if v == "feasible")
+    indeterminate = sum(1 for v, _, _ in results if v == "indeterminate")
     mean_iters = Fraction(sum(it for _, it, _ in results), samples)
     if reps > 0:
         mean_time = sum(t for _, _, t in results) / samples
@@ -193,6 +170,15 @@ def _run_cell(n: int, m: int, samples: int, epsilon: float, seed: int,
         mean_time = None
     return CellResult(n, m, samples, feasible, indeterminate, mean_iters,
                       mean_time)
+
+
+def _run_cells(sizes, samples: int, epsilon: float, seed: int,
+               max_iters: int, reps: int) -> list:
+    """One CellResult per (n, m) in sizes; the samples of each cell run on
+    a pool of one thread per CPU."""
+    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+        return [_run_cell(n, m, samples, epsilon, seed, max_iters, reps, pool)
+                for n, m in sizes]
 
 
 def phase_diagram(n_list: Sequence[int], m_list: Sequence[int], samples: int = 10,
@@ -206,10 +192,8 @@ def phase_diagram(n_list: Sequence[int], m_list: Sequence[int], samples: int = 1
     """
     if samples < 1:
         raise ValidationError("need at least one sample per cell")
-    reps = 1 if timing else 0
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        return [_run_cell(n, m, samples, epsilon, seed, max_iters, reps, pool)
-                for n in n_list for m in m_list]
+    return _run_cells([(n, m) for n in n_list for m in m_list], samples,
+                      epsilon, seed, max_iters, 1 if timing else 0)
 
 
 def benchmark(size_list: Iterable, samples: int = 10, epsilon: float = 1e-8,
@@ -217,9 +201,7 @@ def benchmark(size_list: Iterable, samples: int = 10, epsilon: float = 1e-8,
     """Timing table over explicit (n, m) sizes, median-of-3 per instance."""
     if samples < 1:
         raise ValidationError("need at least one sample per size")
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        return [_run_cell(n, m, samples, epsilon, seed, max_iters, 3, pool)
-                for n, m in size_list]
+    return _run_cells(size_list, samples, epsilon, seed, max_iters, 3)
 
 
 def to_csv(cells: Iterable[CellResult], hardware_header: bool = False) -> str:

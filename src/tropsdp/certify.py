@@ -50,12 +50,19 @@ def verify_subharmonic(G: StochGame, v: Sequence, lam=Fraction(0)):
     return holds, strict
 
 
-def verify_superharmonic(G: StochGame, u: Sequence, lam) -> bool:
-    """Exact check of F(u) <= lambda + u."""
+def _superharmonic(G: StochGame, u: Sequence, lam):
+    """Exact check of F(u) <= lambda + u; returns (holds, strict)."""
     u = _finite_vector(u)
     lam = as_fraction(lam)
     fu = apply_F(G, u)
-    return all(b <= lam + a for a, b in zip(u, fu))
+    holds = all(b <= lam + a for a, b in zip(u, fu))
+    strict = all(b < lam + a for a, b in zip(u, fu))
+    return holds, strict
+
+
+def verify_superharmonic(G: StochGame, u: Sequence, lam) -> bool:
+    """Exact check of F(u) <= lambda + u."""
+    return _superharmonic(G, u, lam)[0]
 
 
 @dataclass(frozen=True)
@@ -94,12 +101,32 @@ def check_certificate(G: StochGame, cert: Certificate):
     if cert.kind == "Infeasibility":
         if cert.lam >= 0:
             raise CertificateInvalid("infeasibility certificates need lambda < 0")
-        u = _finite_vector(cert.vector)
-        fu = apply_F(G, u)
-        holds = all(b <= cert.lam + a for a, b in zip(u, fu))
-        strict = all(b < cert.lam + a for a, b in zip(u, fu))
-        return holds, strict
+        return _superharmonic(G, cert.vector, cert.lam)
     raise CertificateInvalid(f"unknown certificate kind {cert.kind!r}")
+
+
+def _shifted_certificate(G: StochGame, lam: Fraction, kind: str, epsilon,
+                         max_iters: int, exact: bool) -> Certificate:
+    """Run value iteration on the game with Min rewards shifted down by lam
+    and certify with its running maximum (Feasibility) or minimum
+    (Infeasibility).  F is evaluated once per witness; a witness from
+    doubles that fails the exact check triggers one rational rerun."""
+    feasible = kind == "Feasibility"
+    wanted = "feasible" if feasible else "infeasible"
+    verify = verify_subharmonic if feasible else _superharmonic
+    shifted = shift_min_rewards(G, -lam)
+    for exact_run in ((True,) if exact else (False, True)):
+        status, _, _, v, w = value_iteration_raw(
+            shifted, epsilon, max_iters, exact_run)
+        if status != wanted:
+            raise CertificateInvalid(
+                f"value iteration on the lambda-shifted game returned "
+                f"{status!r}; no {kind.lower()} certificate at this margin")
+        vector = v if feasible else w
+        holds, strict = verify(G, vector, lam)
+        if holds:
+            return Certificate(kind, tuple(vector), lam, strict)
+    raise CertificateInvalid("shifted iteration produced an invalid witness")
 
 
 def feasibility_certificate(G: StochGame, lam, epsilon=Fraction(1, 10**8),
@@ -114,20 +141,8 @@ def feasibility_certificate(G: StochGame, lam, epsilon=Fraction(1, 10**8),
     lam = as_fraction(lam)
     if lam <= 0:
         raise ValidationError("feasibility certificates need lambda > 0")
-    shifted = shift_min_rewards(G, -lam)
-    status, _, _, v, _ = value_iteration_raw(shifted, epsilon, max_iters, exact)
-    if status == "feasible" and not exact:
-        if not verify_subharmonic(G, v, lam)[0]:
-            status, _, _, v, _ = value_iteration_raw(
-                shifted, epsilon, max_iters, exact=True)
-    if status != "feasible":
-        raise CertificateInvalid(
-            f"value iteration on the lambda-shifted game returned {status!r}; "
-            "no feasibility certificate at this margin")
-    holds, strict = verify_subharmonic(G, v, lam)
-    if not holds:
-        raise CertificateInvalid("shifted iteration produced an invalid witness")
-    return Certificate("Feasibility", tuple(v), lam, strict)
+    return _shifted_certificate(G, lam, "Feasibility", epsilon, max_iters,
+                                exact)
 
 
 def infeasibility_certificate(G: StochGame, lam, epsilon=Fraction(1, 10**8),
@@ -142,21 +157,8 @@ def infeasibility_certificate(G: StochGame, lam, epsilon=Fraction(1, 10**8),
     lam = as_fraction(lam)
     if lam >= 0:
         raise ValidationError("infeasibility certificates need lambda < 0")
-    shifted = shift_min_rewards(G, -lam)
-    status, _, _, _, w = value_iteration_raw(shifted, epsilon, max_iters, exact)
-    if status == "infeasible" and not exact:
-        if not verify_superharmonic(G, w, lam):
-            status, _, _, _, w = value_iteration_raw(
-                shifted, epsilon, max_iters, exact=True)
-    if status != "infeasible":
-        raise CertificateInvalid(
-            f"value iteration on the lambda-shifted game returned {status!r}; "
-            "no infeasibility certificate at this margin")
-    if not verify_superharmonic(G, w, lam):
-        raise CertificateInvalid("shifted iteration produced an invalid witness")
-    fw = apply_F(G, w)
-    strict = all(b < lam + a for a, b in zip(w, fw))
-    return Certificate("Infeasibility", tuple(w), lam, strict)
+    return _shifted_certificate(G, lam, "Infeasibility", epsilon, max_iters,
+                                exact)
 
 
 # ---------------------------------------------------------------------------

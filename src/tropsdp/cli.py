@@ -13,11 +13,8 @@ Exit codes: 0 feasible/success, 10 infeasible/trivial, 20 indeterminate,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import bench as bench_mod
 from . import certify as certify_mod
@@ -62,26 +59,6 @@ certificate (output of `certify`)
 sweep/benchmark CSV
   header: n,m,samples,feasible_ratio,indeterminate,mean_iters,mean_time_s
 """
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved run parameters shared by the subcommands."""
-
-    subcommand: str
-    input: str
-    output: str
-    epsilon: Fraction
-    max_iters: int
-    exact_mode: bool
-    seed: int
-    threads: Optional[int]
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValidationError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise ValidationError("max-iters must be at least 1")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,8 +107,6 @@ def build_parser() -> _Parser:
                            help="input file, or - for stdin")
         p.add_argument("-o", "--output", default="-",
                        help="output file, or - for stdout")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: TROPSDP_THREADS or all)")
         return p
 
     p = add("check", "decide feasibility of a pencil by value iteration")
@@ -450,20 +425,6 @@ _COMMANDS = {
 }
 
 
-def make_config(args) -> CliConfig:
-    """Snapshot of the common knobs (validates epsilon/max_iters)."""
-    return CliConfig(
-        subcommand=args.subcommand,
-        input=getattr(args, "input", "-"),
-        output=args.output,
-        epsilon=getattr(args, "eps", Fraction(1, 10**8)),
-        max_iters=getattr(args, "max_iters", 10**6),
-        exact_mode=getattr(args, "exact", False),
-        seed=getattr(args, "seed", 0),
-        threads=args.threads,
-    )
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -473,11 +434,10 @@ def run(argv=None) -> int:
     if args.subcommand is None:
         parser.error("a subcommand is required (see --help)")
     try:
-        make_config(args)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ValidationError("--threads must be at least 1")
-            os.environ["TROPSDP_THREADS"] = str(args.threads)
+        if getattr(args, "eps", 1) <= 0:
+            raise ValidationError("epsilon must be positive")
+        if getattr(args, "max_iters", 1) < 1:
+            raise ValidationError("max-iters must be at least 1")
         return _COMMANDS[args.subcommand](args)
     except TropSdpError as exc:
         print(f"tropsdp: {type(exc).__name__}: {exc}", file=sys.stderr)

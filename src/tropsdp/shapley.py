@@ -14,12 +14,14 @@ u := F(u) from 0 while keeping the running entrywise maximum v; if all
 entries of u drop to -epsilon the problem is infeasible, and if they all
 climb to +epsilon then v itself is a feasible point.
 
-The iteration runs in double precision by default (each step is a few
-vectorized array operations) and re-checks any claimed witness in exact
-rational arithmetic, falling back to a fully rational loop if the check
-fails; correctness of plain verdicts under fixed-precision evaluation is
-part of the procedure's contract, provided every state of the game has the
-same mean payoff and it is nonzero.
+One loop (`_iterate`) serves both arithmetics and the sweeps in `bench`.
+It runs in double precision by default, stepping with `_DoubleEngine`, the
+flat-array form of a game (each step is a few vectorized array operations),
+and in exact mode over Fractions with `apply_F`.  Any witness claimed in
+doubles is re-checked in exact rational arithmetic, falling back to the
+rational loop if the check fails; correctness of plain verdicts under
+fixed-precision evaluation is part of the procedure's contract, provided
+every state of the game has the same mean payoff and it is nonzero.
 """
 
 from __future__ import annotations
@@ -185,14 +187,29 @@ class IterationReport:
     epsilon: Fraction
 
 
+@dataclass(eq=False)
 class _DoubleEngine:
-    """Flat-array evaluator of F over float vectors.
+    """Flat-array evaluator of F over float vectors: the one array form of
+    a game that the float iteration runs on.
 
-    Actions are laid out state-major so each evaluation is two gather-add
-    passes and two segmented reductions.
+    Actions are laid out state-major, each state's actions starting at its
+    entry of ``max_seg`` / ``min_seg``, so each evaluation is two gather-add
+    passes and two segmented reductions.  Max action a moves to variable
+    ``max_t[a]`` with reward ``max_r[a]``; Min action a moves to rows
+    ``min_i[a]`` and ``min_j[a]`` (equal for a singleton) with reward
+    ``min_r[a]``.
     """
 
-    def __init__(self, G: StochGame):
+    max_r: np.ndarray
+    max_t: np.ndarray
+    max_seg: np.ndarray
+    min_r: np.ndarray
+    min_i: np.ndarray
+    min_j: np.ndarray
+    min_seg: np.ndarray
+
+    @classmethod
+    def from_game(cls, G: StochGame) -> "_DoubleEngine":
         max_r, max_t, max_seg = [], [], []
         for acts in G.max_actions:
             max_seg.append(len(max_r))
@@ -206,13 +223,9 @@ class _DoubleEngine:
                 min_r.append(float(a.reward))
                 min_i.append(a.targets[0])
                 min_j.append(a.targets[-1])
-        self.max_r = np.array(max_r)
-        self.max_t = np.array(max_t, dtype=np.intp)
-        self.max_seg = np.array(max_seg, dtype=np.intp)
-        self.min_r = np.array(min_r)
-        self.min_i = np.array(min_i, dtype=np.intp)
-        self.min_j = np.array(min_j, dtype=np.intp)
-        self.min_seg = np.array(min_seg, dtype=np.intp)
+        index = lambda seq: np.array(seq, dtype=np.intp)
+        return cls(np.array(max_r), index(max_t), index(max_seg),
+                   np.array(min_r), index(min_i), index(min_j), index(min_seg))
 
     def step(self, x: np.ndarray) -> np.ndarray:
         y = np.maximum.reduceat(self.max_r + x[self.max_t], self.max_seg)
@@ -220,38 +233,30 @@ class _DoubleEngine:
         return np.minimum.reduceat(vals, self.min_seg)
 
 
-def _iterate_double(G, epsilon, max_iters):
-    engine = _DoubleEngine(G)
-    eps = float(epsilon)
-    u = np.zeros(G.n)
-    v = np.zeros(G.n)
-    w = np.zeros(G.n)
+def _iterate(step, u: np.ndarray, epsilon, max_iters: int):
+    """Iterate u := step(u), keeping the running entrywise maximum v and
+    minimum w, until every entry of u is <= -epsilon ("infeasible") or
+    >= epsilon ("feasible"), or max_iters steps ran ("indeterminate").
+
+    Works on float arrays with a float epsilon and on object arrays of
+    Fractions with a rational one; returns (status, iterations, u, v, w).
+    """
+    if not epsilon > 0:
+        raise ValidationError(
+            f"epsilon must be positive, got {epsilon} in the iteration's "
+            "arithmetic; an epsilon that underflows to 0 in floats needs "
+            "exact iteration (--exact)")
+    v = u.copy()
+    w = u.copy()
     iters = 0
-    while u.max() > -eps and u.min() < eps:
+    while u.max() > -epsilon and u.min() < epsilon:
         if iters >= max_iters:
             return "indeterminate", iters, u, v, w
         np.maximum(v, u, out=v)
         np.minimum(w, u, out=w)
-        u = engine.step(u)
+        u = step(u)
         iters += 1
-    verdict = "infeasible" if u.max() <= -eps else "feasible"
-    return verdict, iters, u, v, w
-
-
-def _iterate_exact(G, epsilon, max_iters):
-    zero = Fraction(0)
-    u = [zero] * G.n
-    v = [zero] * G.n
-    w = [zero] * G.n
-    iters = 0
-    while max(u) > -epsilon and min(u) < epsilon:
-        if iters >= max_iters:
-            return "indeterminate", iters, u, v, w
-        v = [max(a, b) for a, b in zip(v, u)]
-        w = [min(a, b) for a, b in zip(w, u)]
-        u = list(apply_F(G, u))
-        iters += 1
-    verdict = "infeasible" if max(u) <= -epsilon else "feasible"
+    verdict = "infeasible" if u.max() <= -epsilon else "feasible"
     return verdict, iters, u, v, w
 
 
@@ -260,12 +265,13 @@ def value_iteration_raw(G: StochGame, epsilon, max_iters: int, exact: bool):
     (used for infeasibility certificates): returns (status, iterations,
     u, v, w) with rational entries."""
     epsilon = as_fraction(epsilon)
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
     if exact:
-        status, iters, u, v, w = _iterate_exact(G, epsilon, max_iters)
+        step = lambda x: np.array(apply_F(G, x), dtype=object)
+        zeros = np.array([Fraction(0)] * G.n, dtype=object)
+        status, iters, u, v, w = _iterate(step, zeros, epsilon, max_iters)
         return status, iters, tuple(u), tuple(v), tuple(w)
-    status, iters, u, v, w = _iterate_double(G, epsilon, max_iters)
+    status, iters, u, v, w = _iterate(_DoubleEngine.from_game(G).step,
+                                      np.zeros(G.n), float(epsilon), max_iters)
     to_frac = lambda arr: tuple(Fraction(t) for t in arr.tolist())
     return status, iters, to_frac(u), to_frac(v), to_frac(w)
 

@@ -15,6 +15,8 @@ import time
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from tropsdp import (
     MINUS_INF,
     MaxAction,
@@ -40,7 +42,8 @@ from tropsdp import (
     verify_subharmonic,
     winning_dominions,
 )
-from tropsdp.bench import DenseInstance, GenSpec, _iterate_dense, gen_random, phase_diagram
+from tropsdp.bench import GenSpec, _dense_engine, gen_random, phase_diagram
+from tropsdp.shapley import _iterate
 from tropsdp.tropical import NEG, POS
 
 F = Fraction
@@ -339,9 +342,9 @@ def test_criterion_11_large_instance_smoke():
     """A generated (n, m) = (1000, 100) instance is decided in under five
     seconds, generation included."""
     start = time.perf_counter()
-    inst = DenseInstance(GenSpec(1000, 100, seed=0))
-    verdict, iters = _iterate_dense(inst, 1e-8, 10**5)
+    engine = _dense_engine(GenSpec(1000, 100, seed=0))
+    verdict, iters, _, _, _ = _iterate(engine.step, np.zeros(1000), 1e-8, 10**5)
     elapsed = time.perf_counter() - start
-    assert verdict in ("Feasible", "Infeasible")
+    assert verdict in ("feasible", "infeasible")
     assert elapsed < 5.0
     _line(11, f"(1000, 100) -> {verdict} after {iters} iterations in {elapsed:.2f}s")

@@ -9,16 +9,15 @@ from tropsdp import ValidationError, game_from_pencil, jsonio
 from tropsdp.bench import (
     CSV_HEADER,
     CellResult,
-    DenseInstance,
     GenSpec,
-    _iterate_dense,
+    _dense_engine,
     _sample_seed,
     benchmark,
     gen_random,
     phase_diagram,
     to_csv,
 )
-from tropsdp.shapley import apply_F, value_iteration_raw
+from tropsdp.shapley import _DoubleEngine, _iterate, apply_F, value_iteration_raw
 from tropsdp.tropical import POS, NEG
 
 F = Fraction
@@ -65,19 +64,35 @@ def test_generated_pencil_survives_json_round_trip():
 
 def test_dense_instance_needs_room_for_min():
     with pytest.raises(ValidationError):
-        DenseInstance(GenSpec(3, 1, seed=0))
+        _dense_engine(GenSpec(3, 1, seed=0))
+
+
+ENGINE_ARRAYS = ("max_r", "max_t", "max_seg", "min_r", "min_i", "min_j",
+                 "min_seg")
+
+
+@pytest.mark.parametrize("n,m", [(4, 3), (10, 5), (7, 2), (30, 12)])
+def test_dense_engine_equals_engine_of_generated_game(n, m):
+    for seed in range(5):
+        spec = GenSpec(n, m, seed=seed)
+        built = _dense_engine(spec)
+        reference = _DoubleEngine.from_game(game_from_pencil(gen_random(spec)))
+        for name in ENGINE_ARRAYS:
+            a, b = getattr(built, name), getattr(reference, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def test_dense_step_matches_exact_operator():
     # moduli have 31 fraction bits and each step adds one halving, so the
     # first few float iterates are exact and must equal the rational ones
     spec = GenSpec(4, 3, seed=42)
-    inst = DenseInstance(spec)
+    engine = _dense_engine(spec)
     game = game_from_pencil(gen_random(spec))
     x = np.zeros(4)
     exact = (F(0),) * 4
     for _ in range(3):
-        x = inst.step(x)
+        x = engine.step(x)
         exact = apply_F(game, exact)
         assert tuple(F(t) for t in x.tolist()) == exact
 
@@ -85,10 +100,11 @@ def test_dense_step_matches_exact_operator():
 def test_dense_iteration_matches_exact_verdict():
     for seed in range(5):
         spec = GenSpec(4, 3, seed=seed)
-        verdict, iters = _iterate_dense(DenseInstance(spec), 1e-6, 1000)
-        status, exact_iters, _, _, _ = value_iteration_raw(
+        status, iters, _, _, _ = _iterate(
+            _dense_engine(spec).step, np.zeros(4), 1e-6, 1000)
+        exact_status, exact_iters, _, _, _ = value_iteration_raw(
             game_from_pencil(gen_random(spec)), F(1, 10**6), 1000, exact=True)
-        assert (verdict.lower(), iters) == (status, exact_iters)
+        assert (status, iters) == (exact_status, exact_iters)
 
 
 def test_sample_seeds_are_stable_and_distinct():
@@ -128,6 +144,28 @@ def test_phase_diagram_records_timing_by_default():
 def test_phase_diagram_needs_samples():
     with pytest.raises(ValidationError):
         phase_diagram([3], [2], samples=0)
+
+
+@pytest.mark.parametrize("epsilon", [0, -1, 1e-400])
+def test_sweeps_reject_nonpositive_epsilon(epsilon):
+    with pytest.raises(ValidationError):
+        phase_diagram([10], [2, 3], samples=5, epsilon=epsilon)
+    with pytest.raises(ValidationError):
+        benchmark([(5, 3)], samples=2, epsilon=epsilon)
+
+
+def test_readme_phase_sweep_is_unchanged():
+    # the README sweep's CSV, pinned byte for byte: a change to the operator
+    # arrays or the loop that moves a verdict or an iteration count shows here
+    cells = phase_diagram([10], [2, 10, 20, 30, 40], samples=10, timing=False)
+    assert to_csv(cells) == (
+        "n,m,samples,feasible_ratio,indeterminate,mean_iters,mean_time_s\n"
+        "10,2,10,1,0,1.5,\n"
+        "10,10,10,0,0,1.3,\n"
+        "10,20,10,0,0,1,\n"
+        "10,30,10,0,0,1,\n"
+        "10,40,10,0,0,1,\n"
+    )
 
 
 def test_benchmark_times_explicit_sizes():

@@ -2,7 +2,6 @@
 
 import io
 import json
-import os
 from fractions import Fraction
 
 import pytest
@@ -345,17 +344,19 @@ def test_bad_epsilon_exits_one(capsys):
     capsys.readouterr()
 
 
+def test_underflowing_epsilon_needs_exact(capsys):
+    # 1e-400 is a positive rational but 0.0 as a double; the float loop
+    # must refuse it rather than report Infeasible after 0 iterations
+    assert run(["check", RUNNING, "--eps", "1e-400"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tropsdp: ValidationError" in captured.err
+    assert "--exact" in captured.err
+    assert run(["check", RUNNING, "--eps", "1e-400", "--exact"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["iterations"]) == ("Feasible", 20)
+
+
 def test_epsilon_accepts_decimal_strings(capsys):
     assert run(["check", RUNNING, "--eps", "0.001"]) == 0
     assert json.loads(capsys.readouterr().out)["epsilon"] == "1/1000"
-
-
-def test_threads_flag(capsys, monkeypatch):
-    monkeypatch.delenv("TROPSDP_THREADS", raising=False)
-    assert run(["phase", "--n-list", "3", "--m-list", "2", "--samples", "1",
-                "--no-timing", "--threads", "2", "--max-iters", "2000"]) == 0
-    assert os.environ.get("TROPSDP_THREADS") == "2"
-    capsys.readouterr()
-    assert run(["phase", "--n-list", "3", "--m-list", "2", "--samples", "1",
-                "--no-timing", "--threads", "0"]) == 1
-    capsys.readouterr()
