@@ -20,7 +20,8 @@ from . import bench as bench_mod
 from . import certify as certify_mod
 from . import jsonio
 from .errors import TropSdpError, ValidationError
-from .exact import affine_feasibility, game_value_bruteforce, solve_tmsdfp
+from .exact import (DEFAULT_PAIR_CAP, affine_feasibility, game_value_bruteforce,
+                    solve_tmsdfp)
 from .game import game_from_pencil
 from .markov import analyze, chain_from_policies
 from .pencil import metzlerize, normalize, require_metzler
@@ -117,7 +118,7 @@ def build_parser() -> _Parser:
                    help="iterate in exact rational arithmetic")
 
     p = add("exact", "exact game value / margin by policy enumeration")
-    p.add_argument("--max-pairs", type=int, default=10**6,
+    p.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_CAP,
                    help="cap on the number of policy pairs to evaluate")
     p.add_argument("--policies", action="store_true",
                    help="also print the optimal pair in readable form")
@@ -127,7 +128,7 @@ def build_parser() -> _Parser:
     add("game", "translate a well-formed Metzler pencil to its game")
 
     p = add("solve-game", "exact value of a game given directly as JSON")
-    p.add_argument("--max-pairs", type=int, default=10**6)
+    p.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_CAP)
     p.add_argument("--policies", action="store_true")
     p.add_argument("--dump-chain", action="store_true")
 
@@ -136,7 +137,6 @@ def build_parser() -> _Parser:
 
     p = add("affine", "decide feasibility of an affine pencil via dominions")
     p.add_argument("--max-states", type=int, default=16)
-    p.add_argument("--max-pairs", type=int, default=10**6)
 
     p = add("gen", "generate a random pencil", with_input=False)
     p.add_argument("--n", type=int, required=True)
@@ -283,6 +283,17 @@ def _cmd_check(args) -> int:
     return EXIT_INDETERMINATE
 
 
+def _emit_value(args, out: dict, G, value) -> None:
+    """The shared tail of `exact` and `solve-game`: the chain of the
+    optimal pair under --dump-chain, the JSON, then --policies on stderr."""
+    if args.dump_chain:
+        out["chain"] = _chain_to_json(G, *value.optimal_pair)
+    _emit(args, jsonio.dump_json(out))
+    if args.policies:
+        print("optimal pair:\n" + _describe_policies(G, value.optimal_pair),
+              file=sys.stderr)
+
+
 def _cmd_exact(args) -> int:
     P = _load_pencil(args)
     result = solve_tmsdfp(P, max_pairs=args.max_pairs)
@@ -292,15 +303,12 @@ def _cmd_exact(args) -> int:
         else jsonio.format_rational(result.margin),
         "value": None if result.value is None else _value_to_json(result.value),
     }
-    if args.dump_chain and result.value is not None:
-        G = game_from_pencil(result.normalization.pencil)
-        out["chain"] = _chain_to_json(G, *result.value.optimal_pair)
-    _emit(args, jsonio.dump_json(out))
-    if args.policies and result.value is not None:
-        G = game_from_pencil(result.normalization.pencil)
-        print("optimal pair:\n"
-              + _describe_policies(G, result.value.optimal_pair),
-              file=sys.stderr)
+    if result.value is None:
+        _emit(args, jsonio.dump_json(out))
+    else:
+        G = (game_from_pencil(result.normalization.pencil)
+             if args.dump_chain or args.policies else None)
+        _emit_value(args, out, G, result.value)
     return EXIT_FEASIBLE if result.status == "Nontrivial" else EXIT_INFEASIBLE
 
 
@@ -313,13 +321,7 @@ def _cmd_game(args) -> int:
 def _cmd_solve_game(args) -> int:
     G = jsonio.game_from_json(jsonio.load_json(args.input))
     value = game_value_bruteforce(G, max_pairs=args.max_pairs)
-    out = _value_to_json(value)
-    if args.dump_chain:
-        out["chain"] = _chain_to_json(G, *value.optimal_pair)
-    _emit(args, jsonio.dump_json(out))
-    if args.policies:
-        print("optimal pair:\n" + _describe_policies(G, value.optimal_pair),
-              file=sys.stderr)
+    _emit_value(args, _value_to_json(value), G, value)
     return EXIT_FEASIBLE if max(value.chi) >= 0 else EXIT_INFEASIBLE
 
 
@@ -352,8 +354,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_affine(args) -> int:
     P = _load_pencil(args)
-    feasible = affine_feasibility(P, max_states=args.max_states,
-                                  max_pairs=args.max_pairs)
+    feasible = affine_feasibility(P, max_states=args.max_states)
     _emit(args, jsonio.dump_json({"feasible": feasible}))
     return EXIT_FEASIBLE if feasible else EXIT_INFEASIBLE
 

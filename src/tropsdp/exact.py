@@ -3,11 +3,13 @@
 Positional policies suffice for both players of these games, and fixing a
 pair of policies turns the play into a finite Markov chain whose average
 reward is a ratio of integers.  At desk scale we can therefore obtain the
-exact value vector chi by brute force: enumerate all policy pairs, evaluate
-each chain exactly, and take the min over Min's policies of the max over
-Max's.  The result is cross-validated against the max-min order (the saddle
-point property) and against a specific optimal pair; any mismatch aborts,
-since it can only come from an implementation bug.
+exact value vector chi by brute force: one pass over all policy pairs
+analyses each pair's chain exactly once, folding its gain into the best
+reply of Max to each Min policy and of Min to each Max policy.  The min of
+the former is the min-max value, the max of the latter the max-min value;
+the two must agree (the saddle point property), and a specific optimal pair
+must attain them.  Any mismatch aborts, since it can only come from an
+implementation bug.
 
 On top of the solver sit the two exact feasibility procedures: nontriviality
 of a Metzler spectrahedron (with its margin, the largest reinforcement
@@ -67,48 +69,30 @@ def _gains(G: StochGame, sigma, tau) -> tuple:
 def game_value_bruteforce(G: StochGame, max_pairs: int = DEFAULT_PAIR_CAP) -> GameValue:
     """chi_k = min over sigma of max over tau of the exact chain gain.
 
-    Enumerates every policy pair (guarded by ``max_pairs``), then verifies
-    the saddle point property — max-min equals min-max componentwise and
-    some single pair attains the value everywhere — raising
-    SaddlePointError instead of returning questionable output.
+    One pass over every policy pair (guarded by ``max_pairs``) analyses
+    each chain once, keeping per sigma the componentwise max over tau and
+    per tau the componentwise min over sigma.  It then verifies the saddle
+    point property — max-min equals min-max componentwise and the first
+    sigma and the first tau (in product order) whose replies equal chi
+    attain it together — raising SaddlePointError instead of returning
+    questionable output.
     """
     pairs = G.policy_count()
     if pairs > max_pairs:
         raise PolicySpaceTooLarge(
             f"{pairs} policy pairs exceed the cap of {max_pairs}")
-    sigma_space = list(itertools.product(*[range(len(a)) for a in G.min_actions]))
-    tau_space = list(itertools.product(*[range(len(b)) for b in G.max_actions]))
-
-    def best_response_to_sigma(sigma):
-        h = None
-        for tau in tau_space:
-            g = _gains(G, sigma, tau)
-            h = g if h is None else tuple(map(max, h, g))
-        return h
-
-    def best_response_to_tau(tau):
-        l = None
-        for sigma in sigma_space:
-            g = _gains(G, sigma, tau)
-            l = g if l is None else tuple(map(min, l, g))
-        return l
-
-    chi = None
-    for sigma in sigma_space:
-        h = best_response_to_sigma(sigma)
-        chi = h if chi is None else tuple(map(min, chi, h))
-
-    chi_dual = None
-    tau_bar = None
-    for tau in tau_space:
-        l = best_response_to_tau(tau)
-        chi_dual = l if chi_dual is None else tuple(map(max, chi_dual, l))
-        if tau_bar is None and l == chi:
-            tau_bar = tau
-    sigma_bar = next(
-        (sigma for sigma in sigma_space if best_response_to_sigma(sigma) == chi),
-        None,
-    )
+    sigma_space = itertools.product(*[range(len(a)) for a in G.min_actions])
+    tau_space = itertools.product(*[range(len(b)) for b in G.max_actions])
+    h = {}  # sigma -> componentwise max over tau of the gain
+    l = {}  # tau -> componentwise min over sigma of the gain
+    for sigma, tau in itertools.product(sigma_space, tau_space):
+        g = _gains(G, sigma, tau)
+        h[sigma] = tuple(map(max, h.get(sigma, g), g))
+        l[tau] = tuple(map(min, l.get(tau, g), g))
+    chi = tuple(map(min, zip(*h.values())))
+    chi_dual = tuple(map(max, zip(*l.values())))
+    sigma_bar = next((sigma for sigma, hs in h.items() if hs == chi), None)
+    tau_bar = next((tau for tau, ls in l.items() if ls == chi), None)
 
     if chi != chi_dual or sigma_bar is None or tau_bar is None:
         missing = sigma_bar is None or tau_bar is None
@@ -159,16 +143,18 @@ def solve_tmsdfp(P: Pencil, max_pairs: int = DEFAULT_PAIR_CAP) -> SolveResult:
     return SolveResult(status, margin, value, res)
 
 
-def affine_feasibility(P: Pencil, max_states: int = 16,
-                       max_pairs: int = DEFAULT_PAIR_CAP) -> bool:
+def affine_feasibility(P: Pencil, max_states: int = 16) -> bool:
     """Does the spectrahedron contain a point with x_0 finite?
 
-    Variable 0 is the distinguished (affine) one.  Forced eliminations
-    either kill variable 0 (infeasible) or leave a well-formed pencil whose
-    game decides the question: feasible iff some winning dominion contains
-    state 0.  A matrix without negative entries makes its own variable
-    free; that settles the question when the variable is 0 itself, and is
-    out of scope otherwise (no game encodes such a pencil).
+    Variable 0 is the distinguished (affine) one.  Forced eliminations, run
+    to their fixpoint (``_forced_reductions``), either kill variable 0
+    (infeasible) or leave a well-formed pencil whose game decides the
+    question: feasible iff some winning dominion contains state 0.  A
+    matrix without negative entries makes its own variable free; that
+    settles the question when the variable is 0 itself, and is out of scope
+    otherwise (no game encodes such a pencil).  ``max_states`` caps the
+    dominion enumeration; each dominion's subgame is solved under
+    ``DEFAULT_PAIR_CAP``.
     """
     if not P.affine:
         raise ValidationError("affine_feasibility needs a pencil with the affine flag")

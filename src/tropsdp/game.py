@@ -241,19 +241,11 @@ def is_winning_dominion(G: StochGame, D: Iterable) -> bool:
 
 
 def winning_dominions(G: StochGame, max_states: int = 16) -> list:
-    """All winning dominions, by exhaustive subset enumeration.
+    """All winning dominions, smallest first, filtered from ``dominions``.
 
     Exponential in n; refuses games with n > max_states.
     """
-    if G.n > max_states:
-        raise PolicySpaceTooLarge(
-            f"dominion enumeration over 2^{G.n} subsets exceeds the cap of n = {max_states}")
-    found = []
-    for mask in range(1, 1 << G.n):
-        D = frozenset(k for k in range(G.n) if mask >> k & 1)
-        if is_winning_dominion(G, D):
-            found.append(D)
-    return sorted(found, key=lambda d: (len(d), sorted(d)))
+    return [D for D in dominions(G, max_states) if is_winning_dominion(G, D)]
 
 
 def dominions(G: StochGame, max_states: int = 16) -> list:

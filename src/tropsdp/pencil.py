@@ -122,22 +122,6 @@ def form_eval(P: Pencil, i: int, j: int, x: Sequence[ExtReal], sign: int) -> Ext
     return best
 
 
-def form_eval_abs(P: Pencil, i: int, j: int, x: Sequence[ExtReal]) -> ExtReal:
-    """max over all finite Q^(k)_ij of |Q^(k)_ij| + x_k (sign ignored)."""
-    best: ExtReal = MINUS_INF
-    for k in range(P.n):
-        e = P.matrices[k][i][j]
-        if e.is_zero:
-            continue
-        xk = x[k]
-        if xk is MINUS_INF:
-            continue
-        v = e.modulus + xk
-        if v > best:
-            best = v
-    return best
-
-
 def support(x: Sequence[ExtReal]) -> frozenset:
     return frozenset(k for k, v in enumerate(x) if v is not MINUS_INF)
 
@@ -358,30 +342,43 @@ def _positive_row_step(P: Pencil, vars_alive: list, rows_alive: list):
     return None
 
 
-def _forced_reductions(P: Pencil):
-    """Apply the forced row/variable eliminations to a fixpoint.
+def _reduction_states(P: Pencil):
+    """Apply the forced row/variable eliminations one step at a time.
 
-    Returns (vars_alive, rows_alive, eliminated, removed_rows).  Sound for
-    any question about the spectrahedron: eliminated variables are -oo at
-    every point of it (for every reinforcement lambda), and removed rows
-    constrain nothing.
+    Yields (vars_alive, rows_alive, eliminated, removed_rows) before each
+    step and, last, at the fixpoint: no variable left, or every row
+    covered.  Each step is one ``_positive_row_step``; a consumer may stop
+    early, as ``normalize`` does.
     """
     vars_alive = list(range(P.n))
     rows_alive = list(range(P.m))
     eliminated: list[int] = []
     removed_rows: list[int] = []
-    while vars_alive:
-        step = _positive_row_step(P, vars_alive, rows_alive)
+    while True:
+        yield vars_alive, rows_alive, eliminated, removed_rows
+        step = _positive_row_step(P, vars_alive, rows_alive) if vars_alive else None
         if step is None:
-            break
+            return
         what, payload = step
         if what == "vars":
             vars_alive = [k for k in vars_alive if k not in payload]
-            eliminated.extend(payload)
+            eliminated = eliminated + payload
         else:
-            rows_alive.remove(payload)
-            removed_rows.append(payload)
-    return vars_alive, rows_alive, eliminated, removed_rows
+            rows_alive = [i for i in rows_alive if i != payload]
+            removed_rows = removed_rows + [payload]
+
+
+def _forced_reductions(P: Pencil):
+    """Apply the forced row/variable eliminations to a fixpoint.
+
+    Returns (vars_alive, rows_alive, eliminated, removed_rows), the last
+    state of ``_reduction_states``.  Sound for any question about the
+    spectrahedron: eliminated variables are -oo at every point of it (for
+    every reinforcement lambda), and removed rows constrain nothing.
+    """
+    for state in _reduction_states(P):
+        pass
+    return state
 
 
 def _extract(P: Pencil, vars_alive: Sequence[int], rows_alive: Sequence[int]) -> Pencil:
@@ -418,49 +415,25 @@ def normalize(P: Pencil) -> NormalizeResult:
     off-diagonal entries), and an all--oo row constrains nothing.
     A matrix with no negative coefficient immediately proves the
     spectrahedron nontrivial (its unit-support point satisfies everything).
+    Both exits are checked on every state of ``_reduction_states`` before
+    its next step is taken; the "reduced" outcome is its fixpoint.
     """
     require_metzler(P)
-    vars_alive = list(range(P.n))
-    rows_alive = list(range(P.m))
-    eliminated: list[int] = []
-    removed_rows: list[int] = []
-
-    while True:
+    kind, witness, reduced = "reduced", None, None
+    for vars_alive, rows_alive, eliminated, removed_rows in _reduction_states(P):
         if not vars_alive:
-            return NormalizeResult(
-                kind="trivial",
-                eliminated_variables=tuple(eliminated),
-                removed_rows=tuple(removed_rows),
-                variable_map=(),
-                row_map=tuple(rows_alive),
-            )
-
+            kind = "trivial"
+            break
         witnesses = all_positive_variables(P, vars_alive, rows_alive)
         if witnesses:
-            return NormalizeResult(
-                kind="nontrivial",
-                witness_variable=witnesses[0],
-                eliminated_variables=tuple(eliminated),
-                removed_rows=tuple(removed_rows),
-                variable_map=tuple(vars_alive),
-                row_map=tuple(rows_alive),
-            )
-
-        step = _positive_row_step(P, vars_alive, rows_alive)
-        if step is None:
+            kind, witness = "nontrivial", witnesses[0]
             break
-        what, payload = step
-        if what == "vars":
-            vars_alive = [k for k in vars_alive if k not in payload]
-            eliminated.extend(payload)
-        else:
-            rows_alive.remove(payload)
-            removed_rows.append(payload)
-
-    reduced = _extract(P, vars_alive, rows_alive) if (eliminated or removed_rows) else P
+    else:
+        reduced = _extract(P, vars_alive, rows_alive) if (eliminated or removed_rows) else P
     return NormalizeResult(
-        kind="reduced",
+        kind=kind,
         pencil=reduced,
+        witness_variable=witness,
         eliminated_variables=tuple(eliminated),
         removed_rows=tuple(removed_rows),
         variable_map=tuple(vars_alive),

@@ -131,6 +131,19 @@ def test_game_pipe_matches_exact(tmp_path, capsys):
     assert piped == direct["value"]
 
 
+def test_solve_game_policies_and_chain_match_exact(tmp_path, capsys):
+    game_file = tmp_path / "game.json"
+    assert run(["game", RUNNING, "-o", str(game_file)]) == 0
+    capsys.readouterr()
+    assert run(["solve-game", str(game_file), "--policies", "--dump-chain"]) == 0
+    piped = capsys.readouterr()
+    assert run(["exact", RUNNING, "--policies", "--dump-chain"]) == 0
+    direct = capsys.readouterr()
+    assert json.loads(piped.out)["chain"] == json.loads(direct.out)["chain"]
+    assert piped.err == direct.err
+    assert piped.err.startswith("optimal pair:\n  Min 1:")
+
+
 def test_solve_game_losing(tmp_path, capsys):
     game = {
         "n": 1, "m": 1,
@@ -184,6 +197,15 @@ def test_affine_exit_codes(tmp_path, capsys):
                         [(0, 0, 0, POS(F(3)))], affine=True)
     assert run(["affine", free]) == 0
     assert json.loads(capsys.readouterr().out) == {"feasible": True}
+
+
+def test_affine_has_no_pair_cap_option(tmp_path):
+    # subgames are capped by the library default; the option never took effect
+    path = write_pencil(tmp_path, "aff.json", 1, 1,
+                        [(0, 0, 0, POS(F(3)))], affine=True)
+    with pytest.raises(SystemExit) as exc:
+        run(["affine", path, "--max-pairs", "1"])
+    assert exc.value.code == 1
 
 
 def test_check_warns_on_affine_flag(tmp_path, capsys):

@@ -16,6 +16,9 @@ from tropsdp import (
     game_value_bruteforce,
     solve_tmsdfp,
 )
+import tropsdp.exact
+from tropsdp.bench import GenSpec, gen_random
+from tropsdp.game import induced_subgame
 from tropsdp.markov import analyze, chain_from_policies
 
 F = Fraction
@@ -54,6 +57,53 @@ def test_policy_space_cap(worked_game, running_pencil):
         game_value_bruteforce(worked_game, max_pairs=3)
     with pytest.raises(PolicySpaceTooLarge):
         solve_tmsdfp(running_pencil, max_pairs=3)
+
+
+def test_each_policy_pair_is_analysed_once(monkeypatch, worked_game):
+    # one analysis per pair, plus the final check of the optimal pair
+    calls = []
+
+    def counting(chain):
+        calls.append(chain)
+        return analyze(chain)
+
+    monkeypatch.setattr(tropsdp.exact, "analyze", counting)
+    for G in (worked_game, game_from_pencil(gen_random(GenSpec(2, 3, 0)))):
+        calls.clear()
+        game_value_bruteforce(G)
+        assert len(calls) == G.policy_count() + 1
+
+
+def _direct_value(G):
+    """min over sigma of max over tau, computed pair by pair; the optimal
+    pair is the first sigma and the first tau (product order) whose best
+    replies equal the value."""
+    sigmas = list(itertools.product(*(range(len(a)) for a in G.min_actions)))
+    taus = list(itertools.product(*(range(len(b)) for b in G.max_actions)))
+    gain = {(s, t): analyze(chain_from_policies(G, s, t)).gain[:G.n]
+            for s in sigmas for t in taus}
+    upper = {s: tuple(max(gain[s, t][k] for t in taus) for k in range(G.n))
+             for s in sigmas}
+    lower = {t: tuple(min(gain[s, t][k] for s in sigmas) for k in range(G.n))
+             for t in taus}
+    chi = tuple(min(upper[s][k] for s in sigmas) for k in range(G.n))
+    sigma = next(s for s in sigmas if upper[s] == chi)
+    tau = next(t for t in taus if lower[t] == chi)
+    return chi, (sigma, tau)
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (1, 3), (2, 2)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_value_matches_direct_min_max(n, m, seed):
+    # (3, 2) and (2, 2) leave Min one policy, (1, 3) leaves Max one, and
+    # the subgame on {0} leaves Max one
+    G = game_from_pencil(gen_random(GenSpec(n, m, seed)))
+    for H in (G, induced_subgame(G, {0})):
+        value = game_value_bruteforce(H)
+        chi, pair = _direct_value(H)
+        assert value.chi == chi
+        assert value.eta == tuple(2 * c for c in chi)
+        assert value.optimal_pair == pair
 
 
 def test_solve_worked_example(running_pencil):

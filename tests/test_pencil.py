@@ -9,6 +9,7 @@ from tropsdp import (Pencil, ValidationError, membership_general,
                      membership_metzler, metzlerize, normalize, homogenize,
                      require_metzler, support)
 from tropsdp.errors import AssumptionViolated
+from tropsdp.pencil import _forced_reductions
 from tropsdp.tropical import MINUS_INF, NEG, POS, TROP_ZERO, SignedTrop
 
 F = Fraction
@@ -232,6 +233,24 @@ def test_normalize_off_diagonal_on_dead_row_kills_both_variables():
     res = normalize(Pz)
     assert res.kind == "trivial"
     assert set(res.eliminated_variables) == {0, 1}
+
+
+def test_normalize_stops_at_trivial_before_the_fixpoint():
+    # row 0 is -oo everywhere and goes first; row 1 has no positive diagonal,
+    # which kills variable 0 (its diagonal) and then variable 1 (its
+    # off-diagonal entry).  With no variable left the loop stops: rows 1-3
+    # stay in row_map although further steps would now remove them.
+    Pz = Pencil.from_entries(2, 4, [
+        (0, 1, 1, P("-", 0)), (0, 2, 2, P("+", 0)),
+        (1, 1, 2, P("-", 1)), (1, 3, 3, P("+", 0)),
+    ])
+    res = normalize(Pz)
+    assert res.kind == "trivial"
+    assert res.witness_variable is None
+    assert res.eliminated_variables == (0, 1)
+    assert res.removed_rows == (0,)
+    assert (res.variable_map, res.row_map) == ((), (1, 2, 3))
+    assert _forced_reductions(Pz) == ([], [1, 2, 3], [0, 1], [0])
 
 
 def test_normalize_removes_empty_rows_and_embeds_points():
