@@ -7,13 +7,13 @@ symmetrically.  Those choices make every instance well formed as soon as
 m >= 2, so the game translation never needs a preprocessing pass.
 
 Sweeps and benchmarks skip the object pipeline but not the solver: the
-float operator arrays of a generated instance (`_dense_engine`) are built
-straight from its numerators, equal to `_DoubleEngine.from_game` of the
-generated pencil's game, and are iterated by the same loop as `check`
-(`shapley._iterate`).  The grid moduli are dyadic with denominator 2^31,
-hence exactly representable in float64 — the float loop computes the same
-iterates the exact loop would, up to the rounding of the averages
-themselves.
+compiled game of a generated instance (`_dense_engine`) is filled straight
+from its numerators over the grid denominator, equal to
+`CompiledGame.from_pencil` of the generated pencil, and is iterated by the
+same kernel and loop as `check` (`CompiledGame.step`, `shapley._iterate`).
+The grid moduli are dyadic with denominator 2^31, hence exactly
+representable in float64 — the float loop computes the same iterates the
+exact loop would, up to the rounding of the averages themselves.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .pencil import Pencil
-from .shapley import _DoubleEngine, _iterate
+from .shapley import CompiledGame, _iterate
 from .tropical import SignedTrop
 
 DEFAULT_GRID = 2**31
@@ -84,28 +84,30 @@ def gen_random(spec: GenSpec) -> Pencil:
     return Pencil.from_entries(spec.n, spec.m, entries)
 
 
-def _dense_engine(spec: GenSpec) -> _DoubleEngine:
-    """Operator arrays of the generated instance, laid out as
-    ``game_from_pencil`` orders its actions: Max state i moves to every
-    variable k, rewarded by the diagonal modulus (i, i) of matrix k; Min
-    state k moves to every row pair i < j, paying the modulus (i, j)."""
+def _dense_engine(spec: GenSpec) -> CompiledGame:
+    """Compiled game of the generated instance, laid out as
+    ``CompiledGame.from_pencil`` orders its actions: Max state i moves to
+    every variable k, rewarded by the diagonal modulus (i, i) of matrix k;
+    Min state k moves to every row pair i < j, paying the modulus (i, j).
+    Rewards are the drawn numerators over ``entry_grid``."""
     if spec.m < 2:
         raise ValidationError("dense instances need m >= 2 so Min can move")
     n, m = spec.n, spec.m
-    moduli = _draw_moduli(spec) / spec.entry_grid
+    numerators = _draw_moduli(spec)
     pairs = _upper_triangle(m)
     diag_cols = [t for t, (i, j) in enumerate(pairs) if i == j]
     off_cols = [t for t, (i, j) in enumerate(pairs) if i < j]
     rows = np.array([pairs[t] for t in off_cols], dtype=np.intp)
     p = len(off_cols)
-    return _DoubleEngine(
-        max_r=moduli[:, diag_cols].T.ravel(),
+    return CompiledGame(
         max_t=np.tile(np.arange(n, dtype=np.intp), m),
         max_seg=np.arange(0, m * n, n, dtype=np.intp),
-        min_r=-moduli[:, off_cols].ravel(),
+        max_p=numerators[:, diag_cols].T.ravel(),
         min_i=np.tile(rows[:, 0], n),
         min_j=np.tile(rows[:, 1], n),
-        min_seg=np.arange(0, n * p, p, dtype=np.intp))
+        min_seg=np.arange(0, n * p, p, dtype=np.intp),
+        min_p=-numerators[:, off_cols].ravel(),
+        den=spec.entry_grid)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ from .exact import (DEFAULT_PAIR_CAP, affine_feasibility, game_value_bruteforce,
 from .game import game_from_pencil
 from .markov import analyze, chain_from_policies
 from .pencil import metzlerize, normalize, require_metzler
-from .shapley import check_feasibility, structural_constant_value_check
+from .shapley import (CompiledGame, check_feasibility,
+                      structural_constant_value_check)
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 10
@@ -192,11 +193,16 @@ def _load_pencil(args):
     return jsonio.pencil_from_json(jsonio.load_json(args.input))
 
 
-def _pencil_to_game(P):
+def _require_metzler(P) -> None:
+    """require_metzler, then a note on stderr if the affine flag is set."""
     require_metzler(P)
     if P.affine:
         print("note: affine flag ignored here; use `tropsdp affine` for the "
               "affine question", file=sys.stderr)
+
+
+def _pencil_to_game(P):
+    _require_metzler(P)
     return game_from_pencil(P)
 
 
@@ -245,10 +251,7 @@ def _describe_policies(G, pair) -> str:
 
 def _cmd_check(args) -> int:
     P = _load_pencil(args)
-    require_metzler(P)
-    if P.affine:
-        print("note: affine flag ignored here; use `tropsdp affine` for the "
-              "affine question", file=sys.stderr)
+    _require_metzler(P)
     norm = normalize(P)
     if norm.kind == "trivial":
         report = {"verdict": "Infeasible", "iterations": 0, "witness": [],
@@ -270,8 +273,8 @@ def _cmd_check(args) -> int:
     if structural_constant_value_check(reduced) == "Unknown":
         print("note: constant-value hypothesis not structurally guaranteed; "
               "verdict computed assuming ergodicity", file=sys.stderr)
-    G = game_from_pencil(reduced)
-    report = check_feasibility(G, epsilon=args.eps, max_iters=args.max_iters,
+    report = check_feasibility(CompiledGame.from_pencil(reduced),
+                               epsilon=args.eps, max_iters=args.max_iters,
                                exact=args.exact)
     _emit(args, jsonio.dump_json(jsonio.report_to_json(report)))
     if report.verdict == "Feasible":

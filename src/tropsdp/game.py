@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import AssumptionViolated, NotADominion, PolicySpaceTooLarge, ValidationError
+from .errors import NotADominion, PolicySpaceTooLarge, ValidationError
 from .pencil import Pencil, require_metzler
-from .tropical import NEG, POS, SignedTrop, as_fraction
+from .tropical import SignedTrop, as_fraction
 
 
 @dataclass(frozen=True)
@@ -103,39 +103,14 @@ def game_from_pencil(P: Pencil) -> StochGame:
     """Game whose sublevel sets {x : lambda + x <= F(x)} are the reinforced
     spectrahedra of the (well-formed Metzler) pencil.
 
-    Min state k gets an action per negatively signed entry of Q^(k): {i}
-    paying -|Q^(k)_ii| from the diagonal, {i,j} paying -|Q^(k)_ij| from
-    above the diagonal.  Max state i gets an action {k} rewarding Q^(k)_ii
-    per positively signed diagonal entry.  Raises AssumptionViolated when
-    some state would end up with no action; ``normalize`` repairs that.
+    The translation is ``shapley.CompiledGame.from_pencil``, which says
+    which entry becomes which action; raises AssumptionViolated when some
+    state would end up with no action, which ``normalize`` repairs.
     """
+    from .shapley import CompiledGame  # deferred: shapley depends on this module
+
     require_metzler(P)
-    min_actions = []
-    for k in range(P.n):
-        acts = []
-        mat = P.matrices[k]
-        for i in range(P.m):
-            if mat[i][i].sign == NEG:
-                acts.append(MinAction((i,), -mat[i][i].modulus))
-            for j in range(i + 1, P.m):
-                if mat[i][j].sign == NEG:
-                    acts.append(MinAction((i, j), -mat[i][j].modulus))
-        if not acts:
-            raise AssumptionViolated(
-                f"matrix {k} has no negatively signed entry; run normalize first")
-        min_actions.append(tuple(acts))
-    max_actions = []
-    for i in range(P.m):
-        acts = [
-            MaxAction(k, P.matrices[k][i][i].modulus)
-            for k in range(P.n)
-            if P.matrices[k][i][i].sign == POS
-        ]
-        if not acts:
-            raise AssumptionViolated(
-                f"row {i} has no positively signed diagonal entry; run normalize first")
-        max_actions.append(tuple(acts))
-    return StochGame(P.n, P.m, tuple(min_actions), tuple(max_actions))
+    return CompiledGame.from_pencil(P).to_game()
 
 
 def pencil_from_game(G: StochGame) -> Pencil:

@@ -15,8 +15,6 @@ import time
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from tropsdp import (
     MINUS_INF,
     MaxAction,
@@ -43,7 +41,6 @@ from tropsdp import (
     winning_dominions,
 )
 from tropsdp.bench import GenSpec, _dense_engine, gen_random, phase_diagram
-from tropsdp.shapley import _iterate
 from tropsdp.tropical import NEG, POS
 
 F = Fraction
@@ -339,12 +336,15 @@ def test_criterion_10_phase_transition():
 
 
 def test_criterion_11_large_instance_smoke():
-    """A generated (n, m) = (1000, 100) instance is decided in under five
-    seconds, generation included."""
+    """A generated (n, m) = (1000, 100) instance is decided by
+    check_feasibility (which checks a Feasible witness exactly) in under
+    five seconds, generation included."""
     start = time.perf_counter()
-    engine = _dense_engine(GenSpec(1000, 100, seed=0))
-    verdict, iters, _, _, _ = _iterate(engine.step, np.zeros(1000), 1e-8, 10**5)
+    game = _dense_engine(GenSpec(1000, 100, seed=0))
+    report = check_feasibility(game, epsilon=EPS, max_iters=10**5)
     elapsed = time.perf_counter() - start
-    assert verdict in ("feasible", "infeasible")
+    assert report.verdict in ("Feasible", "Infeasible")
+    assert report.engine == "double"
     assert elapsed < 5.0
-    _line(11, f"(1000, 100) -> {verdict} after {iters} iterations in {elapsed:.2f}s")
+    _line(11, f"(1000, 100) -> {report.verdict} after {report.iterations} "
+              f"iterations in {elapsed:.2f}s")

@@ -17,7 +17,7 @@ from tropsdp.bench import (
     phase_diagram,
     to_csv,
 )
-from tropsdp.shapley import _DoubleEngine, _iterate, apply_F, value_iteration_raw
+from tropsdp.shapley import CompiledGame, _iterate, apply_F, value_iteration_raw
 from tropsdp.tropical import POS, NEG
 
 F = Fraction
@@ -67,8 +67,8 @@ def test_dense_instance_needs_room_for_min():
         _dense_engine(GenSpec(3, 1, seed=0))
 
 
-ENGINE_ARRAYS = ("max_r", "max_t", "max_seg", "min_r", "min_i", "min_j",
-                 "min_seg")
+ENGINE_ARRAYS = ("max_r", "max_t", "max_seg", "max_p", "min_r", "min_i",
+                 "min_j", "min_seg", "min_p")
 
 
 @pytest.mark.parametrize("n,m", [(4, 3), (10, 5), (7, 2), (30, 12)])
@@ -76,7 +76,8 @@ def test_dense_engine_equals_engine_of_generated_game(n, m):
     for seed in range(5):
         spec = GenSpec(n, m, seed=seed)
         built = _dense_engine(spec)
-        reference = _DoubleEngine.from_game(game_from_pencil(gen_random(spec)))
+        reference = CompiledGame.from_game(game_from_pencil(gen_random(spec)))
+        assert built.den == reference.den
         for name in ENGINE_ARRAYS:
             a, b = getattr(built, name), getattr(reference, name)
             assert a.dtype == b.dtype, name

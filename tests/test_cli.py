@@ -52,6 +52,26 @@ def test_check_feasible(capsys):
     assert report["epsilon"] == "1/100000000"
 
 
+def test_check_builds_no_stoch_game(tmp_path, monkeypatch, capsys):
+    import tropsdp.cli
+    from tropsdp import StochGame
+    from tropsdp.bench import GenSpec, gen_random
+
+    path = tmp_path / "random.json"
+    jsonio.dump_json(jsonio.pencil_to_json(gen_random(GenSpec(30, 4, 3))),
+                     str(path))
+    assert run(["check", str(path)]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("check built a StochGame")
+
+    monkeypatch.setattr(tropsdp.cli, "game_from_pencil", refuse)
+    monkeypatch.setattr(StochGame, "__post_init__", refuse)
+    assert run(["check", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_check_trivial_instance(trivial_pencil, capsys):
     assert run(["check", trivial_pencil]) == 10
     report = json.loads(capsys.readouterr().out)

@@ -1,7 +1,9 @@
 """Pencil <-> game translation and dominion machinery."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,10 +24,11 @@ from tropsdp import (
     is_dominion,
     membership_metzler,
     minimal_dominions,
+    normalize,
     pencil_from_game,
     winning_dominions,
 )
-from tropsdp.shapley import apply_F
+from tropsdp.shapley import CompiledGame, _float_view, _int_array, apply_F
 from tropsdp.tropical import MINUS_INF
 
 from conftest import games, overlap_free_games, trop_points
@@ -102,14 +105,85 @@ def test_worked_example_game(running_pencil):
 
 def test_translation_requires_negative_entry_per_matrix():
     P = Pencil.from_entries(1, 1, [(0, 0, 0, SignedTrop.pos(F(0)))])
-    with pytest.raises(AssumptionViolated):
-        game_from_pencil(P)
+    for translate in (game_from_pencil, CompiledGame.from_pencil):
+        with pytest.raises(AssumptionViolated) as info:
+            translate(P)
+        assert str(info.value) == (
+            "matrix 0 has no negatively signed entry; run normalize first")
 
 
 def test_translation_requires_positive_diagonal_per_row():
     P = Pencil.from_entries(1, 1, [(0, 0, 0, SignedTrop.neg(F(0)))])
-    with pytest.raises(AssumptionViolated):
-        game_from_pencil(P)
+    for translate in (game_from_pencil, CompiledGame.from_pencil):
+        with pytest.raises(AssumptionViolated) as info:
+            translate(P)
+        assert str(info.value) == (
+            "row 0 has no positively signed diagonal entry; run normalize first")
+
+
+COMPILED_ARRAYS = ("max_t", "max_seg", "max_p", "max_r", "min_i", "min_j",
+                   "min_seg", "min_p", "min_r")
+
+
+def random_metzler_pencil(rng):
+    """Each slot is -oo, negatively signed, or (on the diagonal) positively
+    signed, with moduli over mixed denominators."""
+    n, m = rng.randint(1, 4), rng.randint(1, 4)
+    entries = []
+    for k in range(n):
+        for i in range(m):
+            for j in range(i, m):
+                signs = ("zero", "neg", "pos") if i == j else ("zero", "neg")
+                sign = rng.choice(signs)
+                if sign == "zero":
+                    continue
+                mod = F(rng.randint(-9, 9), rng.choice((1, 2, 3, 8, 10**9 + 7)))
+                entries.append((k, i, j, SignedTrop.neg(mod) if sign == "neg"
+                                else SignedTrop.pos(mod)))
+    return Pencil.from_entries(n, m, entries)
+
+
+def test_float_rewards_round_like_fractions():
+    # int64 numerators below 2^53 divide in numpy; larger numerators or
+    # denominators, and object arrays, divide as Python ints
+    cases = [
+        ([1, -2, 3, 2**52 + 1, -(2**53 - 1)], 3),
+        ([1, -2, 3, 2**52 + 1], 2**53 + 1),
+        ([2**62 + 1, -(2**53 + 1), 7], 10**9 + 7),
+        ([3**60 + 1, -(2**70), 5], 3**41),
+    ]
+    for numerators, den in cases:
+        p = _int_array(numerators)
+        assert _float_view(p, den).tolist() == [float(F(q, den)) for q in numerators]
+    assert _int_array([2**63 - 1, -(2**63 - 1)]).dtype == np.int64
+    assert _int_array([2**63]).dtype == object
+
+
+def test_compiled_pencil_equals_compiled_game_of_pencil():
+    rng = random.Random(5)
+    translated = 0
+    for _ in range(400):
+        P = random_metzler_pencil(rng)
+        norm = normalize(P)
+        for Q in (P, norm.pencil):
+            if Q is None:
+                continue
+            try:
+                G = game_from_pencil(Q)
+            except AssumptionViolated as exc:
+                with pytest.raises(AssumptionViolated) as info:
+                    CompiledGame.from_pencil(Q)
+                assert str(info.value) == str(exc)
+                continue
+            translated += 1
+            assert pencil_from_game(G) == Q
+            built, reference = CompiledGame.from_pencil(Q), CompiledGame.from_game(G)
+            assert built.den == reference.den
+            for name in COMPILED_ARRAYS:
+                a, b = getattr(built, name), getattr(reference, name)
+                assert a.dtype == b.dtype, name
+                np.testing.assert_array_equal(a, b, err_msg=name)
+    assert translated >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The Shapley operator and value-iteration feasibility checking."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +18,13 @@ from tropsdp import (
     apply_F,
     check_feasibility,
     game_from_pencil,
+    verify_subharmonic,
 )
 from tropsdp.markov import chain_from_policies
 from tropsdp.shapley import (
     GUARANTEED,
     UNKNOWN,
+    CompiledGame,
     apply_F_sigma,
     apply_F_sigma_tau,
     apply_F_tau,
@@ -190,6 +194,7 @@ def test_exact_engine_matches_on_worked_example(worked_game):
     slow = check_feasibility(worked_game, exact=True)
     assert (fast.verdict, fast.iterations, fast.witness) == \
         (slow.verdict, slow.iterations, slow.witness)
+    assert (fast.engine, slow.engine) == ("double", "rational")
 
 
 def test_negative_cycle_is_infeasible():
@@ -231,3 +236,115 @@ def test_double_engine_agrees_with_exact_on_dyadic_games(data):
     fast = value_iteration_raw(g, F(1, 2**10), 40, exact=False)
     slow = value_iteration_raw(g, F(1, 2**10), 40, exact=True)
     assert fast == slow
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_exact_kernel_matches_apply_F(data):
+    # the compiled kernel over Fractions against the StochGame operator
+    g = data.draw(games())
+    step = CompiledGame.from_game(g).exact_step()
+    x = np.array([F(0)] * g.n, dtype=object)
+    ref = (F(0),) * g.n
+    for _ in range(8):
+        x, ref = step(x), apply_F(g, ref)
+        assert tuple(x) == ref
+
+
+# ---------------------------------------------------------------------------
+# exact witness check in integers
+# ---------------------------------------------------------------------------
+
+def random_game(rng, denominators):
+    """A seeded game with 1-3 actions per state and rewards k/q, q drawn
+    from the given denominators."""
+    n, m = rng.randint(1, 4), rng.randint(1, 4)
+    reward = lambda: F(rng.randint(-40, 40), rng.choice(denominators))
+    min_actions = tuple(
+        tuple(MinAction(tuple(rng.sample(range(m), rng.randint(1, min(2, m)))),
+                        reward()) for _ in range(rng.randint(1, 3)))
+        for _ in range(n))
+    max_actions = tuple(
+        tuple(MaxAction(rng.randrange(n), reward())
+              for _ in range(rng.randint(1, 3)))
+        for _ in range(m))
+    return StochGame(n, m, min_actions, max_actions)
+
+
+def tied(g, v):
+    """The game with each Min state's rewards shifted so that F(v) = v."""
+    fv = apply_F(g, v)
+    return StochGame(g.n, g.m, tuple(
+        tuple(MinAction(a.targets, a.reward + v[k] - fv[k]) for a in acts)
+        for k, acts in enumerate(g.min_actions)), g.max_actions)
+
+
+def witnesses(g):
+    """Pairs (x, from the iteration?): the float vectors u, v, w after a
+    few steps, and each of them with one coordinate nudged up or down by
+    one ulp (a nudged 0 is subnormal, which needs Python ints)."""
+    out = []
+    for iters in (1, 3, 12):
+        _, _, *vectors = value_iteration_raw(g, F(1, 10**8), iters, exact=False)
+        for vec in vectors:
+            base = np.array([float(t) for t in vec])
+            out.append((base, True))
+            for k in range(g.n):
+                for toward in (np.inf, -np.inf):
+                    nudged = base.copy()
+                    nudged[k] = np.nextafter(nudged[k], toward)
+                    out.append((nudged, False))
+    return out
+
+
+@pytest.mark.parametrize("denominators,branches", [
+    ((1, 2, 16), {np.int64}),  # dyadic: the iterates fit in int64
+    ((3, 7, 10**9 + 7), {np.int64, object}),  # a 0 witness still fits
+])
+def test_integer_witness_check_matches_fraction_check(denominators, branches):
+    rng = random.Random(7)
+    outcomes, seen = set(), set()
+    for _ in range(40):
+        g = random_game(rng, denominators)
+        if 3 in denominators:  # every game carries all three denominators
+            g = tied(g, [F(1, 3), F(1, 7), F(1, 10**9 + 7), F(1, 5)][:g.n])
+        for h in (g, tied(g, [F(k, 4) for k in range(g.n)])):
+            compiled = CompiledGame.from_game(h)
+            for x, iterate in witnesses(h):
+                if iterate:
+                    seen.add(compiled._scaled(x)[2].dtype.type)
+                expected = verify_subharmonic(h, [F(t) for t in x])[0]
+                assert compiled.is_subharmonic(x) == expected
+                assert compiled.is_subharmonic([F(t) for t in x]) == expected
+                outcomes.add(expected)
+        # an exact tie at a float witness of the iteration
+        x = witnesses(g)[0][0]
+        h = tied(g, [F(t) for t in x])
+        assert CompiledGame.from_game(h).is_subharmonic(x)
+    assert outcomes == {True, False}
+    assert seen == {np.dtype(t).type for t in branches}
+
+
+def test_integer_witness_check_validates_length(worked_game):
+    with pytest.raises(ValidationError):
+        CompiledGame.from_game(worked_game).is_subharmonic([0.0, 0.0])
+
+
+def test_rounded_witness_triggers_rational_rerun():
+    # rewards in thirds: the double iteration's witness misses v <= F(v) by
+    # a rounding error, so check_feasibility reruns the loop in rationals
+    g = StochGame(2, 2, (
+        (MinAction((1,), F(2)),),
+        (MinAction((0, 1), F(-5, 3)), MinAction((0, 1), F(-2, 3))),
+    ), (
+        (MaxAction(0, F(-1, 3)),),
+        (MaxAction(1, F(5, 3)),),
+    ))
+    status, _, _, v, _ = value_iteration_raw(g, F(1, 10**8), 10**6, exact=False)
+    assert status == "feasible"
+    assert not CompiledGame.from_game(g).is_subharmonic(v)
+    assert not verify_subharmonic(g, v)[0]
+    report = check_feasibility(g)
+    assert report == check_feasibility(g, exact=True)
+    assert report.engine == "rational"
+    assert verify_subharmonic(g, report.witness)[0]
