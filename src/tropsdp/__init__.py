@@ -11,56 +11,51 @@ with subharmonic vectors, negative ones with superharmonic vectors; both
 are re-verifiable certificates (``certify``).
 """
 
-from .tropical import (MINUS_INF, TROP_ZERO, SignedTrop, TropPolynomial,
-                       VANISHES, as_fraction, is_finite, strop_mul)
+from .tropical import MINUS_INF, TROP_ZERO, SignedTrop, as_fraction, is_finite
 from .errors import (AssumptionViolated, CertificateInvalid, DeltaTooLarge,
                      NotADominion, PolicySpaceTooLarge, SaddlePointError,
                      TropSdpError, UnsupportedInstance, ValidationError)
-from .pencil import (Homogenization, Metzlerization, NormalizeResult, Pencil,
-                     homogenize, membership_general, membership_metzler,
-                     metzlerize, normalize, require_metzler, support)
+from .pencil import (Metzlerization, NormalizeResult, Pencil,
+                     membership_general, membership_metzler, metzlerize,
+                     normalize, require_metzler, support)
 from .game import (MaxAction, MinAction, StochGame, dominions,
                    game_from_pencil, induced_subgame, is_dominion,
                    is_winning_dominion, minimal_dominions, pencil_from_game,
                    winning_dominions)
 from .markov import ChainAnalysis, MarkovChain, analyze, chain_from_policies
-from .shapley import (IterationReport, apply_F, apply_F_sigma,
-                      apply_F_sigma_tau, apply_F_tau, check_feasibility,
-                      recession, structural_constant_value_check)
+from .shapley import (IterationReport, apply_F, check_feasibility, recession,
+                      structural_constant_value_check)
 from .exact import (GameValue, SolveResult, affine_feasibility,
                     game_value_bruteforce, solve_tmsdfp)
-from .certify import (ArchimedeanThreshold, Certificate, MonomialLift,
-                      archimedean_threshold, check_certificate,
-                      feasibility_certificate, infeasibility_certificate,
-                      lift_description, verify_subharmonic,
+from .certify import (ArchimedeanThreshold, Certificate, archimedean_threshold,
+                      check_certificate, feasibility_certificate,
+                      infeasibility_certificate, verify_subharmonic,
                       verify_superharmonic)
 from .bench import GenSpec, benchmark, gen_random, phase_diagram, to_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MINUS_INF", "TROP_ZERO", "SignedTrop", "TropPolynomial", "VANISHES",
-    "as_fraction", "is_finite", "strop_mul",
+    "MINUS_INF", "TROP_ZERO", "SignedTrop", "as_fraction", "is_finite",
     "TropSdpError", "ValidationError", "AssumptionViolated", "NotADominion",
     "PolicySpaceTooLarge", "SaddlePointError", "CertificateInvalid",
     "DeltaTooLarge", "UnsupportedInstance",
-    "Pencil", "Metzlerization", "NormalizeResult", "Homogenization",
+    "Pencil", "Metzlerization", "NormalizeResult",
     "membership_metzler", "membership_general", "metzlerize", "normalize",
-    "homogenize", "require_metzler", "support",
+    "require_metzler", "support",
     "StochGame", "MinAction", "MaxAction", "game_from_pencil",
     "pencil_from_game", "is_dominion", "induced_subgame",
     "is_winning_dominion", "winning_dominions", "dominions",
     "minimal_dominions",
     "MarkovChain", "ChainAnalysis", "chain_from_policies", "analyze",
-    "IterationReport", "apply_F", "apply_F_sigma", "apply_F_tau",
-    "apply_F_sigma_tau", "recession", "structural_constant_value_check",
-    "check_feasibility",
+    "IterationReport", "apply_F", "recession",
+    "structural_constant_value_check", "check_feasibility",
     "GameValue", "SolveResult", "game_value_bruteforce", "solve_tmsdfp",
     "affine_feasibility",
-    "Certificate", "ArchimedeanThreshold", "MonomialLift",
+    "Certificate", "ArchimedeanThreshold",
     "verify_subharmonic", "verify_superharmonic", "check_certificate",
     "feasibility_certificate", "infeasibility_certificate",
-    "lift_description", "archimedean_threshold",
+    "archimedean_threshold",
     "GenSpec", "gen_random", "phase_diagram", "benchmark",
     "to_csv",
 ]

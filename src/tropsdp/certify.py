@@ -206,38 +206,3 @@ def archimedean_threshold(lam, delta, m: int, n: int,
         base = 2 * (m - 1) * n
     return ArchimedeanThreshold(base=base, exponent=1 / (2 * abs(lam) - 2 * delta))
 
-
-@dataclass(frozen=True)
-class MonomialLift:
-    """Symbolic description of the lifted point (t^{x_1}, ..., t^{x_n})."""
-
-    exponents: tuple
-    lam: Fraction
-    threshold: ArchimedeanThreshold
-
-    def __str__(self):
-        monos = ", ".join(f"t^({x})" for x in self.exponents)
-        return f"({monos}) for {self.threshold}"
-
-
-def lift_description(G: StochGame, x: Sequence, lam, delta=Fraction(0),
-                     diagonal: bool = False) -> MonomialLift:
-    """Monomial lift of a strictly feasible tropical point.
-
-    Requires finite rational exponents and lam > 0 with lam + x <= F(x);
-    the returned threshold tells how large t must be for the lift to land
-    in every classical spectrahedron with these signed valuations.
-    """
-    lam = as_fraction(lam)
-    if lam <= 0:
-        raise CertificateInvalid("monomial lifts need a positive margin lambda")
-    if any(entry is MINUS_INF for entry in x):
-        raise CertificateInvalid("monomial lifts need a finite point")
-    holds, _ = verify_subharmonic(G, x, lam)
-    if not holds:
-        raise CertificateInvalid("point is not subharmonic at this margin")
-    return MonomialLift(
-        exponents=_finite_vector(x),
-        lam=lam,
-        threshold=archimedean_threshold(lam, delta, G.m, G.n, diagonal),
-    )

@@ -193,12 +193,17 @@ def _load_pencil(args):
     return jsonio.pencil_from_json(jsonio.load_json(args.input))
 
 
-def _require_metzler(P) -> None:
-    """require_metzler, then a note on stderr if the affine flag is set."""
-    require_metzler(P)
+def _affine_note(P) -> None:
+    """A note on stderr if the affine flag is set."""
     if P.affine:
         print("note: affine flag ignored here; use `tropsdp affine` for the "
               "affine question", file=sys.stderr)
+
+
+def _require_metzler(P) -> None:
+    """require_metzler, then the affine note."""
+    require_metzler(P)
+    _affine_note(P)
 
 
 def _pencil_to_game(P):
@@ -251,8 +256,8 @@ def _describe_policies(G, pair) -> str:
 
 def _cmd_check(args) -> int:
     P = _load_pencil(args)
-    _require_metzler(P)
-    norm = normalize(P)
+    norm = normalize(P)  # rejects a non-Metzler pencil before any note
+    _affine_note(P)
     if norm.kind == "trivial":
         report = {"verdict": "Infeasible", "iterations": 0, "witness": [],
                   "epsilon": jsonio.format_rational(args.eps)}
@@ -340,7 +345,6 @@ def _cmd_metzlerize(args) -> int:
 
 def _cmd_normalize(args) -> int:
     P = _load_pencil(args)
-    require_metzler(P)
     result = normalize(P)
     out = {
         "kind": result.kind,

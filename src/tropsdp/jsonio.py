@@ -38,6 +38,15 @@ def parse_rational(value) -> Fraction:
     raise ValidationError(f"expected a rational, got {type(value).__name__}")
 
 
+def _json_int(obj: dict, key: str, what: str) -> int:
+    """obj[key], required to be a JSON integer (``bool`` is a subclass of
+    ``int`` but not a JSON integer)."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValidationError(f'{what} "{key}" must be an integer, got {value!r}')
+    return value
+
+
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
     if value.denominator == 1:
@@ -89,11 +98,13 @@ def pencil_from_json(obj) -> Pencil:
     if not isinstance(obj, dict):
         raise ValidationError("pencil file must contain a JSON object")
     try:
-        n, m = obj["n"], obj["m"]
+        n, m = _json_int(obj, "n", "pencil"), _json_int(obj, "m", "pencil")
         matrices = obj["matrices"]
     except KeyError as exc:
         raise ValidationError(f"pencil object is missing key {exc}") from exc
-    affine = bool(obj.get("affine", False))
+    affine = obj.get("affine", False)
+    if type(affine) is not bool:
+        raise ValidationError(f'pencil "affine" must be true or false, got {affine!r}')
     if not isinstance(matrices, list) or len(matrices) != n:
         raise ValidationError(f"expected {n} matrices, got "
                               f"{len(matrices) if isinstance(matrices, list) else '?'}")
@@ -112,6 +123,10 @@ def pencil_from_json(obj) -> Pencil:
                 sign = {"sign": rec["sign"], "val": rec["val"]}
             except (KeyError, TypeError) as exc:
                 raise ValidationError(f"bad entry record {rec!r}") from exc
+            if type(i) is not int or type(j) is not int:
+                raise ValidationError(
+                    f"entry indices must be integers, got (i={i!r}, j={j!r}) "
+                    f"in matrix {k + 1}")
             if not (1 <= i <= j <= m):
                 raise ValidationError(
                     f"entry indices must satisfy 1 <= i <= j <= m, got "
@@ -149,7 +164,7 @@ def game_from_json(obj) -> StochGame:
     if not isinstance(obj, dict):
         raise ValidationError("game file must contain a JSON object")
     try:
-        n, m = obj["n"], obj["m"]
+        n, m = _json_int(obj, "n", "game"), _json_int(obj, "m", "game")
         raw_min, raw_max = obj["min_actions"], obj["max_actions"]
     except KeyError as exc:
         raise ValidationError(f"game object is missing key {exc}") from exc
@@ -165,7 +180,7 @@ def game_from_json(obj) -> StochGame:
                 raise ValidationError(f"bad action record {rec!r}")
             targets = rec.get("to")
             if (not isinstance(targets, list) or not 1 <= len(targets) <= 2
-                    or not all(isinstance(t, int) for t in targets)):
+                    or not all(type(t) is int for t in targets)):
                 raise ValidationError(
                     f'Min action "to" must list one or two row states, got '
                     f"{targets!r} at state {k + 1}")
@@ -181,7 +196,7 @@ def game_from_json(obj) -> StochGame:
             if not isinstance(rec, dict):
                 raise ValidationError(f"bad action record {rec!r}")
             target = rec.get("to")
-            if not isinstance(target, int):
+            if type(target) is not int:
                 raise ValidationError(
                     f'Max action "to" must be a column state index, got '
                     f"{target!r} at state {i + 1}")

@@ -11,8 +11,7 @@ classes are the closed strongly connected components of the
 positive-probability digraph; each carries a unique stationary distribution
 pi (found by exact Gaussian elimination), giving the class gain g = pi . r;
 transient states average the class gains weighted by their absorption
-probabilities.  Expected first-return times are theta_u = 1/pi_u, and the
-expected reward accumulated before returning to u is xi_u = theta_u * g_u.
+probabilities.
 """
 
 from __future__ import annotations
@@ -87,18 +86,16 @@ def chain_from_policies(G: StochGame, sigma: Sequence[int], tau: Sequence[int]) 
 class ChainAnalysis:
     """Recurrent structure and long-run averages of a chain.
 
-    gain[u] is the expected average reward starting from u.  stationary,
-    return_time and pre_return_reward cover recurrent states (the latter
-    two as dicts keyed by state); absorption[u][c] is the probability that
-    a trajectory from transient state u ends up in recurrent_classes[c].
+    gain[u] is the expected average reward starting from u.  stationary
+    covers the recurrent states, one dict per class keyed by state;
+    absorption[u][c] is the probability that a trajectory from transient
+    state u ends up in recurrent_classes[c].
     """
 
     recurrent_classes: tuple
     stationary: tuple  # per class: dict state -> Fraction
     gain: tuple  # per state
     absorption: dict  # transient state -> tuple of Fraction per class
-    return_time: dict  # recurrent state -> theta_u
-    pre_return_reward: dict  # recurrent state -> xi_u
 
 
 def _strongly_connected_components(adj: list) -> list:
@@ -183,8 +180,6 @@ def analyze(chain: MarkovChain) -> ChainAnalysis:
     gain: list = [None] * size
     stationary = []
     class_gains = []
-    return_time: dict = {}
-    pre_return_reward: dict = {}
     for members in closed:
         idx = {u: t for t, u in enumerate(members)}
         csize = len(members)
@@ -208,8 +203,6 @@ def analyze(chain: MarkovChain) -> ChainAnalysis:
         g = sum(pi[u] * chain.rewards[u] for u in members)
         for u in members:
             gain[u] = g
-            return_time[u] = 1 / pi[u]
-            pre_return_reward[u] = g / pi[u]
         stationary.append(pi)
         class_gains.append(g)
 
@@ -248,6 +241,4 @@ def analyze(chain: MarkovChain) -> ChainAnalysis:
         stationary=tuple(stationary),
         gain=tuple(gain),
         absorption=absorption,
-        return_time=return_time,
-        pre_return_reward=pre_return_reward,
     )

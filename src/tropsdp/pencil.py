@@ -440,48 +440,3 @@ def normalize(P: Pencil) -> NormalizeResult:
         row_map=tuple(rows_alive),
     )
 
-
-# ---------------------------------------------------------------------------
-# Homogenization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Homogenization:
-    """Conic pencil produced from an affine and/or sign-unconstrained one.
-
-    ``source`` lists, per output variable, a pair (k, s): output variable
-    copies matrix k of the input with all signs flipped when s == -1.
-    A solution x of the output maps back via x_k = y_k "minus" z_k (the
-    split variables), which is meaningful over the lifted field only.
-    """
-
-    pencil: Pencil
-    source: tuple
-
-
-def homogenize(P: Pencil, sign_free=()) -> Homogenization:
-    """Split each sign-unconstrained variable k into a pair (y_k, z_k) where
-    z_k scales the sign-flipped matrix -Q^(k); an affine pencil keeps its
-    distinguished variable 0 (which may not be declared sign-free).
-
-    With no affine part and no sign-free variables this is the identity.
-    """
-    sign_free = set(sign_free)
-    if P.affine and 0 in sign_free:
-        raise ValidationError("the distinguished affine variable cannot be sign-free")
-    if not sign_free.issubset(range(P.n)):
-        raise ValidationError("sign_free contains an out-of-range variable index")
-
-    mats = []
-    source = []
-    for k in range(P.n):
-        mats.append(P.matrices[k])
-        source.append((k, +1))
-        if k in sign_free:
-            flipped = tuple(
-                tuple(e.negated() for e in row) for row in P.matrices[k]
-            )
-            mats.append(flipped)
-            source.append((k, -1))
-    out = Pencil(len(mats), P.m, tuple(mats), affine=P.affine)
-    return Homogenization(pencil=out, source=tuple(source))

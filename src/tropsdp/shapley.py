@@ -25,9 +25,9 @@ rewards and the witness to integers (int64 when a bit bound allows, Python
 ints otherwise); if the check fails the loop reruns in rationals.
 Correctness of plain verdicts under fixed-precision evaluation is part of
 the procedure's contract, provided every state of the game has the same
-mean payoff and it is nonzero.  `apply_F` and its policy variants evaluate
-F over Fractions and -oo straight from a `StochGame`; they are the exact
-reference the array form is tested against.
+mean payoff and it is nonzero.  `apply_F` evaluates F over Fractions and
+-oo straight from a `StochGame`; it is the exact reference the array form
+is tested against.
 """
 
 from __future__ import annotations
@@ -84,61 +84,6 @@ def apply_F(G: StochGame, x: Sequence[ExtReal]) -> tuple:
     return tuple(
         min(_action_value(a, y) for a in acts) for acts in G.min_actions
     )
-
-
-def apply_F_sigma(G: StochGame, sigma: Sequence[int], x: Sequence[ExtReal]) -> tuple:
-    """Shapley operator with Min committed to the policy sigma."""
-    _check_point(G, x)
-    _check_min_policy(G, sigma)
-    y = _max_values(G, x)
-    return tuple(
-        _action_value(G.min_actions[k][sigma[k]], y) for k in range(G.n)
-    )
-
-
-def apply_F_tau(G: StochGame, tau: Sequence[int], x: Sequence[ExtReal]) -> tuple:
-    """Shapley operator with Max committed to the policy tau."""
-    _check_point(G, x)
-    _check_max_policy(G, tau)
-    y = _fixed_max_values(G, tau, x)
-    return tuple(
-        min(_action_value(a, y) for a in acts) for acts in G.min_actions
-    )
-
-
-def apply_F_sigma_tau(G: StochGame, sigma: Sequence[int], tau: Sequence[int],
-                      x: Sequence[ExtReal]) -> tuple:
-    """Shapley operator with both players committed; an affine map of x."""
-    _check_point(G, x)
-    _check_min_policy(G, sigma)
-    _check_max_policy(G, tau)
-    y = _fixed_max_values(G, tau, x)
-    return tuple(
-        _action_value(G.min_actions[k][sigma[k]], y) for k in range(G.n)
-    )
-
-
-def _fixed_max_values(G, tau, x) -> list:
-    out = []
-    for i, acts in enumerate(G.max_actions):
-        b = acts[tau[i]]
-        xv = x[b.target]
-        out.append(MINUS_INF if xv is MINUS_INF else b.reward + xv)
-    return out
-
-
-def _check_min_policy(G, sigma):
-    if len(sigma) != G.n or any(
-        not 0 <= sigma[k] < len(G.min_actions[k]) for k in range(G.n)
-    ):
-        raise ValidationError("invalid Min policy index")
-
-
-def _check_max_policy(G, tau):
-    if len(tau) != G.m or any(
-        not 0 <= tau[i] < len(G.max_actions[i]) for i in range(G.m)
-    ):
-        raise ValidationError("invalid Max policy index")
 
 
 def recession(G: StochGame, x: Sequence[ExtReal]) -> tuple:

@@ -3,20 +3,18 @@
 The tropical (max-plus) semifield is R u {-oo} with max as addition and + as
 multiplication.  A *signed* tropical number additionally carries a sign, so
 it is either +a (tropically positive), -a ("theta a", tropically negative),
-or the bottom element -oo.  Signs multiply like ordinary signs and moduli
-add; there is no general addition of oppositely signed numbers — a tropical
-polynomial *vanishes* at a point when its largest terms disagree in sign.
+or the bottom element -oo.
 
-This module provides the bottom element, signed numbers, and tropical
-polynomials with positive/negative-part evaluation and the vanishing
-semantics.  Moduli are exact rationals throughout.
+This module provides the bottom element -oo, extended reals and signed
+numbers, the scalars that pencil entries and game points are made of.
+Moduli are exact rationals throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 
 class _MinusInf:
@@ -143,136 +141,3 @@ class SignedTrop:
 
 TROP_ZERO = SignedTrop(ZERO, MINUS_INF)
 
-
-def strop_mul(a: SignedTrop, b: SignedTrop) -> SignedTrop:
-    """Tropical multiplication on signed numbers: moduli add, signs multiply.
-
-    -oo is absorbing, e.g. 2 * (-)3 = (-)5 and anything * -oo = -oo.
-    """
-    if a.is_zero or b.is_zero:
-        return TROP_ZERO
-    return SignedTrop(a.sign * b.sign, a.modulus + b.modulus)
-
-
-class Vanishes:
-    """Result marker for a signed evaluation whose top terms cancel in sign."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Vanishes"
-
-
-VANISHES = Vanishes()
-
-
-class TropPolynomial:
-    """A tropical polynomial: a finite sum of terms a * X1^e1 * ... * Xn^en
-    with nonzero signed tropical coefficients a.
-
-    Stored as a map from exponent tuples to coefficients.  Evaluation of the
-    positive part takes the max of (|a| + <e, x>) over positively signed
-    terms, the negative part mirrors it, and the signed evaluation reports
-    VANISHES when the terms of greatest modulus do not share a sign.
-    """
-
-    __slots__ = ("nvars", "monomials")
-
-    def __init__(self, nvars: int, monomials: Mapping[tuple, SignedTrop]):
-        clean = {}
-        for exps, coeff in monomials.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars:
-                raise ValueError(f"exponent vector {exps} has wrong length")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            if coeff.is_zero:
-                continue  # -oo terms contribute nothing
-            clean[exps] = coeff
-        self.nvars = nvars
-        self.monomials = clean
-
-    def __repr__(self):
-        if not self.monomials:
-            return "TropPolynomial(-oo)"
-        terms = " (+) ".join(
-            f"{coeff}*X^{list(exps)}" for exps, coeff in sorted(self.monomials.items())
-        )
-        return f"TropPolynomial({terms})"
-
-    def _term_modulus(self, exps: tuple, x: Iterable[ExtReal]) -> ExtReal:
-        # |a| + e1*x1 + ... + en*xn with -oo absorbing (0 * -oo drops the term's
-        # dependence on that variable: an exponent of 0 never reads x_k).
-        total: ExtReal = self.monomials[exps].modulus
-        for e, xk in zip(exps, x):
-            if e == 0:
-                continue
-            if xk is MINUS_INF:
-                return MINUS_INF
-            total = total + e * xk
-        return total
-
-    def eval_pos(self, x) -> ExtReal:
-        """Evaluate the positive part: max over positively signed terms."""
-        return self._eval_signed_part(POS, x)
-
-    def eval_neg(self, x) -> ExtReal:
-        """Evaluate the negative part: max over negatively signed terms."""
-        return self._eval_signed_part(NEG, x)
-
-    def _eval_signed_part(self, wanted_sign: int, x) -> ExtReal:
-        x = list(x)
-        if len(x) != self.nvars:
-            raise ValueError(f"point has {len(x)} coordinates, expected {self.nvars}")
-        best: ExtReal = MINUS_INF
-        for exps, coeff in self.monomials.items():
-            if coeff.sign != wanted_sign:
-                continue
-            val = self._term_modulus(exps, x)
-            if val > best:
-                best = val
-        return best
-
-    def eval_signed(self, x: Iterable[SignedTrop]):
-        """Evaluate at a signed point; returns a SignedTrop or VANISHES.
-
-        Each term's sign is the coefficient sign times the signs of the
-        variables raised to their exponents.  If the terms attaining the
-        maximal modulus all agree in sign, that signed value is returned;
-        otherwise the polynomial vanishes at the point.
-        """
-        x = list(x)
-        if len(x) != self.nvars:
-            raise ValueError(f"point has {len(x)} coordinates, expected {self.nvars}")
-        best: ExtReal = MINUS_INF
-        signs_at_best: set[int] = set()
-        for exps, coeff in self.monomials.items():
-            modulus: ExtReal = coeff.modulus
-            sign = coeff.sign
-            dead = False
-            for e, xk in zip(exps, x):
-                if e == 0:
-                    continue
-                if xk.is_zero:
-                    dead = True
-                    break
-                modulus = modulus + e * xk.modulus
-                if e % 2 == 1:
-                    sign *= xk.sign
-            if dead:
-                continue
-            if modulus > best:
-                best = modulus
-                signs_at_best = {sign}
-            elif modulus == best and best is not MINUS_INF:
-                signs_at_best.add(sign)
-        if best is MINUS_INF:
-            return TROP_ZERO
-        if len(signs_at_best) > 1:
-            return VANISHES
-        return SignedTrop(signs_at_best.pop(), best)

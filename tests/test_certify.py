@@ -20,7 +20,6 @@ from tropsdp import (
     feasibility_certificate,
     game_from_pencil,
     infeasibility_certificate,
-    lift_description,
     verify_subharmonic,
     verify_superharmonic,
 )
@@ -196,20 +195,3 @@ def test_threshold_shrinks_as_the_margin_grows():
     # negative margins use |lambda|: same bound either side of zero
     assert archimedean_threshold(F(-1), F(0), m=3, n=3) == wide
 
-
-def test_lift_description(worked_game):
-    cert = feasibility_certificate(worked_game, F(1, 100))
-    lift = lift_description(worked_game, cert.vector, cert.lam)
-    assert lift.exponents == cert.vector
-    assert (lift.threshold.base, lift.threshold.exponent) == (12, F(50))
-    text = str(lift)
-    assert "t^(" in text and "12^50" in text
-
-
-def test_lift_description_guards(worked_game):
-    with pytest.raises(CertificateInvalid):
-        lift_description(worked_game, (0, 0, 0), F(0))
-    with pytest.raises(CertificateInvalid):
-        lift_description(worked_game, (MINUS_INF, 0, 0), F(1, 100))
-    with pytest.raises(CertificateInvalid):
-        lift_description(worked_game, (10, 0, 0), F(1, 100))

@@ -102,6 +102,19 @@ def test_check_rejects_non_metzler(tmp_path, capsys):
     assert "Metzler" in capsys.readouterr().err
 
 
+def test_check_scans_for_metzler_once(monkeypatch):
+    calls = []
+    is_metzler = Pencil.is_metzler
+
+    def counted(self):
+        calls.append(self)
+        return is_metzler(self)
+
+    monkeypatch.setattr(Pencil, "is_metzler", counted)
+    assert run(["check", RUNNING]) == 0
+    assert len(calls) == 1
+
+
 def test_check_exact_flag_matches(capsys):
     assert run(["check", RUNNING, "--exact"]) == 0
     exact_report = json.loads(capsys.readouterr().out)

@@ -17,7 +17,7 @@ from tropsdp import (
 )
 from tropsdp.tropical import TROP_ZERO
 
-from conftest import games, overlap_free_games
+from conftest import example_path, games, overlap_free_games
 
 F = Fraction
 
@@ -156,6 +156,42 @@ def test_game_from_json_rejects_misshapen_actions():
         jsonio.game_from_json({"n": 1, "m": 1,
                                "min_actions": [[{"to": [1], "reward": "0"}]],
                                "max_actions": [[0]]})
+
+
+ENTRY = ("matrices", 0, "entries", 0)
+MIN_TO = ("min_actions", 0, 0, "to")
+MAX_TO = ("max_actions", 0, 0, "to")
+
+
+@pytest.mark.parametrize("command, fixture, path, value", [
+    ("check", "running.json", ENTRY + ("i",), "1"),
+    ("check", "running.json", ENTRY + ("j",), True),
+    ("check", "running.json", ("n",), 3.0),
+    ("check", "running.json", ("n",), "3"),
+    ("check", "running.json", ("m",), 3.0),
+    ("affine", "running.json", ("affine",), "false"),
+    ("solve-game", "dominion_game.json", ("n",), 4.0),
+    ("solve-game", "dominion_game.json", ("m",), "3"),
+    ("solve-game", "dominion_game.json", MIN_TO, [True]),
+    ("solve-game", "dominion_game.json", MAX_TO, True),
+])
+def test_badly_typed_json_is_rejected(tmp_path, capsys, command, fixture,
+                                      path, value):
+    from tropsdp.cli import run
+
+    obj = jsonio.load_json(example_path(fixture))
+    *parents, last = path
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert run([command, str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tropsdp: ValidationError: ")
+    assert err.count("\n") == 1
+    assert repr(value) in err  # the message names the offending value
 
 
 @settings(max_examples=40, deadline=None)

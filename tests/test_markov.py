@@ -60,16 +60,6 @@ def test_worked_example_second_policy(worked_game):
     assert res.gain == (F(1, 56),) * 6
 
 
-def test_return_statistics(worked_game):
-    res = analyze(chain_from_policies(worked_game, (0, 0, 0), (0, 0, 0)))
-    # mean return time is the reciprocal stationary mass; the expected
-    # reward accumulated before returning is gain * return time
-    assert res.return_time[0] == F(5)
-    assert res.return_time[1] == F(10)
-    assert res.pre_return_reward[0] == F(3, 8)
-    assert res.pre_return_reward[5] == F(3, 4)
-
-
 def test_chain_validation():
     with pytest.raises(ValidationError):
         MarkovChain(((F(1, 2), F(1, 3)), (0, 1)), (0, 0))  # row sums to 5/6
@@ -90,7 +80,6 @@ def test_absorbing_chain():
     assert res.stationary == ({1: F(1)}, {2: F(1)})
     assert res.absorption == {0: (half, half)}
     assert res.gain == (F(1), F(4), F(-2))
-    assert 0 not in res.return_time
 
 
 def test_two_cycle():
@@ -98,8 +87,6 @@ def test_two_cycle():
     res = analyze(chain)
     assert res.stationary == ({0: F(1, 2), 1: F(1, 2)},)
     assert res.gain == (F(2), F(2))
-    assert res.return_time == {0: F(2), 1: F(2)}
-    assert res.pre_return_reward == {0: F(4), 1: F(4)}
 
 
 def test_singular_system_raises():

@@ -1,4 +1,4 @@
-"""Pencils: membership, Metzlerization, normalization, homogenization."""
+"""Pencils: membership, Metzlerization and normalization."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropsdp import (Pencil, ValidationError, membership_general,
-                     membership_metzler, metzlerize, normalize, homogenize,
+                     membership_metzler, metzlerize, normalize,
                      require_metzler, support)
 from tropsdp.errors import AssumptionViolated
 from tropsdp.pencil import _forced_reductions
@@ -308,28 +308,3 @@ def test_nontrivial_witness_is_always_a_member():
     ray[res.witness_variable] = F(0)
     assert membership_metzler(Pz, ray)
 
-
-# -- homogenization ----------------------------------------------------------
-
-def test_homogenize_identity_without_sign_free_vars(running_pencil):
-    H = homogenize(running_pencil)
-    assert H.pencil.matrices == running_pencil.matrices
-    assert H.source == ((0, 1), (1, 1), (2, 1))
-
-
-def test_homogenize_splits_sign_free_variables(running_pencil):
-    H = homogenize(running_pencil, sign_free=[1])
-    assert H.pencil.n == 4
-    assert H.source == ((0, 1), (1, 1), (1, -1), (2, 1))
-    # the split copy is the sign-flip of the original matrix
-    orig = running_pencil.matrices[1]
-    flipped = H.pencil.matrices[2]
-    for i in range(3):
-        for j in range(3):
-            assert flipped[i][j] == orig[i][j].negated()
-
-
-def test_homogenize_rejects_sign_free_affine_variable(running_pencil):
-    affine = Pencil(3, 3, running_pencil.matrices, affine=True)
-    with pytest.raises(ValidationError):
-        homogenize(affine, sign_free=[0])

@@ -25,9 +25,6 @@ from tropsdp.shapley import (
     GUARANTEED,
     UNKNOWN,
     CompiledGame,
-    apply_F_sigma,
-    apply_F_sigma_tau,
-    apply_F_tau,
     recession,
     structural_constant_value_check,
     value_iteration_raw,
@@ -71,11 +68,14 @@ def test_operator_checks_dimensions(worked_game):
         apply_F(worked_game, (0, 0))
 
 
-def test_policy_operators_validate_indices(worked_game):
-    with pytest.raises(ValidationError):
-        apply_F_sigma(worked_game, (0, 0, 5), (0, 0, 0))
-    with pytest.raises(ValidationError):
-        apply_F_tau(worked_game, (0, 3, 0), (0, 0, 0))
+def committed(g, sigma=None, tau=None):
+    """The game with Min bound to sigma and/or Max bound to tau: each
+    committed state keeps only the action its policy picks."""
+    mins = g.min_actions if sigma is None else tuple(
+        (acts[s],) for acts, s in zip(g.min_actions, sigma))
+    maxs = g.max_actions if tau is None else tuple(
+        (acts[t],) for acts, t in zip(g.max_actions, tau))
+    return StochGame(g.n, g.m, mins, maxs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,11 +86,13 @@ def test_fixing_policies_brackets_the_operator(data):
     tau = tuple(data.draw(st.integers(0, len(b) - 1)) for b in g.max_actions)
     x = data.draw(trop_points(g.n))
     fx = apply_F(g, x)
-    assert all(lo <= mid for lo, mid in zip(apply_F_tau(g, tau, x), fx))
-    assert all(mid <= hi for mid, hi in zip(fx, apply_F_sigma(g, sigma, x)))
-    both = apply_F_sigma_tau(g, sigma, tau, x)
-    assert all(lo <= b for lo, b in zip(apply_F_tau(g, tau, x), both))
-    assert all(b <= hi for b, hi in zip(both, apply_F_sigma(g, sigma, x)))
+    f_sigma = apply_F(committed(g, sigma=sigma), x)
+    f_tau = apply_F(committed(g, tau=tau), x)
+    both = apply_F(committed(g, sigma, tau), x)
+    assert all(lo <= mid for lo, mid in zip(f_tau, fx))
+    assert all(mid <= hi for mid, hi in zip(fx, f_sigma))
+    assert all(lo <= b for lo, b in zip(f_tau, both))
+    assert all(b <= hi for b, hi in zip(both, f_sigma))
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,7 +114,7 @@ def test_committed_operator_is_the_chain_affine_map(data):
         )
         for k in range(g.n)
     )
-    assert apply_F_sigma_tau(g, sigma, tau, x) == expected
+    assert apply_F(committed(g, sigma, tau), x) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,13 +1,11 @@
-"""Signed tropical arithmetic and polynomial evaluation."""
+"""Signed tropical arithmetic: -oo, extended reals and signed numbers."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
-from tropsdp.tropical import (MINUS_INF, POS, NEG, TROP_ZERO, VANISHES,
-                              SignedTrop, TropPolynomial, as_fraction,
-                              is_finite, strop_mul)
+from tropsdp.tropical import (MINUS_INF, POS, NEG, TROP_ZERO, SignedTrop,
+                              as_fraction, is_finite)
 
 
 def test_minus_inf_is_a_singleton_and_orders_below_everything():
@@ -54,73 +52,6 @@ def test_signed_trop_rejects_inconsistent_zero():
         SignedTrop(POS, MINUS_INF)
     with pytest.raises(ValueError):
         SignedTrop(0, Fraction(1))
-
-
-signed = st.one_of(
-    st.just(TROP_ZERO),
-    st.builds(SignedTrop.pos, st.fractions(min_value=-4, max_value=4, max_denominator=8)),
-    st.builds(SignedTrop.neg, st.fractions(min_value=-4, max_value=4, max_denominator=8)),
-)
-
-
-@given(signed, signed)
-def test_strop_mul_is_commutative(a, b):
-    assert strop_mul(a, b) == strop_mul(b, a)
-
-
-@given(signed, signed, signed)
-def test_strop_mul_is_associative(a, b, c):
-    assert strop_mul(strop_mul(a, b), c) == strop_mul(a, strop_mul(b, c))
-
-
-@given(signed, signed)
-def test_strop_mul_multiplies_moduli_and_signs(a, b):
-    out = strop_mul(a, b)
-    if a.is_zero or b.is_zero:
-        assert out is TROP_ZERO
-    else:
-        assert out.modulus == a.modulus + b.modulus
-        assert out.sign == a.sign * b.sign
-
-
-# ---------------------------------------------------------------------------
-# The two-monomial polynomial 2 x1^3 x2^4 (+) (-)0 x2 used throughout:
-# at a positive point both monomials keep their sign; the evaluation
-# vanishes where the top modulus is reached by both signs.
-# ---------------------------------------------------------------------------
-
-@pytest.fixture
-def poly():
-    return TropPolynomial(2, {
-        (3, 4): SignedTrop.pos(Fraction(2)),
-        (0, 1): SignedTrop.neg(Fraction(0)),
-    })
-
-
-def test_poly_at_signed_positive_point(poly):
-    x = (SignedTrop.pos(Fraction(1)), SignedTrop.neg(Fraction(5)))
-    # 2 + 3*1 + 4*5 = 25 with sign (+)(+)((-)^4) = +
-    assert poly.eval_signed(x) == SignedTrop.pos(Fraction(25))
-
-
-def test_poly_odd_exponent_flips_sign(poly):
-    x = (SignedTrop.pos(Fraction(1)), SignedTrop.pos(Fraction(-5)))
-    # top monomial is now the linear one: 0 + (-5) = -5, sign (-)(+) = (-)
-    assert poly.eval_signed(x) == SignedTrop.neg(Fraction(-5))
-
-
-def test_poly_vanishes_on_tie(poly):
-    x = (SignedTrop.pos(Fraction(1)), SignedTrop.pos(Fraction(-5, 3)))
-    # moduli: 2 + 3 - 20/3 = -5/3 on both monomials, opposite signs
-    assert poly.eval_signed(x) is VANISHES
-
-
-def test_poly_eval_pos_neg_split(poly):
-    x = (Fraction(1), Fraction(-5, 3))
-    assert poly.eval_pos(x) == Fraction(-5, 3)
-    assert poly.eval_neg(x) == Fraction(-5, 3)
-    assert poly.eval_pos((MINUS_INF, Fraction(0))) is MINUS_INF
-    assert poly.eval_neg((MINUS_INF, Fraction(0))) == Fraction(0)
 
 
 def test_is_finite():
