@@ -7,10 +7,10 @@ symmetrically.  Those choices make every instance well formed as soon as
 m >= 2, so the game translation never needs a preprocessing pass.
 
 Sweeps and benchmarks skip the object pipeline but not the solver: the
-compiled game of a generated instance (`_dense_engine`) is filled straight
-from its numerators over the grid denominator, equal to
-`CompiledGame.from_pencil` of the generated pencil, and is iterated by the
-same kernel and loop as `check` (`CompiledGame.step`, `shapley._iterate`).
+game of a generated instance (`_dense_engine`) is filled straight from its
+numerators over the grid denominator, equal to `game_from_pencil` of the
+generated pencil, and is iterated by the same kernel and loop as `check`
+(`StochGame.step`, `shapley._iterate`).
 The grid moduli are dyadic with denominator 2^31, hence exactly
 representable in float64 — the float loop computes the same iterates the
 exact loop would, up to the rounding of the averages themselves.
@@ -30,8 +30,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .game import StochGame
 from .pencil import Pencil
-from .shapley import CompiledGame, _iterate
+from .shapley import _iterate
 from .tropical import SignedTrop
 
 DEFAULT_GRID = 2**31
@@ -84,12 +85,12 @@ def gen_random(spec: GenSpec) -> Pencil:
     return Pencil.from_entries(spec.n, spec.m, entries)
 
 
-def _dense_engine(spec: GenSpec) -> CompiledGame:
-    """Compiled game of the generated instance, laid out as
-    ``CompiledGame.from_pencil`` orders its actions: Max state i moves to
-    every variable k, rewarded by the diagonal modulus (i, i) of matrix k;
-    Min state k moves to every row pair i < j, paying the modulus (i, j).
-    Rewards are the drawn numerators over ``entry_grid``."""
+def _dense_engine(spec: GenSpec) -> StochGame:
+    """Game of the generated instance, laid out as ``game_from_pencil``
+    orders its actions: Max state i moves to every variable k, rewarded by
+    the diagonal modulus (i, i) of matrix k; Min state k moves to every row
+    pair i < j, paying the modulus (i, j).  Rewards are the drawn numerators
+    over ``entry_grid``."""
     if spec.m < 2:
         raise ValidationError("dense instances need m >= 2 so Min can move")
     n, m = spec.n, spec.m
@@ -99,7 +100,7 @@ def _dense_engine(spec: GenSpec) -> CompiledGame:
     off_cols = [t for t, (i, j) in enumerate(pairs) if i < j]
     rows = np.array([pairs[t] for t in off_cols], dtype=np.intp)
     p = len(off_cols)
-    return CompiledGame(
+    return StochGame.from_arrays(
         max_t=np.tile(np.arange(n, dtype=np.intp), m),
         max_seg=np.arange(0, m * n, n, dtype=np.intp),
         max_p=numerators[:, diag_cols].T.ravel(),

@@ -24,8 +24,8 @@ from .exact import (DEFAULT_PAIR_CAP, affine_feasibility, game_value_bruteforce,
                     solve_tmsdfp)
 from .game import game_from_pencil
 from .markov import analyze, chain_from_policies
-from .pencil import metzlerize, normalize, require_metzler
-from .shapley import (CompiledGame, check_feasibility,
+from .pencil import metzlerize, normalize
+from .shapley import (IterationReport, check_feasibility,
                       structural_constant_value_check)
 
 EXIT_FEASIBLE = 0
@@ -200,17 +200,6 @@ def _affine_note(P) -> None:
               "affine question", file=sys.stderr)
 
 
-def _require_metzler(P) -> None:
-    """require_metzler, then the affine note."""
-    require_metzler(P)
-    _affine_note(P)
-
-
-def _pencil_to_game(P):
-    _require_metzler(P)
-    return game_from_pencil(P)
-
-
 def _value_to_json(value) -> dict:
     return {
         "chi": [jsonio.format_rational(c) for c in value.chi],
@@ -259,28 +248,23 @@ def _cmd_check(args) -> int:
     norm = normalize(P)  # rejects a non-Metzler pencil before any note
     _affine_note(P)
     if norm.kind == "trivial":
-        report = {"verdict": "Infeasible", "iterations": 0, "witness": [],
-                  "epsilon": jsonio.format_rational(args.eps)}
-        _emit(args, jsonio.dump_json(report))
-        return EXIT_INFEASIBLE
-    if norm.kind == "nontrivial":
+        report = IterationReport("Infeasible", 0, (), args.eps)
+    elif norm.kind == "nontrivial":
         print(f"note: variable {norm.witness_variable + 1} alone spans a "
               "feasible ray; no iteration needed", file=sys.stderr)
-        report = {"verdict": "Feasible", "iterations": 0, "witness": [],
-                  "epsilon": jsonio.format_rational(args.eps)}
-        _emit(args, jsonio.dump_json(report))
-        return EXIT_FEASIBLE
-    reduced = norm.pencil
-    if reduced is not P:
-        gone = [v + 1 for v in norm.eliminated_variables]
-        print(f"note: variables {gone} are forced to -inf; the witness is "
-              "over the remaining variables", file=sys.stderr)
-    if structural_constant_value_check(reduced) == "Unknown":
-        print("note: constant-value hypothesis not structurally guaranteed; "
-              "verdict computed assuming ergodicity", file=sys.stderr)
-    report = check_feasibility(CompiledGame.from_pencil(reduced),
-                               epsilon=args.eps, max_iters=args.max_iters,
-                               exact=args.exact)
+        report = IterationReport("Feasible", 0, (), args.eps)
+    else:
+        reduced = norm.pencil
+        if reduced is not P:
+            gone = [v + 1 for v in norm.eliminated_variables]
+            print(f"note: variables {gone} are forced to -inf; the witness is "
+                  "over the remaining variables", file=sys.stderr)
+        if structural_constant_value_check(reduced) == "Unknown":
+            print("note: constant-value hypothesis not structurally guaranteed; "
+                  "verdict computed assuming ergodicity", file=sys.stderr)
+        report = check_feasibility(game_from_pencil(reduced),
+                                   epsilon=args.eps, max_iters=args.max_iters,
+                                   exact=args.exact)
     _emit(args, jsonio.dump_json(jsonio.report_to_json(report)))
     if report.verdict == "Feasible":
         return EXIT_FEASIBLE
@@ -314,14 +298,14 @@ def _cmd_exact(args) -> int:
     if result.value is None:
         _emit(args, jsonio.dump_json(out))
     else:
-        G = (game_from_pencil(result.normalization.pencil)
-             if args.dump_chain or args.policies else None)
-        _emit_value(args, out, G, result.value)
+        _emit_value(args, out, result.game, result.value)
     return EXIT_FEASIBLE if result.status == "Nontrivial" else EXIT_INFEASIBLE
 
 
 def _cmd_game(args) -> int:
-    G = _pencil_to_game(_load_pencil(args))
+    P = _load_pencil(args)
+    G = game_from_pencil(P)
+    _affine_note(P)
     _emit(args, jsonio.dump_json(jsonio.game_to_json(G)))
     return EXIT_FEASIBLE
 
@@ -393,7 +377,9 @@ def _cmd_certify(args) -> int:
     if args.game:
         G = jsonio.game_from_json(jsonio.load_json(args.input))
     else:
-        G = _pencil_to_game(_load_pencil(args))
+        P = _load_pencil(args)
+        G = game_from_pencil(P)
+        _affine_note(P)
     if args.check is not None:
         cert = jsonio.certificate_from_json(jsonio.load_json(args.check))
         holds, strict = certify_mod.check_certificate(G, cert)

@@ -117,13 +117,15 @@ class SolveResult:
     spectrahedron stays nontrivial (2 max_k chi_k of the associated game);
     None means unconstrained — either every lambda works (Nontrivial found
     by an all-positive matrix) or none does (Trivial by forced
-    eliminations).
+    eliminations).  game is the game of the normalized pencil that value
+    was computed on, None when ``normalize`` decided.
     """
 
     status: str  # "Nontrivial" | "Trivial"
     margin: Optional[Fraction]
     value: Optional[GameValue]
     normalization: NormalizeResult
+    game: Optional[StochGame] = None
 
 
 def solve_tmsdfp(P: Pencil, max_pairs: int = DEFAULT_PAIR_CAP) -> SolveResult:
@@ -137,10 +139,11 @@ def solve_tmsdfp(P: Pencil, max_pairs: int = DEFAULT_PAIR_CAP) -> SolveResult:
         return SolveResult("Trivial", None, None, res)
     if res.kind == "nontrivial":
         return SolveResult("Nontrivial", None, None, res)
-    value = game_value_bruteforce(game_from_pencil(res.pencil), max_pairs)
+    game = game_from_pencil(res.pencil)
+    value = game_value_bruteforce(game, max_pairs)
     margin = 2 * max(value.chi)
     status = "Nontrivial" if margin >= 0 else "Trivial"
-    return SolveResult(status, margin, value, res)
+    return SolveResult(status, margin, value, res, game)
 
 
 def affine_feasibility(P: Pencil, max_states: int = 16) -> bool:

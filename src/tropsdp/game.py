@@ -6,24 +6,34 @@ pays its reward r^a_k, and nature moves to Max state i or j with probability
 1/2 each.  At a Max state i, Max picks an action {k}, receives r^b_i, and
 play moves to Min state k.  Both players always have at least one action.
 
-A Metzler pencil turns into such a game by reading negatively signed entries
-of Q^(k) as Min actions of state k and positively signed diagonal entries
-Q^(k)_ii as Max actions of state i.  The reverse construction packs a game
-back into matrices; when a Min action {i} of k and a Max action {k} of i
-compete for the single diagonal slot (k, i, i), the entry keeping the
-sublevel sets {x : lambda + x <= F(x)} intact is the negatively signed one
-if -r^a_k > r^b_i and the positively signed one otherwise.
+``StochGame`` is the one game class: it stores the flat arrays that value
+iteration and the exact witness check run on, and reads them back as tuples
+of actions with Fraction rewards for the exact engines.
+
+A Metzler pencil turns into such a game (``game_from_pencil``) by reading
+negatively signed entries of Q^(k) as Min actions of state k and positively
+signed diagonal entries Q^(k)_ii as Max actions of state i.  The reverse
+construction packs a game back into matrices; when a Min action {i} of k
+and a Max action {k} of i compete for the single diagonal slot (k, i, i),
+the entry keeping the sublevel sets {x : lambda + x <= F(x)} intact is the
+negatively signed one if -r^a_k > r^b_i and the positively signed one
+otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NotADominion, PolicySpaceTooLarge, ValidationError
-from .pencil import Pencil, require_metzler
-from .tropical import SignedTrop, as_fraction
+import numpy as np
+
+from .errors import (AssumptionViolated, NotADominion, PolicySpaceTooLarge,
+                     ValidationError)
+from .pencil import NOT_METZLER, Pencil
+from .tropical import NEG, POS, SignedTrop, as_fraction
 
 
 @dataclass(frozen=True)
@@ -53,46 +63,196 @@ class MaxAction:
         object.__setattr__(self, "reward", as_fraction(self.reward))
 
 
-@dataclass(frozen=True)
-class StochGame:
-    n: int
-    m: int
-    min_actions: tuple  # per Min state, a nonempty tuple of MinAction
-    max_actions: tuple  # per Max state, a nonempty tuple of MaxAction
+def _int_array(values: list) -> np.ndarray:
+    """Python ints as an int64 array when every one fits, else as an object
+    array of the ints themselves."""
+    fits = max(abs(p) for p in values).bit_length() <= 63
+    return np.array(values, dtype=np.int64 if fits else object)
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValidationError(f"game needs n >= 1 and m >= 1, got ({self.n}, {self.m})")
-        if len(self.min_actions) != self.n:
+
+def _float_view(p: np.ndarray, den: int) -> np.ndarray:
+    """p / den rounded to the nearest double, as ``float(Fraction(p, den))``
+    rounds it.  Below 2^53 both operands are exact doubles and one IEEE
+    division rounds the quotient correctly; otherwise Python's int true
+    division does."""
+    if p.dtype != object and den < 2**53 and int(np.abs(p).max()) < 2**53:
+        return p / den
+    return np.array([q / den for q in p.tolist()])
+
+
+def _compile(max_t, max_seg, max_gain, min_i, min_j, min_seg,
+             min_cost) -> tuple:
+    """The arrays of ``StochGame.from_arrays`` from per-action lists of
+    Fraction Max rewards and Min costs (the negated Min rewards)."""
+    den = math.lcm(*{q.denominator for q in max_gain},
+                   *{q.denominator for q in min_cost})
+    max_p = [q.numerator * (den // q.denominator) for q in max_gain]
+    min_p = [-q.numerator * (den // q.denominator) for q in min_cost]
+    index = lambda seq: np.array(seq, dtype=np.intp)
+    return (index(max_t), index(max_seg), _int_array(max_p),
+            index(min_i), index(min_j), index(min_seg), _int_array(min_p), den)
+
+
+class StochGame:
+    """A game with n Min states and m Max states, stored as flat arrays.
+
+    Actions are laid out state-major, each state's actions starting at its
+    entry of ``max_seg`` / ``min_seg``, so each evaluation of F is two
+    gather-add passes and two segmented reductions.  Max action a moves to
+    Min state ``max_t[a]`` and receives ``max_p[a] / den``; Min action a
+    moves to Max states ``min_i[a]`` and ``min_j[a]`` (equal for a
+    singleton) with reward ``min_p[a] / den``.  The reward numerators share
+    the one denominator ``den``; they are int64 arrays when they fit and
+    object arrays of Python ints otherwise.  ``max_r`` and ``min_r`` are
+    the rewards as correctly rounded doubles.
+
+    ``StochGame(n, m, min_actions, max_actions)`` builds the game from one
+    nonempty tuple of ``MinAction`` per Min state and of ``MaxAction`` per
+    Max state; duplicates are dropped and each state's actions sorted.
+    ``min_actions`` and ``max_actions`` read the actions back in that order.
+    Two games are equal when they have the same actions in the same order.
+    """
+
+    def __init__(self, n: int, m: int, min_actions: tuple, max_actions: tuple):
+        if n < 1 or m < 1:
+            raise ValidationError(f"game needs n >= 1 and m >= 1, got ({n}, {m})")
+        if len(min_actions) != n:
             raise ValidationError("min_actions must list every Min state")
-        if len(self.max_actions) != self.m:
+        if len(max_actions) != m:
             raise ValidationError("max_actions must list every Max state")
         canon_min = []
-        for k, actions in enumerate(self.min_actions):
+        for k, actions in enumerate(min_actions):
             if not actions:
                 raise ValidationError(f"Min state {k} has no actions")
             for a in actions:
-                if not all(0 <= i < self.m for i in a.targets):
+                if not all(0 <= i < m for i in a.targets):
                     raise ValidationError(f"Min state {k} action targets {a.targets} out of range")
             canon_min.append(tuple(sorted(set(actions), key=lambda a: (a.targets, a.reward))))
         canon_max = []
-        for i, actions in enumerate(self.max_actions):
+        for i, actions in enumerate(max_actions):
             if not actions:
                 raise ValidationError(f"Max state {i} has no actions")
             for b in actions:
-                if not 0 <= b.target < self.n:
+                if not 0 <= b.target < n:
                     raise ValidationError(f"Max state {i} action target {b.target} out of range")
             canon_max.append(tuple(sorted(set(actions), key=lambda b: (b.target, b.reward))))
-        object.__setattr__(self, "min_actions", tuple(canon_min))
-        object.__setattr__(self, "max_actions", tuple(canon_max))
+        flat_max = [b for acts in canon_max for b in acts]
+        flat_min = [a for acts in canon_min for a in acts]
+        starts = lambda canon: list(itertools.accumulate(map(len, canon[:-1]), initial=0))
+        self._store(*_compile(
+            [b.target for b in flat_max], starts(canon_max), [b.reward for b in flat_max],
+            [a.targets[0] for a in flat_min], [a.targets[-1] for a in flat_min],
+            starts(canon_min), [-a.reward for a in flat_min]))
+        self._tuples = (tuple(canon_min), tuple(canon_max))
+
+    @classmethod
+    def from_arrays(cls, max_t, max_seg, max_p, min_i, min_j, min_seg, min_p,
+                    den: int) -> "StochGame":
+        """The game stored in these arrays, whose actions must come in the
+        order the tuple constructor sorts them."""
+        game = cls.__new__(cls)
+        game._store(max_t, max_seg, max_p, min_i, min_j, min_seg, min_p, den)
+        game._tuples = None
+        return game
+
+    def _store(self, max_t, max_seg, max_p, min_i, min_j, min_seg, min_p, den):
+        self.max_t, self.max_seg, self.max_p = max_t, max_seg, max_p
+        self.min_i, self.min_j, self.min_seg, self.min_p = min_i, min_j, min_seg, min_p
+        self.den = den
+        self.n, self.m = len(min_seg), len(max_seg)
+        self.max_r = _float_view(max_p, den)
+        self.min_r = _float_view(min_p, den)
+
+    @property
+    def min_actions(self) -> tuple:
+        """Per Min state, its MinActions (built on first read)."""
+        return self._actions()[0]
+
+    @property
+    def max_actions(self) -> tuple:
+        """Per Max state, its MaxActions (built on first read)."""
+        return self._actions()[1]
+
+    def _actions(self) -> tuple:
+        if self._tuples is None:
+            max_r, min_r = self._fractions()
+            max_t, min_i, min_j = (a.tolist() for a in (self.max_t, self.min_i, self.min_j))
+            bounds = lambda seg, total: zip(seg.tolist(), seg.tolist()[1:] + [total])
+            self._tuples = (
+                tuple(tuple(MinAction((min_i[a], min_j[a]), min_r[a]) for a in range(lo, hi))
+                      for lo, hi in bounds(self.min_seg, len(min_i))),
+                tuple(tuple(MaxAction(max_t[a], max_r[a]) for a in range(lo, hi))
+                      for lo, hi in bounds(self.max_seg, len(max_t))))
+        return self._tuples
+
+    def __eq__(self, other):
+        if not isinstance(other, StochGame):
+            return NotImplemented
+        scaled = lambda p, den: [q * den for q in p.tolist()]
+        return (all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in ("max_t", "max_seg", "min_i", "min_j", "min_seg"))
+                and scaled(self.max_p, other.den) == scaled(other.max_p, self.den)
+                and scaled(self.min_p, other.den) == scaled(other.min_p, self.den))
 
     def policy_count(self) -> int:
-        total = 1
-        for actions in self.min_actions:
-            total *= len(actions)
-        for actions in self.max_actions:
-            total *= len(actions)
-        return total
+        return math.prod(np.diff(self.min_seg, append=len(self.min_p)).tolist()
+                         + np.diff(self.max_seg, append=len(self.max_p)).tolist())
+
+    def _fractions(self) -> tuple:
+        """The rewards (Max, Min) as object arrays of Fractions."""
+        frac = lambda p: np.array([Fraction(q, self.den) for q in p.tolist()],
+                                  dtype=object)
+        return frac(self.max_p), frac(self.min_p)
+
+    def _apply(self, x: np.ndarray, max_r: np.ndarray, min_r: np.ndarray,
+               half) -> np.ndarray:
+        y = np.maximum.reduceat(max_r + x[self.max_t], self.max_seg)
+        return np.minimum.reduceat(min_r + half * (y[self.min_i] + y[self.min_j]),
+                                   self.min_seg)
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """F(x) for a float vector x."""
+        return self._apply(x, self.max_r, self.min_r, 0.5)
+
+    def exact_step(self):
+        """F over object arrays of Fractions: the kernel of ``step`` with
+        the rewards and the coin's 1/2 as Fractions."""
+        max_r, min_r = self._fractions()
+        half = Fraction(1, 2)
+        return lambda x: self._apply(x, max_r, min_r, half)
+
+    def _scaled(self, v: Sequence) -> tuple:
+        """(Max rewards, Min rewards, v), all multiplied by L = lcm(den, the
+        denominators of v) and so integers: int64 arrays when the bound
+        below rules out overflow, object arrays of Python ints otherwise."""
+        if len(v) != self.n:
+            raise ValidationError(f"point has {len(v)} coordinates, expected {self.n}")
+        ratios = [t.as_integer_ratio() for t in v]
+        scale = math.lcm(self.den, *(d for _, d in ratios))
+        s = scale // self.den
+        x = [p * (scale // d) for p, d in ratios]
+        # Every |x_k| and every scaled reward |p * s| is below 2^B, so the
+        # Max values y = r + x stay below 2^(B+1) and the doubled Min values
+        # 2 r + y_i + y_j below 2^(B+1) + 2^(B+2) < 2^(B+3): B <= 60 keeps
+        # every intermediate inside int64.
+        bits = max(max(abs(t) for t in x).bit_length(),
+                   int(max(np.abs(self.max_p).max(), np.abs(self.min_p).max())
+                       ).bit_length() + s.bit_length())
+        dtype = np.int64 if bits <= 60 else object
+        return (self.max_p.astype(dtype) * s, self.min_p.astype(dtype) * s,
+                np.array(x, dtype=dtype))
+
+    def is_subharmonic(self, v: Sequence) -> bool:
+        """Exact test of v <= F(v) for a finite rational vector v (floats,
+        ints or Fractions), in integers: with rewards and v scaled to
+        integers R and X, it checks 2 X_k <= 2 R_a + Y_i + Y_j for every
+        Min action a = {i, j} of every state k, Y being the Max values
+        of X."""
+        max_r, min_r, x = self._scaled(v)
+        y = np.maximum.reduceat(max_r + x[self.max_t], self.max_seg)
+        fx2 = np.minimum.reduceat(2 * min_r + y[self.min_i] + y[self.min_j],
+                                  self.min_seg)
+        return bool(np.all(2 * x <= fx2))
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +261,48 @@ class StochGame:
 
 def game_from_pencil(P: Pencil) -> StochGame:
     """Game whose sublevel sets {x : lambda + x <= F(x)} are the reinforced
-    spectrahedra of the (well-formed Metzler) pencil.
+    spectrahedra of the Metzler pencil, read straight off its entries.
 
-    The translation is ``shapley.CompiledGame.from_pencil``, which says
-    which entry becomes which action; raises AssumptionViolated when some
-    state would end up with no action, which ``normalize`` repairs.
+    Min state k gets an action per negatively signed entry of Q^(k): {i}
+    paying -|Q^(k)_ii| from the diagonal, {i,j} paying -|Q^(k)_ij| from
+    above the diagonal.  Max state i gets an action {k} rewarding Q^(k)_ii
+    per positively signed diagonal entry.  Raises ``require_metzler``'s
+    ValidationError on a positively signed off-diagonal entry and, after
+    the scan, AssumptionViolated when some state would end up with no
+    action, which ``normalize`` repairs.
     """
-    from .shapley import CompiledGame  # deferred: shapley depends on this module
-
-    require_metzler(P)
-    return CompiledGame.from_pencil(P).to_game()
+    by_row = [[] for _ in range(P.m)]  # (k, Q^(k)_ii) per Max state i
+    min_i, min_j, min_seg, min_cost = [], [], [], []
+    bare = None  # the first matrix without a negatively signed entry
+    for k, mat in enumerate(P.matrices):
+        min_seg.append(len(min_cost))
+        for i, row in enumerate(mat):
+            for j in range(i, P.m):
+                e = row[j]
+                if e.sign == NEG:
+                    min_i.append(i)
+                    min_j.append(j)
+                    min_cost.append(e.modulus)
+                elif e.sign == POS:
+                    if i != j:
+                        raise ValidationError(NOT_METZLER)
+                    by_row[i].append((k, e.modulus))
+        if bare is None and len(min_cost) == min_seg[-1]:
+            bare = k
+    if bare is not None:
+        raise AssumptionViolated(
+            f"matrix {bare} has no negatively signed entry; run normalize first")
+    max_t, max_seg, max_gain = [], [], []
+    for i, acts in enumerate(by_row):
+        if not acts:
+            raise AssumptionViolated(
+                f"row {i} has no positively signed diagonal entry; run normalize first")
+        max_seg.append(len(max_t))
+        for k, q in acts:
+            max_t.append(k)
+            max_gain.append(q)
+    return StochGame.from_arrays(*_compile(max_t, max_seg, max_gain, min_i,
+                                           min_j, min_seg, min_cost))
 
 
 def pencil_from_game(G: StochGame) -> Pencil:

@@ -96,10 +96,13 @@ class Pencil:
         )
 
 
+NOT_METZLER = ("operation requires a Metzler pencil "
+               "(off-diagonal entries negatively signed or -oo)")
+
+
 def require_metzler(P: Pencil) -> None:
     if not P.is_metzler():
-        raise ValidationError("operation requires a Metzler pencil "
-                              "(off-diagonal entries negatively signed or -oo)")
+        raise ValidationError(NOT_METZLER)
 
 
 # ---------------------------------------------------------------------------
@@ -342,43 +345,31 @@ def _positive_row_step(P: Pencil, vars_alive: list, rows_alive: list):
     return None
 
 
-def _reduction_states(P: Pencil):
-    """Apply the forced row/variable eliminations one step at a time.
+def _forced_reductions(P: Pencil):
+    """Apply the forced row/variable eliminations to a fixpoint: no variable
+    left, or every row covered.
 
-    Yields (vars_alive, rows_alive, eliminated, removed_rows) before each
-    step and, last, at the fixpoint: no variable left, or every row
-    covered.  Each step is one ``_positive_row_step``; a consumer may stop
-    early, as ``normalize`` does.
+    Returns (vars_alive, rows_alive, eliminated, removed_rows).  Sound for
+    any question about the spectrahedron: eliminated variables are -oo at
+    every point of it (for every reinforcement lambda), and removed rows
+    constrain nothing.
     """
     vars_alive = list(range(P.n))
     rows_alive = list(range(P.m))
     eliminated: list[int] = []
     removed_rows: list[int] = []
-    while True:
-        yield vars_alive, rows_alive, eliminated, removed_rows
-        step = _positive_row_step(P, vars_alive, rows_alive) if vars_alive else None
+    while vars_alive:
+        step = _positive_row_step(P, vars_alive, rows_alive)
         if step is None:
-            return
+            break
         what, payload = step
         if what == "vars":
             vars_alive = [k for k in vars_alive if k not in payload]
-            eliminated = eliminated + payload
+            eliminated += payload
         else:
-            rows_alive = [i for i in rows_alive if i != payload]
-            removed_rows = removed_rows + [payload]
-
-
-def _forced_reductions(P: Pencil):
-    """Apply the forced row/variable eliminations to a fixpoint.
-
-    Returns (vars_alive, rows_alive, eliminated, removed_rows), the last
-    state of ``_reduction_states``.  Sound for any question about the
-    spectrahedron: eliminated variables are -oo at every point of it (for
-    every reinforcement lambda), and removed rows constrain nothing.
-    """
-    for state in _reduction_states(P):
-        pass
-    return state
+            rows_alive.remove(payload)
+            removed_rows.append(payload)
+    return vars_alive, rows_alive, eliminated, removed_rows
 
 
 def _extract(P: Pencil, vars_alive: Sequence[int], rows_alive: Sequence[int]) -> Pencil:
@@ -409,34 +400,34 @@ def normalize(P: Pencil) -> NormalizeResult:
     """Iteratively shrink a Metzler pencil until every matrix has a negative
     coefficient and every row has a positive diagonal coefficient somewhere.
 
-    The reduction steps are all forced: a row with no positive diagonal
-    bounds its constraints' left side by -oo, which kills every variable
-    appearing on the right (negative diagonal entries first, then negative
-    off-diagonal entries), and an all--oo row constrains nothing.
-    A matrix with no negative coefficient immediately proves the
-    spectrahedron nontrivial (its unit-support point satisfies everything).
-    Both exits are checked on every state of ``_reduction_states`` before
-    its next step is taken; the "reduced" outcome is its fixpoint.
+    A matrix with no negative coefficient proves the spectrahedron
+    nontrivial at once (its unit-support point satisfies everything).  The
+    reduction steps are all forced: a row with no positive diagonal bounds
+    its constraints' left side by -oo, which kills every variable appearing
+    on the right (negative diagonal entries first, then negative
+    off-diagonal entries), and an all--oo row constrains nothing.  The
+    steps never leave a surviving variable without a negative entry -- a
+    row goes only once every live entry on it is -oo, and a variable dies
+    only for a negative entry on a live row -- so the nontrivial exit is
+    checked once, before the first step.
     """
     require_metzler(P)
-    kind, witness, reduced = "reduced", None, None
-    for vars_alive, rows_alive, eliminated, removed_rows in _reduction_states(P):
-        if not vars_alive:
-            kind = "trivial"
-            break
-        witnesses = all_positive_variables(P, vars_alive, rows_alive)
-        if witnesses:
-            kind, witness = "nontrivial", witnesses[0]
-            break
+    witnesses = all_positive_variables(P, range(P.n), range(P.m))
+    if witnesses:
+        return NormalizeResult(kind="nontrivial", witness_variable=witnesses[0],
+                               variable_map=tuple(range(P.n)),
+                               row_map=tuple(range(P.m)))
+    vars_alive, rows_alive, eliminated, removed_rows = _forced_reductions(P)
+    if not vars_alive:
+        kind, reduced = "trivial", None
     else:
+        kind = "reduced"
         reduced = _extract(P, vars_alive, rows_alive) if (eliminated or removed_rows) else P
     return NormalizeResult(
         kind=kind,
         pencil=reduced,
-        witness_variable=witness,
         eliminated_variables=tuple(eliminated),
         removed_rows=tuple(removed_rows),
         variable_map=tuple(vars_alive),
         row_map=tuple(rows_alive),
     )
-

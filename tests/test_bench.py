@@ -17,7 +17,7 @@ from tropsdp.bench import (
     phase_diagram,
     to_csv,
 )
-from tropsdp.shapley import CompiledGame, _iterate, apply_F, value_iteration_raw
+from tropsdp.shapley import _iterate, apply_F, value_iteration_raw
 from tropsdp.tropical import POS, NEG
 
 F = Fraction
@@ -76,7 +76,8 @@ def test_dense_engine_equals_engine_of_generated_game(n, m):
     for seed in range(5):
         spec = GenSpec(n, m, seed=seed)
         built = _dense_engine(spec)
-        reference = CompiledGame.from_game(game_from_pencil(gen_random(spec)))
+        reference = game_from_pencil(gen_random(spec))
+        assert built == reference
         assert built.den == reference.den
         for name in ENGINE_ARRAYS:
             a, b = getattr(built, name), getattr(reference, name)

@@ -52,9 +52,8 @@ def test_check_feasible(capsys):
     assert report["epsilon"] == "1/100000000"
 
 
-def test_check_builds_no_stoch_game(tmp_path, monkeypatch, capsys):
-    import tropsdp.cli
-    from tropsdp import StochGame
+def test_check_reads_no_action_tuples(tmp_path, monkeypatch, capsys):
+    from tropsdp import MaxAction, MinAction, StochGame
     from tropsdp.bench import GenSpec, gen_random
 
     path = tmp_path / "random.json"
@@ -64,10 +63,11 @@ def test_check_builds_no_stoch_game(tmp_path, monkeypatch, capsys):
     expected = capsys.readouterr().out
 
     def refuse(*args):
-        raise AssertionError("check built a StochGame")
+        raise AssertionError("check built action tuples")
 
-    monkeypatch.setattr(tropsdp.cli, "game_from_pencil", refuse)
-    monkeypatch.setattr(StochGame, "__post_init__", refuse)
+    monkeypatch.setattr(StochGame, "_actions", refuse)
+    monkeypatch.setattr(MinAction, "__post_init__", refuse)
+    monkeypatch.setattr(MaxAction, "__post_init__", refuse)
     assert run(["check", str(path)]) == 0
     assert capsys.readouterr().out == expected
 
@@ -100,19 +100,6 @@ def test_check_rejects_non_metzler(tmp_path, capsys):
     ])
     assert run(["check", path]) == 1
     assert "Metzler" in capsys.readouterr().err
-
-
-def test_check_scans_for_metzler_once(monkeypatch):
-    calls = []
-    is_metzler = Pencil.is_metzler
-
-    def counted(self):
-        calls.append(self)
-        return is_metzler(self)
-
-    monkeypatch.setattr(Pencil, "is_metzler", counted)
-    assert run(["check", RUNNING]) == 0
-    assert len(calls) == 1
 
 
 def test_check_exact_flag_matches(capsys):
@@ -415,3 +402,57 @@ def test_underflowing_epsilon_needs_exact(capsys):
 def test_epsilon_accepts_decimal_strings(capsys):
     assert run(["check", RUNNING, "--eps", "0.001"]) == 0
     assert json.loads(capsys.readouterr().out)["epsilon"] == "1/1000"
+
+
+@pytest.mark.parametrize("argv,scans,translations", [
+    (["check"], 1, 1),
+    (["normalize"], 1, 0),
+    (["game"], 0, 1),
+    (["certify", "--lambda=1/100"], 0, 1),
+    (["exact"], 1, 1),
+    (["exact", "--policies", "--dump-chain"], 1, 1),
+    (["affine"], 1, 1),
+    (["metzlerize"], 0, 0),
+], ids=["check", "normalize", "game", "certify", "exact",
+        "exact-policies-chain", "affine", "metzlerize"])
+def test_pencil_command_scans_and_translates_once(argv, scans, translations,
+                                                  tmp_path, monkeypatch,
+                                                  running_pencil, capsys):
+    import tropsdp.cli
+    import tropsdp.exact
+    from tropsdp import game_from_pencil
+
+    path = tmp_path / "running_affine.json"
+    affine = Pencil(running_pencil.n, running_pencil.m,
+                    running_pencil.matrices, affine=True)
+    jsonio.dump_json(jsonio.pencil_to_json(affine), str(path))
+    scanned, translated = [], []
+    is_metzler = Pencil.is_metzler
+
+    def counted_scan(self):
+        scanned.append(self)
+        return is_metzler(self)
+
+    def counted_translation(P):
+        translated.append(P)
+        return game_from_pencil(P)
+
+    monkeypatch.setattr(Pencil, "is_metzler", counted_scan)
+    for module in (tropsdp.cli, tropsdp.exact):
+        monkeypatch.setattr(module, "game_from_pencil", counted_translation)
+    assert run([*argv, str(path)]) == 0
+    capsys.readouterr()
+    assert (len(scanned), len(translated)) == (scans, translations)
+
+
+@pytest.mark.parametrize("argv", [["game"], ["certify", "--lambda=1/100"]],
+                         ids=["game", "certify"])
+def test_untranslatable_affine_pencil_prints_no_note(argv, tmp_path, capsys):
+    # the translation error comes before the affine note
+    path = write_pencil(tmp_path, "aff.json", 1, 1,
+                        [(0, 0, 0, POS(F(0)))], affine=True)
+    assert run([*argv, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("tropsdp: AssumptionViolated: matrix 0 has no "
+                            "negatively signed entry; run normalize first\n")

@@ -28,7 +28,9 @@ from tropsdp import (
     pencil_from_game,
     winning_dominions,
 )
-from tropsdp.shapley import CompiledGame, _float_view, _int_array, apply_F
+from tropsdp.game import _float_view, _int_array
+from tropsdp.pencil import NOT_METZLER
+from tropsdp.shapley import apply_F
 from tropsdp.tropical import MINUS_INF
 
 from conftest import games, overlap_free_games, trop_points
@@ -105,20 +107,34 @@ def test_worked_example_game(running_pencil):
 
 def test_translation_requires_negative_entry_per_matrix():
     P = Pencil.from_entries(1, 1, [(0, 0, 0, SignedTrop.pos(F(0)))])
-    for translate in (game_from_pencil, CompiledGame.from_pencil):
-        with pytest.raises(AssumptionViolated) as info:
-            translate(P)
-        assert str(info.value) == (
-            "matrix 0 has no negatively signed entry; run normalize first")
+    with pytest.raises(AssumptionViolated) as info:
+        game_from_pencil(P)
+    assert str(info.value) == (
+        "matrix 0 has no negatively signed entry; run normalize first")
 
 
 def test_translation_requires_positive_diagonal_per_row():
     P = Pencil.from_entries(1, 1, [(0, 0, 0, SignedTrop.neg(F(0)))])
-    for translate in (game_from_pencil, CompiledGame.from_pencil):
-        with pytest.raises(AssumptionViolated) as info:
-            translate(P)
-        assert str(info.value) == (
-            "row 0 has no positively signed diagonal entry; run normalize first")
+    with pytest.raises(AssumptionViolated) as info:
+        game_from_pencil(P)
+    assert str(info.value) == (
+        "row 0 has no positively signed diagonal entry; run normalize first")
+
+
+@pytest.mark.parametrize("bare_first", [False, True])
+def test_translation_rejects_positive_off_diagonal(bare_first):
+    # the entry (0, 1) of the non-Metzler matrix would otherwise be read as
+    # no action at all; the Metzler error also wins over a matrix without
+    # any negatively signed entry, before or after it
+    pos, neg = SignedTrop.pos, SignedTrop.neg
+    non_metzler = [(0, 0, pos(F(0))), (0, 1, pos(F(1))), (1, 1, neg(F(0)))]
+    bare = [(0, 0, pos(F(2))), (1, 1, pos(F(0)))]
+    mats = [bare, non_metzler] if bare_first else [non_metzler, bare]
+    P = Pencil.from_entries(2, 2, [(k, i, j, v) for k, mat in enumerate(mats)
+                                   for i, j, v in mat])
+    with pytest.raises(ValidationError) as info:
+        game_from_pencil(P)
+    assert str(info.value) == NOT_METZLER
 
 
 COMPILED_ARRAYS = ("max_t", "max_seg", "max_p", "max_r", "min_i", "min_j",
@@ -159,7 +175,15 @@ def test_float_rewards_round_like_fractions():
     assert _int_array([2**63]).dtype == object
 
 
-def test_compiled_pencil_equals_compiled_game_of_pencil():
+def with_object_numerators(g):
+    """The same game with its numerators as object arrays over twice the
+    denominator."""
+    big = lambda p: p.astype(object) * 2
+    return StochGame.from_arrays(g.max_t, g.max_seg, big(g.max_p), g.min_i,
+                                 g.min_j, g.min_seg, big(g.min_p), 2 * g.den)
+
+
+def test_translated_game_equals_game_of_its_tuples():
     rng = random.Random(5)
     translated = 0
     for _ in range(400):
@@ -170,20 +194,35 @@ def test_compiled_pencil_equals_compiled_game_of_pencil():
                 continue
             try:
                 G = game_from_pencil(Q)
-            except AssumptionViolated as exc:
-                with pytest.raises(AssumptionViolated) as info:
-                    CompiledGame.from_pencil(Q)
-                assert str(info.value) == str(exc)
+            except AssumptionViolated:
                 continue
             translated += 1
             assert pencil_from_game(G) == Q
-            built, reference = CompiledGame.from_pencil(Q), CompiledGame.from_game(G)
-            assert built.den == reference.den
+            rebuilt = StochGame(G.n, G.m, G.min_actions, G.max_actions)
+            assert G == rebuilt
+            assert rebuilt.den == G.den
             for name in COMPILED_ARRAYS:
-                a, b = getattr(built, name), getattr(reference, name)
+                a, b = getattr(G, name), getattr(rebuilt, name)
                 assert a.dtype == b.dtype, name
                 np.testing.assert_array_equal(a, b, err_msg=name)
+            assert with_object_numerators(G) == rebuilt
+            assert rebuilt == with_object_numerators(rebuilt)
     assert translated >= 100
+
+
+def test_game_equality_compares_actions():
+    g = StochGame(1, 2, ((MinAction((0, 1), F(1, 3)),),),
+                  ((MaxAction(0, F(0)),), (MaxAction(0, F(1)),)))
+    assert g == StochGame(1, 2, ((MinAction((1, 0), F(2, 6)),),),
+                          ((MaxAction(0, F(0)),), (MaxAction(0, F(1)),)))
+    assert g != StochGame(1, 2, ((MinAction((0, 1), F(1, 2)),),),
+                          ((MaxAction(0, F(0)),), (MaxAction(0, F(1)),)))
+    assert g != StochGame(1, 2, ((MinAction((0,), F(1, 3)),),),
+                          ((MaxAction(0, F(0)),), (MaxAction(0, F(1)),)))
+    assert g != StochGame(1, 2, ((MinAction((0, 1), F(1, 3)),),),
+                          ((MaxAction(0, F(0)),), (MaxAction(0, F(1)),
+                                                   MaxAction(0, F(2)))))
+    assert g != "not a game"
 
 
 # ---------------------------------------------------------------------------

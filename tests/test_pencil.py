@@ -1,5 +1,6 @@
 """Pencils: membership, Metzlerization and normalization."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from tropsdp import (Pencil, ValidationError, membership_general,
                      membership_metzler, metzlerize, normalize,
                      require_metzler, support)
 from tropsdp.errors import AssumptionViolated
-from tropsdp.pencil import _forced_reductions
+from tropsdp.pencil import (NormalizeResult, _extract, _forced_reductions,
+                            _positive_row_step, all_positive_variables)
 from tropsdp.tropical import MINUS_INF, NEG, POS, TROP_ZERO, SignedTrop
 
 F = Fraction
@@ -308,3 +310,62 @@ def test_nontrivial_witness_is_always_a_member():
     ray[res.witness_variable] = F(0)
     assert membership_metzler(Pz, ray)
 
+
+
+def stepwise_normalize(Pz):
+    """``normalize`` as a step-by-step search: both exits are tested on the
+    state before every forced reduction, not only on the first one."""
+    vars_alive, rows_alive = list(range(Pz.n)), list(range(Pz.m))
+    eliminated, removed = [], []
+    while True:
+        if not vars_alive:
+            return NormalizeResult("trivial", None, None, tuple(eliminated),
+                                   tuple(removed), (), tuple(rows_alive))
+        witnesses = all_positive_variables(Pz, vars_alive, rows_alive)
+        if witnesses:
+            return NormalizeResult("nontrivial", None, witnesses[0],
+                                   tuple(eliminated), tuple(removed),
+                                   tuple(vars_alive), tuple(rows_alive))
+        step = _positive_row_step(Pz, vars_alive, rows_alive)
+        if step is None:
+            reduced = (_extract(Pz, vars_alive, rows_alive)
+                       if eliminated or removed else Pz)
+            return NormalizeResult("reduced", reduced, None, tuple(eliminated),
+                                   tuple(removed), tuple(vars_alive),
+                                   tuple(rows_alive))
+        what, payload = step
+        if what == "vars":
+            vars_alive = [k for k in vars_alive if k not in payload]
+            eliminated += payload
+        else:
+            rows_alive.remove(payload)
+            removed.append(payload)
+
+
+def test_normalize_matches_stepwise_search_on_a_corpus():
+    # reductions never leave a surviving variable without a negative entry,
+    # so testing the nontrivial exit once, before the first step, suffices
+    rng = random.Random(11)
+    kinds = {}
+    for _ in range(20000):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        entries = []
+        for k in range(n):
+            for i in range(m):
+                for j in range(i, m):
+                    r = rng.random()
+                    if r < 0.45:
+                        continue
+                    mod = F(rng.randint(-4, 4), rng.randint(1, 3))
+                    entries.append((k, i, j, SignedTrop.neg(mod)
+                                    if i < j or r < 0.7 else SignedTrop.pos(mod)))
+        Pz = Pencil.from_entries(n, m, entries)
+        res = normalize(Pz)
+        assert res == stepwise_normalize(Pz)
+        kind = res.kind
+        if kind == "reduced":
+            kind += " as-is" if res.pencil is Pz else " after reductions"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {"nontrivial", "trivial", "reduced as-is",
+                          "reduced after reductions"}
+    assert min(kinds.values()) >= 100

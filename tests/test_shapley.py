@@ -24,7 +24,6 @@ from tropsdp.markov import chain_from_policies
 from tropsdp.shapley import (
     GUARANTEED,
     UNKNOWN,
-    CompiledGame,
     recession,
     structural_constant_value_check,
     value_iteration_raw,
@@ -243,9 +242,9 @@ def test_double_engine_agrees_with_exact_on_dyadic_games(data):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_exact_kernel_matches_apply_F(data):
-    # the compiled kernel over Fractions against the StochGame operator
+    # the array kernel over Fractions against the operator on the tuples
     g = data.draw(games())
-    step = CompiledGame.from_game(g).exact_step()
+    step = g.exact_step()
     x = np.array([F(0)] * g.n, dtype=object)
     ref = (F(0),) * g.n
     for _ in range(8):
@@ -311,25 +310,24 @@ def test_integer_witness_check_matches_fraction_check(denominators, branches):
         if 3 in denominators:  # every game carries all three denominators
             g = tied(g, [F(1, 3), F(1, 7), F(1, 10**9 + 7), F(1, 5)][:g.n])
         for h in (g, tied(g, [F(k, 4) for k in range(g.n)])):
-            compiled = CompiledGame.from_game(h)
             for x, iterate in witnesses(h):
                 if iterate:
-                    seen.add(compiled._scaled(x)[2].dtype.type)
+                    seen.add(h._scaled(x)[2].dtype.type)
                 expected = verify_subharmonic(h, [F(t) for t in x])[0]
-                assert compiled.is_subharmonic(x) == expected
-                assert compiled.is_subharmonic([F(t) for t in x]) == expected
+                assert h.is_subharmonic(x) == expected
+                assert h.is_subharmonic([F(t) for t in x]) == expected
                 outcomes.add(expected)
         # an exact tie at a float witness of the iteration
         x = witnesses(g)[0][0]
         h = tied(g, [F(t) for t in x])
-        assert CompiledGame.from_game(h).is_subharmonic(x)
+        assert h.is_subharmonic(x)
     assert outcomes == {True, False}
     assert seen == {np.dtype(t).type for t in branches}
 
 
 def test_integer_witness_check_validates_length(worked_game):
     with pytest.raises(ValidationError):
-        CompiledGame.from_game(worked_game).is_subharmonic([0.0, 0.0])
+        worked_game.is_subharmonic([0.0, 0.0])
 
 
 def test_rounded_witness_triggers_rational_rerun():
@@ -344,7 +342,7 @@ def test_rounded_witness_triggers_rational_rerun():
     ))
     status, _, _, v, _ = value_iteration_raw(g, F(1, 10**8), 10**6, exact=False)
     assert status == "feasible"
-    assert not CompiledGame.from_game(g).is_subharmonic(v)
+    assert not g.is_subharmonic(v)
     assert not verify_subharmonic(g, v)[0]
     report = check_feasibility(g)
     assert report == check_feasibility(g, exact=True)
