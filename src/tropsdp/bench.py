@@ -6,11 +6,10 @@ tropical sign and off-diagonal entries a negative one, and completes
 symmetrically.  Those choices make every instance well formed as soon as
 m >= 2, so the game translation never needs a preprocessing pass.
 
-Sweeps and benchmarks skip the object pipeline but not the solver: the
-game of a generated instance (`_dense_engine`) is filled straight from its
-numerators over the grid denominator, equal to `game_from_pencil` of the
-generated pencil, and is iterated by the same kernel and loop as `check`
-(`StochGame.step`, `shapley._iterate`).
+Sweeps and benchmarks iterate the game of each generated pencil,
+``game_from_pencil(gen_random(spec))``, with the same kernel and loop as
+`check` (`StochGame.step`, `shapley._iterate`); the generator fills the
+pencil's coordinate arrays straight from the drawn numerators.
 The grid moduli are dyadic with denominator 2^31, hence exactly
 representable in float64 — the float loop computes the same iterates the
 exact loop would, up to the rounding of the averages themselves.
@@ -30,10 +29,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .game import StochGame
+from .game import game_from_pencil
 from .pencil import Pencil
 from .shapley import _iterate
-from .tropical import SignedTrop
+from .tropical import NEG, POS
 
 DEFAULT_GRID = 2**31
 
@@ -57,11 +56,6 @@ class GenSpec:
             raise ValidationError("entry grid denominator must be >= 2")
 
 
-def _upper_triangle(m: int):
-    """(i, j) pairs with i <= j, row-major — the fixed drawing order."""
-    return [(i, j) for i in range(m) for j in range(i, m)]
-
-
 def _draw_moduli(spec: GenSpec) -> np.ndarray:
     """Integer numerators, shape (n, m(m+1)/2): matrix-major, then the
     upper triangle of each matrix in row-major order."""
@@ -74,41 +68,12 @@ def _draw_moduli(spec: GenSpec) -> np.ndarray:
 def gen_random(spec: GenSpec) -> Pencil:
     """Draw an exact random pencil: positive diagonals, negative
     off-diagonals, moduli uniform on the grid, symmetric."""
-    numerators = _draw_moduli(spec)
-    pairs = _upper_triangle(spec.m)
-    entries = []
-    for k in range(spec.n):
-        for (i, j), p in zip(pairs, numerators[k]):
-            val = Fraction(int(p), spec.entry_grid)
-            sign = SignedTrop.pos(val) if i == j else SignedTrop.neg(val)
-            entries.append((k, i, j, sign))
-    return Pencil.from_entries(spec.n, spec.m, entries)
-
-
-def _dense_engine(spec: GenSpec) -> StochGame:
-    """Game of the generated instance, laid out as ``game_from_pencil``
-    orders its actions: Max state i moves to every variable k, rewarded by
-    the diagonal modulus (i, i) of matrix k; Min state k moves to every row
-    pair i < j, paying the modulus (i, j).  Rewards are the drawn numerators
-    over ``entry_grid``."""
-    if spec.m < 2:
-        raise ValidationError("dense instances need m >= 2 so Min can move")
     n, m = spec.n, spec.m
-    numerators = _draw_moduli(spec)
-    pairs = _upper_triangle(m)
-    diag_cols = [t for t, (i, j) in enumerate(pairs) if i == j]
-    off_cols = [t for t, (i, j) in enumerate(pairs) if i < j]
-    rows = np.array([pairs[t] for t in off_cols], dtype=np.intp)
-    p = len(off_cols)
-    return StochGame.from_arrays(
-        max_t=np.tile(np.arange(n, dtype=np.intp), m),
-        max_seg=np.arange(0, m * n, n, dtype=np.intp),
-        max_p=numerators[:, diag_cols].T.ravel(),
-        min_i=np.tile(rows[:, 0], n),
-        min_j=np.tile(rows[:, 1], n),
-        min_seg=np.arange(0, n * p, p, dtype=np.intp),
-        min_p=-numerators[:, off_cols].ravel(),
-        den=spec.entry_grid)
+    i, j = np.triu_indices(m)  # row-major, the drawing order
+    sign = np.where(i == j, POS, NEG).astype(np.int8)
+    return Pencil.from_arrays(
+        n, m, np.repeat(np.arange(n), len(i)), np.tile(i, n), np.tile(j, n),
+        np.tile(sign, n), _draw_moduli(spec).ravel(), spec.entry_grid)
 
 
 @dataclass(frozen=True)
@@ -145,8 +110,10 @@ def _sample_seed(seed: int, n: int, m: int, s: int) -> int:
 def _run_sample(spec: GenSpec, epsilon: float, max_iters: int, reps: int):
     """Solve one instance `reps` times; returns (status, iters,
     median wall time or None)."""
-    engine = _dense_engine(spec)
-    solve = lambda: _iterate(engine.step, np.zeros(spec.n), float(epsilon),
+    if spec.m < 2:
+        raise ValidationError("dense instances need m >= 2 so Min can move")
+    game = game_from_pencil(gen_random(spec))
+    solve = lambda: _iterate(game.step, np.zeros(spec.n), float(epsilon),
                              max_iters)[:2]
     if reps <= 0:
         status, iters = solve()

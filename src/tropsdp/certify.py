@@ -20,14 +20,18 @@ certificates too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import CertificateInvalid, DeltaTooLarge, ValidationError
-from .game import MinAction, StochGame
-from .shapley import apply_F, value_iteration_raw
+from .game import StochGame
+from .pencil import int_array
+from .shapley import value_iteration_raw
 from .tropical import MINUS_INF, as_fraction
 
 
@@ -41,23 +45,16 @@ def _finite_vector(x: Sequence) -> tuple:
 
 
 def verify_subharmonic(G: StochGame, v: Sequence, lam=Fraction(0)):
-    """Exact check of lambda + v <= F(v); returns (holds, strict)."""
-    v = _finite_vector(v)
-    lam = as_fraction(lam)
-    fv = apply_F(G, v)
-    holds = all(lam + a <= b for a, b in zip(v, fv))
-    strict = all(lam + a < b for a, b in zip(v, fv))
-    return holds, strict
+    """Exact check of lambda + v <= F(v); returns (holds, strict).  Shifting
+    the Min rewards by -lambda turns F into F - lambda."""
+    x2, fx2 = shift_min_rewards(G, -as_fraction(lam)).doubled_step(_finite_vector(v))
+    return bool(np.all(x2 <= fx2)), bool(np.all(x2 < fx2))
 
 
 def _superharmonic(G: StochGame, u: Sequence, lam):
     """Exact check of F(u) <= lambda + u; returns (holds, strict)."""
-    u = _finite_vector(u)
-    lam = as_fraction(lam)
-    fu = apply_F(G, u)
-    holds = all(b <= lam + a for a, b in zip(u, fu))
-    strict = all(b < lam + a for a, b in zip(u, fu))
-    return holds, strict
+    x2, fx2 = shift_min_rewards(G, -as_fraction(lam)).doubled_step(_finite_vector(u))
+    return bool(np.all(fx2 <= x2)), bool(np.all(fx2 < x2))
 
 
 def verify_superharmonic(G: StochGame, u: Sequence, lam) -> bool:
@@ -85,11 +82,12 @@ def shift_min_rewards(G: StochGame, delta) -> StochGame:
     """Copy of the game with every Min reward shifted by delta; its
     subharmonic points at level 0 are the original's at level -delta."""
     delta = as_fraction(delta)
-    shifted = tuple(
-        tuple(MinAction(a.targets, a.reward + delta) for a in acts)
-        for acts in G.min_actions
-    )
-    return StochGame(G.n, G.m, shifted, G.max_actions)
+    den = math.lcm(G.den, delta.denominator)
+    scale = lambda p: p.astype(object) * (den // G.den)
+    return StochGame.from_arrays(
+        G.max_t, G.max_seg, int_array(scale(G.max_p)), G.min_i, G.min_j,
+        G.min_seg, int_array(scale(G.min_p) + delta.numerator
+                             * (den // delta.denominator)), den)
 
 
 def check_certificate(G: StochGame, cert: Certificate):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (AssumptionViolated, NotADominion, PolicySpaceTooLarge,
                      ValidationError)
-from .pencil import NOT_METZLER, Pencil
+from .pencil import NOT_METZLER, Pencil, int_array
 from .tropical import NEG, POS, SignedTrop, as_fraction
 
 
@@ -63,19 +63,12 @@ class MaxAction:
         object.__setattr__(self, "reward", as_fraction(self.reward))
 
 
-def _int_array(values: list) -> np.ndarray:
-    """Python ints as an int64 array when every one fits, else as an object
-    array of the ints themselves."""
-    fits = max(abs(p) for p in values).bit_length() <= 63
-    return np.array(values, dtype=np.int64 if fits else object)
-
-
 def _float_view(p: np.ndarray, den: int) -> np.ndarray:
     """p / den rounded to the nearest double, as ``float(Fraction(p, den))``
     rounds it.  Below 2^53 both operands are exact doubles and one IEEE
     division rounds the quotient correctly; otherwise Python's int true
     division does."""
-    if p.dtype != object and den < 2**53 and int(np.abs(p).max()) < 2**53:
+    if p.dtype != object and den < 2**53 and max(p.max(), -p.min()) < 2**53:
         return p / den
     return np.array([q / den for q in p.tolist()])
 
@@ -89,8 +82,8 @@ def _compile(max_t, max_seg, max_gain, min_i, min_j, min_seg,
     max_p = [q.numerator * (den // q.denominator) for q in max_gain]
     min_p = [-q.numerator * (den // q.denominator) for q in min_cost]
     index = lambda seq: np.array(seq, dtype=np.intp)
-    return (index(max_t), index(max_seg), _int_array(max_p),
-            index(min_i), index(min_j), index(min_seg), _int_array(min_p), den)
+    return (index(max_t), index(max_seg), int_array(max_p),
+            index(min_i), index(min_j), index(min_seg), int_array(min_p), den)
 
 
 class StochGame:
@@ -242,17 +235,21 @@ class StochGame:
         return (self.max_p.astype(dtype) * s, self.min_p.astype(dtype) * s,
                 np.array(x, dtype=dtype))
 
-    def is_subharmonic(self, v: Sequence) -> bool:
-        """Exact test of v <= F(v) for a finite rational vector v (floats,
-        ints or Fractions), in integers: with rewards and v scaled to
-        integers R and X, it checks 2 X_k <= 2 R_a + Y_i + Y_j for every
-        Min action a = {i, j} of every state k, Y being the Max values
-        of X."""
+    def doubled_step(self, v: Sequence) -> tuple:
+        """(2 X, 2 F(X)) in integers for a finite rational vector v (floats,
+        ints or Fractions) and the rewards scaled to integers X and R:
+        2 F(X)_k is the min of 2 R_a + Y_i + Y_j over the Min actions
+        a = {i, j} of state k, Y being the Max values of X.  Comparing the
+        two decides v <= F(v), v >= F(v) and their strict forms exactly."""
         max_r, min_r, x = self._scaled(v)
         y = np.maximum.reduceat(max_r + x[self.max_t], self.max_seg)
-        fx2 = np.minimum.reduceat(2 * min_r + y[self.min_i] + y[self.min_j],
-                                  self.min_seg)
-        return bool(np.all(2 * x <= fx2))
+        return 2 * x, np.minimum.reduceat(
+            2 * min_r + y[self.min_i] + y[self.min_j], self.min_seg)
+
+    def is_subharmonic(self, v: Sequence) -> bool:
+        """Exact test of v <= F(v), in integers (see ``doubled_step``)."""
+        x2, fx2 = self.doubled_step(v)
+        return bool(np.all(x2 <= fx2))
 
 
 # ---------------------------------------------------------------------------
@@ -261,48 +258,35 @@ class StochGame:
 
 def game_from_pencil(P: Pencil) -> StochGame:
     """Game whose sublevel sets {x : lambda + x <= F(x)} are the reinforced
-    spectrahedra of the Metzler pencil, read straight off its entries.
+    spectrahedra of the Metzler pencil, read straight off its entry arrays.
 
     Min state k gets an action per negatively signed entry of Q^(k): {i}
     paying -|Q^(k)_ii| from the diagonal, {i,j} paying -|Q^(k)_ij| from
-    above the diagonal.  Max state i gets an action {k} rewarding Q^(k)_ii
-    per positively signed diagonal entry.  Raises ``require_metzler``'s
-    ValidationError on a positively signed off-diagonal entry and, after
-    the scan, AssumptionViolated when some state would end up with no
-    action, which ``normalize`` repairs.
+    above the diagonal, in (i, j) order.  Max state i gets an action {k}
+    rewarding Q^(k)_ii per positively signed diagonal entry, in k order.
+    The rewards keep the pencil's denominator.  Raises ``require_metzler``'s
+    ValidationError on a positively signed off-diagonal entry and otherwise
+    AssumptionViolated when some state would end up with no action, which
+    ``normalize`` repairs.
     """
-    by_row = [[] for _ in range(P.m)]  # (k, Q^(k)_ii) per Max state i
-    min_i, min_j, min_seg, min_cost = [], [], [], []
-    bare = None  # the first matrix without a negatively signed entry
-    for k, mat in enumerate(P.matrices):
-        min_seg.append(len(min_cost))
-        for i, row in enumerate(mat):
-            for j in range(i, P.m):
-                e = row[j]
-                if e.sign == NEG:
-                    min_i.append(i)
-                    min_j.append(j)
-                    min_cost.append(e.modulus)
-                elif e.sign == POS:
-                    if i != j:
-                        raise ValidationError(NOT_METZLER)
-                    by_row[i].append((k, e.modulus))
-        if bare is None and len(min_cost) == min_seg[-1]:
-            bare = k
-    if bare is not None:
+    pos, neg = P.sign == POS, P.sign == NEG
+    if np.any(pos & (P.i != P.j)):
+        raise ValidationError(NOT_METZLER)
+    min_count = np.bincount(P.k[neg], minlength=P.n)
+    if not min_count.all():
         raise AssumptionViolated(
-            f"matrix {bare} has no negatively signed entry; run normalize first")
-    max_t, max_seg, max_gain = [], [], []
-    for i, acts in enumerate(by_row):
-        if not acts:
-            raise AssumptionViolated(
-                f"row {i} has no positively signed diagonal entry; run normalize first")
-        max_seg.append(len(max_t))
-        for k, q in acts:
-            max_t.append(k)
-            max_gain.append(q)
-    return StochGame.from_arrays(*_compile(max_t, max_seg, max_gain, min_i,
-                                           min_j, min_seg, min_cost))
+            f"matrix {int(np.argmin(min_count))} has no negatively signed "
+            "entry; run normalize first")
+    max_count = np.bincount(P.i[pos], minlength=P.m)
+    if not max_count.all():
+        raise AssumptionViolated(
+            f"row {int(np.argmin(max_count))} has no positively signed "
+            "diagonal entry; run normalize first")
+    by_row = np.argsort(P.i[pos], kind="stable")  # entries come sorted by k
+    starts = lambda count: np.concatenate(([0], np.cumsum(count)[:-1])).astype(np.intp)
+    return StochGame.from_arrays(
+        P.k[pos][by_row], starts(max_count), int_array(P.num[pos][by_row]),
+        P.i[neg], P.j[neg], starts(min_count), int_array(-P.num[neg]), P.den)
 
 
 def pencil_from_game(G: StochGame) -> Pencil:

@@ -1,9 +1,9 @@
 """JSON (de)serialization for pencils, games, reports, and certificates.
 
 File formats use 1-based matrix/state indices and decimal-free rational
-strings ("p/q" or plain integers); the in-memory API is 0-based.  Signed
-tropical entries serialize as {"sign": "+"|"-", "val": "p/q"}, with the
-string "-inf" (or simply omitting the entry) standing for minus infinity.
+strings ("p/q" or plain integers); the in-memory API is 0-based.  A pencil
+entry serializes as {"i": i, "j": j, "sign": "+"|"-", "val": "p/q"} with
+i <= j; omitted entries stand for minus infinity.
 """
 
 from __future__ import annotations
@@ -12,12 +12,14 @@ import json
 from fractions import Fraction
 from typing import IO, Union
 
+import numpy as np
+
 from .certify import Certificate
 from .errors import ValidationError
 from .game import MaxAction, MinAction, StochGame
-from .pencil import Pencil
+from .pencil import Pencil, int_array
 from .shapley import IterationReport
-from .tropical import TROP_ZERO, SignedTrop
+from .tropical import NEG, POS
 
 
 def parse_rational(value) -> Fraction:
@@ -54,47 +56,42 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def signed_to_json(entry: SignedTrop):
-    if entry.is_zero:
-        return "-inf"
-    return {"sign": "+" if entry.sign > 0 else "-",
-            "val": format_rational(entry.modulus)}
-
-
-def signed_from_json(obj) -> SignedTrop:
-    if obj == "-inf":
-        return TROP_ZERO
-    if not isinstance(obj, dict) or set(obj) != {"sign", "val"}:
-        raise ValidationError(f"bad signed tropical entry: {obj!r}")
-    val = parse_rational(obj["val"])
-    if obj["sign"] == "+":
-        return SignedTrop.pos(val)
-    if obj["sign"] == "-":
-        return SignedTrop.neg(val)
-    raise ValidationError(f'sign must be "+" or "-", got {obj["sign"]!r}')
-
-
 # ---------------------------------------------------------------------------
 # Pencils
 # ---------------------------------------------------------------------------
 
 def pencil_to_json(P: Pencil) -> dict:
-    matrices = []
-    for k in range(P.n):
-        entries = []
-        for i in range(P.m):
-            for j in range(i, P.m):
-                e = P.entry(k, i, j)
-                if e.is_zero:
-                    continue
-                record = signed_to_json(e)
-                entries.append({"i": i + 1, "j": j + 1,
-                                "sign": record["sign"], "val": record["val"]})
-        matrices.append({"entries": entries})
+    matrices = [{"entries": []} for _ in range(P.n)]
+    for k, i, j, sign, p in zip(*(a.tolist() for a in (P.k, P.i, P.j, P.sign, P.num))):
+        matrices[k]["entries"].append({
+            "i": i + 1, "j": j + 1, "sign": "+" if sign > 0 else "-",
+            "val": format_rational(Fraction(p, P.den))})
     return {"n": P.n, "m": P.m, "affine": P.affine, "matrices": matrices}
 
 
+def _ratio(value) -> tuple:
+    """(p, q) with q > 0 and p / q == parse_rational(value): JSON integers
+    and "p" or "p/q" strings of decimal digits are split directly, anything
+    else goes through parse_rational."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str:
+        p, slash, q = value.partition("/")
+        if ((p[1:] if p[:1] in ("+", "-") else p).isdecimal()
+                and (q.isdecimal() or not slash)):
+            try:
+                q = int(q) if slash else 1
+                if q:
+                    return int(p), q
+            except ValueError:  # beyond int()'s digit limit
+                pass
+    value = parse_rational(value)
+    return value.numerator, value.denominator
+
+
 def pencil_from_json(obj) -> Pencil:
+    """The pencil of a JSON object, validated record by record in one pass
+    that fills the pencil's coordinate arrays."""
     if not isinstance(obj, dict):
         raise ValidationError("pencil file must contain a JSON object")
     try:
@@ -108,7 +105,7 @@ def pencil_from_json(obj) -> Pencil:
     if not isinstance(matrices, list) or len(matrices) != n:
         raise ValidationError(f"expected {n} matrices, got "
                               f"{len(matrices) if isinstance(matrices, list) else '?'}")
-    entries = []
+    counts, cells, nums, dens = [], [], [], []
     for k, mat in enumerate(matrices):
         if not isinstance(mat, dict):
             raise ValidationError(f"matrix {k + 1} must be an object "
@@ -119,8 +116,7 @@ def pencil_from_json(obj) -> Pencil:
         seen = set()
         for rec in recs:
             try:
-                i, j = rec["i"], rec["j"]
-                sign = {"sign": rec["sign"], "val": rec["val"]}
+                i, j, sign, val = rec["i"], rec["j"], rec["sign"], rec["val"]
             except (KeyError, TypeError) as exc:
                 raise ValidationError(f"bad entry record {rec!r}") from exc
             if type(i) is not int or type(j) is not int:
@@ -135,8 +131,17 @@ def pencil_from_json(obj) -> Pencil:
                 raise ValidationError(
                     f"duplicate entry ({i},{j}) in matrix {k + 1}")
             seen.add((i, j))
-            entries.append((k, i - 1, j - 1, signed_from_json(sign)))
-    return Pencil.from_entries(n, m, entries, affine=affine)
+            p, q = _ratio(val)
+            if sign != "+" and sign != "-":
+                raise ValidationError(f'sign must be "+" or "-", got {sign!r}')
+            cells += (i - 1, j - 1, POS if sign == "+" else NEG)
+            nums.append(p)
+            dens.append(q)
+        counts.append(len(seen))
+    cells = np.array(cells, dtype=np.intp).reshape(-1, 3)
+    return Pencil.from_arrays(n, m, np.repeat(np.arange(len(counts)), counts),
+                              cells[:, 0], cells[:, 1], cells[:, 2],
+                              int_array(nums), int_array(dens), affine)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,21 @@ matrix position above the diagonal (``metzlerize``).  ``normalize`` shrinks a
 Metzler pencil until every matrix has a negative entry and every row has a
 positive diagonal entry somewhere — the shape the game construction needs —
 detecting obviously nontrivial or trivial instances along the way.
+
+In memory a pencil is its entries on and above the diagonal that are not
+-oo, as coordinate arrays; the structural checks and the reductions of
+``normalize`` are mask and ``bincount`` passes over them.  The matrices of
+``SignedTrop`` are a view for the membership tests and ``metzlerize``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 from .tropical import (
@@ -36,64 +44,153 @@ from .tropical import (
     as_fraction,
 )
 
-Matrix = tuple  # m x m tuple-of-tuples of SignedTrop
+
+def int_array(values) -> np.ndarray:
+    """Integers as an int64 array when every |value| < 2^63, else as an
+    object array of the Python ints themselves."""
+    try:
+        ints = np.asarray(values, dtype=np.int64)
+        if not ints.size or ints.min() > np.iinfo(np.int64).min:
+            return ints
+    except OverflowError:
+        pass
+    return np.array(values, dtype=object)
 
 
-@dataclass(frozen=True)
+def _over_common_denominator(p: np.ndarray, q) -> tuple:
+    """(numerators, den) of the rationals p / q, for an integer array p and
+    a positive integer q or one per entry: den is the lcm of the reduced
+    denominators, the numerators an ``int_array``."""
+    if isinstance(q, int):
+        num, den = p, q
+    else:
+        den = math.lcm(*set(q.tolist()))
+        bits = int(max(p.max(), -p.min())).bit_length() if p.size else 0
+        if p.dtype == object or den.bit_length() + bits > 63:
+            p, q = p.astype(object), q.astype(object)
+        num = p * (den // q)
+    # lcm of the reduced denominators = den / gcd(den, every numerator)
+    g = math.gcd(den, *(num.tolist() if num.dtype == object
+                        else [int(np.gcd.reduce(num))] if num.size else []))
+    return int_array(num // g if g > 1 else num), den // g
+
+
 class Pencil:
     """n symmetric m x m signed tropical matrices; variable k scales Q^(k).
 
-    When ``affine`` is set, variable 0 plays the role of the affine constant:
-    the pencil encodes Q^(0) + x_1 Q^(1) + ... and feasibility questions ask
-    for points whose 0-th coordinate is finite.
+    Entry e is the position (``k[e]``, ``i[e]``, ``j[e]``) with i <= j,
+    holding the sign ``sign[e]`` (POS or NEG) and the modulus
+    ``num[e] / den``; positions not listed, and their mirror images below
+    the diagonal, are -oo.  Entries are sorted by (k, i, j).  ``den`` is the
+    lcm of the moduli's reduced denominators and ``num`` an int64 array when
+    every numerator fits, an object array of Python ints otherwise, as in
+    ``StochGame``.  ``matrices`` (tuples of ``SignedTrop``) and ``entry``
+    read the pencil back; that view is built on first read.
+
+    ``Pencil(n, m, matrices)`` builds from full symmetric matrices,
+    ``from_entries`` from sparse tuples and ``from_arrays`` from the arrays.
+    When ``affine`` is set, variable 0 plays the role of the affine
+    constant: the pencil encodes Q^(0) + x_1 Q^(1) + ... and feasibility
+    questions ask for points whose 0-th coordinate is finite.
     """
 
-    n: int
-    m: int
-    matrices: tuple
-    affine: bool = False
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValidationError(f"pencil needs n >= 1 and m >= 1, got ({self.n}, {self.m})")
-        if len(self.matrices) != self.n:
-            raise ValidationError(f"expected {self.n} matrices, got {len(self.matrices)}")
-        for k, mat in enumerate(self.matrices):
-            if len(mat) != self.m or any(len(row) != self.m for row in mat):
-                raise ValidationError(f"matrix {k} is not {self.m}x{self.m}")
-            for i in range(self.m):
-                for j in range(i + 1, self.m):
+    def __init__(self, n: int, m: int, matrices, affine: bool = False):
+        _check_size(n, m)
+        if len(matrices) != n:
+            raise ValidationError(f"expected {n} matrices, got {len(matrices)}")
+        for k, mat in enumerate(matrices):
+            if len(mat) != m or any(len(row) != m for row in mat):
+                raise ValidationError(f"matrix {k} is not {m}x{m}")
+            for i in range(m):
+                for j in range(i + 1, m):
                     if mat[i][j] != mat[j][i]:
                         raise ValidationError(
                             f"matrix {k} is not symmetric at ({i},{j})"
                         )
+        self._store(n, m, *_coordinates(
+            (k, i, j, mat[i][j]) for k, mat in enumerate(matrices)
+            for i in range(m) for j in range(i, m)), affine)
 
-    @staticmethod
-    def from_entries(n: int, m: int, entries, affine: bool = False) -> "Pencil":
+    @classmethod
+    def from_entries(cls, n: int, m: int, entries, affine: bool = False) -> "Pencil":
         """Build from sparse (k, i, j, value) tuples with 0-based i <= j;
-        missing positions are -oo, (j, i) is filled in symmetrically."""
-        grids = [[[TROP_ZERO] * m for _ in range(m)] for _ in range(n)]
+        missing positions are -oo, (j, i) is filled in symmetrically, and a
+        later tuple for the same position wins."""
+        cells = {}
         for k, i, j, val in entries:
             if not 0 <= k < n:
                 raise ValidationError(f"matrix index {k} out of range")
             if not (0 <= i <= j < m):
                 raise ValidationError(f"entry index ({i},{j}) out of range")
-            grids[k][i][j] = val
-            grids[k][j][i] = val
-        mats = tuple(tuple(tuple(row) for row in grid) for grid in grids)
-        return Pencil(n, m, mats, affine)
+            cells[k, i, j] = val
+        return cls.from_arrays(n, m, *_coordinates(
+            (k, i, j, val) for (k, i, j), val in cells.items()), affine)
+
+    @classmethod
+    def from_arrays(cls, n: int, m: int, k, i, j, sign, num, den,
+                    affine: bool = False) -> "Pencil":
+        """The pencil with entries at (k, i, j), i <= j, at most one per
+        position and in any order, with signs ``sign`` and moduli
+        ``num / den``: ``den`` is one positive integer or one per entry."""
+        pencil = cls.__new__(cls)
+        pencil._store(n, m, k, i, j, sign, num, den, affine)
+        return pencil
+
+    def _store(self, n, m, k, i, j, sign, num, den, affine):
+        _check_size(n, m)
+        k, i, j = (np.asarray(a, dtype=np.intp) for a in (k, i, j))
+        sign = np.asarray(sign, dtype=np.int8)
+        key = (k * m + i) * m + j
+        if np.any(key[1:] < key[:-1]):
+            order = np.argsort(key, kind="stable")
+            k, i, j, sign, num = k[order], i[order], j[order], sign[order], num[order]
+            den = den if isinstance(den, int) else den[order]
+        self.n, self.m, self.affine = n, m, affine
+        self.k, self.i, self.j, self.sign = k, i, j, sign
+        self.num, self.den = _over_common_denominator(num, den)
+        self._matrices = None
+
+    @property
+    def matrices(self) -> tuple:
+        """The n matrices as m x m tuples of SignedTrop."""
+        if self._matrices is None:
+            self._matrices = self._matrix_view()
+        return self._matrices
+
+    def _matrix_view(self) -> tuple:
+        grids = [[[TROP_ZERO] * self.m for _ in range(self.m)] for _ in range(self.n)]
+        for k, i, j, s, p in zip(*(a.tolist() for a in (
+                self.k, self.i, self.j, self.sign, self.num))):
+            grids[k][i][j] = grids[k][j][i] = SignedTrop(s, Fraction(p, self.den))
+        return tuple(tuple(tuple(row) for row in grid) for grid in grids)
 
     def entry(self, k: int, i: int, j: int) -> SignedTrop:
         return self.matrices[k][i][j]
 
     def is_metzler(self) -> bool:
-        return all(
-            self.matrices[k][i][j].sign != POS
-            for k in range(self.n)
-            for i in range(self.m)
-            for j in range(self.m)
-            if i != j
-        )
+        return not np.any((self.sign == POS) & (self.i != self.j))
+
+    def __eq__(self, other):
+        if not isinstance(other, Pencil):
+            return NotImplemented
+        return ((self.n, self.m, self.affine, self.den)
+                == (other.n, other.m, other.affine, other.den)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ("k", "i", "j", "sign", "num")))
+
+
+def _check_size(n: int, m: int) -> None:
+    if n < 1 or m < 1:
+        raise ValidationError(f"pencil needs n >= 1 and m >= 1, got ({n}, {m})")
+
+
+def _coordinates(cells) -> tuple:
+    """(k, i, j, sign, numerators, denominators) of the finite values among
+    (k, i, j, SignedTrop) tuples."""
+    rows = [(k, i, j, v.sign, v.modulus.numerator, v.modulus.denominator)
+            for k, i, j, v in cells if not v.is_zero]
+    k, i, j, sign, p, q = zip(*rows) if rows else ((),) * 6
+    return k, i, j, sign, int_array(p), int_array(q)
 
 
 NOT_METZLER = ("operation requires a Metzler pencil "
@@ -316,6 +413,12 @@ class NormalizeResult:
         return full
 
 
+def _mask(size: int, alive) -> np.ndarray:
+    mask = np.zeros(size, dtype=bool)
+    mask[list(alive)] = True
+    return mask
+
+
 def _positive_row_step(P: Pencil, vars_alive: list, rows_alive: list):
     """One forced reduction for a row lacking any positive diagonal entry.
 
@@ -324,24 +427,20 @@ def _positive_row_step(P: Pencil, vars_alive: list, rows_alive: list):
     negative entry on it (diagonal ones first, then off-diagonal ones), and
     disappears itself once entirely -oo.
     """
+    rows = _mask(P.m, rows_alive)
+    live = _mask(P.n, vars_alive)[P.k] & rows[P.i] & rows[P.j]
+    diag, neg = P.i == P.j, P.sign == NEG
+    covered = np.bincount(P.i[live & diag & (P.sign == POS)], minlength=P.m)
     for i in rows_alive:
-        if any(P.matrices[k][i][i].sign == POS for k in vars_alive):
+        if covered[i]:
             continue
-        dead = [k for k in vars_alive if P.matrices[k][i][i].sign == NEG]
-        if dead:
-            return "vars", dead
-        if all(
-            P.matrices[k][i][j].is_zero
-            for k in vars_alive
-            for j in rows_alive
-        ):
+        on_row = live & ((P.i == i) | (P.j == i))
+        dead = P.k[on_row & diag & neg]
+        if dead.size:
+            return "vars", dead.tolist()
+        if not on_row.any():
             return "row", i
-        dead = [
-            k
-            for k in vars_alive
-            if any(P.matrices[k][i][j].sign == NEG for j in rows_alive if j != i)
-        ]
-        return "vars", dead
+        return "vars", sorted(set(P.k[on_row & neg].tolist()))
     return None
 
 
@@ -373,27 +472,31 @@ def _forced_reductions(P: Pencil):
 
 
 def _extract(P: Pencil, vars_alive: Sequence[int], rows_alive: Sequence[int]) -> Pencil:
-    mats = tuple(
-        tuple(tuple(P.matrices[k][i][j] for j in rows_alive) for i in rows_alive)
-        for k in vars_alive
-    )
-    return Pencil(len(vars_alive), len(rows_alive), mats,
-                  affine=P.affine and 0 in vars_alive)
+    """The pencil of the given variables on the given rows, renumbered in
+    the order listed."""
+    def renumber(size, alive):
+        new = np.full(size, -1, dtype=np.intp)
+        new[list(alive)] = np.arange(len(alive))
+        return new
+
+    k = renumber(P.n, vars_alive)[P.k]
+    rows = renumber(P.m, rows_alive)
+    i, j = rows[P.i], rows[P.j]
+    keep = (k >= 0) & (i >= 0) & (j >= 0)
+    return Pencil.from_arrays(
+        len(vars_alive), len(rows_alive), k[keep], np.minimum(i, j)[keep],
+        np.maximum(i, j)[keep], P.sign[keep], P.num[keep], P.den,
+        affine=P.affine and 0 in vars_alive)
 
 
 def all_positive_variables(P: Pencil, vars_alive: Sequence[int],
                            rows_alive: Sequence[int]) -> list:
     """Variables whose matrix has no negative entry on the given rows; the
     unit-support point of any of them lies in the spectrahedron."""
-    return [
-        k
-        for k in vars_alive
-        if all(
-            P.matrices[k][i][j].sign != NEG
-            for i in rows_alive
-            for j in rows_alive
-        )
-    ]
+    rows = _mask(P.m, rows_alive)
+    negative = np.bincount(P.k[(P.sign == NEG) & rows[P.i] & rows[P.j]],
+                           minlength=P.n)
+    return [k for k in vars_alive if not negative[k]]
 
 
 def normalize(P: Pencil) -> NormalizeResult:

@@ -110,9 +110,7 @@ def structural_constant_value_check(P: Pencil) -> str:
     """"Guaranteed" when every entry of every matrix is finite — a
     structural condition under which value iteration's constant-mean-payoff
     hypothesis is automatic; "Unknown" otherwise."""
-    finite = all(
-        not e.is_zero for mat in P.matrices for row in mat for e in row
-    )
+    finite = len(P.sign) == P.n * P.m * (P.m + 1) // 2
     return GUARANTEED if finite else UNKNOWN
 
 

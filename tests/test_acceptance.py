@@ -40,7 +40,7 @@ from tropsdp import (
     verify_subharmonic,
     winning_dominions,
 )
-from tropsdp.bench import GenSpec, _dense_engine, gen_random, phase_diagram
+from tropsdp.bench import GenSpec, gen_random, phase_diagram
 from tropsdp.tropical import NEG, POS
 
 F = Fraction
@@ -340,7 +340,7 @@ def test_criterion_11_large_instance_smoke():
     check_feasibility (which checks a Feasible witness exactly) in under
     five seconds, generation included."""
     start = time.perf_counter()
-    game = _dense_engine(GenSpec(1000, 100, seed=0))
+    game = game_from_pencil(gen_random(GenSpec(1000, 100, seed=0)))
     report = check_feasibility(game, epsilon=EPS, max_iters=10**5)
     elapsed = time.perf_counter() - start
     assert report.verdict in ("Feasible", "Infeasible")

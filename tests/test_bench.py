@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tropsdp import ValidationError, game_from_pencil, jsonio
+from tropsdp import StochGame, ValidationError, game_from_pencil, jsonio
 from tropsdp.bench import (
     CSV_HEADER,
     CellResult,
     GenSpec,
-    _dense_engine,
+    _draw_moduli,
     _sample_seed,
     benchmark,
     gen_random,
@@ -64,7 +64,30 @@ def test_generated_pencil_survives_json_round_trip():
 
 def test_dense_instance_needs_room_for_min():
     with pytest.raises(ValidationError):
-        _dense_engine(GenSpec(3, 1, seed=0))
+        phase_diagram([3], [1], samples=1, timing=False)
+
+
+def _dense_engine(spec):
+    """The game of a generated instance, laid out by hand: Max state i
+    moves to every variable k, rewarded by the diagonal modulus (i, i) of
+    matrix k; Min state k moves to every row pair i < j, paying the
+    modulus (i, j).  Rewards are the drawn numerators over the grid."""
+    n, m = spec.n, spec.m
+    numerators = _draw_moduli(spec)
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    diag_cols = [t for t, (i, j) in enumerate(pairs) if i == j]
+    off_cols = [t for t, (i, j) in enumerate(pairs) if i < j]
+    rows = np.array([pairs[t] for t in off_cols], dtype=np.intp)
+    p = len(off_cols)
+    return StochGame.from_arrays(
+        max_t=np.tile(np.arange(n, dtype=np.intp), m),
+        max_seg=np.arange(0, m * n, n, dtype=np.intp),
+        max_p=numerators[:, diag_cols].T.ravel(),
+        min_i=np.tile(rows[:, 0], n),
+        min_j=np.tile(rows[:, 1], n),
+        min_seg=np.arange(0, n * p, p, dtype=np.intp),
+        min_p=-numerators[:, off_cols].ravel(),
+        den=spec.entry_grid)
 
 
 ENGINE_ARRAYS = ("max_r", "max_t", "max_seg", "max_p", "min_r", "min_i",
@@ -88,24 +111,21 @@ def test_dense_engine_equals_engine_of_generated_game(n, m):
 def test_dense_step_matches_exact_operator():
     # moduli have 31 fraction bits and each step adds one halving, so the
     # first few float iterates are exact and must equal the rational ones
-    spec = GenSpec(4, 3, seed=42)
-    engine = _dense_engine(spec)
-    game = game_from_pencil(gen_random(spec))
+    game = game_from_pencil(gen_random(GenSpec(4, 3, seed=42)))
     x = np.zeros(4)
     exact = (F(0),) * 4
     for _ in range(3):
-        x = engine.step(x)
+        x = game.step(x)
         exact = apply_F(game, exact)
         assert tuple(F(t) for t in x.tolist()) == exact
 
 
 def test_dense_iteration_matches_exact_verdict():
     for seed in range(5):
-        spec = GenSpec(4, 3, seed=seed)
-        status, iters, _, _, _ = _iterate(
-            _dense_engine(spec).step, np.zeros(4), 1e-6, 1000)
+        game = game_from_pencil(gen_random(GenSpec(4, 3, seed=seed)))
+        status, iters, _, _, _ = _iterate(game.step, np.zeros(4), 1e-6, 1000)
         exact_status, exact_iters, _, _, _ = value_iteration_raw(
-            game_from_pencil(gen_random(spec)), F(1, 10**6), 1000, exact=True)
+            game, F(1, 10**6), 1000, exact=True)
         assert (status, iters) == (exact_status, exact_iters)
 
 

@@ -3,7 +3,9 @@
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropsdp import (
     Certificate,
@@ -23,8 +25,11 @@ from tropsdp import (
     verify_subharmonic,
     verify_superharmonic,
 )
-from tropsdp.certify import shift_min_rewards
+from tropsdp.bench import GenSpec, gen_random
+from tropsdp.certify import _superharmonic, shift_min_rewards
 from tropsdp.tropical import MINUS_INF
+
+from conftest import games, small_rationals, trop_points
 
 F = Fraction
 
@@ -70,6 +75,38 @@ def test_shifting_min_rewards_shifts_the_operator(worked_game):
     lam = F(1, 100)
     assert verify_subharmonic(worked_game, v, lam) == \
         verify_subharmonic(shift_min_rewards(worked_game, -lam), v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=games(), data=st.data())
+def test_integer_verification_matches_apply_F(g, data):
+    # lam at the smallest and largest gap F(v) - v makes some coordinate tight
+    v = data.draw(trop_points(g.n, allow_minus_inf=False))
+    gaps = [b - a for a, b in zip(v, apply_F(g, v))]
+    for lam in (min(gaps), max(gaps), data.draw(small_rationals)):
+        assert verify_subharmonic(g, v, lam) == (all(lam <= t for t in gaps),
+                                                 all(lam < t for t in gaps))
+        assert _superharmonic(g, v, lam) == (all(t <= lam for t in gaps),
+                                             all(t < lam for t in gaps))
+
+
+def shift_of_the_tuples(G, delta):
+    """The shift rebuilt from the game's action tuples."""
+    shifted = tuple(tuple(MinAction(a.targets, a.reward + delta) for a in acts)
+                    for acts in G.min_actions)
+    return StochGame(G.n, G.m, shifted, G.max_actions)
+
+
+@pytest.mark.parametrize("delta", [F(5, 7), F(-1, 100000), F(0), F(2**70, 3)])
+def test_shift_on_the_arrays_equals_the_shift_of_the_tuples(worked_game, delta):
+    generated = game_from_pencil(gen_random(GenSpec(30, 4, seed=3)))
+    for G in (worked_game, generated):
+        shifted, expected = shift_min_rewards(G, delta), shift_of_the_tuples(G, delta)
+        assert shifted == expected
+        for name in ("max_r", "min_r"):
+            np.testing.assert_array_equal(getattr(shifted, name),
+                                          getattr(expected, name), err_msg=name)
+        assert shifted.min_actions == expected.min_actions
 
 
 # ---------------------------------------------------------------------------

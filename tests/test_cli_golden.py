@@ -52,12 +52,56 @@ LOSING_GAME = {
                     [{"to": 1, "reward": "-1"}, {"to": 3, "reward": "-5/4"}],
                     [{"to": 2, "reward": "9/4"}]],
 }
+# the running example on rows 1, 3 and 4, plus variable 2, which dies on
+# row 2 (no positive diagonal there); rows 2 and 5 (empty) then go
+REDUCIBLE_MATRICES = [
+    {"entries": [{"i": 1, "j": 3, "sign": "-", "val": "0"},
+                 {"i": 3, "j": 3, "sign": "+", "val": "-1"}]},
+    {"entries": [{"i": 1, "j": 2, "sign": "-", "val": "1/3"},
+                 {"i": 2, "j": 2, "sign": "-", "val": "2"}]},
+    {"entries": [{"i": 3, "j": 3, "sign": "-", "val": "0"},
+                 {"i": 4, "j": 4, "sign": "+", "val": "9/4"}]},
+    {"entries": [{"i": 1, "j": 1, "sign": "+", "val": "1"},
+                 {"i": 1, "j": 4, "sign": "-", "val": "3/4"},
+                 {"i": 3, "j": 3, "sign": "+", "val": "-5/4"},
+                 {"i": 3, "j": 4, "sign": "-", "val": "0"}]},
+]
 CERT = {"kind": "Feasibility",
         "vector": ["4550473850856407/4503599627370496", "0",
                    "4872159469020117/4503599627370496"],
         "lambda": "1/100", "strict": True}
 
+
+
+def _one_matrix(*records) -> dict:
+    """A 1 x 2 pencil whose single matrix lists these entry records."""
+    return {"n": 1, "m": 2, "matrices": [{"entries": list(records)}]}
+
+
+OK_RECORD = {"i": 1, "j": 1, "sign": "+", "val": "1"}
+MALFORMED = {
+    "duplicate_entry": _one_matrix(
+        OK_RECORD, {"i": 1, "j": 2, "sign": "-", "val": "0"},
+        {"i": 1, "j": 2, "sign": "-", "val": "1"}),
+    "bad_sign": _one_matrix(OK_RECORD, {"i": 2, "j": 2, "sign": "*",
+                                        "val": "0"}),
+    "float_val": _one_matrix(OK_RECORD, {"i": 2, "j": 2, "sign": "-",
+                                         "val": 0.5}),
+    "index_out_of_range": _one_matrix(OK_RECORD, {"i": 1, "j": 3,
+                                                  "sign": "-", "val": "0"}),
+    "non_integer_index": _one_matrix(OK_RECORD, {"i": 1, "j": "2",
+                                                 "sign": "-", "val": "0"}),
+    # a bad sign in the second record and a bad index in the third: the
+    # error names the one that comes first
+    "two_faults": _one_matrix(OK_RECORD, {"i": 2, "j": 2, "sign": "-+",
+                                          "val": "0"},
+                              {"i": 2, "j": 1, "sign": "-", "val": "0"}),
+}
+
 FILES = {
+    **MALFORMED,
+    "reducible_affine": {"n": 4, "m": 5, "affine": True,
+                         "matrices": REDUCIBLE_MATRICES},
     "running_affine": {"n": 3, "m": 3, "affine": True,
                        "matrices": RUNNING_MATRICES},
     "non_metzler": {"n": 1, "m": 2, "affine": False, "matrices": NON_METZLER},
@@ -106,6 +150,9 @@ CASES = (
     # (test_cli::test_untranslatable_affine_pencil_prints_no_note)
     + [[*cmd, "{file:no_negative_affine}"]
        for cmd in (["check"], ["exact"], ["normalize"], ["affine"])]
+    + [["check", f"{{file:{name}}}"] for name in MALFORMED]
+    + [[cmd, "{file:reducible_affine}"]
+       for cmd in ("check", "normalize", "exact", "affine")]
 )
 
 

@@ -28,8 +28,8 @@ from tropsdp import (
     pencil_from_game,
     winning_dominions,
 )
-from tropsdp.game import _float_view, _int_array
-from tropsdp.pencil import NOT_METZLER
+from tropsdp.game import _float_view
+from tropsdp.pencil import NOT_METZLER, int_array
 from tropsdp.shapley import apply_F
 from tropsdp.tropical import MINUS_INF
 
@@ -169,10 +169,11 @@ def test_float_rewards_round_like_fractions():
         ([3**60 + 1, -(2**70), 5], 3**41),
     ]
     for numerators, den in cases:
-        p = _int_array(numerators)
+        p = int_array(numerators)
         assert _float_view(p, den).tolist() == [float(F(q, den)) for q in numerators]
-    assert _int_array([2**63 - 1, -(2**63 - 1)]).dtype == np.int64
-    assert _int_array([2**63]).dtype == object
+    assert int_array([2**63 - 1, -(2**63 - 1)]).dtype == np.int64
+    assert int_array([2**63]).dtype == object
+    assert int_array([-(2**63)]).dtype == object
 
 
 def with_object_numerators(g):

@@ -9,13 +9,11 @@ from hypothesis import given, settings
 
 from tropsdp import (
     Certificate,
-    SignedTrop,
     ValidationError,
     check_feasibility,
     game_from_pencil,
     jsonio,
 )
-from tropsdp.tropical import TROP_ZERO
 
 from conftest import example_path, games, overlap_free_games
 
@@ -49,29 +47,34 @@ def test_float_rejection_suggests_a_fraction():
         jsonio.parse_rational(0.1)
 
 
+def one_entry_pencil(val) -> dict:
+    return {"n": 1, "m": 1,
+            "matrices": [{"entries": [{"i": 1, "j": 1, "sign": "-", "val": val}]}]}
+
+
+@pytest.mark.parametrize("val", ["1 / 2", "1/ 2", "3/-4", "1/0", "0x10", "",
+                                 0.5, True])
+def test_pencil_literals_rejected_like_parse_rational(val):
+    with pytest.raises(ValidationError) as parsed:
+        jsonio.parse_rational(val)
+    with pytest.raises(ValidationError) as loaded:
+        jsonio.pencil_from_json(one_entry_pencil(val))
+    assert str(loaded.value) == str(parsed.value)
+
+
+@pytest.mark.parametrize("val", [" 1/2 ", "+3/4", "-0", "2/4", "0.25", "1e3",
+                                 "1_0/3", "\u0663/4"])
+def test_pencil_literals_read_like_parse_rational(val):
+    P = jsonio.pencil_from_json(one_entry_pencil(val))
+    modulus = P.entry(0, 0, 0).modulus
+    assert modulus == jsonio.parse_rational(val)
+    assert P.den == modulus.denominator
+
+
 def test_format_rational():
     assert jsonio.format_rational(F(3)) == "3"
     assert jsonio.format_rational(F(-5, 4)) == "-5/4"
     assert jsonio.parse_rational(jsonio.format_rational(F(22, 7))) == F(22, 7)
-
-
-# ---------------------------------------------------------------------------
-# signed tropical entries
-# ---------------------------------------------------------------------------
-
-def test_signed_round_trip():
-    for entry in (SignedTrop.pos(F(5, 2)), SignedTrop.neg(F(0)), TROP_ZERO):
-        assert jsonio.signed_from_json(jsonio.signed_to_json(entry)) == entry
-    assert jsonio.signed_to_json(TROP_ZERO) == "-inf"
-
-
-def test_signed_from_json_rejects_junk():
-    with pytest.raises(ValidationError):
-        jsonio.signed_from_json({"sign": "+"})
-    with pytest.raises(ValidationError):
-        jsonio.signed_from_json({"sign": "*", "val": "1"})
-    with pytest.raises(ValidationError):
-        jsonio.signed_from_json("oo")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -79,6 +80,21 @@ def test_from_entries_rejects_bad_indices():
         Pencil.from_entries(1, 2, [(0, 1, 0, P("-", 0))])  # i > j
     with pytest.raises(ValidationError):
         Pencil.from_entries(1, 2, [(2, 0, 0, P("+", 0))])  # k out of range
+
+
+def test_from_arrays_sorts_entries_over_the_least_denominator():
+    reference = Pencil.from_entries(2, 2, [
+        (1, 0, 1, P("-", "1/3")), (0, 1, 1, P("+", "5/4")), (0, 0, 0, P("-", 2))])
+    shuffled = Pencil.from_arrays(2, 2, [1, 0, 0], [0, 1, 0], [1, 1, 0],
+                                  [NEG, POS, NEG], np.array([2, 10, 4]),
+                                  np.array([6, 8, 2]))
+    assert shuffled == reference
+    assert (reference.den, reference.k.tolist(), reference.num.tolist()) == \
+        (12, [0, 0, 1], [24, 15, 4])
+    assert shuffled.matrices == reference.matrices
+    assert reference.entry(1, 1, 0) == P("-", "1/3")
+    # without the entry over 3, the kept moduli share the denominator 4
+    assert _extract(reference, [0], [0, 1]).den == 4
 
 
 def test_require_metzler(running_pencil):
