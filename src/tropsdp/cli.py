@@ -430,8 +430,9 @@ def run(argv=None) -> int:
     try:
         if getattr(args, "eps", 1) <= 0:
             raise ValidationError("epsilon must be positive")
-        if getattr(args, "max_iters", 1) < 1:
-            raise ValidationError("max-iters must be at least 1")
+        for cap in ("max_iters", "max_pairs", "max_states"):
+            if getattr(args, cap, 1) < 1:
+                raise ValidationError(f"{cap.replace('_', '-')} must be at least 1")
         return _COMMANDS[args.subcommand](args)
     except TropSdpError as exc:
         print(f"tropsdp: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -3,8 +3,9 @@
 Once both players of a stochastic mean payoff game fix a (positional)
 policy, the play becomes a Markov chain whose states alternate between the
 n Min states and the m Max states; the long-run average reward of that
-chain, computed here exactly over the rationals, is what policy evaluation
-and the brute-force game solver consume.
+chain, computed here exactly over the rationals, is the reference the
+brute-force game solver checks its optimal pair against (the solver itself
+evaluates pairs on the chain folded onto the Min states, see ``exact``).
 
 The analysis follows the standard finite-chain decomposition: the recurrent
 classes are the closed strongly connected components of the

@@ -386,6 +386,20 @@ def test_bad_epsilon_exits_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv, name", [
+    (["exact", RUNNING, "--max-pairs"], "max-pairs"),
+    (["solve-game", example_path("dominion_game.json"), "--max-pairs"], "max-pairs"),
+    (["affine", RUNNING, "--max-states"], "max-states"),
+    (["check", RUNNING, "--max-iters"], "max-iters"),
+])
+def test_caps_below_one_exit_one(argv, name, value, capsys):
+    assert run([*argv, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"tropsdp: ValidationError: {name} must be at least 1\n"
+
+
 def test_underflowing_epsilon_needs_exact(capsys):
     # 1e-400 is a positive rational but 0.0 as a double; the float loop
     # must refuse it rather than report Infeasible after 0 iterations

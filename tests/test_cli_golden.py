@@ -66,6 +66,15 @@ REDUCIBLE_MATRICES = [
                  {"i": 3, "j": 3, "sign": "+", "val": "-5/4"},
                  {"i": 3, "j": 4, "sign": "-", "val": "0"}]},
 ]
+# every policy pair has the gain 1/12 at both states, so the optimal pair is
+# the tie-break alone: the first sigma and the first tau in product order
+TIED_GAME = {
+    "n": 2, "m": 2,
+    "min_actions": [[{"to": [1], "reward": "-1/3"}, {"to": [1, 2], "reward": "-1/3"}],
+                    [{"to": [2], "reward": "-1/3"}, {"to": [1, 2], "reward": "-1/3"}]],
+    "max_actions": [[{"to": 1, "reward": "1/2"}, {"to": 2, "reward": "1/2"}],
+                    [{"to": 1, "reward": "1/2"}, {"to": 2, "reward": "1/2"}]],
+}
 CERT = {"kind": "Feasibility",
         "vector": ["4550473850856407/4503599627370496", "0",
                    "4872159469020117/4503599627370496"],
@@ -111,6 +120,7 @@ FILES = {
     "no_negative_affine": {"n": 1, "m": 1, "affine": True,
                            "matrices": NO_NEGATIVE},
     "losing_game": LOSING_GAME,
+    "tied_game": TIED_GAME,
     "cert": CERT,
     "cert_tampered": dict(CERT, vector=["100"] + CERT["vector"][1:]),
 }
@@ -153,6 +163,10 @@ CASES = (
     + [["check", f"{{file:{name}}}"] for name in MALFORMED]
     + [[cmd, "{file:reducible_affine}"]
        for cmd in ("check", "normalize", "exact", "affine")]
+    # the optimal pair's tie-break among equal replies
+    + [["exact", "--policies", "--dump-chain", f"{{gen:3:3:{seed}}}"]
+       for seed in (0, 1, 2)]
+    + [["exact", "{gen:2:4:0}"], ["solve-game", "--policies", "{file:tied_game}"]]
 )
 
 

@@ -1,14 +1,20 @@
 """Exact game values by policy enumeration, and the solvers built on them."""
 
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from tropsdp import (
+    MaxAction,
+    MinAction,
     Pencil,
     PolicySpaceTooLarge,
+    SaddlePointError,
     SignedTrop,
+    StochGame,
     UnsupportedInstance,
     ValidationError,
     affine_feasibility,
@@ -18,8 +24,9 @@ from tropsdp import (
 )
 import tropsdp.exact
 from tropsdp.bench import GenSpec, gen_random
-from tropsdp.game import induced_subgame
-from tropsdp.markov import analyze, chain_from_policies
+from tropsdp.exact import _solve_int
+from tropsdp.game import dominions, induced_subgame
+from tropsdp.markov import _solve, analyze, chain_from_policies
 
 F = Fraction
 POS = SignedTrop.pos
@@ -60,18 +67,185 @@ def test_policy_space_cap(worked_game, running_pencil):
 
 
 def test_each_policy_pair_is_analysed_once(monkeypatch, worked_game):
-    # one analysis per pair, plus the final check of the optimal pair
-    calls = []
+    # one folded evaluation per pair, plus one reference analysis of the
+    # optimal pair's unfolded chain
+    evaluations, analyses = [], []
 
-    def counting(chain):
-        calls.append(chain)
-        return analyze(chain)
+    def counting(log, original):
+        def wrapper(*args):
+            log.append(args)
+            return original(*args)
+        return wrapper
 
-    monkeypatch.setattr(tropsdp.exact, "analyze", counting)
+    monkeypatch.setattr(tropsdp.exact, "_gains",
+                        counting(evaluations, tropsdp.exact._gains))
+    monkeypatch.setattr(tropsdp.exact, "analyze", counting(analyses, analyze))
     for G in (worked_game, game_from_pencil(gen_random(GenSpec(2, 3, 0)))):
-        calls.clear()
+        evaluations.clear()
+        analyses.clear()
         game_value_bruteforce(G)
-        assert len(calls) == G.policy_count() + 1
+        assert len(evaluations) == G.policy_count()
+        assert len(analyses) == 1
+
+
+def test_saddle_check_rejects_a_pair_the_reference_disagrees_with(
+        monkeypatch, worked_game):
+    # the reference analysis of the returned pair is an independent check
+    def shifted(chain):
+        res = analyze(chain)
+        return dataclasses.replace(res, gain=tuple(g + 1 for g in res.gain))
+
+    monkeypatch.setattr(tropsdp.exact, "analyze", shifted)
+    with pytest.raises(SaddlePointError, match="does not attain"):
+        game_value_bruteforce(worked_game)
+
+
+def _folded_gains(monkeypatch, G) -> list:
+    """The folded gains of every policy pair, in the product order
+    ``game_value_bruteforce`` evaluates them."""
+    seen = []
+    original = tropsdp.exact._gains
+
+    def recording(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tropsdp.exact, "_gains", recording)
+        game_value_bruteforce(G)
+    return seen
+
+
+def _pairs(G) -> list:
+    return list(itertools.product(
+        itertools.product(*(range(len(a)) for a in G.min_actions)),
+        itertools.product(*(range(len(b)) for b in G.max_actions))))
+
+
+def _assert_folded_matches_analyze(monkeypatch, G, stride=1):
+    """Folded gains equal the unfolded chain's gains at the Min states, on
+    every pair (every stride-th one for the largest games)."""
+    folded = _folded_gains(monkeypatch, G)
+    pairs = _pairs(G)
+    assert len(folded) == len(pairs) == G.policy_count()
+    for (sigma, tau), gains in list(zip(pairs, folded))[::stride]:
+        assert gains == analyze(chain_from_policies(G, sigma, tau)).gain[:G.n], (
+            sigma, tau)
+
+
+def _random_signed_pencil(n, m, seed) -> Pencil:
+    """A Metzler pencil (n >= 2, m >= 2) with negatively signed diagonal
+    entries, that is singleton Min actions, beside the positively signed
+    ones.  Every row gets a positively signed diagonal entry and every
+    matrix a negatively signed entry, so the game exists."""
+    rng = random.Random(seed)
+    value = lambda: F(rng.randrange(-8, 9), 4)
+    owner = [rng.randrange(n) for _ in range(m)]  # k of row i's POS diagonal
+    entries = {}
+    for k in range(n):
+        for i in range(m):
+            if owner[i] == k:
+                entries[k, i, i] = POS(value())
+            elif rng.random() < 0.5:
+                entries[k, i, i] = NEG(value())
+            for j in range(i + 1, m):
+                if rng.random() < 0.5:
+                    entries[k, i, j] = NEG(value())
+        if not any(v.sign < 0 for (kk, _, _), v in entries.items() if kk == k):
+            entries[k, 0, 1] = NEG(value())
+    if not any(v.sign < 0 for (_, i, j), v in entries.items() if i == j):
+        k, i = next((k, i) for k in range(n) for i in range(m) if owner[i] != k)
+        entries[k, i, i] = NEG(value())
+    return Pencil.from_entries(n, m, [(*key, v) for key, v in sorted(entries.items())])
+
+
+@pytest.mark.parametrize("grid", [2, 3, 2**31])
+@pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2, 3) for m in (2, 3, 4)])
+def test_folded_gains_match_analyze_on_random_games(monkeypatch, n, m, grid):
+    # grids 2 and 3 make many rewards tie; the 3 x 4 games (17 496 pairs)
+    # are checked on every 97th pair, their subgames on every pair
+    for seed in range(2):
+        G = game_from_pencil(gen_random(GenSpec(n, m, seed, grid)))
+        stride = 97 if G.policy_count() > 5000 else 1
+        _assert_folded_matches_analyze(monkeypatch, G, stride)
+        for D in dominions(G):
+            if len(D) < G.n:
+                _assert_folded_matches_analyze(monkeypatch, induced_subgame(G, D))
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("seed", range(4))
+def test_folded_gains_match_analyze_with_singleton_min_actions(monkeypatch, n, m, seed):
+    P = _random_signed_pencil(n, m, seed)
+    G = game_from_pencil(P)
+    assert any(a.targets[0] == a.targets[-1] for acts in G.min_actions for a in acts)
+    _assert_folded_matches_analyze(monkeypatch, G)
+    for D in dominions(G):
+        _assert_folded_matches_analyze(monkeypatch, induced_subgame(G, D))
+
+
+def test_folded_gains_match_analyze_on_dominion_example(monkeypatch, dominion_game):
+    _assert_folded_matches_analyze(monkeypatch, dominion_game)
+    for D in dominions(dominion_game):
+        _assert_folded_matches_analyze(monkeypatch, induced_subgame(dominion_game, D))
+
+
+def test_folded_gains_with_two_closed_classes_and_a_transient_state(monkeypatch):
+    # Min 0 and Min 1 can each be trapped on their own; Min 2 splits its
+    # mass between the two traps or keeps part of it
+    G = StochGame(3, 3, (
+        (MinAction((0,), F(-1)), MinAction((0, 2), F(1, 3))),
+        (MinAction((1,), F(2)),),
+        (MinAction((0, 1), F(5, 7)), MinAction((1, 2), F(-2))),
+    ), (
+        (MaxAction(0, F(1, 2)), MaxAction(2, F(0))),
+        (MaxAction(1, F(-3)),),
+        (MaxAction(2, F(1)), MaxAction(0, F(1, 5))),
+    ))
+    _assert_folded_matches_analyze(monkeypatch, G)
+    res = analyze(chain_from_policies(G, (0, 0, 0), (0, 0, 0)))
+    assert res.recurrent_classes == (frozenset({0, 3}), frozenset({1, 4}))
+    assert set(res.absorption) == {2, 5}
+    assert res.absorption[2] == (F(1, 2), F(1, 2))
+    assert _folded_gains(monkeypatch, G)[0] == (F(-1, 4), F(-1, 2), F(-3, 8))
+
+
+def test_folded_gains_mix_unequal_class_laws(monkeypatch):
+    # under the first pair {0} is closed with law (1), {1, 2} closed with
+    # law (1/3, 2/3), and Min 3 splits its mass between the two
+    G = StochGame(4, 4, (
+        (MinAction((0,), F(1)),),
+        (MinAction((2,), F(0)),),
+        (MinAction((1, 2), F(-1)),),
+        (MinAction((0, 1), F(-2)), MinAction((2, 3), F(1))),
+    ), (
+        (MaxAction(0, F(1, 2)), MaxAction(3, F(0))),
+        (MaxAction(1, F(0)),),
+        (MaxAction(2, F(3)),),
+        (MaxAction(3, F(5)),),
+    ))
+    _assert_folded_matches_analyze(monkeypatch, G)
+    res = analyze(chain_from_policies(G, (0,) * 4, (0,) * 4))
+    assert res.recurrent_classes == (frozenset({0, 4}), frozenset({1, 2, 5, 6}))
+    assert res.absorption[3] == (F(1, 2), F(1, 2))
+    assert _folded_gains(monkeypatch, G)[0] == (F(3, 4), F(2, 3), F(2, 3), F(17, 24))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_fraction_free_solve_matches_rational_elimination(size):
+    rng = random.Random(size)
+    for _ in range(20):
+        a = [[rng.randrange(-3, 4) for _ in range(size)] for _ in range(size)]
+        b = [[rng.randrange(-5, 6) for _ in range(2)] for _ in range(size)]
+        try:
+            expected = _solve([list(map(F, row)) for row in a],
+                              [list(map(F, row)) for row in b])
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                _solve_int(a, b)
+            continue
+        d, y = _solve_int(a, b)
+        assert [[F(v, d) for v in row] for row in y] == expected
 
 
 def _direct_value(G):
@@ -92,7 +266,7 @@ def _direct_value(G):
     return chi, (sigma, tau)
 
 
-@pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (1, 3), (2, 2)])
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (1, 3), (2, 2), (3, 3), (2, 4)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_value_matches_direct_min_max(n, m, seed):
     # (3, 2) and (2, 2) leave Min one policy, (1, 3) leaves Max one, and
