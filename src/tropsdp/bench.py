@@ -7,9 +7,10 @@ symmetrically.  Those choices make every instance well formed as soon as
 m >= 2, so the game translation never needs a preprocessing pass.
 
 Sweeps and benchmarks iterate the game of each generated pencil,
-``game_from_pencil(gen_random(spec))``, with the same kernel and loop as
-`check` (`StochGame.step`, `shapley._iterate`); the generator fills the
-pencil's coordinate arrays straight from the drawn numerators.
+``game_from_pencil(gen_random(spec))``, with the same kernel, loop and
+certificate stop as `check` (`StochGame.step`, `shapley._iterate`); the
+generator fills the pencil's coordinate arrays straight from the drawn
+numerators.
 The grid moduli are dyadic with denominator 2^31, hence exactly
 representable in float64 — the float loop computes the same iterates the
 exact loop would, up to the rounding of the averages themselves.
@@ -113,8 +114,7 @@ def _run_sample(spec: GenSpec, epsilon: float, max_iters: int, reps: int):
     if spec.m < 2:
         raise ValidationError("dense instances need m >= 2 so Min can move")
     game = game_from_pencil(gen_random(spec))
-    solve = lambda: _iterate(game.step, np.zeros(spec.n), float(epsilon),
-                             max_iters)[:2]
+    solve = lambda: _iterate(game, epsilon, max_iters, exact=False)[:2]
     if reps <= 0:
         status, iters = solve()
         return status, iters, None

@@ -13,9 +13,10 @@ Both kinds are produced by running value iteration on the game with all Min
 rewards shifted by -lambda (the sublevel sets of the shifted operator are
 exactly the reinforced spectrahedra): the running entrywise maximum of the
 iterates certifies feasibility, and the running entrywise minimum certifies
-infeasibility.  Every emitted certificate is re-verified in exact rational
-arithmetic; verification helpers are exposed for checking third-party
-certificates too.
+infeasibility, unless the iteration stopped at an iterate that is itself
+an exact certificate.  Every emitted certificate is re-verified in exact
+rational arithmetic; verification helpers are exposed for checking
+third-party certificates too.
 """
 
 from __future__ import annotations
@@ -107,8 +108,11 @@ def _shifted_certificate(G: StochGame, lam: Fraction, kind: str, epsilon,
                          max_iters: int, exact: bool) -> Certificate:
     """Run value iteration on the game with Min rewards shifted down by lam
     and certify with its running maximum (Feasibility) or minimum
-    (Infeasibility).  F is evaluated once per witness; a witness from
-    doubles that fails the exact check triggers one rational rerun."""
+    (Infeasibility).  When the loop stopped at an exact certificate, both
+    are the iterate u itself: u <= F(u) - lam, or F(u) - lam < u in every
+    entry, which is a strict certificate.  F is evaluated once per witness;
+    a witness from doubles that fails the exact check triggers one rational
+    rerun."""
     feasible = kind == "Feasibility"
     wanted = "feasible" if feasible else "infeasible"
     verify = verify_subharmonic if feasible else _superharmonic
@@ -150,7 +154,10 @@ def infeasibility_certificate(G: StochGame, lam, epsilon=Fraction(1, 10**8),
     The running entrywise minimum w of the shifted iteration works: once
     every entry of the final iterate is <= -epsilon, monotonicity gives
     F(w) <= min(F(0), ..., F^l(0)) <= w (the last iterate being entrywise
-    negative absorbs the initial 0).
+    negative absorbs the initial 0).  When the shifted iteration instead
+    stops at a checked iterate u with F(u) < u in every entry, checked in
+    integers, w is u and the certificate is strict; its entries need not
+    be negative.
     """
     lam = as_fraction(lam)
     if lam >= 0:

@@ -14,13 +14,23 @@ u := F(u) from 0 while keeping the running entrywise maximum v; if all
 entries of u drop to -epsilon the problem is infeasible, and if they all
 climb to +epsilon then v itself is a feasible point.
 
+The loop also stops at the first checked iterate that is an exact
+certificate.  After 64 steps, and at every doubling of the step count (128,
+256, ...), it tests the current iterate u in integers: u <= F(u) makes u a
+feasible point, and F(u) < u in every entry drives F^t(0) to -oo, so the
+spectrahedron is trivial.  This is the bound min(F(u) - u) <= chi <=
+max(F(u) - u) on the game's value chi; near the boundary, where the
+epsilon exits take about (span + epsilon) / |chi| steps, it decides after
+64 or 128.  Neither stop needs the constant-value hypothesis below, and
+runs that decide within 64 steps never reach a check.
+
 The iteration runs on the arrays a `StochGame` stores: `StochGame.step`
 evaluates F on them and one loop (`_iterate`) iterates it, over doubles by
 default and over Fractions in exact mode.  A witness claimed in doubles is
 re-checked exactly by `StochGame.is_subharmonic`, which scales the rewards
 and the witness to integers (int64 when a bit bound allows, Python ints
 otherwise); if the check fails the loop reruns in rationals.  Correctness
-of plain verdicts under fixed-precision evaluation is part of the
+of the epsilon verdicts under fixed-precision evaluation is part of the
 procedure's contract, provided every state of the game has the same mean
 payoff and it is nonzero.  `apply_F` and `recession` evaluate F and its
 recession operator over Fractions and -oo from the game's action tuples;
@@ -42,6 +52,10 @@ from .tropical import MINUS_INF, ExtReal, as_fraction
 
 GUARANTEED = "Guaranteed"
 UNKNOWN = "Unknown"
+
+# Value iteration tests its iterate for an exact certificate at this step
+# count and at every doubling of it.
+FIRST_CHECK = 64
 
 
 def _check_point(G: StochGame, x: Sequence) -> None:
@@ -124,8 +138,11 @@ class IterationReport:
 
     witness is the running-max vector v for a Feasible verdict (it satisfies
     v <= F(v) exactly) and the last iterate u otherwise; entries are exact
-    rationals (doubles convert losslessly).  engine names the arithmetic
-    of the iteration that produced them: "double", or "rational" under
+    rationals (doubles convert losslessly).  When the loop stopped at an
+    exact certificate, the witness is that iterate: u <= F(u) for Feasible,
+    and for Infeasible a strictly superharmonic u (F(u) < u in every entry)
+    whose entries need not be <= -epsilon.  engine names the arithmetic of
+    the iteration that produced them: "double", or "rational" under
     ``exact`` or after a double witness failed the exact check.
     """
 
@@ -136,14 +153,37 @@ class IterationReport:
     engine: str = "double"
 
 
-def _iterate(step, u: np.ndarray, epsilon, max_iters: int):
-    """Iterate u := step(u), keeping the running entrywise maximum v and
-    minimum w, until every entry of u is <= -epsilon ("infeasible") or
+def _certificate(G: StochGame, u) -> str | None:
+    """"feasible" if u <= F(u), "infeasible" if F(u) < u in every entry,
+    None otherwise; decided in integers (``StochGame.doubled_step``), never
+    in the arithmetic of u."""
+    x2, fx2 = G.doubled_step(u)
+    if np.all(x2 <= fx2):
+        return "feasible"
+    if np.all(fx2 < x2):
+        return "infeasible"
+    return None
+
+
+def _iterate(G: StochGame, epsilon, max_iters: int, exact: bool):
+    """Iterate u := F(u) from 0, keeping the running entrywise maximum v
+    and minimum w, until every entry of u is <= -epsilon ("infeasible") or
     >= epsilon ("feasible"), or max_iters steps ran ("indeterminate").
 
-    Works on float arrays with a float epsilon and on object arrays of
-    Fractions with a rational one; returns (status, iterations, u, v, w).
+    After FIRST_CHECK steps, and again whenever the step count doubles, the
+    current iterate is tested exactly (``_certificate``): if u <= F(u) it
+    is a feasible point and the loop stops "feasible"; if F(u) < u in every
+    entry it is a strict infeasibility certificate and the loop stops
+    "infeasible".  Either way u is returned in all three places, as the
+    iterate, v and w.
+
+    Runs over doubles, or over Fractions when ``exact``; returns (status,
+    iterations, u, v, w) as arrays in that arithmetic.
     """
+    if exact:
+        step, u = G.exact_step(), np.array([Fraction(0)] * G.n, dtype=object)
+    else:
+        step, u, epsilon = G.step, np.zeros(G.n), float(epsilon)
     if not epsilon > 0:
         raise ValidationError(
             f"epsilon must be positive, got {epsilon} in the iteration's "
@@ -151,8 +191,13 @@ def _iterate(step, u: np.ndarray, epsilon, max_iters: int):
             "exact iteration (--exact)")
     v = u.copy()
     w = u.copy()
-    iters = 0
+    iters, checkpoint = 0, FIRST_CHECK
     while u.max() > -epsilon and u.min() < epsilon:
+        if iters == checkpoint:
+            checkpoint *= 2
+            status = _certificate(G, u)
+            if status is not None:
+                return status, iters, u, u, u
         if iters >= max_iters:
             return "indeterminate", iters, u, v, w
         np.maximum(v, u, out=v)
@@ -167,14 +212,8 @@ def value_iteration_raw(G: StochGame, epsilon, max_iters: int, exact: bool):
     """The bare iteration loop, also tracking the running entrywise minimum w
     (used for infeasibility certificates): returns (status, iterations,
     u, v, w) with rational entries."""
-    epsilon = as_fraction(epsilon)
-    if exact:
-        zeros = np.array([Fraction(0)] * G.n, dtype=object)
-        status, iters, u, v, w = _iterate(G.exact_step(), zeros, epsilon,
-                                          max_iters)
-        return status, iters, tuple(u), tuple(v), tuple(w)
-    status, iters, u, v, w = _iterate(G.step, np.zeros(G.n),
-                                      float(epsilon), max_iters)
+    status, iters, u, v, w = _iterate(G, as_fraction(epsilon), max_iters,
+                                      exact)
     to_frac = lambda arr: tuple(Fraction(t) for t in arr.tolist())
     return status, iters, to_frac(u), to_frac(v), to_frac(w)
 
@@ -184,14 +223,17 @@ def check_feasibility(G: StochGame, epsilon=Fraction(1, 10**8),
                       exact: bool = False) -> IterationReport:
     """Decide feasibility of {x : x <= F(x)} != {-oo} by value iteration.
 
-    Correct whenever all states of the game share the same nonzero mean
-    payoff (use ``structural_constant_value_check`` for a structural
-    sufficient condition).  Runs in doubles unless ``exact``; a Feasible
-    witness that fails the exact subharmonicity check
+    A verdict from an exact certificate (the iterate after 64, 128, 256,
+    ... steps satisfying u <= F(u), or F(u) < u in every entry) is correct
+    for every game; iterations is then that step count.  The epsilon
+    verdicts are correct whenever all states of the game share the same
+    nonzero mean payoff (use ``structural_constant_value_check`` for a
+    structural sufficient condition).  Runs in doubles unless ``exact``; a
+    Feasible witness that fails the exact subharmonicity check
     (``StochGame.is_subharmonic``) triggers a rerun of the loop in
     rationals, whose witness always passes.  Hitting ``max_iters`` yields
-    Indeterminate — typically a (near-)degenerate instance with mean payoff
-    around zero.
+    Indeterminate: no epsilon exit, and no checked iterate was a
+    certificate.
     """
     epsilon = as_fraction(epsilon)
     status, iters, u, v, w = value_iteration_raw(G, epsilon, max_iters, exact)

@@ -11,13 +11,15 @@ from tropsdp.bench import (
     CellResult,
     GenSpec,
     _draw_moduli,
+    _run_sample,
     _sample_seed,
     benchmark,
     gen_random,
     phase_diagram,
     to_csv,
 )
-from tropsdp.shapley import _iterate, apply_F, value_iteration_raw
+from tropsdp.exact import game_value_bruteforce
+from tropsdp.shapley import FIRST_CHECK, _iterate, apply_F, value_iteration_raw
 from tropsdp.tropical import POS, NEG
 
 F = Fraction
@@ -120,13 +122,33 @@ def test_dense_step_matches_exact_operator():
         assert tuple(F(t) for t in x.tolist()) == exact
 
 
+# seeds of GenSpec(4, 3) whose epsilon exits come after FIRST_CHECK steps:
+# 163 after 215 (Feasible), 577 after 754 (Infeasible), and 269 (value
+# 1.7e-5 per step) not within 1000
+LATE_SEEDS = (163, 577, 269)
+
+
 def test_dense_iteration_matches_exact_verdict():
-    for seed in range(5):
+    # the sweeps' float loop and the exact loop, both with the certificate stop
+    for seed in (*range(5), *LATE_SEEDS):
         game = game_from_pencil(gen_random(GenSpec(4, 3, seed=seed)))
-        status, iters, _, _, _ = _iterate(game.step, np.zeros(4), 1e-6, 1000)
+        status, iters, _, _, _ = _iterate(game, 1e-6, 1000, exact=False)
         exact_status, exact_iters, _, _, _ = value_iteration_raw(
             game, F(1, 10**6), 1000, exact=True)
         assert (status, iters) == (exact_status, exact_iters)
+        if seed in LATE_SEEDS:
+            assert iters == FIRST_CHECK
+
+
+@pytest.mark.parametrize("seed,status", zip(
+    LATE_SEEDS, ("feasible", "infeasible", "feasible")))
+def test_sweep_samples_stop_at_a_certificate(seed, status):
+    # the sign of the value, from policy enumeration, agrees with the stop
+    spec = GenSpec(4, 3, seed=seed)
+    assert _run_sample(spec, 1e-6, 1000, 0) == (status, FIRST_CHECK, None)
+    chi = game_value_bruteforce(game_from_pencil(gen_random(spec))).chi
+    assert all(c > 0 for c in chi) == (status == "feasible")
+    assert all(c < 0 for c in chi) == (status == "infeasible")
 
 
 def test_sample_seeds_are_stable_and_distinct():

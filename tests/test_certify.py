@@ -168,6 +168,20 @@ def test_exact_mode_produces_a_valid_certificate(worked_game):
     assert check_certificate(worked_game, cert)[0]
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["double", "exact"])
+def test_certificates_10_to_the_minus_7_from_the_value(worked_game, exact):
+    # the shifted games have value +-10^-7 per step: the epsilon exits would
+    # take about 7 * 10^5 steps, a checked iterate certifies after 64
+    near = F(1, 10**7)
+    cert = feasibility_certificate(worked_game, F(1, 28) - near, exact=exact)
+    assert check_certificate(worked_game, cert) == (True, True)
+    # the running example with Min rewards lowered by 1/10: value -9/140
+    losing = shift_min_rewards(worked_game, F(-1, 10))
+    cert = infeasibility_certificate(losing, F(-9, 140) + near, exact=exact)
+    assert cert.strict
+    assert check_certificate(losing, cert) == (True, True)
+
+
 # ---------------------------------------------------------------------------
 # certificate checking guards
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import json
 import os
 import re
 import tempfile
+from fractions import Fraction
 
 import pytest
 
@@ -75,6 +76,23 @@ TIED_GAME = {
     "max_actions": [[{"to": 1, "reward": "1/2"}, {"to": 2, "reward": "1/2"}],
                     [{"to": 1, "reward": "1/2"}, {"to": 2, "reward": "1/2"}]],
 }
+
+
+def _raised(matrices, shift) -> list:
+    """The matrices with every negatively signed modulus raised by shift,
+    which lowers every Min reward of the game by shift."""
+    raise_val = lambda e: dict(e, val=jsonio.format_rational(
+        jsonio.parse_rational(e["val"]) + shift))
+    return [{"entries": [raise_val(e) if e["sign"] == "-" else e
+                         for e in mat["entries"]]}
+            for mat in matrices]
+
+
+# the running example's value per Shapley step is 1/28; these move it to
+# +-10^-5, where the epsilon exits take about 69 000 and 41 000 steps
+NEAR = Fraction(1, 10**5)
+NEAR_FEASIBLE = _raised(RUNNING_MATRICES, Fraction(1, 28) - NEAR)
+NEAR_INFEASIBLE = _raised(RUNNING_MATRICES, Fraction(1, 28) + NEAR)
 CERT = {"kind": "Feasibility",
         "vector": ["4550473850856407/4503599627370496", "0",
                    "4872159469020117/4503599627370496"],
@@ -121,6 +139,8 @@ FILES = {
                            "matrices": NO_NEGATIVE},
     "losing_game": LOSING_GAME,
     "tied_game": TIED_GAME,
+    "near_feasible": {"n": 3, "m": 3, "matrices": NEAR_FEASIBLE},
+    "near_infeasible": {"n": 3, "m": 3, "matrices": NEAR_INFEASIBLE},
     "cert": CERT,
     "cert_tampered": dict(CERT, vector=["100"] + CERT["vector"][1:]),
 }
@@ -167,6 +187,11 @@ CASES = (
     + [["exact", "--policies", "--dump-chain", f"{{gen:3:3:{seed}}}"]
        for seed in (0, 1, 2)]
     + [["exact", "{gen:2:4:0}"], ["solve-game", "--policies", "{file:tied_game}"]]
+    # near the boundary: decided by an iterate checked after 64 steps
+    + [[*cmd, f"{{file:{name}}}"]
+       for name in ("near_feasible", "near_infeasible")
+       for cmd in (["check"], ["check", "--exact"])]
+    + [["certify", "--lambda=24993/700000", "{running}"]]  # 1/28 - 1/10^5
 )
 
 

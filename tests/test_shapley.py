@@ -20,10 +20,13 @@ from tropsdp import (
     game_from_pencil,
     verify_subharmonic,
 )
+from tropsdp.certify import _superharmonic, shift_min_rewards
 from tropsdp.markov import chain_from_policies
 from tropsdp.shapley import (
+    FIRST_CHECK,
     GUARANTEED,
     UNKNOWN,
+    _certificate,
     recession,
     structural_constant_value_check,
     value_iteration_raw,
@@ -211,6 +214,14 @@ def test_zero_cycle_is_indeterminate():
     assert report.iterations == 50
 
 
+def test_zero_cycle_is_decided_at_the_first_check():
+    # F(0) = 0: the iterate 0 is subharmonic, though no epsilon exit comes
+    report = check_feasibility(cycle_game(0, 0))
+    assert report.verdict == "Feasible"
+    assert report.iterations == FIRST_CHECK
+    assert report.witness == (F(0),)
+
+
 def test_raw_iteration_exposes_running_envelopes(worked_game):
     status, iters, u, v, w = value_iteration_raw(
         worked_game, F(1, 10**8), 10**6, exact=True)
@@ -348,3 +359,80 @@ def test_rounded_witness_triggers_rational_rerun():
     assert report == check_feasibility(g, exact=True)
     assert report.engine == "rational"
     assert verify_subharmonic(g, report.witness)[0]
+
+
+# ---------------------------------------------------------------------------
+# the certificate stop
+# ---------------------------------------------------------------------------
+
+RUNNING_MARGIN = F(1, 28)  # the running example's value per Shapley step
+
+
+def digits(t: Fraction) -> int:
+    return len(str(abs(t.numerator))) + len(str(t.denominator))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["double", "exact"])
+@pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+@pytest.mark.parametrize("k", range(3, 10))
+def test_near_boundary_is_decided_by_a_checked_iterate(worked_game, k, side,
+                                                       exact):
+    # the running example with value +-10^-k per step: the epsilon exits
+    # would need about 7 * 10^(k-1) steps, and from k = 7 on more than the
+    # default max_iters
+    g = shift_min_rewards(worked_game, side * F(1, 10**k) - RUNNING_MARGIN)
+    report = check_feasibility(g, exact=exact)
+    assert report.verdict == ("Feasible" if side > 0 else "Infeasible")
+    assert FIRST_CHECK <= report.iterations <= 2 * FIRST_CHECK
+    if side > 0:
+        assert verify_subharmonic(g, report.witness)[0]
+    else:
+        assert _superharmonic(g, report.witness, 0) == (True, True)
+    if exact:
+        assert report.engine == "rational"
+        assert max(map(digits, report.witness)) < 100
+
+
+def two_cycles(a, b):
+    """Two one-state cycles, F(x) = (a + x_0, b + x_1) exactly.  Min pays
+    a - 1/3 and Max receives 1/3 on each, so the doubles round."""
+    return StochGame(2, 2, (
+        (MinAction((0,), F(a) - F(1, 3)),),
+        (MinAction((1,), F(b) - F(1, 3)),),
+    ), (
+        (MaxAction(0, F(1, 3)),),
+        (MaxAction(1, F(1, 3)),),
+    ))
+
+
+def test_certificate_is_decided_in_integers():
+    # F(u)_0 = u_0 exactly, but the doubles put F(u)_0 one ulp below 0.5
+    u = np.array([0.5, 0.5])
+    assert two_cycles(0, -1).step(u)[0] < u[0]
+    # a tie in one entry: subharmonic, but not strictly superharmonic
+    assert _certificate(two_cycles(0, 1), u) == "feasible"
+    assert _certificate(two_cycles(0, -1), u) is None
+    assert _certificate(two_cycles(0, 0), u) == "feasible"
+    assert _certificate(two_cycles(-1, -1), u) == "infeasible"
+    assert _certificate(two_cycles(1, -1), u) is None
+    fractions = np.array([F(1, 2), F(1, 2)], dtype=object)
+    assert _certificate(two_cycles(0, -1), fractions) is None
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["double", "exact"])
+def test_checks_come_at_doublings_of_the_first(exact, monkeypatch):
+    # value 0 at state 0, where nothing settles the iterate, and -1/2 per
+    # step at state 1: u = (0, -t/2) is subharmonic at no step t, strictly
+    # superharmonic at none, and never within the epsilon exits
+    g = two_cycles(0, F(-1, 2))
+    checked = []
+    doubled_step = StochGame.doubled_step
+
+    def counted(self, v):
+        checked.append(max(map(abs, v)) * 2)  # the step count, 2 |u_1|
+        return doubled_step(self, v)
+
+    monkeypatch.setattr(StochGame, "doubled_step", counted)
+    status, iters, *_ = value_iteration_raw(g, F(1, 10**8), 1000, exact)
+    assert (status, iters) == ("indeterminate", 1000)
+    assert checked == [64, 128, 256, 512]
