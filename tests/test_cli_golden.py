@@ -93,6 +93,62 @@ def _raised(matrices, shift) -> list:
 NEAR = Fraction(1, 10**5)
 NEAR_FEASIBLE = _raised(RUNNING_MATRICES, Fraction(1, 28) - NEAR)
 NEAR_INFEASIBLE = _raised(RUNNING_MATRICES, Fraction(1, 28) + NEAR)
+# a general pencil: positively signed off-diagonal entries, negatively
+# signed diagonal entries, and row 3 entirely -inf
+GENERAL_MATRICES = [
+    {"entries": [{"i": 1, "j": 1, "sign": "+", "val": "1"},
+                 {"i": 1, "j": 2, "sign": "+", "val": "1/2"},
+                 {"i": 2, "j": 2, "sign": "-", "val": "0"}]},
+    {"entries": [{"i": 1, "j": 1, "sign": "-", "val": "2"},
+                 {"i": 1, "j": 2, "sign": "-", "val": "1"},
+                 {"i": 2, "j": 2, "sign": "+", "val": "3/2"}]},
+    {"entries": [{"i": 1, "j": 2, "sign": "+", "val": "-1"},
+                 {"i": 2, "j": 2, "sign": "+", "val": "0"}]},
+]
+# moduli over the denominators 3 and 7
+MIXED_DEN_MATRICES = [
+    {"entries": [{"i": 1, "j": 1, "sign": "+", "val": "1/3"},
+                 {"i": 1, "j": 2, "sign": "-", "val": "2/7"}]},
+    {"entries": [{"i": 1, "j": 1, "sign": "-", "val": "5/3"},
+                 {"i": 1, "j": 2, "sign": "+", "val": "1/3"},
+                 {"i": 2, "j": 2, "sign": "+", "val": "2/7"}]},
+]
+# examples/dominion_game.json translated to a pencil (`pencil_from_game`),
+# with the affine flag set
+DOMINION_AFFINE = {
+    "n": 4, "m": 3, "affine": True,
+    "matrices": [
+        {"entries": [{"i": 1, "j": 1, "sign": "-", "val": "0"}]},
+        {"entries": [{"i": 2, "j": 3, "sign": "-", "val": "0"}]},
+        {"entries": [{"i": 2, "j": 2, "sign": "+", "val": "0"}]},
+        {"entries": [{"i": 3, "j": 3, "sign": "-", "val": "0"}]}],
+}
+# an affine pencil whose game has five dominions; the only winning one,
+# {4}, does not contain state 1
+LOSING_AFFINE = {
+    "n": 4, "m": 4, "affine": True,
+    "matrices": [
+        {"entries": [{"i": 1, "j": 1, "sign": "+", "val": "1"},
+                     {"i": 1, "j": 2, "sign": "-", "val": "1"},
+                     {"i": 1, "j": 3, "sign": "-", "val": "-3/2"},
+                     {"i": 3, "j": 3, "sign": "+", "val": "1/2"},
+                     {"i": 3, "j": 4, "sign": "-", "val": "0"},
+                     {"i": 4, "j": 4, "sign": "+", "val": "-3/2"}]},
+        {"entries": [{"i": 1, "j": 3, "sign": "-", "val": "-1/2"},
+                     {"i": 1, "j": 4, "sign": "-", "val": "0"},
+                     {"i": 2, "j": 2, "sign": "-", "val": "2"},
+                     {"i": 2, "j": 3, "sign": "-", "val": "-1/2"},
+                     {"i": 2, "j": 4, "sign": "-", "val": "1"},
+                     {"i": 3, "j": 4, "sign": "-", "val": "-3/2"}]},
+        {"entries": [{"i": 1, "j": 1, "sign": "+", "val": "2"},
+                     {"i": 2, "j": 2, "sign": "-", "val": "1/2"},
+                     {"i": 2, "j": 3, "sign": "-", "val": "-1"},
+                     {"i": 2, "j": 4, "sign": "-", "val": "-3/2"},
+                     {"i": 3, "j": 4, "sign": "-", "val": "-2"}]},
+        {"entries": [{"i": 1, "j": 1, "sign": "+", "val": "1"},
+                     {"i": 1, "j": 2, "sign": "-", "val": "-3/2"},
+                     {"i": 2, "j": 2, "sign": "+", "val": "-3/2"}]}],
+}
 CERT = {"kind": "Feasibility",
         "vector": ["4550473850856407/4503599627370496", "0",
                    "4872159469020117/4503599627370496"],
@@ -143,6 +199,10 @@ FILES = {
     "near_infeasible": {"n": 3, "m": 3, "matrices": NEAR_INFEASIBLE},
     "cert": CERT,
     "cert_tampered": dict(CERT, vector=["100"] + CERT["vector"][1:]),
+    "general": {"n": 3, "m": 3, "matrices": GENERAL_MATRICES},
+    "mixed_den": {"n": 2, "m": 2, "matrices": MIXED_DEN_MATRICES},
+    "dominion_affine": DOMINION_AFFINE,
+    "losing_affine": LOSING_AFFINE,
 }
 
 PENCIL_COMMANDS = (["check"], ["exact"], ["game"], ["normalize"],
@@ -192,6 +252,10 @@ CASES = (
        for name in ("near_feasible", "near_infeasible")
        for cmd in (["check"], ["check", "--exact"])]
     + [["certify", "--lambda=24993/700000", "{running}"]]  # 1/28 - 1/10^5
+    + [["metzlerize", arg]
+       for arg in ("{gen:3:3:0}", "{file:general}", "{file:mixed_den}")]
+    + [["affine", f"{{file:{name}}}"]
+       for name in ("dominion_affine", "losing_affine")]
 )
 
 
