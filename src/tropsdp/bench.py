@@ -18,11 +18,9 @@ exact loop would, up to the rounding of the averages themselves.
 
 from __future__ import annotations
 
-import os
 import platform
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -127,10 +125,9 @@ def _run_sample(spec: GenSpec, epsilon: float, max_iters: int, reps: int):
 
 
 def _run_cell(n: int, m: int, samples: int, epsilon: float, seed: int,
-              max_iters: int, reps: int, pool: ThreadPoolExecutor) -> CellResult:
-    specs = [GenSpec(n, m, _sample_seed(seed, n, m, s)) for s in range(samples)]
-    results = list(pool.map(
-        lambda sp: _run_sample(sp, epsilon, max_iters, reps), specs))
+              max_iters: int, reps: int) -> CellResult:
+    results = [_run_sample(GenSpec(n, m, _sample_seed(seed, n, m, s)),
+                           epsilon, max_iters, reps) for s in range(samples)]
     feasible = sum(1 for v, _, _ in results if v == "feasible")
     indeterminate = sum(1 for v, _, _ in results if v == "indeterminate")
     mean_iters = Fraction(sum(it for _, it, _ in results), samples)
@@ -144,11 +141,10 @@ def _run_cell(n: int, m: int, samples: int, epsilon: float, seed: int,
 
 def _run_cells(sizes, samples: int, epsilon: float, seed: int,
                max_iters: int, reps: int) -> list:
-    """One CellResult per (n, m) in sizes; the samples of each cell run on
-    a pool of one thread per CPU."""
-    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
-        return [_run_cell(n, m, samples, epsilon, seed, max_iters, reps, pool)
-                for n, m in sizes]
+    """One CellResult per (n, m) in sizes; samples run one after another,
+    so no timed run overlaps another."""
+    return [_run_cell(n, m, samples, epsilon, seed, max_iters, reps)
+            for n, m in sizes]
 
 
 def phase_diagram(n_list: Sequence[int], m_list: Sequence[int], samples: int = 10,

@@ -259,12 +259,13 @@ def _cmd_check(args) -> int:
             gone = [v + 1 for v in norm.eliminated_variables]
             print(f"note: variables {gone} are forced to -inf; the witness is "
                   "over the remaining variables", file=sys.stderr)
-        if structural_constant_value_check(reduced) == "Unknown":
-            print("note: constant-value hypothesis not structurally guaranteed; "
-                  "verdict computed assuming ergodicity", file=sys.stderr)
         report = check_feasibility(game_from_pencil(reduced),
                                    epsilon=args.eps, max_iters=args.max_iters,
                                    exact=args.exact)
+        if (report.exit == "epsilon"
+                and structural_constant_value_check(reduced) == "Unknown"):
+            print("note: constant-value hypothesis not structurally guaranteed; "
+                  "verdict computed assuming ergodicity", file=sys.stderr)
     _emit(args, jsonio.dump_json(jsonio.report_to_json(report)))
     if report.verdict == "Feasible":
         return EXIT_FEASIBLE

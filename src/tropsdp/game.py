@@ -7,8 +7,9 @@ pays its reward r^a_k, and nature moves to Max state i or j with probability
 play moves to Min state k.  Both players always have at least one action.
 
 ``StochGame`` is the one game class: it stores the flat arrays that value
-iteration and the exact witness check run on, and reads them back as tuples
-of actions with Fraction rewards for the exact engines.
+iteration, the exact witness check, the translation back to a pencil and
+the dominion masks run on, and reads them back as tuples of actions with
+Fraction rewards for the JSON layer and the exact reference evaluators.
 
 A Metzler pencil turns into such a game (``game_from_pencil``) by reading
 negatively signed entries of Q^(k) as Min actions of state k and positively
@@ -22,7 +23,6 @@ otherwise.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (AssumptionViolated, NotADominion, PolicySpaceTooLarge,
                      ValidationError)
 from .pencil import NOT_METZLER, Pencil, int_array
-from .tropical import NEG, POS, SignedTrop, as_fraction
+from .tropical import NEG, POS, as_fraction
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,17 @@ def _float_view(p: np.ndarray, den: int) -> np.ndarray:
     if p.dtype != object and den < 2**53 and max(p.max(), -p.min()) < 2**53:
         return p / den
     return np.array([q / den for q in p.tolist()])
+
+
+def _segment_starts(count) -> np.ndarray:
+    """Where each state's block of actions starts, from the per-state
+    action counts."""
+    return np.concatenate(([0], np.cumsum(count)[:-1])).astype(np.intp)
+
+
+def _owners(seg: np.ndarray, total: int) -> np.ndarray:
+    """The state of each of the ``total`` actions laid out by ``seg``."""
+    return np.repeat(np.arange(len(seg)), np.diff(seg, append=total))
 
 
 def _compile(max_t, max_seg, max_gain, min_i, min_j, min_seg,
@@ -131,7 +142,7 @@ class StochGame:
             canon_max.append(tuple(sorted(set(actions), key=lambda b: (b.target, b.reward))))
         flat_max = [b for acts in canon_max for b in acts]
         flat_min = [a for acts in canon_min for a in acts]
-        starts = lambda canon: list(itertools.accumulate(map(len, canon[:-1]), initial=0))
+        starts = lambda canon: _segment_starts([len(acts) for acts in canon])
         self._store(*_compile(
             [b.target for b in flat_max], starts(canon_max), [b.reward for b in flat_max],
             [a.targets[0] for a in flat_min], [a.targets[-1] for a in flat_min],
@@ -242,9 +253,7 @@ class StochGame:
         a = {i, j} of state k, Y being the Max values of X.  Comparing the
         two decides v <= F(v), v >= F(v) and their strict forms exactly."""
         max_r, min_r, x = self._scaled(v)
-        y = np.maximum.reduceat(max_r + x[self.max_t], self.max_seg)
-        return 2 * x, np.minimum.reduceat(
-            2 * min_r + y[self.min_i] + y[self.min_j], self.min_seg)
+        return 2 * x, self._apply(x, max_r, 2 * min_r, 1)
 
     def is_subharmonic(self, v: Sequence) -> bool:
         """Exact test of v <= F(v), in integers (see ``doubled_step``)."""
@@ -283,10 +292,10 @@ def game_from_pencil(P: Pencil) -> StochGame:
             f"row {int(np.argmin(max_count))} has no positively signed "
             "diagonal entry; run normalize first")
     by_row = np.argsort(P.i[pos], kind="stable")  # entries come sorted by k
-    starts = lambda count: np.concatenate(([0], np.cumsum(count)[:-1])).astype(np.intp)
     return StochGame.from_arrays(
-        P.k[pos][by_row], starts(max_count), int_array(P.num[pos][by_row]),
-        P.i[neg], P.j[neg], starts(min_count), int_array(-P.num[neg]), P.den)
+        P.k[pos][by_row], _segment_starts(max_count),
+        int_array(P.num[pos][by_row]), P.i[neg], P.j[neg],
+        _segment_starts(min_count), int_array(-P.num[neg]), P.den)
 
 
 def pencil_from_game(G: StochGame) -> Pencil:
@@ -300,43 +309,44 @@ def pencil_from_game(G: StochGame) -> Pencil:
     several parallel actions only the dominant reward matters: the smallest
     for Min, the largest for Max.)
     """
-    neg_best: dict = {}  # (k, i, j) i <= j -> modulus = max of -reward
-    for k, actions in enumerate(G.min_actions):
-        for a in actions:
-            i, j = a.targets[0], a.targets[-1]
-            key = (k, i, j)
-            mod = -a.reward
-            if key not in neg_best or mod > neg_best[key]:
-                neg_best[key] = mod
-    pos_best: dict = {}  # (k, i) -> max reward
-    for i, actions in enumerate(G.max_actions):
-        for b in actions:
-            key = (b.target, i)
-            if key not in pos_best or b.reward > pos_best[key]:
-                pos_best[key] = b.reward
-
-    entries: list[list] = [[] for _ in range(G.n)]
-    for (k, i, j), mod in neg_best.items():
-        if i != j:
-            entries[k].append((i, j, SignedTrop.neg(mod)))
-    for k in range(G.n):
-        for i in range(G.m):
-            neg = neg_best.get((k, i, i))
-            pos = pos_best.get((k, i))
-            if neg is None and pos is None:
-                continue
-            if pos is None or (neg is not None and neg > pos):
-                entries[k].append((i, i, SignedTrop.neg(neg)))
-            else:
-                entries[k].append((i, i, SignedTrop.pos(pos)))
-    flat = [(k, i, j, v) for k, triplets in enumerate(entries)
-            for i, j, v in triplets]
-    return Pencil.from_entries(G.n, G.m, flat)
+    # Every action as a candidate entry; per position the last one in
+    # (position, modulus, sign) order wins.
+    k = np.concatenate((_owners(G.min_seg, len(G.min_p)), G.max_t))
+    i = np.concatenate((G.min_i, _owners(G.max_seg, len(G.max_p))))
+    j = np.concatenate((G.min_j, i[len(G.min_i):]))
+    sign = np.repeat(np.array([NEG, POS], dtype=np.int8),
+                     (len(G.min_p), len(G.max_p)))
+    num = np.concatenate((-G.min_p, G.max_p))
+    key = (k * G.m + i) * G.m + j
+    order = np.argsort(sign, kind="stable")
+    order = order[np.argsort(num[order], kind="stable")]
+    order = order[np.argsort(key[order], kind="stable")]
+    last = np.append(key[order][1:] != key[order][:-1], True)
+    win = order[last]
+    return Pencil.from_arrays(G.n, G.m, k[win], i[win], j[win], sign[win],
+                              num[win], G.den)
 
 
 # ---------------------------------------------------------------------------
 # Dominions
 # ---------------------------------------------------------------------------
+
+def _state_mask(G: StochGame, D: Iterable) -> np.ndarray:
+    dset = frozenset(D)
+    if not dset or not all(0 <= k < G.n for k in dset):
+        raise ValidationError("D must be a nonempty subset of the Min states")
+    inside = np.zeros(G.n, dtype=bool)
+    inside[list(dset)] = True
+    return inside
+
+
+def _closed(G: StochGame, inside: np.ndarray) -> bool:
+    """Is the Min state set with this mask a dominion?"""
+    covered = np.logical_or.reduceat(inside[G.max_t], G.max_seg)
+    kept = np.logical_and.reduceat(covered[G.min_i] & covered[G.min_j],
+                                   G.min_seg)
+    return bool(kept[inside].all())
+
 
 def is_dominion(G: StochGame, D: Iterable) -> bool:
     """Can Max keep the play inside the Min states D forever?
@@ -344,40 +354,30 @@ def is_dominion(G: StochGame, D: Iterable) -> bool:
     True iff every action of every state in D leads only to Max states that
     have at least one action back into D.
     """
-    dset = frozenset(D)
-    if not dset or not all(0 <= k < G.n for k in dset):
-        raise ValidationError("D must be a nonempty subset of the Min states")
-    covered = [any(b.target in dset for b in acts) for acts in G.max_actions]
-    return all(
-        covered[i]
-        for k in dset
-        for a in G.min_actions[k]
-        for i in a.targets
-    )
+    return _closed(G, _state_mask(G, D))
 
 
 def induced_subgame(G: StochGame, D: Iterable) -> StochGame:
     """Restriction of the game to the dominion D: Min keeps all its actions,
     Max keeps the actions leading back into D.  State numbering follows
     sorted(D) and the sorted list of Max states reachable from D."""
-    dset = frozenset(D)
-    if not is_dominion(G, dset):
-        raise NotADominion(f"{sorted(dset)} is not a dominion")
-    min_states = sorted(dset)
-    max_states = sorted({i for k in min_states for a in G.min_actions[k] for i in a.targets})
-    min_index = {k: idx for idx, k in enumerate(min_states)}
-    max_index = {i: idx for idx, i in enumerate(max_states)}
-    min_actions = tuple(
-        tuple(MinAction(tuple(max_index[i] for i in a.targets), a.reward)
-              for a in G.min_actions[k])
-        for k in min_states
-    )
-    max_actions = tuple(
-        tuple(MaxAction(min_index[b.target], b.reward)
-              for b in G.max_actions[i] if b.target in dset)
-        for i in max_states
-    )
-    return StochGame(len(min_states), len(max_states), min_actions, max_actions)
+    inside = _state_mask(G, D)
+    if not _closed(G, inside):
+        raise NotADominion(f"{np.flatnonzero(inside).tolist()} is not a dominion")
+    min_keep = inside[_owners(G.min_seg, len(G.min_p))]
+    reached = np.zeros(G.m, dtype=bool)
+    reached[G.min_i[min_keep]] = reached[G.min_j[min_keep]] = True
+    max_owner = _owners(G.max_seg, len(G.max_p))
+    max_keep = reached[max_owner] & inside[G.max_t]
+    # monotone renumberings keep each state's actions in sorted order
+    min_index, max_index = np.cumsum(inside) - 1, np.cumsum(reached) - 1
+    return StochGame.from_arrays(
+        min_index[G.max_t[max_keep]],
+        _segment_starts(np.bincount(max_index[max_owner[max_keep]])),
+        int_array(G.max_p[max_keep]),
+        max_index[G.min_i[min_keep]], max_index[G.min_j[min_keep]],
+        _segment_starts(np.diff(G.min_seg, append=len(G.min_p))[inside]),
+        int_array(G.min_p[min_keep]), G.den)
 
 
 def is_winning_dominion(G: StochGame, D: Iterable) -> bool:

@@ -19,9 +19,10 @@ positive diagonal entry somewhere — the shape the game construction needs —
 detecting obviously nontrivial or trivial instances along the way.
 
 In memory a pencil is its entries on and above the diagonal that are not
--oo, as coordinate arrays; the structural checks and the reductions of
-``normalize`` are mask and ``bincount`` passes over them.  The matrices of
-``SignedTrop`` are a view for the membership tests and ``metzlerize``.
+-oo, as coordinate arrays; the structural checks, the reductions of
+``normalize`` and the lifting of ``metzlerize`` are mask, ``bincount`` and
+concatenation passes over them.  The matrices of ``SignedTrop`` are a view
+for the membership tests, which are the exact reference.
 """
 
 from __future__ import annotations
@@ -334,45 +335,37 @@ def metzlerize(P: Pencil) -> Metzlerization:
     n, m = P.n, P.m
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     pair_var = {pair: n + idx for idx, pair in enumerate(pairs)}
-    order = m + 4 * len(pairs)
-    total_vars = n + len(pairs)
-
-    # entries[v] collects (row, col, value) for the matrix of variable v
-    entries: list[list] = [[] for _ in range(total_vars)]
-
-    for i in range(m):  # family 1: row blocks carry the diagonal forms as-is
-        for k in range(n):
-            e = P.matrices[k][i][i]
-            if not e.is_zero:
-                entries[k].append((i, i, e))
-
-    for idx, (i, j) in enumerate(pairs):
-        base = m + 4 * idx
-        yv = pair_var[(i, j)]
-        # family 2 at `base`, family 3 at `base + 1`: the slack appears
-        # positively in both; the (i,j) entries keep resp. flip their sign.
-        entries[yv].append((base, base, SignedTrop.pos(0)))
-        entries[yv].append((base + 1, base + 1, SignedTrop.pos(0)))
-        for k in range(n):
-            e = P.matrices[k][i][j]
-            if e.is_zero:
-                continue
-            entries[k].append((base, base, e))
-            entries[k].append((base + 1, base + 1, e.negated()))
-        # family 4: 2x2 block with the positive diagonal parts of rows i, j
-        # on its diagonal and the slack on its off-diagonal.
-        for k in range(n):
-            di = P.matrices[k][i][i]
-            if di.sign == POS:
-                entries[k].append((base + 2, base + 2, di))
-            dj = P.matrices[k][j][j]
-            if dj.sign == POS:
-                entries[k].append((base + 3, base + 3, dj))
-        entries[yv].append((base + 2, base + 3, SignedTrop.neg(0)))
-
-    flat = [(k, i, j, v) for k, triplets in enumerate(entries)
-            for i, j, v in triplets]
-    lifted = Pencil.from_entries(total_vars, order, flat)
+    # pair (i, j), i < j, owns the four rows from base(i, j): families 2
+    # and 3 on the first two, family 4's 2x2 block on the last two
+    base = lambda i, j: m + 4 * (i * m - i * (i + 1) // 2 + j - i - 1)
+    diag = P.i == P.j
+    off = ~diag
+    # families 2 and 3: the (i, j) entries, keeping resp. flipping the sign
+    row23 = base(P.i[off], P.j[off])
+    # family 4: a positive Q^(k)_rr once per pair with corner r, on the
+    # block's row 2 when r is the pair's first corner and on row 3 otherwise
+    pos_diag = np.flatnonzero(diag & (P.sign == POS))
+    r = P.i[pos_diag][:, None]
+    c = np.arange(m - 1)[None, :]
+    c = c + (c >= r)  # the m - 1 other rows
+    row4 = (base(np.minimum(r, c), np.maximum(r, c)) + 2 + (r > c)).ravel()
+    pos_diag = pos_diag.repeat(m - 1)
+    # the slack y_ij: +0 on rows 0 and 1 of its block, (-)0 off the diagonal
+    slack = np.repeat(n + np.arange(len(pairs)), 3)
+    slack_base = m + 4 * np.arange(len(pairs))[:, None]
+    slack_i = (slack_base + [0, 1, 2]).ravel()
+    slack_j = (slack_base + [0, 1, 3]).ravel()
+    slack_sign = np.tile(np.array([POS, POS, NEG], dtype=np.int8), len(pairs))
+    lifted = Pencil.from_arrays(
+        n + len(pairs), m + 4 * len(pairs),
+        np.concatenate((P.k[diag], P.k[off], P.k[off], P.k[pos_diag], slack)),
+        np.concatenate((P.i[diag], row23, row23 + 1, row4, slack_i)),
+        np.concatenate((P.i[diag], row23, row23 + 1, row4, slack_j)),
+        np.concatenate((P.sign[diag], P.sign[off], -P.sign[off],
+                        P.sign[pos_diag], slack_sign)),
+        np.concatenate((P.num[diag], P.num[off], P.num[off], P.num[pos_diag],
+                        np.zeros(len(slack), dtype=np.int64))),
+        P.den)
     return Metzlerization(pencil=lifted, source=P, pair_var=pair_var)
 
 

@@ -32,9 +32,10 @@ and the witness to integers (int64 when a bit bound allows, Python ints
 otherwise); if the check fails the loop reruns in rationals.  Correctness
 of the epsilon verdicts under fixed-precision evaluation is part of the
 procedure's contract, provided every state of the game has the same mean
-payoff and it is nonzero.  `apply_F` and `recession` evaluate F and its
-recession operator over Fractions and -oo from the game's action tuples;
-`apply_F` is the exact reference the arrays are tested against.
+payoff and it is nonzero.  `recession` runs the same kernel with zero
+rewards over Fractions and -oo.  `apply_F` evaluates F over Fractions and
+-oo from the game's action tuples; it is the exact reference the arrays are
+tested against.
 """
 
 from __future__ import annotations
@@ -100,24 +101,8 @@ def recession(G: StochGame, x: Sequence[ExtReal]) -> tuple:
     """Recession operator lim_{gamma->oo} F(gamma x)/gamma: the Shapley
     operator of the same game with all rewards set to zero."""
     _check_point(G, x)
-    y = []
-    for acts in G.max_actions:
-        best: ExtReal = MINUS_INF
-        for b in acts:
-            xv = x[b.target]
-            if xv is not MINUS_INF and xv > best:
-                best = xv
-        y.append(best)
-    out = []
-    for acts in G.min_actions:
-        best = None
-        for a in acts:
-            yi, yj = y[a.targets[0]], y[a.targets[-1]]
-            v = MINUS_INF if (yi is MINUS_INF or yj is MINUS_INF) else (yi + yj) / 2
-            if best is None or v < best:
-                best = v
-        out.append(best)
-    return tuple(out)
+    return tuple(G._apply(np.array(x, dtype=object), 0, 0,
+                          Fraction(1, 2)).tolist())
 
 
 def structural_constant_value_check(P: Pencil) -> str:
@@ -143,7 +128,10 @@ class IterationReport:
     and for Infeasible a strictly superharmonic u (F(u) < u in every entry)
     whose entries need not be <= -epsilon.  engine names the arithmetic of
     the iteration that produced them: "double", or "rational" under
-    ``exact`` or after a double witness failed the exact check.
+    ``exact`` or after a double witness failed the exact check.  exit names
+    the stop that decided: "epsilon" (only these verdicts rest on the
+    constant-value hypothesis), "certificate" or "budget"; it is None for
+    a report that no iteration produced.
     """
 
     verdict: str  # "Feasible" | "Infeasible" | "Indeterminate"
@@ -151,6 +139,7 @@ class IterationReport:
     witness: tuple
     epsilon: Fraction
     engine: str = "double"
+    exit: str | None = None
 
 
 def _certificate(G: StochGame, u) -> str | None:
@@ -178,7 +167,9 @@ def _iterate(G: StochGame, epsilon, max_iters: int, exact: bool):
     iterate, v and w.
 
     Runs over doubles, or over Fractions when ``exact``; returns (status,
-    iterations, u, v, w) as arrays in that arithmetic.
+    iterations, u, v, w, exit), the vectors as arrays in that arithmetic
+    and exit the stop that ended the run: "epsilon", "certificate" or
+    "budget".
     """
     if exact:
         step, u = G.exact_step(), np.array([Fraction(0)] * G.n, dtype=object)
@@ -197,25 +188,28 @@ def _iterate(G: StochGame, epsilon, max_iters: int, exact: bool):
             checkpoint *= 2
             status = _certificate(G, u)
             if status is not None:
-                return status, iters, u, u, u
+                return status, iters, u, u, u, "certificate"
         if iters >= max_iters:
-            return "indeterminate", iters, u, v, w
+            return "indeterminate", iters, u, v, w, "budget"
         np.maximum(v, u, out=v)
         np.minimum(w, u, out=w)
         u = step(u)
         iters += 1
     verdict = "infeasible" if u.max() <= -epsilon else "feasible"
-    return verdict, iters, u, v, w
+    return verdict, iters, u, v, w, "epsilon"
+
+
+def _to_fractions(arr: np.ndarray) -> tuple:
+    return tuple(Fraction(t) for t in arr.tolist())
 
 
 def value_iteration_raw(G: StochGame, epsilon, max_iters: int, exact: bool):
     """The bare iteration loop, also tracking the running entrywise minimum w
     (used for infeasibility certificates): returns (status, iterations,
     u, v, w) with rational entries."""
-    status, iters, u, v, w = _iterate(G, as_fraction(epsilon), max_iters,
-                                      exact)
-    to_frac = lambda arr: tuple(Fraction(t) for t in arr.tolist())
-    return status, iters, to_frac(u), to_frac(v), to_frac(w)
+    status, iters, *vectors, _ = _iterate(G, as_fraction(epsilon), max_iters,
+                                          exact)
+    return (status, iters, *map(_to_fractions, vectors))
 
 
 def check_feasibility(G: StochGame, epsilon=Fraction(1, 10**8),
@@ -231,18 +225,19 @@ def check_feasibility(G: StochGame, epsilon=Fraction(1, 10**8),
     structural sufficient condition).  Runs in doubles unless ``exact``; a
     Feasible witness that fails the exact subharmonicity check
     (``StochGame.is_subharmonic``) triggers a rerun of the loop in
-    rationals, whose witness always passes.  Hitting ``max_iters`` yields
-    Indeterminate: no epsilon exit, and no checked iterate was a
-    certificate.
+    rationals, whose witness always passes; a certificate stop has already
+    passed that check.  Hitting ``max_iters`` yields Indeterminate: no
+    epsilon exit, and no checked iterate was a certificate.
     """
     epsilon = as_fraction(epsilon)
-    status, iters, u, v, w = value_iteration_raw(G, epsilon, max_iters, exact)
+    status, iters, u, v, _, stop = _iterate(G, epsilon, max_iters, exact)
     engine = "rational" if exact else "double"
-    if status == "feasible" and not exact and not G.is_subharmonic(v):
+    if (stop == "epsilon" and status == "feasible" and not exact
+            and not G.is_subharmonic(v)):
         engine = "rational"
-        status, iters, u, v, w = value_iteration_raw(
-            G, epsilon, max_iters, exact=True)
+        status, iters, u, v, _, stop = _iterate(G, epsilon, max_iters, True)
     verdict = {"feasible": "Feasible",
                "infeasible": "Infeasible"}.get(status, "Indeterminate")
-    return IterationReport(verdict, iters, v if status == "feasible" else u,
-                           epsilon, engine)
+    return IterationReport(verdict, iters,
+                           _to_fractions(v if status == "feasible" else u),
+                           epsilon, engine, stop)

@@ -125,12 +125,6 @@ class SignedTrop:
     def is_zero(self) -> bool:
         return self.sign == ZERO
 
-    def negated(self) -> "SignedTrop":
-        """Flip the sign (tropical x -> (-)x); -oo is its own negative."""
-        if self.is_zero:
-            return self
-        return SignedTrop(-self.sign, self.modulus)
-
     def __repr__(self):
         if self.is_zero:
             return "-oo"

@@ -1,4 +1,5 @@
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -95,3 +96,22 @@ def trop_points(n, allow_minus_inf=True):
     entry = st.one_of(small_rationals, st.just(MINUS_INF)) \
         if allow_minus_inf else small_rationals
     return st.lists(entry, min_size=n, max_size=n)
+
+
+def sparse_json_games(seed, count):
+    """Seeded games read from JSON: 1-5 Min states, 1-4 Max states, 1-3
+    actions per state, so that many state sets are not dominions."""
+    rng = random.Random(seed)
+    reward = lambda: str(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])))
+    for _ in range(count):
+        n, m = rng.randint(1, 5), rng.randint(1, 4)
+        yield jsonio.game_from_json({
+            "n": n, "m": m,
+            "min_actions": [
+                [{"to": rng.sample(range(1, m + 1), rng.randint(1, min(2, m))),
+                  "reward": reward()} for _ in range(rng.randint(1, 3))]
+                for _ in range(n)],
+            "max_actions": [
+                [{"to": rng.randint(1, n), "reward": reward()}
+                 for _ in range(rng.randint(1, 3))]
+                for _ in range(m)]})

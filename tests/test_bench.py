@@ -132,7 +132,7 @@ def test_dense_iteration_matches_exact_verdict():
     # the sweeps' float loop and the exact loop, both with the certificate stop
     for seed in (*range(5), *LATE_SEEDS):
         game = game_from_pencil(gen_random(GenSpec(4, 3, seed=seed)))
-        status, iters, _, _, _ = _iterate(game, 1e-6, 1000, exact=False)
+        status, iters, *_ = _iterate(game, 1e-6, 1000, exact=False)
         exact_status, exact_iters, _, _, _ = value_iteration_raw(
             game, F(1, 10**6), 1000, exact=True)
         assert (status, iters) == (exact_status, exact_iters)

@@ -1,5 +1,6 @@
 """Pencil <-> game translation and dominion machinery."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from tropsdp.pencil import NOT_METZLER, int_array
 from tropsdp.shapley import apply_F
 from tropsdp.tropical import MINUS_INF
 
-from conftest import games, overlap_free_games, trop_points
+from conftest import games, overlap_free_games, sparse_json_games, trop_points
 
 F = Fraction
 
@@ -233,18 +234,23 @@ def test_game_equality_compares_actions():
 def test_diagonal_slot_keeps_binding_constraint():
     # Min wants -oo... the slot (0, 0, 0) twice over: negatively with
     # modulus -reward, positively with the Max reward.  The larger modulus
-    # wins; ties go to the positive side.
-    def slot(min_reward, max_reward):
+    # wins; ties go to the positive side.  With parallel actions on both
+    # sides, the strongest of each side meet.
+    def slot(min_rewards, max_rewards):
         g = StochGame(
             1, 1,
-            ((MinAction((0,), min_reward),),),
-            ((MaxAction(0, max_reward),),),
+            (tuple(MinAction((0,), r) for r in min_rewards),),
+            (tuple(MaxAction(0, r) for r in max_rewards),),
         )
         return pencil_from_game(g).matrices[0][0][0]
 
-    assert slot(F(-5), F(3)) == SignedTrop.neg(F(5))
-    assert slot(F(-2), F(3)) == SignedTrop.pos(F(3))
-    assert slot(F(-3), F(3)) == SignedTrop.pos(F(3))
+    assert slot([F(-5)], [F(3)]) == SignedTrop.neg(F(5))
+    assert slot([F(-2)], [F(3)]) == SignedTrop.pos(F(3))
+    assert slot([F(-3)], [F(3)]) == SignedTrop.pos(F(3))
+    assert slot([F(-5), F(-1)], [F(5), F(-7)]) == SignedTrop.pos(F(5))
+    assert slot([F(-1), F(-6)], [F(-7), F(5)]) == SignedTrop.neg(F(6))
+    assert slot([F(2), F(3, 2)], [F(-3, 2), F(-2)]) == SignedTrop.pos(F(-3, 2))
+    assert slot([F(2), F(3)], [F(-4), F(-3)]) == SignedTrop.neg(F(-2))
 
 
 def test_parallel_actions_collapse_to_dominant():
@@ -256,6 +262,24 @@ def test_parallel_actions_collapse_to_dominant():
     P = pencil_from_game(g)
     assert P.matrices[0][0][1] == SignedTrop.neg(F(4))
     assert P.matrices[0][0][0] == SignedTrop.pos(F(7))
+    # Min state 0: three parallel {0, 1} actions and two singletons {1}
+    # whose strongest ties with Max state 1's strongest action back to 0;
+    # Min state 1: a singleton {0} that beats Max state 0's actions to 1
+    g = StochGame(
+        2, 2,
+        ((MinAction((0, 1), F(-1)), MinAction((0, 1), F(-9, 4)),
+          MinAction((0, 1), F(3)), MinAction((1,), F(-2)),
+          MinAction((1,), F(1, 3))),
+         (MinAction((0,), F(-4)),)),
+        ((MaxAction(0, F(1)), MaxAction(1, F(3)), MaxAction(1, F(7, 2))),
+         (MaxAction(0, F(2)), MaxAction(0, F(-5)))),
+    )
+    assert pencil_from_game(g) == Pencil.from_entries(2, 2, [
+        (0, 0, 0, SignedTrop.pos(F(1))),
+        (0, 0, 1, SignedTrop.neg(F(9, 4))),
+        (0, 1, 1, SignedTrop.pos(F(2))),
+        (1, 0, 0, SignedTrop.neg(F(4))),
+    ])
 
 
 def test_round_trip_reproduces_worked_pencil(running_pencil):
@@ -345,6 +369,50 @@ def test_enumeration_refuses_large_games(dominion_game):
         dominions(dominion_game, max_states=3)
     with pytest.raises(PolicySpaceTooLarge):
         winning_dominions(dominion_game, max_states=3)
+
+
+def state_sets(n):
+    return (frozenset(D) for size in range(1, n + 1)
+            for D in itertools.combinations(range(n), size))
+
+
+def test_is_dominion_matches_the_tuple_rule():
+    seen = {True: 0, False: 0}
+    for G in sparse_json_games(21, 150):
+        for D in state_sets(G.n):
+            covered = [any(b.target in D for b in acts) for acts in G.max_actions]
+            closed = all(covered[i] for k in D for a in G.min_actions[k]
+                         for i in a.targets)
+            assert is_dominion(G, D) == closed
+            seen[closed] += 1
+    assert min(seen.values()) >= 300
+
+
+def test_induced_subgame_is_the_game_of_the_filtered_tuples():
+    subgames = 0
+    for G in sparse_json_games(22, 150):
+        for D in state_sets(G.n):
+            if not is_dominion(G, D):
+                with pytest.raises(NotADominion):
+                    induced_subgame(G, D)
+                continue
+            min_states = sorted(D)
+            max_states = sorted({i for k in min_states
+                                 for a in G.min_actions[k] for i in a.targets})
+            expected = StochGame(
+                len(min_states), len(max_states),
+                tuple(tuple(MinAction(tuple(max_states.index(i) for i in a.targets),
+                                      a.reward) for a in G.min_actions[k])
+                      for k in min_states),
+                tuple(tuple(MaxAction(min_states.index(b.target), b.reward)
+                            for b in G.max_actions[i] if b.target in D)
+                      for i in max_states))
+            sub = induced_subgame(G, D)
+            assert sub == expected
+            assert (sub.min_actions, sub.max_actions) == (
+                expected.min_actions, expected.max_actions)
+            subgames += 1
+    assert subgames >= 300
 
 
 @settings(max_examples=40, deadline=None)

@@ -33,7 +33,8 @@ from tropsdp.shapley import (
 )
 from tropsdp.tropical import MINUS_INF
 
-from conftest import dyadic_rationals, games, small_rationals, trop_points
+from conftest import (dyadic_rationals, games, small_rationals, sparse_json_games,
+                      trop_points)
 
 F = Fraction
 
@@ -166,6 +167,22 @@ def test_recession_is_the_zero_reward_operator(data):
     assert recession(g, x) == apply_F(zeroed, x)
 
 
+def test_recession_on_seeded_games_and_points_with_minus_inf():
+    rng = random.Random(23)
+    for g in sparse_json_games(23, 200):
+        zeroed = StochGame(
+            g.n, g.m,
+            tuple(tuple(MinAction(a.targets, F(0)) for a in acts)
+                  for acts in g.min_actions),
+            tuple(tuple(MaxAction(b.target, F(0)) for b in acts)
+                  for acts in g.max_actions))
+        for _ in range(10):
+            x = [MINUS_INF if rng.random() < 0.4
+                 else F(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+                 for _ in range(g.n)]
+            assert recession(g, x) == apply_F(zeroed, x)
+
+
 def test_structural_check(running_pencil):
     assert structural_constant_value_check(running_pencil) == UNKNOWN
     dense = Pencil.from_entries(2, 2, [
@@ -189,6 +206,7 @@ def test_worked_example_feasible_in_twenty_iterations(worked_game):
     assert report.iterations == 20
     assert report.epsilon == F(1, 10**8)
     assert report.witness == (F(2139951, 2**21), F(0), F(2289749, 2**21))
+    assert report.exit == "epsilon"
     fw = apply_F(worked_game, report.witness)
     assert all(a <= b for a, b in zip(report.witness, fw))
 
@@ -212,14 +230,23 @@ def test_zero_cycle_is_indeterminate():
     report = check_feasibility(cycle_game(0, 0), max_iters=50)
     assert report.verdict == "Indeterminate"
     assert report.iterations == 50
+    assert report.exit == "budget"
 
 
-def test_zero_cycle_is_decided_at_the_first_check():
-    # F(0) = 0: the iterate 0 is subharmonic, though no epsilon exit comes
+def test_zero_cycle_is_decided_at_the_first_check(monkeypatch):
+    # F(0) = 0: the iterate 0 is subharmonic, though no epsilon exit comes;
+    # the certificate stop proved that in integers, so the witness is not
+    # checked a second time
+    checked = []
+    is_subharmonic = StochGame.is_subharmonic
+    monkeypatch.setattr(StochGame, "is_subharmonic",
+                        lambda self, v: checked.append(v) or is_subharmonic(self, v))
     report = check_feasibility(cycle_game(0, 0))
     assert report.verdict == "Feasible"
     assert report.iterations == FIRST_CHECK
     assert report.witness == (F(0),)
+    assert report.exit == "certificate"
+    assert checked == []
 
 
 def test_raw_iteration_exposes_running_envelopes(worked_game):
@@ -383,6 +410,7 @@ def test_near_boundary_is_decided_by_a_checked_iterate(worked_game, k, side,
     g = shift_min_rewards(worked_game, side * F(1, 10**k) - RUNNING_MARGIN)
     report = check_feasibility(g, exact=exact)
     assert report.verdict == ("Feasible" if side > 0 else "Infeasible")
+    assert report.exit == "certificate"
     assert FIRST_CHECK <= report.iterations <= 2 * FIRST_CHECK
     if side > 0:
         assert verify_subharmonic(g, report.witness)[0]
