@@ -23,7 +23,6 @@ from .errors import TropSdpError, ValidationError
 from .exact import (DEFAULT_PAIR_CAP, affine_feasibility, game_value_bruteforce,
                     solve_tmsdfp)
 from .game import game_from_pencil
-from .markov import analyze, chain_from_policies
 from .pencil import metzlerize, normalize
 from .shapley import (IterationReport, check_feasibility,
                       structural_constant_value_check)
@@ -212,9 +211,7 @@ def _value_to_json(value) -> dict:
     }
 
 
-def _chain_to_json(G, sigma, tau) -> dict:
-    chain = chain_from_policies(G, sigma, tau)
-    info = analyze(chain)
+def _chain_to_json(info) -> dict:
     return {
         "recurrent_classes": [sorted(c) for c in info.recurrent_classes],
         "stationary": [
@@ -278,9 +275,10 @@ def _cmd_check(args) -> int:
 
 def _emit_value(args, out: dict, G, value) -> None:
     """The shared tail of `exact` and `solve-game`: the chain of the
-    optimal pair under --dump-chain, the JSON, then --policies on stderr."""
+    optimal pair under --dump-chain (the analysis that rechecked the
+    value), the JSON, then --policies on stderr."""
     if args.dump_chain:
-        out["chain"] = _chain_to_json(G, *value.optimal_pair)
+        out["chain"] = _chain_to_json(value.chain)
     _emit(args, jsonio.dump_json(out))
     if args.policies:
         print("optimal pair:\n" + _describe_policies(G, value.optimal_pair),

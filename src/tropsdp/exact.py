@@ -3,16 +3,18 @@
 Positional policies suffice for both players of these games, and fixing a
 pair of policies turns the play into a finite Markov chain whose average
 reward is a ratio of integers.  At desk scale we can therefore obtain the
-exact value vector chi by brute force: one pass over all policy pairs
-evaluates each pair once, folding its gain into the best reply of Max to
-each Min policy and of Min to each Max policy.  Max moves
-deterministically, so a pair's chain folds onto the Min states, each state
-moving to at most two of them with probability 1/2; its gains come from
-fraction-free integer elimination on that folded chain, and
-``markov.analyze`` of the full chain rechecks the optimal pair.  The min of
-the former is the min-max value, the max of the latter the max-min value;
-the two must agree (the saddle point property), and a specific optimal pair
-must attain them.  Any mismatch aborts, since it can only come from an
+exact value vector chi by brute force, evaluating every policy pair once on
+the game arrays, a block of whole sigma rows against every tau at a time.
+Max moves deterministically, so a pair's chain folds onto the Min states,
+each state moving to at most two of them with probability 1/2.  Its limit
+law depends only on the unordered successor pairs, the chain shape, so
+fraction-free integer elimination runs once per shape; over the shapes'
+common denominator, the gains of a block are integer numerators, one
+matrix-vector product per pair.  The min over sigma of the best replies of
+Max is the min-max value, the max over tau of the best replies of Min the
+max-min value; the two must agree (the saddle point property), and a
+specific optimal pair must attain them, as ``markov.analyze`` of its full
+chain rechecks.  Any mismatch aborts, since it can only come from an
 implementation bug.
 
 On top of the solver sit the two exact feasibility procedures: nontriviality
@@ -24,11 +26,12 @@ variant asking for a point whose distinguished coordinate 0 is finite
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from .errors import (
     PolicySpaceTooLarge,
@@ -37,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .game import StochGame, game_from_pencil, winning_dominions
-from .markov import (_strongly_connected_components, analyze,
+from .markov import (ChainAnalysis, _strongly_connected_components, analyze,
                      chain_from_policies)
 from .pencil import (
     NormalizeResult,
@@ -50,6 +53,7 @@ from .pencil import (
 )
 
 DEFAULT_PAIR_CAP = 10**6
+_BLOCK = 1 << 15  # (policy pair, Min state) entries per block of sigmas
 
 
 @dataclass(frozen=True)
@@ -58,13 +62,15 @@ class GameValue:
 
     eta = 2 chi is the mean payoff per full turn (one Min move plus one Max
     move).  The optimal pair attains chi componentwise: chi_k equals the
-    chain gain g_k(sigma, tau) for every k.
+    chain gain g_k(sigma, tau) for every k.  chain is ``markov.analyze`` of
+    the optimal pair's unfolded chain, the reference that rechecked chi.
     """
 
     chi: tuple
     eta: tuple
     optimal_pair: tuple
     saddle_verified: bool
+    chain: Optional[ChainAnalysis] = field(default=None, compare=False, repr=False)
 
 
 def _solve_int(a: list, b: list) -> tuple:
@@ -139,89 +145,152 @@ def _limit_rows(succ: tuple) -> list:
     return groups
 
 
-def _gains(moves: tuple, reply: tuple, limits: dict, scale: int) -> tuple:
-    """The chain gain g_k(sigma, tau) at every Min state k, on the chain
-    folded onto the Min states.
+def _policies(seg: np.ndarray, total: int) -> np.ndarray:
+    """Every policy of the states whose ``total`` actions ``seg`` lays out,
+    one row of global action indices per policy, in product order (the last
+    state's action varies fastest)."""
+    count = tuple(np.diff(seg, append=total).tolist())
+    return np.indices(count).reshape(len(count), -1).T + seg
 
-    ``moves[k] = (i, j, 2 p)`` is sigma's action at Min state k and
-    ``reply = (t, q)`` holds tau's target t[i] and reward q[i] at each Max
-    state, rewards being numerators over ``den`` and ``scale = 4 den``.
-    Under the pair, Min state k moves to Min states t[i] and t[j] with
-    probability 1/2 each and earns (2 p + q[i] + q[j]) / (4 den) per step of
-    the unfolded chain, half of a turn's reward.  ``limits`` caches
-    ``_limit_rows`` by successor structure, which the rewards do not enter.
-    """
-    t, q = reply
-    succ = tuple((t[i], t[j]) for i, j, _ in moves)
-    groups = limits.get(succ)
-    if groups is None:
-        groups = limits[succ] = _limit_rows(succ)
-    r = [p2 + q[i] + q[j] for i, j, p2 in moves]
-    gains = [None] * len(moves)
-    for states, row, d in groups:
-        g = Fraction(sum(c * r[v] for v, c in row), d * scale)
-        for u in states:
-            gains[u] = g
-    return tuple(gains)
+
+def _shape_ids(first: np.ndarray, second: np.ndarray, shapes: dict) -> np.ndarray:
+    """The chain shape of every pair of a block, as an index into
+    ``shapes``, which gains the shapes not seen before.
+
+    Under the pair at ``[s, t]``, Min state k moves to Min states
+    ``first[s, t, k]`` and ``second[s, t, k]``.  A move to (a, b) is the
+    same as one to (b, a), so a shape is the tuple of the sorted pairs,
+    each coded lo * n + hi."""
+    n = first.shape[-1]
+    code = np.minimum(first, second) * n + np.maximum(first, second)
+    code = code.reshape(-1, n)
+    # rank the rows lexicographically one state at a time, which keeps
+    # every intermediate below rows * n^2
+    rank = np.zeros(len(code), dtype=np.int64)
+    for column in code.T:
+        _, where, rank = np.unique(rank * (n * n) + column,
+                                   return_index=True, return_inverse=True)
+    ids = np.array([shapes.setdefault(key, len(shapes))
+                    for key in map(tuple, code[where].tolist())])
+    return ids.astype(np.min_scalar_type(len(shapes)))[
+        rank.reshape(first.shape[:-1])]
+
+
+def _coefficients(shapes: dict, n: int) -> tuple:
+    """(coef, L): the limiting matrix of every chain shape over the one
+    common denominator L, the lcm of the shapes' own denominators.
+
+    ``coef[s, u]`` lists Min state u's long-run law under shape s as
+    nonnegative integers summing to L, so a pair's gain at u is
+    ``coef[s, u] @ r / (L scale)`` for its reward numerators r over
+    ``scale``."""
+    laws = []
+    for key in shapes:
+        law = [None] * n
+        for states, row, d in _limit_rows(tuple(divmod(c, n) for c in key)):
+            weights = [0] * n
+            for v, c in row:
+                weights[v] += c
+            g = math.gcd(d, *weights) * (1 if d > 0 else -1)
+            for u in states:
+                law[u] = ([c // g for c in weights], d // g)
+        laws.append(law)
+    lcm = math.lcm(*(d for law in laws for _, d in law))
+    return [[[c * (lcm // d) for c in weights] for weights, d in law]
+            for law in laws], lcm
+
+
+def _gains(coef: np.ndarray, ids: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The gain numerators of a block of policy pairs: at pair (b, t) and
+    Min state u, ``coef[ids[b, t], u] @ r[b, t]``."""
+    # one gather of a law column per state keeps the temporaries at the
+    # block's size
+    return sum(coef[ids, :, v] * r[..., v, None] for v in range(r.shape[-1]))
 
 
 def game_value_bruteforce(G: StochGame, max_pairs: int = DEFAULT_PAIR_CAP) -> GameValue:
     """chi_k = min over sigma of max over tau of the exact chain gain.
 
-    One pass over every policy pair (guarded by ``max_pairs``) evaluates
-    each pair once on its folded chain (``_gains``), keeping per sigma the
-    componentwise max over tau and per tau the componentwise min over
-    sigma.  It then verifies the saddle point property — max-min equals
-    min-max componentwise and the first sigma and the first tau (in product
-    order) whose replies equal chi attain it together, as ``markov.analyze``
-    of their unfolded chain confirms — raising SaddlePointError instead of
+    Every policy pair (guarded by ``max_pairs``) is evaluated once, on its
+    chain folded onto the Min states, block by block: a block holds whole
+    rows of sigmas against every tau, read off the game arrays at once.
+    Under a pair, Min state k takes sigma's action {i, j} (reward p) and
+    moves to tau's targets t_i and t_j with probability 1/2 each, earning
+    (2 p + q_i + q_j) / (4 den) per step of the unfolded chain, half of a
+    turn's reward, where q holds tau's rewards.  A first pass finds each
+    pair's chain shape, the sorted successor pairs, which the rewards do
+    not enter; ``_limit_rows`` runs once per shape, and its laws are
+    brought to one common denominator L.  A second pass computes the gains
+    of a whole block as integer numerators over 4 den L (``_gains``),
+    keeping per sigma the componentwise max over tau and per tau the
+    componentwise min over sigma.  The numerators are int64 when a bit
+    bound rules out overflow and Python ints otherwise; only the returned
+    chi are Fractions.
+
+    It then verifies the saddle point property — max-min equals min-max
+    componentwise and the first sigma and the first tau (in product order)
+    whose replies equal chi attain it together, as ``markov.analyze`` of
+    their unfolded chain confirms — raising SaddlePointError instead of
     returning questionable output.
     """
     pairs = G.policy_count()
     if pairs > max_pairs:
         raise PolicySpaceTooLarge(
             f"{pairs} policy pairs exceed the cap of {max_pairs}")
-    min_i, min_j, min_p = G.min_i.tolist(), G.min_j.tolist(), G.min_p.tolist()
-    max_t, max_p = G.max_t.tolist(), G.max_p.tolist()
+    n = G.n
+    sigmas = _policies(G.min_seg, len(G.min_p))
+    taus = _policies(G.max_seg, len(G.max_p))
+    rows = max(1, _BLOCK // (len(taus) * n))
+    blocks = [sigmas[lo:lo + rows] for lo in range(0, len(sigmas), rows)]
 
-    def per_state(seg, size, action):
-        starts = seg.tolist() + [size]
-        return [[action(a) for a in range(lo, hi)]
-                for lo, hi in zip(starts, starts[1:])]
+    def at_targets(x, sigma):
+        """x, one entry per Max state and tau, at the Max states i and j of
+        the block's Min actions: two (sigma, tau, Min state) arrays."""
+        return (x[G.min_i[sigma]].transpose(0, 2, 1),
+                x[G.min_j[sigma]].transpose(0, 2, 1))
 
-    min_moves = per_state(G.min_seg, len(min_p),
-                          lambda a: (min_i[a], min_j[a], 2 * min_p[a]))
-    max_moves = per_state(G.max_seg, len(max_p), lambda a: (max_t[a], max_p[a]))
-    policies = lambda moves: itertools.product(*(range(len(acts)) for acts in moves))
-    sigma_space = zip(policies(min_moves), itertools.product(*min_moves))
-    replies = [(tau, tuple(zip(*choice))) for tau, choice in
-               zip(policies(max_moves), itertools.product(*max_moves))]
-    limits = {}
-    scale = 4 * G.den
-    h = {}  # sigma -> componentwise max over tau of the gain
-    l = {}  # tau -> componentwise min over sigma of the gain
-    for sigma, moves in sigma_space:
-        for tau, reply in replies:
-            g = _gains(moves, reply, limits, scale)
-            h[sigma] = tuple(map(max, h.get(sigma, g), g))
-            l[tau] = tuple(map(min, l.get(tau, g), g))
-    chi = tuple(map(min, zip(*h.values())))
-    chi_dual = tuple(map(max, zip(*l.values())))
-    sigma_bar = next((sigma for sigma, hs in h.items() if hs == chi), None)
-    tau_bar = next((tau for tau, ls in l.items() if ls == chi), None)
-
+    shapes = {}  # sorted successor pairs -> shape index
+    t = G.max_t[taus].T
+    ids = [_shape_ids(*at_targets(t, sigma), shapes) for sigma in blocks]
+    coef, lcm = _coefficients(shapes, n)
+    # |2 p + q_i + q_j| < 2^(B+2) when every |reward numerator| < 2^B, and
+    # a law's coefficients are nonnegative with sum L, so every gain
+    # numerator and partial sum is below 2^(bits(L) + B + 2).
+    bits = int(max(np.abs(G.max_p).max(), np.abs(G.min_p).max())).bit_length()
+    dtype = np.int64 if lcm.bit_length() + bits + 2 <= 63 else object
+    coef = np.array(coef, dtype=dtype)
+    q, p2 = G.max_p[taus].T.astype(dtype), 2 * G.min_p.astype(dtype)
+    h = []  # per sigma block: componentwise max over tau of the gains
+    l = None  # per tau: componentwise min over sigma of the gains
+    for sigma, shape in zip(blocks, ids):
+        qi, qj = at_targets(q, sigma)
+        g = _gains(coef, shape, p2[sigma][:, None, :] + qi + qj)
+        h.append(g.max(axis=1))
+        l = g.min(axis=0) if l is None else np.minimum(l, g.min(axis=0))
+    h = np.concatenate(h)
+    low = h.min(axis=0)
+    # the first sigma (tau) whose best replies equal the min-max value
+    first = lambda best: next(iter(np.flatnonzero((best == low).all(axis=1))), None)
+    sigma_bar, tau_bar = first(h), first(l)
+    scale = 4 * G.den * lcm
+    value = lambda v: tuple(Fraction(c, scale) for c in v.tolist())
+    chi, chi_dual = value(low), value(l.max(axis=0))
     if chi != chi_dual or sigma_bar is None or tau_bar is None:
         missing = sigma_bar is None or tau_bar is None
         raise SaddlePointError(
             f"saddle point verification failed: min-max {chi}, max-min {chi_dual}, "
             f"uniform optimal pair {'missing' if missing else 'found'}")
-    if analyze(chain_from_policies(G, sigma_bar, tau_bar)).gain[: G.n] != chi:
+    sigma_bar = tuple((sigmas[sigma_bar] - G.min_seg).tolist())
+    tau_bar = tuple((taus[tau_bar] - G.max_seg).tolist())
+    chain = analyze(chain_from_policies(G, sigma_bar, tau_bar))
+    if chain.gain[: G.n] != chi:
         raise SaddlePointError("optimal pair does not attain the value vector")
     return GameValue(
         chi=chi,
         eta=tuple(2 * c for c in chi),
         optimal_pair=(sigma_bar, tau_bar),
         saddle_verified=True,
+        chain=chain,
     )
 
 

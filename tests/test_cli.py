@@ -413,6 +413,33 @@ def test_underflowing_epsilon_needs_exact(capsys):
     assert (report["verdict"], report["iterations"]) == ("Feasible", 20)
 
 
+@pytest.mark.parametrize("command", ["exact", "solve-game"])
+def test_dump_chain_analyses_the_optimal_pair_once(command, tmp_path,
+                                                   monkeypatch, capsys):
+    # the chain printed is the analysis that rechecked the value
+    import tropsdp.cli
+    import tropsdp.exact
+    import tropsdp.markov
+
+    path = RUNNING
+    if command == "solve-game":
+        path = str(tmp_path / "game.json")
+        assert run(["game", RUNNING, "-o", path]) == 0
+    capsys.readouterr()
+    calls = []
+    original = tropsdp.markov.analyze
+
+    def counting(chain):
+        calls.append(chain)
+        return original(chain)
+
+    for module in (tropsdp.markov, tropsdp.exact, tropsdp.cli):
+        monkeypatch.setattr(module, "analyze", counting, raising=False)
+    assert run([command, path, "--dump-chain"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["chain"]["gain"] == ["1/56"] * 6
+
+
 def test_epsilon_accepts_decimal_strings(capsys):
     assert run(["check", RUNNING, "--eps", "0.001"]) == 0
     assert json.loads(capsys.readouterr().out)["epsilon"] == "1/1000"

@@ -2,9 +2,12 @@
 
 import dataclasses
 import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tropsdp import (
@@ -66,26 +69,36 @@ def test_policy_space_cap(worked_game, running_pencil):
         solve_tmsdfp(running_pencil, max_pairs=3)
 
 
+def _counting(log, original):
+    def wrapper(*args):
+        log.append(args)
+        return original(*args)
+    return wrapper
+
+
 def test_each_policy_pair_is_analysed_once(monkeypatch, worked_game):
-    # one folded evaluation per pair, plus one reference analysis of the
-    # optimal pair's unfolded chain
+    # the block evaluator sees whole sigma rows against every tau, each pair
+    # in one block only, plus one reference analysis of the optimal pair's
+    # unfolded chain; one sigma row per block gives the same value
     evaluations, analyses = [], []
-
-    def counting(log, original):
-        def wrapper(*args):
-            log.append(args)
-            return original(*args)
-        return wrapper
-
     monkeypatch.setattr(tropsdp.exact, "_gains",
-                        counting(evaluations, tropsdp.exact._gains))
-    monkeypatch.setattr(tropsdp.exact, "analyze", counting(analyses, analyze))
+                        _counting(evaluations, tropsdp.exact._gains))
+    monkeypatch.setattr(tropsdp.exact, "analyze", _counting(analyses, analyze))
     for G in (worked_game, game_from_pencil(gen_random(GenSpec(2, 3, 0)))):
-        evaluations.clear()
-        analyses.clear()
-        game_value_bruteforce(G)
-        assert len(evaluations) == G.policy_count()
-        assert len(analyses) == 1
+        taus = math.prod(len(b) for b in G.max_actions)
+        values = []
+        for block in (tropsdp.exact._BLOCK, 1):
+            evaluations.clear()
+            analyses.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(tropsdp.exact, "_BLOCK", block)
+                values.append(game_value_bruteforce(G))
+            shapes = [ids.shape for _, ids, _ in evaluations]
+            assert sum(rows * cols for rows, cols in shapes) == G.policy_count()
+            assert all(cols == taus for _, cols in shapes)
+            assert len(analyses) == 1
+        assert len(shapes) == G.policy_count() // taus  # one sigma per block
+        assert values[0] == values[1]
 
 
 def test_saddle_check_rejects_a_pair_the_reference_disagrees_with(
@@ -102,13 +115,20 @@ def test_saddle_check_rejects_a_pair_the_reference_disagrees_with(
 
 def _folded_gains(monkeypatch, G) -> list:
     """The folded gains of every policy pair, in the product order
-    ``game_value_bruteforce`` evaluates them."""
+    ``game_value_bruteforce`` evaluates them, read off the integer
+    numerators of its block evaluator."""
     seen = []
     original = tropsdp.exact._gains
 
-    def recording(*args):
-        seen.append(original(*args))
-        return seen[-1]
+    def recording(coef, ids, r):
+        gains = original(coef, ids, r)
+        # every law's weights sum to the common denominator L
+        lcm = coef.sum(axis=-1)
+        assert (lcm == lcm.flat[0]).all()
+        scale = 4 * G.den * int(lcm.flat[0])
+        seen.extend(tuple(F(int(c), scale) for c in pair)
+                    for pair in gains.reshape(-1, G.n).tolist())
+        return gains
 
     with monkeypatch.context() as patch:
         patch.setattr(tropsdp.exact, "_gains", recording)
@@ -278,6 +298,105 @@ def test_value_matches_direct_min_max(n, m, seed):
         assert value.chi == chi
         assert value.eta == tuple(2 * c for c in chi)
         assert value.optimal_pair == pair
+
+
+def _cross_check(G, monkeypatch) -> set:
+    """Assert that ``game_value_bruteforce`` agrees with ``_direct_value``
+    on G and on its proper dominion subgames; return the dtypes its block
+    evaluator computed in."""
+    dtypes = set()
+    original = tropsdp.exact._gains
+
+    def recording(coef, ids, r):
+        dtypes.add(coef.dtype)
+        return original(coef, ids, r)
+
+    for H in [G] + [induced_subgame(G, D) for D in dominions(G) if len(D) < G.n]:
+        with monkeypatch.context() as patch:
+            patch.setattr(tropsdp.exact, "_gains", recording)
+            value = game_value_bruteforce(H)
+        chi, pair = _direct_value(H)
+        assert (value.chi, value.eta, value.optimal_pair) == (
+            chi, tuple(2 * c for c in chi), pair)
+    return dtypes
+
+
+@pytest.mark.parametrize("grid", [2, 3, 8, 2**31])
+@pytest.mark.parametrize("n, m, seed", [(2, 3, 3), (2, 3, 4), (3, 3, 3), (2, 4, 3)])
+def test_value_matches_direct_on_random_grids(monkeypatch, grid, n, m, seed):
+    # grids 2 and 3 make many gains tie, so the first optimal sigma and tau
+    # are picked among several
+    G = game_from_pencil(gen_random(GenSpec(n, m, seed, grid)))
+    assert _cross_check(G, monkeypatch) == {np.dtype(np.int64)}
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("seed", range(3))
+def test_value_matches_direct_with_singleton_min_actions(monkeypatch, n, m, seed):
+    _cross_check(game_from_pencil(_random_signed_pencil(n, m, seed)), monkeypatch)
+
+
+def test_value_matches_direct_on_dominion_example(monkeypatch, dominion_game):
+    _cross_check(dominion_game, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_value_matches_direct_across_the_int64_bound(monkeypatch, seed):
+    # reward numerators of 50 to 62 bits push the bit bound past 63 bits
+    # somewhere along the sweep: both sides of the switch to Python ints
+    dtypes = set()
+    for bits in range(50, 63):
+        G = game_from_pencil(gen_random(GenSpec(2, 3, seed, 2**bits)))
+        dtypes |= _cross_check(G, monkeypatch)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_value_matches_direct_with_unlike_huge_denominators(monkeypatch):
+    # two Mersenne-prime denominators make den about 2^150 by themselves
+    big, huge = 2**61 - 1, 2**89 - 1
+    G = StochGame(2, 2, (
+        (MinAction((0, 1), F(3, big)), MinAction((1,), F(-5, huge))),
+        (MinAction((0,), F(1, 3)), MinAction((0, 1), F(-7, big))),
+    ), (
+        (MaxAction(0, F(2, huge)), MaxAction(1, F(-1, 3))),
+        (MaxAction(0, F(11, big)), MaxAction(1, F(4, huge))),
+    ))
+    assert _cross_check(G, monkeypatch) == {np.dtype(object)}
+
+
+def test_policy_space_cap_refuses_before_any_limit_computation(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tropsdp.exact, "_limit_rows", calls.append)
+    G = game_from_pencil(gen_random(GenSpec(4, 4, 0)))
+    with pytest.raises(PolicySpaceTooLarge,
+                       match=r"^331776 policy pairs exceed the cap of 331775$"):
+        game_value_bruteforce(G, max_pairs=331775)
+    assert calls == []
+
+
+def test_one_limit_computation_per_unordered_chain_shape(monkeypatch):
+    # a dense 3 x 3 game has 729 pairs but 66 chain shapes once a move to
+    # (a, b) counts as the one to (b, a)
+    calls = []
+    monkeypatch.setattr(tropsdp.exact, "_limit_rows",
+                        _counting(calls, tropsdp.exact._limit_rows))
+    game_value_bruteforce(game_from_pencil(gen_random(GenSpec(3, 3, 0))))
+    shapes = [succ for succ, in calls]
+    assert len(shapes) == len(set(shapes)) == 66
+    assert all(a <= b for succ in shapes for a, b in succ)
+
+
+def test_enumeration_memory_stays_bounded():
+    # 331 776 pairs: blocks of sigmas keep the peak at a few MB (about 6 MB
+    # measured on the 2-CPU Python 3.11 reference machine)
+    G = game_from_pencil(gen_random(GenSpec(4, 4, 0)))
+    tracemalloc.start()
+    try:
+        game_value_bruteforce(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20
 
 
 def test_solve_worked_example(running_pencil):
