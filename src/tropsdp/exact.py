@@ -7,15 +7,16 @@ exact value vector chi by brute force, evaluating every policy pair once on
 the game arrays, a block of whole sigma rows against every tau at a time.
 Max moves deterministically, so a pair's chain folds onto the Min states,
 each state moving to at most two of them with probability 1/2.  Its limit
-law depends only on the unordered successor pairs, the chain shape, so
-fraction-free integer elimination runs once per shape; over the shapes'
-common denominator, the gains of a block are integer numerators, one
-matrix-vector product per pair.  The min over sigma of the best replies of
-Max is the min-max value, the max over tau of the best replies of Min the
-max-min value; the two must agree (the saddle point property), and a
-specific optimal pair must attain them, as ``markov.analyze`` of its full
-chain rechecks.  Any mismatch aborts, since it can only come from an
-implementation bug.
+law depends only on the unordered successor pairs, the chain shape, and
+the laws of all shapes come from two batched fraction-free integer
+eliminations on arrays, one for the stationary laws and one for the
+absorption probabilities; over the shapes' common denominator, the gains
+of a block are integer numerators, one matrix-vector product per pair.
+The min over sigma of the best replies of Max is the min-max value, the
+max over tau of the best replies of Min the max-min value; the two must
+agree (the saddle point property), and a specific optimal pair must attain
+them, as ``markov.analyze`` of its full chain rechecks.  Any mismatch
+aborts, since it can only come from an implementation bug.
 
 On top of the solver sit the two exact feasibility procedures: nontriviality
 of a Metzler spectrahedron (with its margin, the largest reinforcement
@@ -40,8 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .game import StochGame, game_from_pencil, winning_dominions
-from .markov import (ChainAnalysis, _strongly_connected_components, analyze,
-                     chain_from_policies)
+from .markov import ChainAnalysis, analyze, chain_from_policies
 from .pencil import (
     NormalizeResult,
     Pencil,
@@ -73,76 +73,40 @@ class GameValue:
     chain: Optional[ChainAnalysis] = field(default=None, compare=False, repr=False)
 
 
-def _solve_int(a: list, b: list) -> tuple:
-    """Solve the square integer system a x = b (b holds one or more
-    right-hand columns) by fraction-free Gauss-Jordan elimination (Bareiss):
-    (d, y) with x = y / d, every division on the way exact."""
-    size = len(a)
-    m = [list(a[r]) + list(b[r]) for r in range(size)]
-    prev = 1
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col]), None)
-        if pivot is None:
-            raise ArithmeticError("singular linear system")
-        m[col], m[pivot] = m[pivot], m[col]
-        p = m[col][col]
-        for r in range(size):
-            if r != col:
-                f = m[r][col]
-                m[r] = [(p * v - f * w) // prev for v, w in zip(m[r], m[col])]
-        prev = p
-    return prev, [row[size:] for row in m]
+def _bareiss(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Solve the stack of square integer systems a[s] x = b[s] (b[s] holds
+    one or more right-hand columns) by fraction-free Gauss-Jordan
+    elimination (Bareiss): (d, y) with x[s] = y[s] / d[s], every division
+    on the way exact.  Each member pivots on its first row with a nonzero
+    entry in the column; a member without one raises ArithmeticError.
 
-
-def _limit_rows(succ: tuple) -> list:
-    """The limiting matrix of the folded chain in which state u moves to
-    succ[u][0] and succ[u][1] with probability 1/2 each, in integers.
-
-    Returns groups (states, row, d) covering every state once: each state
-    u of ``states`` has long-run law row[v] / d at the states v that
-    ``row`` lists as (v, weight) pairs.  The states of a closed class share
-    its stationary law pi; a transient state wholly absorbed by one class
-    joins that class's group, any other gets the mix of the class laws
-    weighted by its absorption probabilities.  pi and the absorption
-    probabilities come from fraction-free elimination over the weights
-    w[u][v] = 2 P[u][v].
+    Every entry met on the way is a minor of [a b].  When the entries of
+    [a b] are at most c in absolute value, Hadamard's bound puts a k x k
+    minor, k <= size, at most (c^2 size)^(size/2), so once (c^2 size)^size
+    < 2^62 every product p v and f w of two minors is below 2^62 and the
+    difference p v - f w fits in int64.  The elimination runs in int64
+    then, and in Python ints (object arrays) otherwise.
     """
-    n = len(succ)
-    w = [dict.fromkeys(s, 0) for s in succ]
-    for u, s in enumerate(succ):
-        for v in s:
-            w[u][v] += 1
-    comps = _strongly_connected_components([list(wu) for wu in w])
-    closed = [c for c in comps if all(v in c for u in c for v in w[u])]
-    groups = []
-    for members in closed:
-        first, rest = members[0], members[1:]
-        # pi_first = d; the rest solve their balance equations
-        # sum_u pi_u w[u][v] = 2 pi_v, moved to the left but for pi_first
-        d, y = _solve_int(
-            [[2 * (u == v) - w[u].get(v, 0) for u in rest] for v in rest],
-            [[w[first].get(v, 0)] for v in rest])
-        pi = [d] + [col[0] for col in y]
-        groups.append((members, list(zip(members, pi)), sum(pi)))
-    transient = [u for u in range(n) if all(u not in c for c in closed)]
-    if transient:
-        # absorption: 2 a_u - sum over transient v of w[u][v] a_v is the
-        # weight u puts on the class directly
-        d, y = _solve_int(
-            [[2 * (u == v) - w[u].get(v, 0) for v in transient] for u in transient],
-            [[sum(w[u].get(v, 0) for v in c) for c in closed] for u in transient])
-        for u, absorbed in zip(transient, y):
-            if d in absorbed:  # absorbed by one class with probability 1
-                groups[absorbed.index(d)][0].append(u)
-                continue
-            # row[v] / den = sum over classes of a / d * pi_v / total
-            parts = [(a, law, total)
-                     for a, (_, law, total) in zip(absorbed, groups) if a]
-            lcm = math.lcm(*(total for _, _, total in parts))
-            groups.append(([u], [(v, a * pi * (lcm // total))
-                                  for a, law, total in parts for v, pi in law],
-                           d * lcm))
-    return groups
+    m = np.concatenate([a, b], axis=-1)
+    count, size = a.shape[:2]
+    c = int(np.abs(m).max())
+    m = m.astype(np.int64 if (c * c * size) ** size < 2**62 else object)
+    members = np.arange(count)
+    prev = np.ones(count, dtype=m.dtype)
+    for col in range(size):
+        nonzero = m[:, col:, col] != 0
+        if not nonzero.any(axis=1).all():
+            raise ArithmeticError("singular linear system")
+        pivot = col + nonzero.argmax(axis=1)
+        row = m[members, pivot]
+        m[members, pivot] = m[:, col]
+        m[:, col] = row
+        p = row[:, col]
+        m = (p[:, None, None] * m
+             - m[:, :, col, None] * row[:, None, :]) // prev[:, None, None]
+        m[:, col] = row
+        prev = p
+    return prev, m[:, :, size:]
 
 
 def _policies(seg: np.ndarray, total: int) -> np.ndarray:
@@ -176,28 +140,57 @@ def _shape_ids(first: np.ndarray, second: np.ndarray, shapes: dict) -> np.ndarra
         rank.reshape(first.shape[:-1])]
 
 
-def _coefficients(shapes: dict, n: int) -> tuple:
+def _coefficients(codes: np.ndarray) -> tuple:
     """(coef, L): the limiting matrix of every chain shape over the one
     common denominator L, the lcm of the shapes' own denominators.
 
-    ``coef[s, u]`` lists Min state u's long-run law under shape s as
-    nonnegative integers summing to L, so a pair's gain at u is
-    ``coef[s, u] @ r / (L scale)`` for its reward numerators r over
-    ``scale``."""
-    laws = []
-    for key in shapes:
-        law = [None] * n
-        for states, row, d in _limit_rows(tuple(divmod(c, n) for c in key)):
-            weights = [0] * n
-            for v, c in row:
-                weights[v] += c
-            g = math.gcd(d, *weights) * (1 if d > 0 else -1)
-            for u in states:
-                law[u] = ([c // g for c in weights], d // g)
-        laws.append(law)
-    lcm = math.lcm(*(d for law in laws for _, d in law))
-    return [[[c * (lcm // d) for c in weights] for weights, d in law]
-            for law in laws], lcm
+    Row s of ``codes`` is a chain shape: Min state u moves to lo and hi,
+    coded ``codes[s, u] = lo * n + hi``, with probability 1/2 each.
+    ``coef[s, u]`` lists u's long-run law under shape s as nonnegative
+    integers summing to L, so a pair's gain at u is ``coef[s, u] @ r / (L
+    scale)`` for its reward numerators r over ``scale``; coef is int64
+    when L < 2^63 and holds Python ints otherwise.
+
+    All shapes are solved together on the weights W = 2 P.  Reachability
+    is the reflexive closure of W > 0, squared; u is recurrent when every
+    state it reaches reaches it back, and its class is represented by the
+    first state it reaches and is reached from.  One solve gives the
+    stationary laws pi, x M = 2 [recurrent] with M = 2 I - W + 2 K on the
+    recurrent states (K[u, v] = [same class]) and the identity elsewhere:
+    W's rows sum to 2, so x sums to 1 over each class and is stationary
+    there.  Another gives the absorption probabilities a[u, r] into the
+    class represented by r: N a = [recurrent and represented by r], N
+    being 2 I - W on the transient rows and the identity on the recurrent
+    ones.  The law of u is a[u, rep(v)] pi[v] at v, reduced by its gcd.
+    """
+    count, n = codes.shape
+    state = np.arange(n)
+    w = np.zeros((count, n, n), dtype=np.int64)
+    for succ in divmod(codes, n):
+        np.add.at(w, (np.arange(count)[:, None], state, succ), 1)
+    reach = (w > 0) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    mutual = reach & reach.transpose(0, 2, 1)
+    recurrent = (mutual == reach).all(axis=2)
+    rep = mutual.argmax(axis=2)
+    eye = np.eye(n, dtype=np.int64)
+    m = np.where(recurrent[:, :, None] & recurrent[:, None, :],
+                 2 * eye - w + 2 * mutual, eye)
+    d_pi, pi = _bareiss(m.transpose(0, 2, 1), 2 * recurrent[:, :, None])
+    d_a, a = _bareiss(np.where(recurrent[:, :, None], eye, 2 * eye - w),
+                      recurrent[:, :, None] & (rep[:, :, None] == state))
+    # in int64, both solves' outputs are minors below 2^31, so the products
+    # fit; a solve in Python ints makes them Python ints
+    weights = np.take_along_axis(a, rep[:, None, :], axis=2) * pi[:, None, :, 0]
+    den = (d_a * d_pi)[:, None]
+    # weights and den share their sign, so the scaling below leaves the
+    # laws nonnegative whatever it is
+    g = np.gcd(np.gcd.reduce(weights, axis=2), den)
+    weights, d = weights // g[:, :, None], den // g
+    lcm = math.lcm(*set(d.ravel().tolist()))
+    dtype = np.int64 if lcm < 2**63 else object
+    return weights.astype(dtype) * (lcm // d.astype(dtype))[:, :, None], lcm
 
 
 def _gains(coef: np.ndarray, ids: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -219,11 +212,11 @@ def game_value_bruteforce(G: StochGame, max_pairs: int = DEFAULT_PAIR_CAP) -> Ga
     (2 p + q_i + q_j) / (4 den) per step of the unfolded chain, half of a
     turn's reward, where q holds tau's rewards.  A first pass finds each
     pair's chain shape, the sorted successor pairs, which the rewards do
-    not enter; ``_limit_rows`` runs once per shape, and its laws are
-    brought to one common denominator L.  A second pass computes the gains
-    of a whole block as integer numerators over 4 den L (``_gains``),
-    keeping per sigma the componentwise max over tau and per tau the
-    componentwise min over sigma.  The numerators are int64 when a bit
+    not enter; ``_coefficients`` solves all shapes in one batch and
+    brings their laws to one common denominator L.  A second pass computes
+    the gains of a whole block as integer numerators over 4 den L
+    (``_gains``), keeping per sigma the componentwise max over tau and per
+    tau the componentwise min over sigma.  The numerators are int64 when a bit
     bound rules out overflow and Python ints otherwise; only the returned
     chi are Fractions.
 
@@ -252,13 +245,13 @@ def game_value_bruteforce(G: StochGame, max_pairs: int = DEFAULT_PAIR_CAP) -> Ga
     shapes = {}  # sorted successor pairs -> shape index
     t = G.max_t[taus].T
     ids = [_shape_ids(*at_targets(t, sigma), shapes) for sigma in blocks]
-    coef, lcm = _coefficients(shapes, n)
+    coef, lcm = _coefficients(np.array(list(shapes)))
     # |2 p + q_i + q_j| < 2^(B+2) when every |reward numerator| < 2^B, and
     # a law's coefficients are nonnegative with sum L, so every gain
     # numerator and partial sum is below 2^(bits(L) + B + 2).
     bits = int(max(np.abs(G.max_p).max(), np.abs(G.min_p).max())).bit_length()
     dtype = np.int64 if lcm.bit_length() + bits + 2 <= 63 else object
-    coef = np.array(coef, dtype=dtype)
+    coef = coef.astype(dtype)
     q, p2 = G.max_p[taus].T.astype(dtype), 2 * G.min_p.astype(dtype)
     h = []  # per sigma block: componentwise max over tau of the gains
     l = None  # per tau: componentwise min over sigma of the gains

@@ -27,9 +27,9 @@ from tropsdp import (
 )
 import tropsdp.exact
 from tropsdp.bench import GenSpec, gen_random
-from tropsdp.exact import _solve_int
+from tropsdp.exact import _bareiss, _coefficients
 from tropsdp.game import dominions, induced_subgame
-from tropsdp.markov import _solve, analyze, chain_from_policies
+from tropsdp.markov import MarkovChain, _solve, analyze, chain_from_policies
 
 F = Fraction
 POS = SignedTrop.pos
@@ -251,9 +251,19 @@ def test_folded_gains_mix_unequal_class_laws(monkeypatch):
     assert _folded_gains(monkeypatch, G)[0] == (F(3, 4), F(2, 3), F(2, 3), F(17, 24))
 
 
+def _assert_solves_match_rational_elimination(a, b, expected):
+    d, y = _bareiss(np.array(a), np.array(b))
+    for dd, yy, xx in zip(d.tolist(), y.tolist(), expected):
+        assert [[F(v, dd) for v in row] for row in yy] == xx
+    return d, y
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
 def test_fraction_free_solve_matches_rational_elimination(size):
+    # one batch of the regular systems among 20 random ones; adding any
+    # singular one (or an all-zero one) to that batch makes it raise
     rng = random.Random(size)
+    regular, singular = [], [([[0] * size] * size, [[1, 1]] * size)]
     for _ in range(20):
         a = [[rng.randrange(-3, 4) for _ in range(size)] for _ in range(size)]
         b = [[rng.randrange(-5, 6) for _ in range(2)] for _ in range(size)]
@@ -261,11 +271,97 @@ def test_fraction_free_solve_matches_rational_elimination(size):
             expected = _solve([list(map(F, row)) for row in a],
                               [list(map(F, row)) for row in b])
         except ArithmeticError:
-            with pytest.raises(ArithmeticError):
-                _solve_int(a, b)
+            singular.append((a, b))
             continue
-        d, y = _solve_int(a, b)
-        assert [[F(v, d) for v in row] for row in y] == expected
+        regular.append((a, b, expected))
+    a, b, expected = zip(*regular)
+    _assert_solves_match_rational_elimination(a, b, expected)
+    for a1, b1 in singular:
+        for at in (0, len(a) // 2, len(a)):
+            with pytest.raises(ArithmeticError, match="singular"):
+                _bareiss(np.array(a[:at] + (a1,) + a[at:]),
+                         np.array(b[:at] + (b1,) + b[at:]))
+
+
+@pytest.mark.parametrize("size, c", [(1, 2**31 - 1), (5, 32), (8, 5)])
+def test_fraction_free_solve_switches_to_python_ints_past_the_hadamard_bound(size, c):
+    # entries up to c keep (c^2 size)^size below 2^62 and the elimination in
+    # int64; one right-hand entry of c + 1 crosses the bound and must give
+    # the same solutions in Python ints
+    assert (c * c * size) ** size < 2**62 <= ((c + 1) ** 2 * size) ** size
+    rng = random.Random(size)
+    a, b, expected = [], [], []
+    while len(a) < 10:
+        aa = [[rng.choice([-c, c, rng.randrange(-c, c + 1)]) for _ in range(size)]
+              for _ in range(size)]
+        bb = [[rng.randrange(-c, c + 1)] for _ in range(size)]
+        try:
+            xx = _solve([list(map(F, row)) for row in aa],
+                        [list(map(F, row)) for row in bb])
+        except ArithmeticError:
+            continue
+        a.append(aa)
+        b.append(bb)
+        expected.append(xx)
+    d, y = _assert_solves_match_rational_elimination(a, b, expected)
+    assert y.dtype == np.int64
+    wide = [[row + [c + 1] for row in bb] for bb in b]
+    d_wide, y_wide = _bareiss(np.array(a), np.array(wide, dtype=object))
+    assert y_wide.dtype == object
+    assert d_wide.tolist() == d.tolist()
+    assert y_wide[:, :, :1].tolist() == y.tolist()
+
+
+def _chain_laws(codes) -> list:
+    """Per shape, the long-run law of every state as rows of Fractions,
+    from ``markov.analyze`` of the chain P = W / 2."""
+    laws = []
+    n = len(codes[0])
+    for shape in codes:
+        p = [[F(0)] * n for _ in range(n)]
+        for u, code in enumerate(shape):
+            for v in divmod(code, n):
+                p[u][v] += F(1, 2)
+        res = analyze(MarkovChain(tuple(map(tuple, p)), (F(0),) * n))
+        law = [None] * n
+        for pi in res.stationary:
+            for u in pi:
+                law[u] = [pi.get(v, F(0)) for v in range(n)]
+        for u, probs in res.absorption.items():
+            law[u] = [sum((a * pi.get(v, F(0)) for a, pi in zip(probs, res.stationary)),
+                          F(0)) for v in range(n)]
+        laws.append(law)
+    return laws
+
+
+@pytest.mark.parametrize("n, sample", [(1, None), (2, None), (3, None),
+                                       (4, 150), (5, 100), (6, 100), (9, 50)])
+def test_limit_laws_match_analyze(monkeypatch, n, sample):
+    # every shape for n <= 3, seeded samples above; at n = 9 the stationary
+    # solve leaves int64 and the common denominator passes 2^63
+    pairs = [lo * n + hi for lo in range(n) for hi in range(lo, n)]
+    if sample is None:
+        codes = list(itertools.product(pairs, repeat=n))
+    else:
+        rng = random.Random(n)
+        codes = sorted({tuple(rng.choice(pairs) for _ in range(n))
+                        for _ in range(sample)})
+    dtypes = []
+    original = tropsdp.exact._bareiss
+
+    def recording(a, b):
+        d, y = original(a, b)
+        dtypes.append(y.dtype)
+        return d, y
+
+    monkeypatch.setattr(tropsdp.exact, "_bareiss", recording)
+    coef, lcm = _coefficients(np.array(codes))
+    assert coef.shape == (len(codes), n, n)
+    assert (coef.sum(axis=-1) == lcm).all() and (coef >= 0).all()
+    got = [[[F(int(c), lcm) for c in row] for row in law] for law in coef.tolist()]
+    assert got == _chain_laws(codes)
+    assert coef.dtype == (np.int64 if lcm < 2**63 else object)
+    assert (lcm >= 2**63) == (object in dtypes) == (n == 9)
 
 
 def _direct_value(G):
@@ -366,7 +462,7 @@ def test_value_matches_direct_with_unlike_huge_denominators(monkeypatch):
 
 def test_policy_space_cap_refuses_before_any_limit_computation(monkeypatch):
     calls = []
-    monkeypatch.setattr(tropsdp.exact, "_limit_rows", calls.append)
+    monkeypatch.setattr(tropsdp.exact, "_coefficients", calls.append)
     G = game_from_pencil(gen_random(GenSpec(4, 4, 0)))
     with pytest.raises(PolicySpaceTooLarge,
                        match=r"^331776 policy pairs exceed the cap of 331775$"):
@@ -376,14 +472,16 @@ def test_policy_space_cap_refuses_before_any_limit_computation(monkeypatch):
 
 def test_one_limit_computation_per_unordered_chain_shape(monkeypatch):
     # a dense 3 x 3 game has 729 pairs but 66 chain shapes once a move to
-    # (a, b) counts as the one to (b, a)
+    # (a, b) counts as the one to (b, a); all are solved in one batch
     calls = []
-    monkeypatch.setattr(tropsdp.exact, "_limit_rows",
-                        _counting(calls, tropsdp.exact._limit_rows))
+    monkeypatch.setattr(tropsdp.exact, "_coefficients",
+                        _counting(calls, tropsdp.exact._coefficients))
     game_value_bruteforce(game_from_pencil(gen_random(GenSpec(3, 3, 0))))
-    shapes = [succ for succ, in calls]
+    assert len(calls) == 1
+    shapes = [tuple(row) for row in calls[0][0].tolist()]
     assert len(shapes) == len(set(shapes)) == 66
-    assert all(a <= b for succ in shapes for a, b in succ)
+    assert all(len(succ) == 3 for succ in shapes)
+    assert all(lo <= hi for succ in shapes for lo, hi in (divmod(c, 3) for c in succ))
 
 
 def test_enumeration_memory_stays_bounded():
