@@ -149,6 +149,33 @@ LOSING_AFFINE = {
                      {"i": 1, "j": 2, "sign": "-", "val": "-3/2"},
                      {"i": 2, "j": 2, "sign": "+", "val": "-3/2"}]}],
 }
+# ``pencil_from_game`` of the 3-Min / 4-Max game where Min 1 moves to Max
+# 1 or 3, Min 2 to Max 1 or 2, Min 3 to Max 3 or 4 (all rewards 0), Max 1
+# and 2 go to Min 2 receiving 1 and Max 3 and 4 to Min 3 receiving -1, with
+# the affine flag: chi = (0, 1/2, -1/2), and the only winning dominion {2}
+# misses state 1, although chi is nonnegative there on the whole game
+CHANCE_SPLIT_AFFINE = {
+    "n": 3, "m": 4, "affine": True,
+    "matrices": [
+        {"entries": [{"i": 1, "j": 3, "sign": "-", "val": "0"}]},
+        {"entries": [{"i": 1, "j": 1, "sign": "+", "val": "1"},
+                     {"i": 1, "j": 2, "sign": "-", "val": "0"},
+                     {"i": 2, "j": 2, "sign": "+", "val": "1"}]},
+        {"entries": [{"i": 3, "j": 3, "sign": "+", "val": "-1"},
+                     {"i": 3, "j": 4, "sign": "-", "val": "0"},
+                     {"i": 4, "j": 4, "sign": "+", "val": "-1"}]}],
+}
+# the running example on rows 1-3 beside a losing variable 4 on rows 4 and
+# 5 (value -1), coupled by a Max action of row 1 into variable 4 that Max
+# never takes: the whole game has chi_4 < 0, its dominion {1, 2, 3} wins
+DIRECT_SUM_AFFINE = {
+    "n": 4, "m": 5, "affine": True,
+    "matrices": RUNNING_MATRICES + [
+        {"entries": [{"i": 1, "j": 1, "sign": "+", "val": "-5"},
+                     {"i": 4, "j": 4, "sign": "+", "val": "0"},
+                     {"i": 4, "j": 5, "sign": "-", "val": "1"},
+                     {"i": 5, "j": 5, "sign": "+", "val": "0"}]}],
+}
 CERT = {"kind": "Feasibility",
         "vector": ["4550473850856407/4503599627370496", "0",
                    "4872159469020117/4503599627370496"],
@@ -203,6 +230,11 @@ FILES = {
     "mixed_den": {"n": 2, "m": 2, "matrices": MIXED_DEN_MATRICES},
     "dominion_affine": DOMINION_AFFINE,
     "losing_affine": LOSING_AFFINE,
+    "chance_split_affine": CHANCE_SPLIT_AFFINE,
+    "direct_sum_affine": DIRECT_SUM_AFFINE,
+    # a dense game: every nonempty state set is a dominion
+    "dense_affine": dict(jsonio.pencil_to_json(gen_random(GenSpec(5, 3, 1, 8))),
+                         affine=True),
 }
 
 PENCIL_COMMANDS = (["check"], ["exact"], ["game"], ["normalize"],
@@ -255,7 +287,8 @@ CASES = (
     + [["metzlerize", arg]
        for arg in ("{gen:3:3:0}", "{file:general}", "{file:mixed_den}")]
     + [["affine", f"{{file:{name}}}"]
-       for name in ("dominion_affine", "losing_affine")]
+       for name in ("dominion_affine", "losing_affine", "chance_split_affine",
+                    "direct_sum_affine", "dense_affine")]
 )
 
 
