@@ -20,13 +20,13 @@ from .pencil import (Metzlerization, NormalizeResult, Pencil,
                      normalize, require_metzler, support)
 from .game import (MaxAction, MinAction, StochGame, dominions,
                    game_from_pencil, induced_subgame, is_dominion,
-                   is_winning_dominion, minimal_dominions, pencil_from_game,
-                   winning_dominions)
+                   minimal_dominions, pencil_from_game)
 from .markov import ChainAnalysis, MarkovChain, analyze, chain_from_policies
 from .shapley import (IterationReport, apply_F, check_feasibility, recession,
                       structural_constant_value_check)
 from .exact import (GameValue, SolveResult, affine_feasibility,
-                    game_value_bruteforce, solve_tmsdfp)
+                    game_value_bruteforce, is_winning_dominion, solve_tmsdfp,
+                    winning_dominions)
 from .certify import (ArchimedeanThreshold, Certificate, archimedean_threshold,
                       check_certificate, feasibility_certificate,
                       infeasibility_certificate, verify_subharmonic,

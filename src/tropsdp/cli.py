@@ -135,8 +135,7 @@ def build_parser() -> _Parser:
     add("metzlerize", "rewrite a general symmetric pencil as a Metzler one")
     add("normalize", "strip forced variables/rows; detect trivial instances")
 
-    p = add("affine", "decide feasibility of an affine pencil via dominions")
-    p.add_argument("--max-states", type=int, default=16)
+    add("affine", "decide an affine pencil via its largest winning dominion")
 
     p = add("gen", "generate a random pencil", with_input=False)
     p.add_argument("--n", type=int, required=True)
@@ -344,7 +343,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_affine(args) -> int:
     P = _load_pencil(args)
-    feasible = affine_feasibility(P, max_states=args.max_states)
+    feasible = affine_feasibility(P)
     _emit(args, jsonio.dump_json({"feasible": feasible}))
     return EXIT_FEASIBLE if feasible else EXIT_INFEASIBLE
 
@@ -429,7 +428,7 @@ def run(argv=None) -> int:
     try:
         if getattr(args, "eps", 1) <= 0:
             raise ValidationError("epsilon must be positive")
-        for cap in ("max_iters", "max_pairs", "max_states"):
+        for cap in ("max_iters", "max_pairs"):
             if getattr(args, cap, 1) < 1:
                 raise ValidationError(f"{cap.replace('_', '-')} must be at least 1")
         return _COMMANDS[args.subcommand](args)

@@ -21,8 +21,8 @@ aborts, since it can only come from an implementation bug.
 On top of the solver sit the two exact feasibility procedures: nontriviality
 of a Metzler spectrahedron (with its margin, the largest reinforcement
 lambda that keeps it nontrivial, which equals 2 max_k chi_k), and the affine
-variant asking for a point whose distinguished coordinate 0 is finite
-(decided through winning dominions containing state 0).
+variant asking for a point whose distinguished coordinate 0 is finite: does
+the largest winning dominion, found in at most n solves, contain state 0?
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -40,7 +40,8 @@ from .errors import (
     UnsupportedInstance,
     ValidationError,
 )
-from .game import StochGame, game_from_pencil, winning_dominions
+from .game import (StochGame, dominions, game_from_pencil, induced_subgame,
+                   is_dominion, largest_dominion)
 from .markov import ChainAnalysis, analyze, chain_from_policies
 from .pencil import (
     NormalizeResult,
@@ -324,7 +325,20 @@ def solve_tmsdfp(P: Pencil, max_pairs: int = DEFAULT_PAIR_CAP) -> SolveResult:
     return SolveResult(status, margin, value, res, game)
 
 
-def affine_feasibility(P: Pencil, max_states: int = 16) -> bool:
+def is_winning_dominion(G: StochGame, D: Iterable) -> bool:
+    """Is D a dominion whose induced subgame has all mean payoffs >= 0?"""
+    dset = frozenset(D)
+    return is_dominion(G, dset) and min(
+        game_value_bruteforce(induced_subgame(G, dset)).chi) >= 0
+
+
+def winning_dominions(G: StochGame, max_states: int = 16) -> list:
+    """All winning dominions, smallest first, filtered from ``dominions``:
+    the reference for ``affine_feasibility``.  Refuses n > max_states."""
+    return [D for D in dominions(G, max_states) if is_winning_dominion(G, D)]
+
+
+def affine_feasibility(P: Pencil) -> bool:
     """Does the spectrahedron contain a point with x_0 finite?
 
     Variable 0 is the distinguished (affine) one.  Forced eliminations, run
@@ -333,9 +347,12 @@ def affine_feasibility(P: Pencil, max_states: int = 16) -> bool:
     question: feasible iff some winning dominion contains state 0.  A
     matrix without negative entries makes its own variable free; that
     settles the question when the variable is 0 itself, and is out of scope
-    otherwise (no game encodes such a pencil).  ``max_states`` caps the
-    dominion enumeration; each dominion's subgame is solved under
-    ``DEFAULT_PAIR_CAP``.
+    otherwise (no game encodes such a pencil).
+
+    At most n exact solves (each under ``DEFAULT_PAIR_CAP``) find the
+    largest winning dominion: from D = all states, solve D's subgame, drop
+    the states with chi_k < 0 and shrink the rest to its largest dominion.
+    A winning dominion W in D survives, since chi^D >= chi^W >= 0 on W.
     """
     if not P.affine:
         raise ValidationError("affine_feasibility needs a pencil with the affine flag")
@@ -352,7 +369,13 @@ def affine_feasibility(P: Pencil, max_states: int = 16) -> bool:
         raise UnsupportedInstance(
             f"variables {free} are unconstrained (all-positive matrices); the dominion "
             "method cannot decide finiteness of x_0 on such instances")
-    reduced = _extract(P, vars_alive, rows_alive)
-    state0 = vars_alive.index(0)
-    game = game_from_pencil(reduced)
-    return any(state0 in D for D in winning_dominions(game, max_states))
+    game = game_from_pencil(_extract(P, vars_alive, rows_alive))
+    inside, state0 = np.ones(game.n, dtype=bool), vars_alive.index(0)
+    while inside[state0]:
+        states = np.flatnonzero(inside)
+        chi = game_value_bruteforce(induced_subgame(game, states.tolist())).chi
+        if min(chi) >= 0:
+            return True
+        inside[states[np.array(chi) < 0]] = False
+        inside = largest_dominion(game, inside)
+    return False

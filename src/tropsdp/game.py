@@ -8,8 +8,8 @@ play moves to Min state k.  Both players always have at least one action.
 
 ``StochGame`` is the one game class: it stores the flat arrays that value
 iteration, the exact witness check, the translation back to a pencil and
-the dominion masks run on, and reads them back as tuples of actions with
-Fraction rewards for the JSON layer and the exact reference evaluators.
+the dominion fixpoint ``largest_dominion`` run on, and reads them as tuples
+of actions with Fraction rewards for JSON and the exact reference evaluators.
 
 A Metzler pencil turns into such a game (``game_from_pencil``) by reading
 negatively signed entries of Q^(k) as Min actions of state k and positively
@@ -340,12 +340,20 @@ def _state_mask(G: StochGame, D: Iterable) -> np.ndarray:
     return inside
 
 
-def _closed(G: StochGame, inside: np.ndarray) -> bool:
-    """Is the Min state set with this mask a dominion?"""
-    covered = np.logical_or.reduceat(inside[G.max_t], G.max_seg)
-    kept = np.logical_and.reduceat(covered[G.min_i] & covered[G.min_j],
-                                   G.min_seg)
-    return bool(kept[inside].all())
+def largest_dominion(G: StochGame, inside: np.ndarray) -> np.ndarray:
+    """The mask of the largest dominion inside this mask of Min states.
+
+    Each pass keeps the states whose actions all lead to Max states with an
+    action back into the mask, until the mask stops changing (at most n
+    passes).  Every dominion inside survives each pass, so a mask is a
+    dominion iff it comes back unchanged."""
+    while True:
+        covered = np.logical_or.reduceat(inside[G.max_t], G.max_seg)
+        kept = inside & np.logical_and.reduceat(covered[G.min_i] & covered[G.min_j],
+                                                G.min_seg)
+        if np.array_equal(kept, inside):
+            return kept
+        inside = kept
 
 
 def is_dominion(G: StochGame, D: Iterable) -> bool:
@@ -354,7 +362,8 @@ def is_dominion(G: StochGame, D: Iterable) -> bool:
     True iff every action of every state in D leads only to Max states that
     have at least one action back into D.
     """
-    return _closed(G, _state_mask(G, D))
+    inside = _state_mask(G, D)
+    return np.array_equal(largest_dominion(G, inside), inside)
 
 
 def induced_subgame(G: StochGame, D: Iterable) -> StochGame:
@@ -362,7 +371,7 @@ def induced_subgame(G: StochGame, D: Iterable) -> StochGame:
     Max keeps the actions leading back into D.  State numbering follows
     sorted(D) and the sorted list of Max states reachable from D."""
     inside = _state_mask(G, D)
-    if not _closed(G, inside):
+    if not np.array_equal(largest_dominion(G, inside), inside):
         raise NotADominion(f"{np.flatnonzero(inside).tolist()} is not a dominion")
     min_keep = inside[_owners(G.min_seg, len(G.min_p))]
     reached = np.zeros(G.m, dtype=bool)
@@ -378,25 +387,6 @@ def induced_subgame(G: StochGame, D: Iterable) -> StochGame:
         max_index[G.min_i[min_keep]], max_index[G.min_j[min_keep]],
         _segment_starts(np.diff(G.min_seg, append=len(G.min_p))[inside]),
         int_array(G.min_p[min_keep]), G.den)
-
-
-def is_winning_dominion(G: StochGame, D: Iterable) -> bool:
-    """Is D a dominion whose induced subgame has all mean payoffs >= 0?"""
-    from .exact import game_value_bruteforce  # deferred: exact depends on this module
-
-    dset = frozenset(D)
-    if not is_dominion(G, dset):
-        return False
-    value = game_value_bruteforce(induced_subgame(G, dset))
-    return all(chi >= 0 for chi in value.chi)
-
-
-def winning_dominions(G: StochGame, max_states: int = 16) -> list:
-    """All winning dominions, smallest first, filtered from ``dominions``.
-
-    Exponential in n; refuses games with n > max_states.
-    """
-    return [D for D in dominions(G, max_states) if is_winning_dominion(G, D)]
 
 
 def dominions(G: StochGame, max_states: int = 16) -> list:

@@ -236,12 +236,15 @@ def certificate_from_json(obj) -> Certificate:
     if not isinstance(obj, dict):
         raise ValidationError("certificate file must contain a JSON object")
     try:
-        kind = obj["kind"]
-        vector = tuple(parse_rational(x) for x in obj["vector"])
-        lam = parse_rational(obj["lambda"])
-        strict = bool(obj.get("strict", False))
+        kind, vector, lam = obj["kind"], obj["vector"], obj["lambda"]
     except KeyError as exc:
         raise ValidationError(f"certificate object is missing key {exc}") from exc
+    if not isinstance(vector, list):
+        raise ValidationError(f'certificate "vector" must be a list, got {vector!r}')
+    vector, lam = tuple(parse_rational(x) for x in vector), parse_rational(lam)
+    strict = obj.get("strict", False)
+    if type(strict) is not bool:
+        raise ValidationError(f'certificate "strict" must be true or false, got {strict!r}')
     if kind not in ("Feasibility", "Infeasibility"):
         raise ValidationError(f"unknown certificate kind {kind!r}")
     return Certificate(kind, vector, lam, strict)

@@ -228,6 +228,14 @@ def test_affine_has_no_pair_cap_option(tmp_path):
     assert exc.value.code == 1
 
 
+def test_affine_has_no_max_states_option(capsys):
+    # affine makes at most n exact solves, so there is no state cap to set
+    with pytest.raises(SystemExit) as exc:
+        run(["affine", "--max-states", "16", RUNNING])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --max-states" in capsys.readouterr().err
+
+
 def test_check_warns_on_affine_flag(tmp_path, capsys):
     path = write_pencil(tmp_path, "aff.json", 1, 1,
                         [(0, 0, 0, POS(F(0)))], affine=True)
@@ -275,6 +283,24 @@ def test_certify_infeasibility_on_game_file(tmp_path, capsys):
     cert = json.loads(capsys.readouterr().out)
     assert cert["kind"] == "Infeasibility"
     assert cert["lambda"] == "-1/2"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("vector", None), ("vector", 5), ("vector", "101"), ("strict", "no")])
+def test_certify_check_rejects_a_badly_typed_certificate(tmp_path, capsys,
+                                                        field, value):
+    cert_file = tmp_path / "cert.json"
+    run(["certify", RUNNING, "--lambda", "1/100", "-o", str(cert_file)])
+    cert = json.loads(cert_file.read_text())
+    cert[field] = value
+    cert_file.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["certify", RUNNING, "--check", str(cert_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f'tropsdp: ValidationError: certificate "{field}" must be ')
+    assert captured.err.endswith(f", got {value!r}\n")
 
 
 def test_certify_needs_lambda_or_check(capsys):
@@ -390,7 +416,7 @@ def test_bad_epsilon_exits_one(capsys):
 @pytest.mark.parametrize("argv, name", [
     (["exact", RUNNING, "--max-pairs"], "max-pairs"),
     (["solve-game", example_path("dominion_game.json"), "--max-pairs"], "max-pairs"),
-    (["affine", RUNNING, "--max-states"], "max-states"),
+    (["certify", RUNNING, "--max-iters"], "max-iters"),
     (["check", RUNNING, "--max-iters"], "max-iters"),
 ])
 def test_caps_below_one_exit_one(argv, name, value, capsys):

@@ -27,9 +27,10 @@ from tropsdp import (
 )
 import tropsdp.exact
 from tropsdp.bench import GenSpec, gen_random
-from tropsdp.exact import _bareiss, _coefficients
-from tropsdp.game import dominions, induced_subgame
+from tropsdp.exact import _bareiss, _coefficients, winning_dominions
+from tropsdp.game import dominions, induced_subgame, pencil_from_game
 from tropsdp.markov import MarkovChain, _solve, analyze, chain_from_policies
+from tropsdp.pencil import _extract, _forced_reductions, all_positive_variables
 
 F = Fraction
 POS = SignedTrop.pos
@@ -540,32 +541,51 @@ def affine_pencil(n, m, entries):
     return Pencil.from_entries(n, m, entries, affine=True)
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The size of every game the exact solver has finished, in order."""
+    done = []
+    solve = tropsdp.exact.game_value_bruteforce
+
+    def counted(G, *args, **kwargs):
+        value = solve(G, *args, **kwargs)
+        done.append(G.n)
+        return value
+
+    monkeypatch.setattr(tropsdp.exact, "game_value_bruteforce", counted)
+    return done
+
+
 def test_affine_requires_flag(running_pencil):
     with pytest.raises(ValidationError):
         affine_feasibility(running_pencil)
 
 
-def test_affine_variable_zero_eliminated():
+def test_affine_variable_zero_eliminated(solves):
     # the only diagonal hosting x_0 is negatively signed with no positive
     # entry anywhere on that row, so x_0 = -oo is forced
     P = affine_pencil(1, 1, [(0, 0, 0, NEG(F(5)))])
     assert affine_feasibility(P) is False
+    assert solves == []
 
 
-def test_affine_unconstrained_when_all_rows_die():
+def test_affine_unconstrained_when_all_rows_die(solves):
     P = affine_pencil(1, 1, [])
     assert affine_feasibility(P) is True
+    assert solves == []
 
 
-def test_affine_free_variable_zero():
+def test_affine_free_variable_zero(solves):
     P = affine_pencil(1, 1, [(0, 0, 0, POS(F(3)))])
     assert affine_feasibility(P) is True
+    assert solves == []
 
 
-def test_affine_other_free_variable_unsupported():
+def test_affine_other_free_variable_unsupported(solves):
     P = affine_pencil(2, 1, [(0, 0, 0, NEG(F(0))), (1, 0, 0, POS(F(0)))])
     with pytest.raises(UnsupportedInstance):
         affine_feasibility(P)
+    assert solves == []
 
 
 def test_affine_winning_dominion_contains_zero():
@@ -599,3 +619,128 @@ def test_affine_on_dominion_example(dominion_game):
     )
     # the only winning dominion is {2}, which misses the affine variable
     assert affine_feasibility(P) is False
+
+
+def test_affine_chance_split_needs_the_shrink(solves):
+    # Min 0 moves to Max a or b, Min 1 to a or a', Min 2 to b or b'; a and
+    # a' go to Min 1 receiving 1, b and b' to Min 2 receiving -1.  chi_0 is
+    # 0 on the whole game, yet the only winning dominion is {1}: dropping
+    # the losing state 2 leaves {0, 1}, whose largest dominion is {1}.
+    G = StochGame(3, 4, ((MinAction((0, 2), 0),), (MinAction((0, 1), 0),),
+                         (MinAction((2, 3), 0),)),
+                  ((MaxAction(1, 1),), (MaxAction(1, 1),),
+                   (MaxAction(2, -1),), (MaxAction(2, -1),)))
+    assert game_value_bruteforce(G).chi == (0, F(1, 2), F(-1, 2))
+    assert winning_dominions(G) == [frozenset({1})]
+    solves.clear()
+    P = pencil_from_game(G)
+    P = Pencil.from_arrays(P.n, P.m, P.k, P.i, P.j, P.sign, P.num, P.den, affine=True)
+    assert affine_feasibility(P) is False
+    assert solves == [3]
+
+
+def _affine_block(rng, cells, n, m, v0, r0):
+    """Random entries of an n x m block at variable v0 and row r0: a
+    positive diagonal entry per row and a negative entry per variable, so
+    most blocks survive the forced reductions, then sparse extras."""
+    val = lambda: F(rng.randint(-4, 4), 2)
+    for i in range(r0, r0 + m):
+        cells[rng.randrange(v0, v0 + n), i, i] = POS(val())
+    for k in range(v0, v0 + n):
+        i, j = sorted(rng.randrange(r0, r0 + m) for _ in range(2))
+        cells[k, i, j] = NEG(val())
+    for k in range(v0, v0 + n):
+        for i in range(r0, r0 + m):
+            for j in range(i, r0 + m):
+                if rng.random() < 0.25:
+                    sign = rng.choice((POS, NEG)) if i == j else NEG
+                    cells.setdefault((k, i, j), sign(val()))
+
+
+def affine_corpus(seed, count):
+    """Seeded affine pencils: direct sums of 1-3 random blocks of up to 3
+    variables and 3 rows, with 1-3 random coupling entries between the
+    blocks of a sum."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        sizes = [(rng.randint(1, 3), rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 3))]
+        n, m = sum(b[0] for b in sizes), sum(b[1] for b in sizes)
+        cells, v0, r0 = {}, 0, 0
+        for bn, bm in sizes:
+            _affine_block(rng, cells, bn, bm, v0, r0)
+            v0, r0 = v0 + bn, r0 + bm
+        for _ in range(rng.randint(1, 3) if len(sizes) > 1 else 0):
+            k, (i, j) = rng.randrange(n), sorted(rng.sample(range(m), 2))
+            if rng.random() < 0.5:
+                cells[k, i, i] = POS(F(rng.randint(-4, 4), 2))
+            else:
+                cells[k, i, j] = NEG(F(rng.randint(-4, 4), 2))
+        yield Pencil.from_entries(n, m, [(*key, v) for key, v in cells.items()],
+                                  affine=True)
+
+
+def enumerated_affine(P):
+    """The affine verdict by the enumeration: the checks of
+    ``affine_feasibility`` before its game, then a search of every winning
+    dominion for state 0."""
+    vars_alive, rows_alive, _, _ = _forced_reductions(P)
+    if 0 not in vars_alive:
+        return False
+    if not rows_alive:
+        return True
+    free = all_positive_variables(P, vars_alive, rows_alive)
+    if free:
+        return True if 0 in free else "UnsupportedInstance"
+    game = game_from_pencil(_extract(P, vars_alive, rows_alive))
+    return any(vars_alive.index(0) in D for D in winning_dominions(game))
+
+
+def test_affine_rounds_match_the_enumeration(solves):
+    seen = set()
+    for P in affine_corpus(5, 400):
+        expected = enumerated_affine(P)
+        solves.clear()
+        try:
+            got = affine_feasibility(P)
+        except UnsupportedInstance:
+            got = "UnsupportedInstance"
+        assert got == expected
+        assert len(solves) <= P.n
+        seen.add((got, len(solves)))
+    assert {(True, 0), (True, 1), (True, 2), (False, 0), (False, 1),
+            ("UnsupportedInstance", 0)} <= seen
+
+
+def dense_affine(n):
+    """``gen --n n --m 3 --grid 8 --seed 1`` with the affine flag: every
+    nonempty state set of its game is a dominion."""
+    P = gen_random(GenSpec(n, 3, 1, 8))
+    return Pencil.from_arrays(n, 3, P.k, P.i, P.j, P.sign, P.num, P.den, affine=True)
+
+
+def test_affine_solves_a_dense_game_once(solves):
+    assert affine_feasibility(dense_affine(6)) is True
+    assert solves == [6]
+
+
+def test_affine_refuses_dense_n8_before_any_solve(solves):
+    with pytest.raises(PolicySpaceTooLarge,
+                       match="^3359232 policy pairs exceed the cap of 1000000$"):
+        affine_feasibility(dense_affine(8))
+    assert solves == []
+
+
+def test_affine_decides_beyond_the_enumeration_cap(solves):
+    # two 9-cycles on 18 variables and 18 rows, past the n <= 16 that
+    # ``dominions`` accepts: Min state k moves to Max states k and k + 1 of
+    # its cycle, Max state i goes back to Min state i receiving 1 on the
+    # first cycle (chi = 1/2) and -1 on the second (chi = -1/2), and Max
+    # state 0 may also move into the second cycle, receiving -5
+    entries = [(9, 0, 0, POS(F(-5)))]
+    for c, reward in ((0, 1), (9, -1)):
+        for k in range(9):
+            i, j = sorted((c + k, c + (k + 1) % 9))
+            entries += [(c + k, i, j, NEG(F(0))), (c + k, c + k, c + k, POS(F(reward)))]
+    assert affine_feasibility(affine_pencil(18, 18, entries)) is True
+    assert solves == [18, 9]

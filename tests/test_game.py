@@ -29,7 +29,7 @@ from tropsdp import (
     pencil_from_game,
     winning_dominions,
 )
-from tropsdp.game import _float_view
+from tropsdp.game import _float_view, largest_dominion
 from tropsdp.pencil import NOT_METZLER, int_array
 from tropsdp.shapley import apply_F
 from tropsdp.tropical import MINUS_INF
@@ -386,6 +386,21 @@ def test_is_dominion_matches_the_tuple_rule():
             assert is_dominion(G, D) == closed
             seen[closed] += 1
     assert min(seen.values()) >= 300
+
+
+def test_largest_dominion_is_the_union_of_the_dominions_inside():
+    shrunk = 0
+    for G in sparse_json_games(23, 150):
+        closed = {D for D in state_sets(G.n) if all(
+            any(b.target in D for b in G.max_actions[i])
+            for k in D for a in G.min_actions[k] for i in a.targets)}
+        for S in [frozenset()] + list(state_sets(G.n)):
+            inside = np.isin(np.arange(G.n), list(S))
+            got = largest_dominion(G, inside)
+            expected = frozenset().union(*(D for D in closed if D <= S))
+            assert np.flatnonzero(got).tolist() == sorted(expected)
+            shrunk += bool(expected) and expected != S
+    assert shrunk >= 50
 
 
 def test_induced_subgame_is_the_game_of_the_filtered_tuples():

@@ -239,6 +239,22 @@ def test_certificate_from_json_rejects_unknown_kind():
             {"kind": "Harmonic", "vector": ["0"], "lambda": "1", "strict": True})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("vector", None), ("vector", 5), ("vector", "101"), ("vector", {"1": "0"}),
+    ("strict", "no"), ("strict", 1), ("strict", None)])
+def test_certificate_from_json_checks_types(field, value):
+    obj = {"kind": "Feasibility", "vector": ["0", "1/2"], "lambda": "1",
+           "strict": True, field: value}
+    with pytest.raises(ValidationError, match=f'^certificate "{field}" must be ') as exc:
+        jsonio.certificate_from_json(obj)
+    assert str(exc.value).endswith(f", got {value!r}")
+
+
+def test_certificate_strict_is_optional():
+    obj = {"kind": "Feasibility", "vector": ["0"], "lambda": "1"}
+    assert jsonio.certificate_from_json(obj).strict is False
+
+
 # ---------------------------------------------------------------------------
 # file plumbing
 # ---------------------------------------------------------------------------
