@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .game import (StochGame, dominions, game_from_pencil, induced_subgame,
-                   is_dominion, largest_dominion)
+                   is_dominion, largest_dominion, reachable)
 from .markov import ChainAnalysis, analyze, chain_from_policies
 from .pencil import (
     NormalizeResult,
@@ -350,9 +350,10 @@ def affine_feasibility(P: Pencil) -> bool:
     otherwise (no game encodes such a pencil).
 
     At most n exact solves (each under ``DEFAULT_PAIR_CAP``) find the
-    largest winning dominion: from D = all states, solve D's subgame, drop
-    the states with chi_k < 0 and shrink the rest to its largest dominion.
-    A winning dominion W in D survives, since chi^D >= chi^W >= 0 on W.
+    largest winning dominion in the dominion R of states reachable from state
+    0: from D = R, solve D's subgame, drop the states with chi_k < 0 and
+    shrink the rest to its largest dominion.  A winning dominion W in D
+    survives, since chi^D >= chi^W >= 0 on W, and W & R is one if W is.
     """
     if not P.affine:
         raise ValidationError("affine_feasibility needs a pencil with the affine flag")
@@ -370,7 +371,8 @@ def affine_feasibility(P: Pencil) -> bool:
             f"variables {free} are unconstrained (all-positive matrices); the dominion "
             "method cannot decide finiteness of x_0 on such instances")
     game = game_from_pencil(_extract(P, vars_alive, rows_alive))
-    inside, state0 = np.ones(game.n, dtype=bool), vars_alive.index(0)
+    state0 = vars_alive.index(0)
+    inside = reachable(game, state0)
     while inside[state0]:
         states = np.flatnonzero(inside)
         chi = game_value_bruteforce(induced_subgame(game, states.tolist())).chi

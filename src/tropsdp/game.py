@@ -356,6 +356,20 @@ def largest_dominion(G: StochGame, inside: np.ndarray) -> np.ndarray:
         inside = kept
 
 
+def reachable(G: StochGame, k: int) -> np.ndarray:
+    """The mask of the Min states that plays from Min state k reach: a dominion."""
+    min_owner = _owners(G.min_seg, len(G.min_p))
+    max_owner = _owners(G.max_seg, len(G.max_p))
+    inside = np.arange(G.n) == k
+    while True:
+        rows, acts = np.zeros(G.m, dtype=bool), inside[min_owner]
+        rows[G.min_i[acts]] = rows[G.min_j[acts]] = True
+        kept = inside | (np.bincount(G.max_t[rows[max_owner]], minlength=G.n) > 0)
+        if np.array_equal(kept, inside):
+            return kept
+        inside = kept
+
+
 def is_dominion(G: StochGame, D: Iterable) -> bool:
     """Can Max keep the play inside the Min states D forever?
 

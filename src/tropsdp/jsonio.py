@@ -4,12 +4,18 @@ File formats use 1-based matrix/state indices and decimal-free rational
 strings ("p/q" or plain integers); the in-memory API is 0-based.  A pencil
 entry serializes as {"i": i, "j": j, "sign": "+"|"-", "val": "p/q"} with
 i <= j; omitted entries stand for minus infinity.
+
+Pencil records are checked column by column with array masks, and their "p"
+and "p/q" values in JSON integers parsed by one ``json.loads``; any other
+record sends the pencil through a per-record loop that words every error.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import IO, Union
 
 import numpy as np
@@ -50,7 +56,7 @@ def _json_int(obj: dict, key: str, what: str) -> int:
 
 
 def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
+    value = value if isinstance(value, Fraction) else Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -69,29 +75,46 @@ def pencil_to_json(P: Pencil) -> dict:
     return {"n": P.n, "m": P.m, "affine": P.affine, "matrices": matrices}
 
 
-def _ratio(value) -> tuple:
-    """(p, q) with q > 0 and p / q == parse_rational(value): JSON integers
-    and "p" or "p/q" strings of decimal digits are split directly, anything
-    else goes through parse_rational."""
-    if type(value) is int:
-        return value, 1
-    if type(value) is str:
-        p, slash, q = value.partition("/")
-        if ((p[1:] if p[:1] in ("+", "-") else p).isdecimal()
-                and (q.isdecimal() or not slash)):
-            try:
-                q = int(q) if slash else 1
-                if q:
-                    return int(p), q
-            except ValueError:  # beyond int()'s digit limit
-                pass
-    value = parse_rational(value)
-    return value.numerator, value.denominator
+def _columns(n: int, m: int, matrices: list):
+    """(k, i, j, sign, num, den) of the records, checked column by column, or
+    None if one is malformed or its "val" is not "p" or "p/q" (q > 0) in JSON integers."""
+    try:
+        entries = [mat["entries"] for mat in matrices]
+        recs = list(chain.from_iterable(entries))
+        i, j, sign, val = (list(map(itemgetter(key), recs))
+                           for key in ("i", "j", "sign", "val"))
+    except (KeyError, TypeError):
+        return None
+    text = ",".join(val) if set(map(type, val)) == {str} else ""
+    raw = text.encode() if text.isascii() else b""
+    if (not raw or raw.translate(None, b"0123456789-/,")  # a byte of no JSON integer
+            or text.count(",") != len(val) - 1  # "1,2" is not one number
+            or set(map(type, entries)) != {list} or set(map(type, i + j)) != {int}
+            or sign.count("+") + sign.count("-") != len(sign)
+            or n * m * m >= 2 ** 63):  # the cell keys below fit in int64
+        return None
+    commas, cuts = (np.flatnonzero(np.frombuffer(raw, np.uint8) == ord(c)) for c in ",/")
+    slashes = np.bincount(np.searchsorted(commas, cuts), minlength=len(val))
+    try:  # huge indices, or not JSON integers, or beyond int()'s digit limit
+        i, j = np.array(i, dtype=np.int64), np.array(j, dtype=np.int64)
+        flat = int_array(json.loads("[" + text.replace("/", ",") + "]"))
+    except (OverflowError, ValueError):
+        return None
+    k = np.repeat(np.arange(n), list(map(len, entries)))
+    key = np.sort((k * m + i - 1) * m + j - 1, kind="stable")
+    start = np.arange(len(val)) + np.cumsum(slashes) - slashes
+    num, den, split = flat[start], np.ones(len(val), dtype=flat.dtype), slashes == 1
+    den[split] = flat[start[split] + 1]
+    if not (((1 <= i) & (i <= j) & (j <= m)).all() and (key[1:] != key[:-1]).all()
+            and slashes.max() <= 1 and (den > 0).all()):
+        return None
+    plus = np.frombuffer("".join(sign).encode(), dtype=np.uint8) == ord("+")
+    return k, i - 1, j - 1, np.where(plus, POS, NEG), num, den
 
 
 def pencil_from_json(obj) -> Pencil:
-    """The pencil of a JSON object, validated record by record in one pass
-    that fills the pencil's coordinate arrays."""
+    """The pencil of a JSON object, read by ``_columns`` or, if it declines,
+    validated record by record in one pass that words every error."""
     if not isinstance(obj, dict):
         raise ValidationError("pencil file must contain a JSON object")
     try:
@@ -105,6 +128,9 @@ def pencil_from_json(obj) -> Pencil:
     if not isinstance(matrices, list) or len(matrices) != n:
         raise ValidationError(f"expected {n} matrices, got "
                               f"{len(matrices) if isinstance(matrices, list) else '?'}")
+    columns = _columns(n, m, matrices)
+    if columns is not None:
+        return Pencil.from_arrays(n, m, *columns, affine)
     counts, cells, nums, dens = [], [], [], []
     for k, mat in enumerate(matrices):
         if not isinstance(mat, dict):
@@ -131,12 +157,12 @@ def pencil_from_json(obj) -> Pencil:
                 raise ValidationError(
                     f"duplicate entry ({i},{j}) in matrix {k + 1}")
             seen.add((i, j))
-            p, q = _ratio(val)
+            value = parse_rational(val)
             if sign != "+" and sign != "-":
                 raise ValidationError(f'sign must be "+" or "-", got {sign!r}')
             cells += (i - 1, j - 1, POS if sign == "+" else NEG)
-            nums.append(p)
-            dens.append(q)
+            nums.append(value.numerator)
+            dens.append(value.denominator)
         counts.append(len(seen))
     cells = np.array(cells, dtype=np.intp).reshape(-1, 3)
     return Pencil.from_arrays(n, m, np.repeat(np.arange(len(counts)), counts),
@@ -256,17 +282,20 @@ def certificate_from_json(obj) -> Certificate:
 
 def load_json(source: Union[str, IO]) -> object:
     """Parse JSON from a path, "-" (stdin), or an open file object."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif source == "-":
-        import sys
-        text = sys.stdin.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        elif source == "-":
+            import sys
+            text = sys.stdin.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"input is not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"malformed JSON: {exc}") from exc
 
 

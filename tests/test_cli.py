@@ -403,6 +403,25 @@ def test_misshapen_pencil_exits_one_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("data, reason", [
+    (b"\xff\xfe{}", "input is not UTF-8 text"),  # a UTF-16 byte-order mark
+    (b"[" * 200_000, "malformed JSON: maximum recursion depth exceeded"),
+], ids=["utf16", "deep"])
+@pytest.mark.parametrize("via", ["file", "stdin"])
+@pytest.mark.parametrize("command", ["check", "solve-game"])
+def test_unreadable_input_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
+                                                      command, via, data, reason):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    if via == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data),
+                                                          encoding="utf-8"))
+    assert run([command, str(path) if via == "file" else "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"tropsdp: ValidationError: {reason}")
+    assert err.count("\n") == 1
+
+
 def test_bad_epsilon_exits_one(capsys):
     assert run(["check", RUNNING, "--eps", "0"]) == 1
     assert run(["check", RUNNING, "--eps=-1/2"]) == 1

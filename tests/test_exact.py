@@ -697,8 +697,10 @@ def enumerated_affine(P):
 
 
 def test_affine_rounds_match_the_enumeration(solves):
+    # 600 pencils: starting from the states reachable from state 0 leaves
+    # the first two-round True verdict at pencil 440
     seen = set()
-    for P in affine_corpus(5, 400):
+    for P in affine_corpus(5, 600):
         expected = enumerated_affine(P)
         solves.clear()
         try:
@@ -729,6 +731,18 @@ def test_affine_refuses_dense_n8_before_any_solve(solves):
                        match="^3359232 policy pairs exceed the cap of 1000000$"):
         affine_feasibility(dense_affine(8))
     assert solves == []
+
+
+def test_affine_solves_only_the_block_reachable_from_state_0(running_pencil, solves):
+    # the running example (variables and rows 0-2) beside the dense n = 8
+    # block, whose game alone is refused by the pair cap
+    R, D = running_pencil, dense_affine(8)
+    cat = lambda name, shift: np.concatenate((getattr(R, name), getattr(D, name) + shift))
+    num = np.concatenate((R.num.astype(object) * D.den, D.num.astype(object) * R.den))
+    P = Pencil.from_arrays(R.n + D.n, R.m + D.m, cat("k", R.n), cat("i", R.m),
+                           cat("j", R.m), cat("sign", 0), num, R.den * D.den, affine=True)
+    assert affine_feasibility(P) is True
+    assert solves == [3]
 
 
 def test_affine_decides_beyond_the_enumeration_cap(solves):

@@ -1,19 +1,24 @@
 """Serialization round trips and input validation."""
 
+import copy
 import io
 import json
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
 from tropsdp import (
     Certificate,
+    Pencil,
     ValidationError,
     check_feasibility,
     game_from_pencil,
     jsonio,
 )
+from tropsdp.bench import GenSpec, gen_random
 
 from conftest import example_path, games, overlap_free_games
 
@@ -116,6 +121,142 @@ def test_pencil_from_json_validates_indices():
     ]
     with pytest.raises(ValidationError, match="duplicate"):
         jsonio.pencil_from_json(base)
+
+
+# ---------------------------------------------------------------------------
+# the column reader against the per-record reference
+# ---------------------------------------------------------------------------
+
+def read(obj):
+    """The pencil of obj, or the text of the ValidationError it raises."""
+    try:
+        return jsonio.pencil_from_json(obj)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def read_by_records(obj):
+    """``read`` with every record going through the per-record loop."""
+    with mock.patch.object(jsonio, "_columns", lambda n, m, matrices: None):
+        return read(obj)
+
+
+def random_literal(rng):
+    p = rng.choice((rng.randint(-9, 9), rng.randint(-2 ** 40, 2 ** 40)))
+    return rng.choice((str(p), f"{p}/{rng.randint(1, 12)}"))
+
+
+def random_pencil_json(rng):
+    """A well-formed pencil object: n, m in 1..4, random cells in shuffled
+    order, "p" and "p/q" literals."""
+    n, m = rng.randint(1, 4), rng.randint(1, 4)
+    cells = [(i, j) for i in range(1, m + 1) for j in range(i, m + 1)]
+    matrices = []
+    for _ in range(n):
+        recs = [{"i": i, "j": j, "sign": rng.choice("+-"), "val": random_literal(rng)}
+                for i, j in rng.sample(cells, rng.randint(0, len(cells)))]
+        matrices.append({"entries": recs})
+    return {"n": n, "m": m, "affine": rng.random() < 0.5, "matrices": matrices}
+
+
+BAD_LITERALS = ["1,2", "1/0", "0/0", "1/-2", "01", "1/02", "+3/4", " 1/2 ", "1 /2",
+                "٣/4", "1_0/3", "0.25", "1e3", "1/2/3", "", "-", "1/", "/2",
+                "--1", "[1]", "1]", "true", "\udcff/2", '"1"', 7, -2 ** 70, 2 ** 63,
+                f"{2 ** 70 + 1}/3", f"-{2 ** 63}", "9" * 5000, 0.5, True, None]
+
+
+def corrupt(rng, obj):
+    """Apply one random corruption to a random well-formed record of obj, in
+    place (or add a record when there is none)."""
+    owned = [(mat, r) for mat in obj["matrices"] for r in mat["entries"]
+             if isinstance(r, dict) and r.keys() >= {"i", "j", "sign", "val"}]
+    if not owned:
+        obj["matrices"][0]["entries"].append({"i": 1, "j": 1, "sign": "-", "val": "0"})
+        return
+    (mat, rec), kind = rng.choice(owned), rng.randrange(11)
+    if kind == 0:
+        rec[rng.choice("ij")] = rng.choice((True, False, 1.0, 2 ** 70, -2 ** 70, "1"))
+    elif kind == 1:
+        rec["i"], rec["j"] = 2, 1
+    elif kind == 2:
+        rec["j"] = obj["m"] + 1
+    elif kind == 3:  # the same cell twice in one matrix
+        mat["entries"].insert(rng.randint(0, len(mat["entries"])), dict(rec, val="5/7"))
+    elif kind == 4:  # the same cell in another matrix is fine
+        other = rng.choice(obj["matrices"])
+        other["entries"] = [dict(rec)] + [
+            r for r in other["entries"] if not isinstance(r, dict)
+            or (r.get("i"), r.get("j")) != (rec["i"], rec["j"])]
+    elif kind == 5:
+        rec["sign"] = rng.choice(("*", "-+", "", None, 1, ["+"]))
+    elif kind in (6, 7, 8):
+        rec["val"] = rng.choice(BAD_LITERALS)
+    elif kind == 9:
+        del rec[rng.choice(("i", "j", "sign", "val"))]
+    else:
+        mat["entries"].append(rng.choice(([1, 1, "-", "0"], "record", None)))
+
+
+def test_column_reader_reads_generated_pencils():
+    rng = random.Random(3)
+    for _ in range(200):
+        obj = random_pencil_json(rng)
+        assert jsonio.pencil_from_json(obj) == read_by_records(obj)
+        if any(mat["entries"] for mat in obj["matrices"]):
+            assert jsonio._columns(obj["n"], obj["m"], obj["matrices"]) is not None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_column_reader_matches_the_records_on_corrupted_pencils(seed):
+    rng, outcomes = random.Random(seed), set()
+    for _ in range(300):
+        obj = random_pencil_json(rng)
+        for _ in range(rng.randint(1, 2)):
+            corrupt(rng, obj)
+        expected = read_by_records(copy.deepcopy(obj))
+        assert read(obj) == expected
+        outcomes.add(expected.split(" ")[0] if isinstance(expected, str) else "Pencil")
+    assert {"Pencil", "bad", "entry", "duplicate", "sign"} <= outcomes
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"i": True}, "entry indices must be integers, got (i=True, j=1) in matrix 2"),
+    ({"j": 2 ** 70}, "entry indices must satisfy 1 <= i <= j <= m, got (i=1, "),
+    ({"sign": "*"}, "sign must be \"+\" or \"-\", got '*'"),
+    ({"val": "1,2"}, "bad rational literal '1,2'"),
+    ({"val": "1/0"}, "bad rational literal '1/0'"),
+])
+def test_column_reader_declines_each_fault(change, message):
+    rec = dict({"i": 1, "j": 1, "sign": "-", "val": "3/4"}, **change)
+    matrices = [{"entries": [{"i": 1, "j": 1, "sign": "+", "val": "1/2"}]},
+                {"entries": [{"i": 1, "j": 2, "sign": "-", "val": "1/3"}, rec]}]
+    assert jsonio._columns(2, 2, matrices) is None
+    with pytest.raises(ValidationError) as exc:
+        jsonio.pencil_from_json({"n": 2, "m": 2, "matrices": matrices})
+    assert str(exc.value).startswith(message)
+
+
+def test_column_reader_rejects_a_duplicate_in_one_matrix_only():
+    rec = {"i": 1, "j": 2, "sign": "-", "val": "1/2"}
+    twice = {"n": 1, "m": 2, "matrices": [{"entries": [rec, dict(rec, val="1")]}]}
+    assert read(twice) == read_by_records(twice) == "duplicate entry (1,2) in matrix 1"
+    apart = {"n": 2, "m": 2, "matrices": [{"entries": [rec]}, {"entries": [rec]}]}
+    assert jsonio._columns(2, 2, apart["matrices"]) is not None
+    assert read(apart) == read_by_records(apart)
+
+
+def test_large_pencils_round_trip():
+    P = gen_random(GenSpec(1000, 20, 0))
+    obj = jsonio.pencil_to_json(P)
+    assert jsonio._columns(P.n, P.m, obj["matrices"]) is not None
+    assert jsonio.pencil_from_json(obj) == P
+    # numerators beyond int64 stay Python ints
+    wide = Pencil.from_arrays(P.n, P.m, P.k, P.i, P.j, P.sign,
+                              P.num.astype(object) * 2 ** 64 + 1, P.den)
+    obj = jsonio.pencil_to_json(wide)
+    assert jsonio._columns(P.n, P.m, obj["matrices"]) is not None
+    again = jsonio.pencil_from_json(obj)
+    assert again == wide and again.num.dtype == object
 
 
 def test_game_round_trip(dominion_game):
@@ -269,6 +410,23 @@ def test_load_json_from_file_object_and_path(tmp_path):
 def test_load_json_reports_malformed_input():
     with pytest.raises(ValidationError, match="malformed JSON"):
         jsonio.load_json(io.StringIO("{not json"))
+
+
+def test_load_json_rejects_text_that_is_not_utf8(tmp_path, monkeypatch):
+    path = tmp_path / "utf16.json"
+    path.write_bytes('{"a": 1}'.encode("utf-16"))  # starts with FF FE
+    with pytest.raises(ValidationError, match="^input is not UTF-8 text: "):
+        jsonio.load_json(str(path))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes()),
+                                                      encoding="utf-8"))
+    with pytest.raises(ValidationError, match="^input is not UTF-8 text: "):
+        jsonio.load_json("-")
+
+
+@pytest.mark.parametrize("text", ["[" * 200_000, '{"a": ' * 200_000])
+def test_load_json_rejects_deep_nesting(text):
+    with pytest.raises(ValidationError, match="^malformed JSON: maximum recursion depth exceeded"):
+        jsonio.load_json(io.StringIO(text))
 
 
 def test_dump_json_writes_and_returns(tmp_path):
