@@ -12,6 +12,7 @@ record sends the pencil through a per-record loop that words every error.
 
 from __future__ import annotations
 
+import gc
 import json
 from fractions import Fraction
 from itertools import chain
@@ -128,7 +129,16 @@ def pencil_from_json(obj) -> Pencil:
     if not isinstance(matrices, list) or len(matrices) != n:
         raise ValidationError(f"expected {n} matrices, got "
                               f"{len(matrices) if isinstance(matrices, list) else '?'}")
-    columns = _columns(n, m, matrices)
+    # _columns holds lists of some 10^5 ints and strs, which form no cycles; a
+    # collection that starts while they are young walks every item for nothing,
+    # so the collector waits until they are freed.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        columns = _columns(n, m, matrices)
+    finally:
+        if collecting:
+            gc.enable()
     if columns is not None:
         return Pencil.from_arrays(n, m, *columns, affine)
     counts, cells, nums, dens = [], [], [], []

@@ -1,6 +1,7 @@
 """Serialization round trips and input validation."""
 
 import copy
+import gc
 import io
 import json
 import random
@@ -257,6 +258,31 @@ def test_large_pencils_round_trip():
     assert jsonio._columns(P.n, P.m, obj["matrices"]) is not None
     again = jsonio.pencil_from_json(obj)
     assert again == wide and again.num.dtype == object
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_column_reader_runs_with_the_collector_paused(enabled):
+    obj = jsonio.pencil_to_json(gen_random(GenSpec(20, 4, 0)))
+    seen = []
+
+    def columns(*args):
+        seen.append(gc.isenabled())
+        if len(seen) == 2:
+            raise RuntimeError("stop")
+        return real(*args)
+
+    real = jsonio._columns
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with mock.patch.object(jsonio, "_columns", columns):
+            jsonio.pencil_from_json(obj)
+            assert gc.isenabled() is enabled
+            with pytest.raises(RuntimeError):
+                jsonio.pencil_from_json(obj)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False, False]
 
 
 def test_game_round_trip(dominion_game):
