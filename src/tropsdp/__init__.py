@@ -31,7 +31,7 @@ from .certify import (ArchimedeanThreshold, Certificate, archimedean_threshold,
                       check_certificate, feasibility_certificate,
                       infeasibility_certificate, verify_subharmonic,
                       verify_superharmonic)
-from .bench import GenSpec, benchmark, gen_random, phase_diagram, to_csv
+from .bench import GenSpec, gen_random, phase_diagram, to_csv
 
 __version__ = "0.1.0"
 
@@ -56,6 +56,5 @@ __all__ = [
     "verify_subharmonic", "verify_superharmonic", "check_certificate",
     "feasibility_certificate", "infeasibility_certificate",
     "archimedean_threshold",
-    "GenSpec", "gen_random", "phase_diagram", "benchmark",
-    "to_csv",
+    "GenSpec", "gen_random", "phase_diagram", "to_csv",
 ]

@@ -1,4 +1,4 @@
-"""Random instances, phase-transition sweeps, and timing tables.
+"""Random instances and phase-transition sweeps.
 
 The generator draws each modulus i.i.d. uniformly from the rational grid
 {0, 1/d, ..., 1} (d = 2^31 by default), gives diagonal entries a positive
@@ -6,11 +6,10 @@ tropical sign and off-diagonal entries a negative one, and completes
 symmetrically.  Those choices make every instance well formed as soon as
 m >= 2, so the game translation never needs a preprocessing pass.
 
-Sweeps and benchmarks iterate the game of each generated pencil,
-``game_from_pencil(gen_random(spec))``, with the same kernel, loop and
-certificate stop as `check` (`StochGame.step`, `shapley._iterate`); the
-generator fills the pencil's coordinate arrays straight from the drawn
-numerators.
+Sweeps decide the game of each generated pencil,
+``game_from_pencil(gen_random(spec))``, with the same checked value
+iteration as `check` (`shapley._decide`); the generator fills the pencil's
+coordinate arrays straight from the drawn numerators.
 The grid moduli are dyadic with denominator 2^31, hence exactly
 representable in float64 — the float loop computes the same iterates the
 exact loop would, up to the rounding of the averages themselves.
@@ -18,8 +17,6 @@ exact loop would, up to the rounding of the averages themselves.
 
 from __future__ import annotations
 
-import platform
-import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +27,7 @@ import numpy as np
 from .errors import ValidationError
 from .game import game_from_pencil
 from .pencil import Pencil
-from .shapley import _iterate
+from .shapley import _decide
 from .tropical import NEG, POS
 
 DEFAULT_GRID = 2**31
@@ -77,7 +74,7 @@ def gen_random(spec: GenSpec) -> Pencil:
 
 @dataclass(frozen=True)
 class CellResult:
-    """Aggregate of one (n, m) cell of a sweep or benchmark."""
+    """Aggregate of one (n, m) cell of a sweep."""
 
     n: int
     m: int
@@ -106,32 +103,25 @@ def _sample_seed(seed: int, n: int, m: int, s: int) -> int:
     return int(np.random.SeedSequence((seed, n, m, s)).generate_state(1)[0])
 
 
-def _run_sample(spec: GenSpec, epsilon: float, max_iters: int, reps: int):
-    """Solve one instance `reps` times; returns (status, iters,
-    median wall time or None)."""
+def _run_sample(spec: GenSpec, epsilon: float, max_iters: int, timing: bool):
+    """Decide one instance; returns (status, iters, wall time of the
+    decision or None)."""
     if spec.m < 2:
         raise ValidationError("dense instances need m >= 2 so Min can move")
     game = game_from_pencil(gen_random(spec))
-    solve = lambda: _iterate(game, epsilon, max_iters, exact=False)[:2]
-    if reps <= 0:
-        status, iters = solve()
-        return status, iters, None
-    times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        status, iters = solve()
-        times.append(time.perf_counter() - start)
-    return status, iters, statistics.median(times)
+    start = time.perf_counter()
+    status, iters = _decide(game, Fraction(epsilon), max_iters)[:2]
+    return status, iters, time.perf_counter() - start if timing else None
 
 
 def _run_cell(n: int, m: int, samples: int, epsilon: float, seed: int,
-              max_iters: int, reps: int) -> CellResult:
+              max_iters: int, timing: bool) -> CellResult:
     results = [_run_sample(GenSpec(n, m, _sample_seed(seed, n, m, s)),
-                           epsilon, max_iters, reps) for s in range(samples)]
+                           epsilon, max_iters, timing) for s in range(samples)]
     feasible = sum(1 for v, _, _ in results if v == "feasible")
     indeterminate = sum(1 for v, _, _ in results if v == "indeterminate")
     mean_iters = Fraction(sum(it for _, it, _ in results), samples)
-    if reps > 0:
+    if timing:
         mean_time = sum(t for _, _, t in results) / samples
     else:
         mean_time = None
@@ -139,45 +129,22 @@ def _run_cell(n: int, m: int, samples: int, epsilon: float, seed: int,
                       mean_time)
 
 
-def _run_cells(sizes, samples: int, epsilon: float, seed: int,
-               max_iters: int, reps: int) -> list:
-    """One CellResult per (n, m) in sizes; samples run one after another,
-    so no timed run overlaps another."""
-    return [_run_cell(n, m, samples, epsilon, seed, max_iters, reps)
-            for n, m in sizes]
-
-
 def phase_diagram(n_list: Sequence[int], m_list: Sequence[int], samples: int = 10,
                   epsilon: float = 1e-8, seed: int = 0, max_iters: int = 10**5,
                   timing: bool = True) -> list:
     """Feasibility ratio of random instances over a grid of sizes.
 
-    Runs `samples` seeded instances per (n, m) cell; with timing disabled
-    the output is byte-identical across runs (wall clock is the only
-    nondeterministic column).
+    Runs `samples` seeded instances per (n, m) cell, one after another, so
+    no timed run overlaps another; with timing disabled the output is
+    byte-identical across runs (wall clock is the only nondeterministic
+    column).
     """
     if samples < 1:
         raise ValidationError("need at least one sample per cell")
-    return _run_cells([(n, m) for n in n_list for m in m_list], samples,
-                      epsilon, seed, max_iters, 1 if timing else 0)
+    return [_run_cell(n, m, samples, epsilon, seed, max_iters, timing)
+            for n in n_list for m in m_list]
 
 
-def benchmark(size_list: Iterable, samples: int = 10, epsilon: float = 1e-8,
-              seed: int = 0, max_iters: int = 10**5) -> list:
-    """Timing table over explicit (n, m) sizes, median-of-3 per instance."""
-    if samples < 1:
-        raise ValidationError("need at least one sample per size")
-    return _run_cells(size_list, samples, epsilon, seed, max_iters, 3)
-
-
-def to_csv(cells: Iterable[CellResult], hardware_header: bool = False) -> str:
-    """Render results as CSV; the optional header comment discloses the
-    machine the numbers came from."""
-    lines = []
-    if hardware_header:
-        lines.append(f"# host: {platform.platform()}")
-        lines.append(f"# cpu: {platform.processor() or 'unknown'}"
-                     f", python {platform.python_version()}")
-    lines.append(CSV_HEADER)
-    lines.extend(cell.csv_row() for cell in cells)
-    return "\n".join(lines) + "\n"
+def to_csv(cells: Iterable[CellResult]) -> str:
+    """Render results as CSV."""
+    return "\n".join([CSV_HEADER, *(cell.csv_row() for cell in cells)]) + "\n"

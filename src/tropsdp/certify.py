@@ -11,12 +11,12 @@ zero and hence proves the spectrahedron trivial.
 
 Both kinds are produced by running value iteration on the game with all Min
 rewards shifted by -lambda (the sublevel sets of the shifted operator are
-exactly the reinforced spectrahedra): the running entrywise maximum of the
-iterates certifies feasibility, and the running entrywise minimum certifies
-infeasibility, unless the iteration stopped at an iterate that is itself
-an exact certificate.  Every emitted certificate is re-verified in exact
-rational arithmetic; verification helpers are exposed for checking
-third-party certificates too.
+exactly the reinforced spectrahedra): its witness, checked in integers, is
+the certificate.  A feasibility certificate is the running entrywise
+maximum of the iterates, and an infeasibility certificate the last iterate
+or the tilted running minimum of the iterates, unless the iteration stopped
+at an iterate that is itself an exact certificate.  Verification helpers
+are exposed for checking third-party certificates too.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import CertificateInvalid, DeltaTooLarge, ValidationError
 from .game import StochGame
 from .pencil import int_array
-from .shapley import value_iteration_raw
+from .shapley import _decide
 from .tropical import MINUS_INF, as_fraction
 
 
@@ -105,65 +105,51 @@ def check_certificate(G: StochGame, cert: Certificate):
 
 
 def _shifted_certificate(G: StochGame, lam: Fraction, kind: str, epsilon,
-                         max_iters: int, exact: bool) -> Certificate:
-    """Run value iteration on the game with Min rewards shifted down by lam
-    and certify with its running maximum (Feasibility) or minimum
-    (Infeasibility).  When the loop stopped at an exact certificate, both
-    are the iterate u itself: u <= F(u) - lam, or F(u) - lam < u in every
-    entry, which is a strict certificate.  F is evaluated once per witness;
-    a witness from doubles that fails the exact check triggers one rational
-    rerun."""
+                         max_iters: int) -> Certificate:
+    """Run value iteration on the game with Min rewards shifted down by lam,
+    whose checked witness (``shapley._decide``) is the certificate:
+    v <= F(v) - lam, or F(u) - lam < u in every entry, which is strict."""
     feasible = kind == "Feasibility"
-    wanted = "feasible" if feasible else "infeasible"
+    status, _, vector, _, _ = _decide(shift_min_rewards(G, -lam),
+                                      as_fraction(epsilon), max_iters)
+    if status != ("feasible" if feasible else "infeasible"):
+        raise CertificateInvalid(
+            f"value iteration on the lambda-shifted game returned "
+            f"{status!r}; no {kind.lower()} certificate at this margin")
     verify = verify_subharmonic if feasible else _superharmonic
-    shifted = shift_min_rewards(G, -lam)
-    for exact_run in ((True,) if exact else (False, True)):
-        status, _, _, v, w = value_iteration_raw(
-            shifted, epsilon, max_iters, exact_run)
-        if status != wanted:
-            raise CertificateInvalid(
-                f"value iteration on the lambda-shifted game returned "
-                f"{status!r}; no {kind.lower()} certificate at this margin")
-        vector = v if feasible else w
-        holds, strict = verify(G, vector, lam)
-        if holds:
-            return Certificate(kind, tuple(vector), lam, strict)
-    raise CertificateInvalid("shifted iteration produced an invalid witness")
+    return Certificate(kind, vector, lam, verify(G, vector, lam)[1])
 
 
 def feasibility_certificate(G: StochGame, lam, epsilon=Fraction(1, 10**8),
-                            max_iters: int = 10**6, exact: bool = False) -> Certificate:
+                            max_iters: int = 10**6) -> Certificate:
     """Produce a vector v with lam + v <= F(v), for lam > 0.
 
     Runs value iteration on the game with Min rewards shifted down by lam;
-    the running maximum of the iterates is the certificate.  Raises
-    CertificateInvalid when the iteration concludes the reinforced problem
-    is infeasible (lam at or above the margin) or cannot decide.
+    the running maximum of the iterates, or an iterate checked at a
+    certificate stop, is the certificate.  Raises CertificateInvalid when
+    the iteration concludes the reinforced problem is infeasible (lam at or
+    above the margin) or cannot decide.
     """
     lam = as_fraction(lam)
     if lam <= 0:
         raise ValidationError("feasibility certificates need lambda > 0")
-    return _shifted_certificate(G, lam, "Feasibility", epsilon, max_iters,
-                                exact)
+    return _shifted_certificate(G, lam, "Feasibility", epsilon, max_iters)
 
 
 def infeasibility_certificate(G: StochGame, lam, epsilon=Fraction(1, 10**8),
-                              max_iters: int = 10**6, exact: bool = False) -> Certificate:
-    """Produce a finite vector u with F(u) <= lam + u, for lam < 0.
+                              max_iters: int = 10**6) -> Certificate:
+    """Produce a finite vector u with F(u) < lam + u in every entry, for
+    lam < 0.
 
-    The running entrywise minimum w of the shifted iteration works: once
-    every entry of the final iterate is <= -epsilon, monotonicity gives
-    F(w) <= min(F(0), ..., F^l(0)) <= w (the last iterate being entrywise
-    negative absorbs the initial 0).  When the shifted iteration instead
-    stops at a checked iterate u with F(u) < u in every entry, checked in
-    integers, w is u and the certificate is strict; its entries need not
-    be negative.
+    The shifted iteration's Infeasible witness works: its last iterate, or
+    the tilted running minimum of its iterates, checked in integers to
+    satisfy F(u) - lam < u, so the certificate is always strict.  Its
+    entries need not be negative.
     """
     lam = as_fraction(lam)
     if lam >= 0:
         raise ValidationError("infeasibility certificates need lambda < 0")
-    return _shifted_certificate(G, lam, "Infeasibility", epsilon, max_iters,
-                                exact)
+    return _shifted_certificate(G, lam, "Infeasibility", epsilon, max_iters)
 
 
 # ---------------------------------------------------------------------------

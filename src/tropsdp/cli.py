@@ -4,7 +4,7 @@ Subcommands cover the full pipeline: feasibility checking by value
 iteration (`check`), exact margins by policy enumeration (`exact`),
 pencil/game translation (`game`, `solve-game`), preprocessing
 (`metzlerize`, `normalize`, `affine`), certificates (`certify`), and the
-experimental harness (`gen`, `phase`, `bench`).
+experimental harness (`gen`, `phase`).
 
 Exit codes: 0 feasible/success, 10 infeasible/trivial, 20 indeterminate,
 1 usage or validation error.  `-` means stdin/stdout everywhere.
@@ -24,8 +24,7 @@ from .exact import (DEFAULT_PAIR_CAP, affine_feasibility, game_value_bruteforce,
                     solve_tmsdfp)
 from .game import game_from_pencil
 from .pencil import metzlerize, normalize
-from .shapley import (IterationReport, check_feasibility,
-                      structural_constant_value_check)
+from .shapley import IterationReport, check_feasibility
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 10
@@ -57,7 +56,7 @@ certificate (output of `certify`)
   {"kind": "Feasibility"|"Infeasibility", "vector": ["p/q", ...],
    "lambda": "p/q", "strict": bool}
 
-sweep/benchmark CSV
+sweep CSV (output of `phase`)
   header: n,m,samples,feasible_ratio,indeterminate,mean_iters,mean_time_s
 """
 
@@ -78,19 +77,6 @@ def _rational(text: str) -> Fraction:
 
 def _int_list(text: str) -> list:
     return [int(part) for part in text.split(",") if part.strip()]
-
-
-def _size_list(text: str) -> list:
-    sizes = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        n, _, m = part.partition("x")
-        if not m:
-            raise argparse.ArgumentTypeError(f"sizes look like 100x10, got {part!r}")
-        sizes.append((int(n), int(m)))
-    return sizes
 
 
 def build_parser() -> _Parser:
@@ -114,8 +100,6 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=_rational, default=Fraction(1, 10**8),
                    help="termination threshold (rational, default 1/10^8)")
     p.add_argument("--max-iters", type=int, default=10**6)
-    p.add_argument("--exact", action="store_true",
-                   help="iterate in exact rational arithmetic")
 
     p = add("exact", "exact game value / margin by policy enumeration")
     p.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_CAP,
@@ -155,14 +139,6 @@ def build_parser() -> _Parser:
     p.add_argument("--no-timing", action="store_true",
                    help="omit wall-clock column (output becomes reproducible)")
 
-    p = add("bench", "timing table on random instances", with_input=False)
-    p.add_argument("--sizes", type=_size_list, required=True,
-                   help="comma-separated nxm pairs, e.g. 100x10,1000x100")
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--eps", type=_rational, default=Fraction(1, 10**8))
-    p.add_argument("--max-iters", type=int, default=10**5)
-    p.add_argument("--seed", type=int, default=0)
-
     p = add("certify", "produce or check (in)feasibility certificates")
     p.add_argument("--lambda", dest="lam", type=_rational, default=None,
                    help="margin: positive for feasibility, negative for "
@@ -174,7 +150,6 @@ def build_parser() -> _Parser:
                    help="input is a game file rather than a pencil")
     p.add_argument("--eps", type=_rational, default=Fraction(1, 10**8))
     p.add_argument("--max-iters", type=int, default=10**6)
-    p.add_argument("--exact", action="store_true")
 
     return parser
 
@@ -256,19 +231,14 @@ def _cmd_check(args) -> int:
             print(f"note: variables {gone} are forced to -inf; the witness is "
                   "over the remaining variables", file=sys.stderr)
         report = check_feasibility(game_from_pencil(reduced),
-                                   epsilon=args.eps, max_iters=args.max_iters,
-                                   exact=args.exact)
-        if (report.exit == "epsilon"
-                and structural_constant_value_check(reduced) == "Unknown"):
-            print("note: constant-value hypothesis not structurally guaranteed; "
-                  "verdict computed assuming ergodicity", file=sys.stderr)
+                                   epsilon=args.eps, max_iters=args.max_iters)
     _emit(args, jsonio.dump_json(jsonio.report_to_json(report)))
     if report.verdict == "Feasible":
         return EXIT_FEASIBLE
     if report.verdict == "Infeasible":
         return EXIT_INFEASIBLE
-    print("hint: indeterminate at this precision; try --exact or "
-          "`tropsdp exact` for small instances", file=sys.stderr)
+    print("hint: indeterminate at this precision; try `tropsdp exact` for "
+          "small instances", file=sys.stderr)
     return EXIT_INDETERMINATE
 
 
@@ -363,14 +333,6 @@ def _cmd_phase(args) -> int:
     return EXIT_FEASIBLE
 
 
-def _cmd_bench(args) -> int:
-    cells = bench_mod.benchmark(args.sizes, samples=args.samples,
-                                epsilon=float(args.eps), seed=args.seed,
-                                max_iters=args.max_iters)
-    _emit(args, bench_mod.to_csv(cells, hardware_header=True))
-    return EXIT_FEASIBLE
-
-
 def _cmd_certify(args) -> int:
     if args.game:
         G = jsonio.game_from_json(jsonio.load_json(args.input))
@@ -392,12 +354,10 @@ def _cmd_certify(args) -> int:
         raise ValidationError("certify needs --lambda (or --check CERT)")
     if args.lam > 0:
         cert = certify_mod.feasibility_certificate(
-            G, args.lam, epsilon=args.eps, max_iters=args.max_iters,
-            exact=args.exact)
+            G, args.lam, epsilon=args.eps, max_iters=args.max_iters)
     else:
         cert = certify_mod.infeasibility_certificate(
-            G, args.lam, epsilon=args.eps, max_iters=args.max_iters,
-            exact=args.exact)
+            G, args.lam, epsilon=args.eps, max_iters=args.max_iters)
     _emit(args, jsonio.dump_json(jsonio.certificate_to_json(cert)))
     return EXIT_FEASIBLE
 
@@ -412,7 +372,6 @@ _COMMANDS = {
     "affine": _cmd_affine,
     "gen": _cmd_gen,
     "phase": _cmd_phase,
-    "bench": _cmd_bench,
     "certify": _cmd_certify,
 }
 

@@ -21,18 +21,19 @@ feasible point, and F(u) < u in every entry drives F^t(0) to -oo, so the
 spectrahedron is trivial.  This is the bound min(F(u) - u) <= chi <=
 max(F(u) - u) on the game's value chi; near the boundary, where the
 epsilon exits take about (span + epsilon) / |chi| steps, it decides after
-64 or 128.  Neither stop needs the constant-value hypothesis below, and
-runs that decide within 64 steps never reach a check.
+64 or 128.  Runs that decide within 64 steps never reach a check.
 
 The iteration runs on the arrays a `StochGame` stores: `StochGame.step`
-evaluates F on them and one loop (`_iterate`) iterates it, over doubles by
-default and over Fractions in exact mode.  A witness claimed in doubles is
-re-checked exactly by `StochGame.is_subharmonic`, which scales the rewards
-and the witness to integers (int64 when a bit bound allows, Python ints
-otherwise); if the check fails the loop reruns in rationals.  Correctness
-of the epsilon verdicts under fixed-precision evaluation is part of the
-procedure's contract, provided every state of the game has the same mean
-payoff and it is nonzero.  `recession` runs the same kernel with zero
+evaluates F on them and one loop (`_iterate`) iterates it, over doubles or
+over Fractions.  `_decide` runs it in doubles and accepts an epsilon exit
+only after its vector passes a check in integers (`StochGame.doubled_step`,
+int64 when a bit bound allows, Python ints otherwise): a Feasible exit
+needs v <= F(v), an Infeasible one F(u) < u for the last iterate u or for
+the tilted running minimum of the iterates (`_tilted_min`).  A vector that
+fails, or an epsilon that is 0 as a double, reruns the loop in Fractions,
+whose exits pass the same checks by construction.  So every verdict is
+checked exactly; whether all states share one mean payoff bears only on
+whether an epsilon exit comes.  `recession` runs the same kernel with zero
 rewards over Fractions and -oo.  `apply_F` evaluates F over Fractions and
 -oo from the game's action tuples; it is the exact reference the arrays are
 tested against.
@@ -40,6 +41,7 @@ tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -121,17 +123,17 @@ def structural_constant_value_check(P: Pencil) -> str:
 class IterationReport:
     """Outcome of the value-iteration feasibility check.
 
-    witness is the running-max vector v for a Feasible verdict (it satisfies
-    v <= F(v) exactly) and the last iterate u otherwise; entries are exact
-    rationals (doubles convert losslessly).  When the loop stopped at an
-    exact certificate, the witness is that iterate: u <= F(u) for Feasible,
-    and for Infeasible a strictly superharmonic u (F(u) < u in every entry)
-    whose entries need not be <= -epsilon.  engine names the arithmetic of
-    the iteration that produced them: "double", or "rational" under
-    ``exact`` or after a double witness failed the exact check.  exit names
-    the stop that decided: "epsilon" (only these verdicts rest on the
-    constant-value hypothesis), "certificate" or "budget"; it is None for
-    a report that no iteration produced.
+    witness is a vector checked in integers: v <= F(v) for a Feasible
+    verdict (the running maximum v of the iterates, or the checked iterate
+    at a certificate stop), and F(u) < u in every entry for an Infeasible
+    one (the last iterate, or the tilted running minimum of the iterates);
+    for Indeterminate it is the last iterate.  Entries are exact rationals
+    (doubles convert losslessly), and an Infeasible witness's entries need
+    not be <= -epsilon.  engine names the arithmetic of the iteration that
+    produced them: "double", or "rational" when epsilon is 0 as a double
+    or a double witness failed its check.  exit names the stop that
+    decided: "epsilon", "certificate" or "budget"; it is None for a report
+    that no iteration produced.
     """
 
     verdict: str  # "Feasible" | "Infeasible" | "Indeterminate"
@@ -154,6 +156,13 @@ def _certificate(G: StochGame, u) -> str | None:
     return None
 
 
+def _start(G: StochGame, exact: bool):
+    """The step F and the start vector 0, over doubles or Fractions."""
+    if exact:
+        return G.exact_step(), np.array([Fraction(0)] * G.n, dtype=object)
+    return G.step, np.zeros(G.n)
+
+
 def _iterate(G: StochGame, epsilon, max_iters: int, exact: bool):
     """Iterate u := F(u) from 0, keeping the running entrywise maximum v
     and minimum w, until every entry of u is <= -epsilon ("infeasible") or
@@ -171,15 +180,13 @@ def _iterate(G: StochGame, epsilon, max_iters: int, exact: bool):
     and exit the stop that ended the run: "epsilon", "certificate" or
     "budget".
     """
-    if exact:
-        step, u = G.exact_step(), np.array([Fraction(0)] * G.n, dtype=object)
-    else:
-        step, u, epsilon = G.step, np.zeros(G.n), float(epsilon)
+    step, u = _start(G, exact)
+    if not exact:
+        epsilon = float(epsilon)
     if not epsilon > 0:
         raise ValidationError(
             f"epsilon must be positive, got {epsilon} in the iteration's "
-            "arithmetic; an epsilon that underflows to 0 in floats needs "
-            "exact iteration (--exact)")
+            "arithmetic")
     v = u.copy()
     w = u.copy()
     iters, checkpoint = 0, FIRST_CHECK
@@ -199,45 +206,86 @@ def _iterate(G: StochGame, epsilon, max_iters: int, exact: bool):
     return verdict, iters, u, v, w, "epsilon"
 
 
+def _tilted_min(G: StochGame, t: int, epsilon: Fraction, exact: bool):
+    """z = min over 0 <= s < t of u_s + s delta, with delta = epsilon / t,
+    for a run whose iterate u_t is <= -epsilon in every entry; rounded
+    down to the grid 1/L with 1/L <= delta / 2.
+
+    In exact arithmetic F(z) <= min_s F(u_s) + s delta = min_{1<=s<=t}
+    (u_s + s delta) - delta <= z - delta, because u_t + t delta <= 0 = u_0
+    (monotonicity and additive homogeneity); the rounding keeps
+    F(z) < z - delta / 2 and the integers of the check small.  In doubles
+    the iterates carry rounding errors, and only that check decides.
+    Replays the run's t steps in its arithmetic.
+    """
+    step, u = _start(G, exact)
+    delta = epsilon / t
+    tilt = delta if exact else float(delta)
+    z = u.copy()
+    for s in range(1, t):
+        u = step(u)
+        np.minimum(z, u + s * tilt, out=z)
+    scale = 1 << (math.ceil(2 / delta) - 1).bit_length()
+    return np.array([Fraction(p * scale // q, scale)
+                     for p, q in (x.as_integer_ratio() for x in z.tolist())],
+                    dtype=object)
+
+
 def _to_fractions(arr: np.ndarray) -> tuple:
     return tuple(Fraction(t) for t in arr.tolist())
 
 
+def _decide(G: StochGame, epsilon: Fraction, max_iters: int):
+    """Value iteration whose epsilon exits are checked in integers;
+    returns (status, iterations, witness, engine, exit), the witness as a
+    tuple of Fractions (see ``IterationReport``).
+
+    A Feasible exit stands when v <= F(v); an Infeasible one when F(u) < u
+    in every entry for the last iterate u, or else for ``_tilted_min``.
+    The loop runs in doubles first, unless epsilon is 0 as a double; a
+    vector that fails its check reruns it in Fractions, where the checks
+    hold by construction.  Certificate and budget stops return the last
+    iterate, already checked or undecided.
+    """
+    for exact in ((True,) if float(epsilon) == 0 else (False, True)):
+        status, iters, u, v, _, stop = _iterate(G, epsilon, max_iters, exact)
+        witness = u
+        if stop == "epsilon" and status == "feasible":
+            witness = v if G.is_subharmonic(v) else None
+        elif stop == "epsilon" and _certificate(G, u) != "infeasible":
+            z = _tilted_min(G, iters, epsilon, exact)
+            witness = z if _certificate(G, z) == "infeasible" else None
+        if witness is not None:
+            return (status, iters, _to_fractions(witness),
+                    "rational" if exact else "double", stop)
+    raise AssertionError("a witness of the rational iteration failed its check")
+
+
 def value_iteration_raw(G: StochGame, epsilon, max_iters: int, exact: bool):
-    """The bare iteration loop, also tracking the running entrywise minimum w
-    (used for infeasibility certificates): returns (status, iterations,
-    u, v, w) with rational entries."""
+    """The bare iteration loop, unchecked, also tracking the running
+    entrywise minimum w: returns (status, iterations, u, v, w) with
+    rational entries."""
     status, iters, *vectors, _ = _iterate(G, as_fraction(epsilon), max_iters,
                                           exact)
     return (status, iters, *map(_to_fractions, vectors))
 
 
 def check_feasibility(G: StochGame, epsilon=Fraction(1, 10**8),
-                      max_iters: int = 10**6,
-                      exact: bool = False) -> IterationReport:
+                      max_iters: int = 10**6) -> IterationReport:
     """Decide feasibility of {x : x <= F(x)} != {-oo} by value iteration.
 
-    A verdict from an exact certificate (the iterate after 64, 128, 256,
-    ... steps satisfying u <= F(u), or F(u) < u in every entry) is correct
-    for every game; iterations is then that step count.  The epsilon
-    verdicts are correct whenever all states of the game share the same
-    nonzero mean payoff (use ``structural_constant_value_check`` for a
-    structural sufficient condition).  Runs in doubles unless ``exact``; a
-    Feasible witness that fails the exact subharmonicity check
-    (``StochGame.is_subharmonic``) triggers a rerun of the loop in
-    rationals, whose witness always passes; a certificate stop has already
-    passed that check.  Hitting ``max_iters`` yields Indeterminate: no
-    epsilon exit, and no checked iterate was a certificate.
+    Every verdict is checked exactly: an epsilon exit by its witness in
+    integers, with a rerun in rationals when the double witness fails (see
+    ``_decide``), and a certificate stop (the iterate after 64, 128, 256,
+    ... steps satisfying u <= F(u), or F(u) < u in every entry) by the
+    same integer test; iterations is the step count of the run that
+    decided.  An epsilon that is 0 as a double runs in rationals from the
+    start.  Hitting ``max_iters`` yields Indeterminate: no epsilon exit,
+    and no checked iterate was a certificate, as can happen at value 0 or
+    with values of both signs.
     """
     epsilon = as_fraction(epsilon)
-    status, iters, u, v, _, stop = _iterate(G, epsilon, max_iters, exact)
-    engine = "rational" if exact else "double"
-    if (stop == "epsilon" and status == "feasible" and not exact
-            and not G.is_subharmonic(v)):
-        engine = "rational"
-        status, iters, u, v, _, stop = _iterate(G, epsilon, max_iters, True)
+    status, iters, witness, engine, stop = _decide(G, epsilon, max_iters)
     verdict = {"feasible": "Feasible",
                "infeasible": "Infeasible"}.get(status, "Indeterminate")
-    return IterationReport(verdict, iters,
-                           _to_fractions(v if status == "feasible" else u),
-                           epsilon, engine, stop)
+    return IterationReport(verdict, iters, witness, epsilon, engine, stop)

@@ -163,9 +163,16 @@ def test_infeasibility_certificate_needs_negative_lambda(losing_game):
         infeasibility_certificate(losing_game, F(3))
 
 
+# an epsilon of 0 as a double runs the loop in rationals
+UNDERFLOWING = F(1, 10**400)
+
+
 def test_exact_mode_produces_a_valid_certificate(worked_game):
-    cert = feasibility_certificate(worked_game, F(1, 100), exact=True)
+    cert = feasibility_certificate(worked_game, F(1, 100), UNDERFLOWING)
     assert check_certificate(worked_game, cert)[0]
+    losing = shift_min_rewards(worked_game, F(-1, 10))  # value -9/140
+    cert = infeasibility_certificate(losing, F(-1, 100), UNDERFLOWING)
+    assert check_certificate(losing, cert) == (True, True)
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["double", "exact"])
@@ -173,11 +180,12 @@ def test_certificates_10_to_the_minus_7_from_the_value(worked_game, exact):
     # the shifted games have value +-10^-7 per step: the epsilon exits would
     # take about 7 * 10^5 steps, a checked iterate certifies after 64
     near = F(1, 10**7)
-    cert = feasibility_certificate(worked_game, F(1, 28) - near, exact=exact)
+    epsilon = UNDERFLOWING if exact else F(1, 10**8)
+    cert = feasibility_certificate(worked_game, F(1, 28) - near, epsilon)
     assert check_certificate(worked_game, cert) == (True, True)
     # the running example with Min rewards lowered by 1/10: value -9/140
     losing = shift_min_rewards(worked_game, F(-1, 10))
-    cert = infeasibility_certificate(losing, F(-9, 140) + near, exact=exact)
+    cert = infeasibility_certificate(losing, F(-9, 140) + near, epsilon)
     assert cert.strict
     assert check_certificate(losing, cert) == (True, True)
 

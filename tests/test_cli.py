@@ -102,11 +102,38 @@ def test_check_rejects_non_metzler(tmp_path, capsys):
     assert "Metzler" in capsys.readouterr().err
 
 
-def test_check_exact_flag_matches(capsys):
-    assert run(["check", RUNNING, "--exact"]) == 0
-    exact_report = json.loads(capsys.readouterr().out)
-    assert run(["check", RUNNING]) == 0
-    assert json.loads(capsys.readouterr().out) == exact_report
+@pytest.mark.parametrize("command", ["check", "certify"])
+def test_no_exact_flag(command, capsys):
+    # the arithmetic is the loop's choice, not the user's
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    assert "--exact" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        run([command, RUNNING, "--exact"])
+    assert exc.value.code == 1
+
+
+# n = 1, m = 2 pencils with moduli near 10^8 and 10^20, which doubles round:
+# the double loop exits Infeasible after one step on both, although both are
+# feasible (margins 0 and 8190)
+LARGE_MODULI = [
+    ((F(1500000008, 15), F(1499999998, 15), F(500000001, 5)), "0"),
+    ((100000000000000024575, 100000000000000008191, 100000000000000008193),
+     "8190"),
+]
+
+
+@pytest.mark.parametrize("moduli, margin", LARGE_MODULI, ids=["1e8", "1e20"])
+def test_check_decides_large_moduli_that_doubles_round(tmp_path, capsys,
+                                                       moduli, margin):
+    q11, q22, q12 = map(F, moduli)
+    path = write_pencil(tmp_path, "large.json", 1, 2, [
+        (0, 0, 0, POS(q11)), (0, 0, 1, NEG(q12)), (0, 1, 1, POS(q22))])
+    assert run(["exact", path]) == 0
+    assert json.loads(capsys.readouterr().out)["margin"] == margin
+    assert run(["check", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "Feasible"
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +362,6 @@ def test_phase_csv(capsys):
     assert all(line.endswith(",") for line in lines[1:])  # timing blanked
 
 
-def test_bench_csv_discloses_hardware(capsys):
-    assert run(["bench", "--sizes", "4x3", "--samples", "1",
-                "--max-iters", "2000"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("# host:")
-    assert "n,m,samples" in out
-
-
-def test_bench_rejects_malformed_sizes(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["bench", "--sizes", "100-10"])
-    assert exc.value.code == 1
-
-
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
@@ -446,16 +459,14 @@ def test_caps_below_one_exit_one(argv, name, value, capsys):
 
 
 def test_underflowing_epsilon_needs_exact(capsys):
-    # 1e-400 is a positive rational but 0.0 as a double; the float loop
-    # must refuse it rather than report Infeasible after 0 iterations
-    assert run(["check", RUNNING, "--eps", "1e-400"]) == 1
+    # 1e-400 is a positive rational but 0.0 as a double; the loop runs in
+    # rationals from the start rather than report Infeasible after 0 steps
+    assert run(["check", RUNNING, "--eps", "1e-400"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "tropsdp: ValidationError" in captured.err
-    assert "--exact" in captured.err
-    assert run(["check", RUNNING, "--eps", "1e-400", "--exact"]) == 0
-    report = json.loads(capsys.readouterr().out)
+    assert captured.err == ""
+    report = json.loads(captured.out)
     assert (report["verdict"], report["iterations"]) == ("Feasible", 20)
+    assert report["epsilon"] == "1/1" + "0" * 400
 
 
 @pytest.mark.parametrize("command", ["exact", "solve-game"])
