@@ -5,8 +5,8 @@ The pipeline: a symmetric pencil of signed tropical matrices (``Pencil``)
 is normalized, translated into a two-player zero-sum game with perfect
 information (``StochGame``), and decided either approximately by value
 iteration on the game's dynamic-programming operator
-(``check_feasibility``) or exactly by policy-pair enumeration backed by
-rational Markov-chain analysis (``solve_tmsdfp``).  Positive results come
+(``check_feasibility``) or exactly by policy-pair enumeration on integer
+limit laws of the pairs' chains (``solve_tmsdfp``).  Positive results come
 with subharmonic vectors, negative ones with superharmonic vectors; both
 are re-verifiable certificates (``certify``).
 """

@@ -21,7 +21,7 @@ from . import certify as certify_mod
 from . import jsonio
 from .errors import TropSdpError, ValidationError
 from .exact import (DEFAULT_PAIR_CAP, affine_feasibility, game_value_bruteforce,
-                    solve_tmsdfp)
+                    optimal_chain, solve_tmsdfp)
 from .game import game_from_pencil
 from .pencil import metzlerize, normalize
 from .shapley import IterationReport, check_feasibility
@@ -243,11 +243,11 @@ def _cmd_check(args) -> int:
 
 
 def _emit_value(args, out: dict, G, value) -> None:
-    """The shared tail of `exact` and `solve-game`: the chain of the
-    optimal pair under --dump-chain (the analysis that rechecked the
-    value), the JSON, then --policies on stderr."""
+    """The shared tail of `exact` and `solve-game`: under --dump-chain the
+    ``markov.analyze`` report of the optimal pair's unfolded chain, run only
+    for that flag, the JSON, then --policies on stderr."""
     if args.dump_chain:
-        out["chain"] = _chain_to_json(value.chain)
+        out["chain"] = _chain_to_json(optimal_chain(G, value))
     _emit(args, jsonio.dump_json(out))
     if args.policies:
         print("optimal pair:\n" + _describe_policies(G, value.optimal_pair),

@@ -15,8 +15,10 @@ of a block are integer numerators, one matrix-vector product per pair.
 The min over sigma of the best replies of Max is the min-max value, the
 max over tau of the best replies of Min the max-min value; the two must
 agree (the saddle point property), and a specific optimal pair must attain
-them, as ``markov.analyze`` of its full chain rechecks.  Any mismatch
+them, as its Poisson equations, checked in integers, prove.  Any mismatch
 aborts, since it can only come from an implementation bug.
+``markov.analyze`` of the optimal pair's full chain is left to the tests and
+to the report of ``--dump-chain`` (``optimal_chain``).
 
 On top of the solver sit the two exact feasibility procedures: nontriviality
 of a Metzler spectrahedron (with its margin, the largest reinforcement
@@ -28,7 +30,7 @@ the largest winning dominion, found in at most n solves, contain state 0?
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -63,15 +65,15 @@ class GameValue:
 
     eta = 2 chi is the mean payoff per full turn (one Min move plus one Max
     move).  The optimal pair attains chi componentwise: chi_k equals the
-    chain gain g_k(sigma, tau) for every k.  chain is ``markov.analyze`` of
-    the optimal pair's unfolded chain, the reference that rechecked chi.
+    chain gain g_k(sigma, tau) for every k, as the pair's Poisson equations
+    prove in integers before the value is returned.  ``optimal_chain``
+    analyses the pair's unfolded chain on demand.
     """
 
     chi: tuple
     eta: tuple
     optimal_pair: tuple
     saddle_verified: bool
-    chain: Optional[ChainAnalysis] = field(default=None, compare=False, repr=False)
 
 
 def _bareiss(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -202,6 +204,51 @@ def _gains(coef: np.ndarray, ids: np.ndarray, r: np.ndarray) -> np.ndarray:
     return sum(coef[ids, :, v] * r[..., v, None] for v in range(r.shape[-1]))
 
 
+def _attains(G: StochGame, sigma: np.ndarray, tau: np.ndarray, chi: tuple,
+             law: np.ndarray, lcm: int) -> None:
+    """Raise SaddlePointError unless the policy pair (sigma, tau), rows of
+    global action indices, earns chi_k per step of its chain from every
+    Min state k.
+
+    On the chain folded onto the Min states, W = 2 P moves k to the Min
+    states a_k and b_k that tau picks at sigma's targets, and a turn earns
+    c_k = (2 p + q_i + q_j) / (2 den).  The gain per turn is g = 2 chi when
+    g and some bias h solve the Poisson equations W g = 2 g and
+    2 h + 2 g = 2 c + W h: the limiting matrix P* of P fixes g by the
+    first, and turns the second into P* g = P* c.  h comes from one
+    ``_bareiss`` solve of (2 L I - L W + 2 law) h = 2 L (c - g), where
+    ``law`` is L P* for the common denominator L of ``_coefficients``;
+    I - P + P* is invertible and its solution solves the equations when
+    g = P* c.  h is not trusted: the check holds for the true gain only,
+    so a wrong law can make it fail but never pass.  Everything runs in
+    Python ints over S = lcm(2 den, the denominators of chi), h being y / d
+    for the solve's numerators y and determinant d.
+    """
+    i, j = tau[G.min_i[sigma]], tau[G.min_j[sigma]]
+    a, b = G.max_t[i].tolist(), G.max_t[j].tolist()
+    scale = math.lcm(2 * G.den, *(x.denominator for x in chi))
+    unit = scale // (2 * G.den)
+    g = [2 * x.numerator * (scale // x.denominator) for x in chi]
+    c = [(2 * p + qi + qj) * unit for p, qi, qj in
+         zip(G.min_p[sigma].tolist(), G.max_p[i].tolist(), G.max_p[j].tolist())]
+    m = 2 * law.astype(object)
+    for k in range(len(g)):
+        m[k, k] += 2 * lcm
+        m[k, a[k]] -= lcm
+        m[k, b[k]] -= lcm
+    rhs = np.array([[2 * lcm * (x - z)] for x, z in zip(c, g)], dtype=object)
+    try:
+        d, y = _bareiss(m[None], rhs[None])
+    except ArithmeticError as exc:  # I - P + P* is invertible: the law is wrong
+        raise SaddlePointError("optimal pair does not attain the value vector") from exc
+    d, y = int(d[0]), y[0, :, 0].tolist()
+    step = lambda x: [x[u] + x[v] for u, v in zip(a, b)]
+    if (step(g) != [2 * z for z in g]
+            or [2 * (x + d * z) for x, z in zip(y, g)]
+            != [2 * d * x + w for x, w in zip(c, step(y))]):
+        raise SaddlePointError("optimal pair does not attain the value vector")
+
+
 def game_value_bruteforce(G: StochGame, max_pairs: int = DEFAULT_PAIR_CAP) -> GameValue:
     """chi_k = min over sigma of max over tau of the exact chain gain.
 
@@ -223,8 +270,8 @@ def game_value_bruteforce(G: StochGame, max_pairs: int = DEFAULT_PAIR_CAP) -> Ga
 
     It then verifies the saddle point property — max-min equals min-max
     componentwise and the first sigma and the first tau (in product order)
-    whose replies equal chi attain it together, as ``markov.analyze`` of
-    their unfolded chain confirms — raising SaddlePointError instead of
+    whose replies equal chi attain it together, as ``_attains`` proves in
+    integers from their shape's law — raising SaddlePointError instead of
     returning questionable output.
     """
     pairs = G.policy_count()
@@ -274,18 +321,21 @@ def game_value_bruteforce(G: StochGame, max_pairs: int = DEFAULT_PAIR_CAP) -> Ga
         raise SaddlePointError(
             f"saddle point verification failed: min-max {chi}, max-min {chi_dual}, "
             f"uniform optimal pair {'missing' if missing else 'found'}")
-    sigma_bar = tuple((sigmas[sigma_bar] - G.min_seg).tolist())
-    tau_bar = tuple((taus[tau_bar] - G.max_seg).tolist())
-    chain = analyze(chain_from_policies(G, sigma_bar, tau_bar))
-    if chain.gain[: G.n] != chi:
-        raise SaddlePointError("optimal pair does not attain the value vector")
+    shape = ids[sigma_bar // rows][sigma_bar % rows, tau_bar]
+    _attains(G, sigmas[sigma_bar], taus[tau_bar], chi, coef[shape], lcm)
     return GameValue(
         chi=chi,
         eta=tuple(2 * c for c in chi),
-        optimal_pair=(sigma_bar, tau_bar),
+        optimal_pair=(tuple((sigmas[sigma_bar] - G.min_seg).tolist()),
+                      tuple((taus[tau_bar] - G.max_seg).tolist())),
         saddle_verified=True,
-        chain=chain,
     )
+
+
+def optimal_chain(G: StochGame, value: GameValue) -> ChainAnalysis:
+    """``markov.analyze`` of the unfolded chain of value's optimal pair on
+    G: the chain that `exact` and `solve-game` print under --dump-chain."""
+    return analyze(chain_from_policies(G, *value.optimal_pair))
 
 
 @dataclass(frozen=True)

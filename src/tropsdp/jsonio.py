@@ -5,9 +5,10 @@ strings ("p/q" or plain integers); the in-memory API is 0-based.  A pencil
 entry serializes as {"i": i, "j": j, "sign": "+"|"-", "val": "p/q"} with
 i <= j; omitted entries stand for minus infinity.
 
-Pencil records are checked column by column with array masks, and their "p"
-and "p/q" values in JSON integers parsed by one ``json.loads``; any other
-record sends the pencil through a per-record loop that words every error.
+Pencil records are checked column by column with array masks, and their
+values, JSON integers or "p" and "p/q" in JSON integers, parsed by one
+``json.loads``; any other record sends the pencil through a per-record loop
+that words every error.
 """
 
 from __future__ import annotations
@@ -78,15 +79,19 @@ def pencil_to_json(P: Pencil) -> dict:
 
 def _columns(n: int, m: int, matrices: list):
     """(k, i, j, sign, num, den) of the records, checked column by column, or
-    None if one is malformed or its "val" is not "p" or "p/q" (q > 0) in JSON integers."""
+    None if one is malformed or its "val" is neither a JSON integer nor "p"
+    or "p/q" (q > 0) in JSON integers."""
     try:
         entries = [mat["entries"] for mat in matrices]
         recs = list(chain.from_iterable(entries))
         i, j, sign, val = (list(map(itemgetter(key), recs))
                            for key in ("i", "j", "sign", "val"))
-    except (KeyError, TypeError):
+        types = set(map(type, val))
+        # str() of an int past its digit limit raises ValueError
+        text = (",".join(val) if types == {str} else
+                ",".join(map(str, val)) if types <= {str, int} else "")
+    except (KeyError, TypeError, ValueError):
         return None
-    text = ",".join(val) if set(map(type, val)) == {str} else ""
     raw = text.encode() if text.isascii() else b""
     if (not raw or raw.translate(None, b"0123456789-/,")  # a byte of no JSON integer
             or text.count(",") != len(val) - 1  # "1,2" is not one number
@@ -305,7 +310,8 @@ def load_json(source: Union[str, IO]) -> object:
         raise ValidationError(f"input is not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad syntax, or an integer past int()'s digit limit
         raise ValidationError(f"malformed JSON: {exc}") from exc
 
 

@@ -3,9 +3,10 @@
 Once both players of a stochastic mean payoff game fix a (positional)
 policy, the play becomes a Markov chain whose states alternate between the
 n Min states and the m Max states; the long-run average reward of that
-chain, computed here exactly over the rationals, is the reference the
-brute-force game solver checks its optimal pair against (the solver itself
-evaluates pairs on the chain folded onto the Min states, see ``exact``).
+chain, computed here exactly over the rationals, is the oracle the tests
+hold the brute-force game solver to, and the report of ``--dump-chain``.
+The solver itself evaluates pairs, and checks its optimal one, in integers
+on the chain folded onto the Min states (see ``exact``).
 
 The analysis follows the standard finite-chain decomposition: the recurrent
 classes are the closed strongly connected components of the

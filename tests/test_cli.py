@@ -419,7 +419,9 @@ def test_misshapen_pencil_exits_one_without_traceback(tmp_path, capsys):
 @pytest.mark.parametrize("data, reason", [
     (b"\xff\xfe{}", "input is not UTF-8 text"),  # a UTF-16 byte-order mark
     (b"[" * 200_000, "malformed JSON: maximum recursion depth exceeded"),
-], ids=["utf16", "deep"])
+    (b'{"n": 1, "m": 1, "matrices": [{"entries": [{"i": 1, "j": 1, "sign": "-", '
+     b'"val": ' + b"9" * 5000 + b"}]}]}", "malformed JSON: Exceeds the limit (4300 digits)"),
+], ids=["utf16", "deep", "digits"])
 @pytest.mark.parametrize("via", ["file", "stdin"])
 @pytest.mark.parametrize("command", ["check", "solve-game"])
 def test_unreadable_input_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
@@ -472,7 +474,8 @@ def test_underflowing_epsilon_needs_exact(capsys):
 @pytest.mark.parametrize("command", ["exact", "solve-game"])
 def test_dump_chain_analyses_the_optimal_pair_once(command, tmp_path,
                                                    monkeypatch, capsys):
-    # the chain printed is the analysis that rechecked the value
+    # the value is checked without markov.analyze; --dump-chain analyses
+    # the optimal pair once, and only that flag does
     import tropsdp.cli
     import tropsdp.exact
     import tropsdp.markov
@@ -491,6 +494,9 @@ def test_dump_chain_analyses_the_optimal_pair_once(command, tmp_path,
 
     for module in (tropsdp.markov, tropsdp.exact, tropsdp.cli):
         monkeypatch.setattr(module, "analyze", counting, raising=False)
+    assert run([command, path, "--policies"]) == 0
+    assert calls == []
+    capsys.readouterr()
     assert run([command, path, "--dump-chain"]) == 0
     assert len(calls) == 1
     assert json.loads(capsys.readouterr().out)["chain"]["gain"] == ["1/56"] * 6

@@ -1,6 +1,5 @@
 """Exact game values by policy enumeration, and the solvers built on them."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -79,39 +78,182 @@ def _counting(log, original):
 
 def test_each_policy_pair_is_analysed_once(monkeypatch, worked_game):
     # the block evaluator sees whole sigma rows against every tau, each pair
-    # in one block only, plus one reference analysis of the optimal pair's
-    # unfolded chain; one sigma row per block gives the same value
+    # in one block only, and the optimal pair is checked in integers without
+    # building or analysing its unfolded chain; one sigma row per block
+    # gives the same value
     evaluations, analyses = [], []
     monkeypatch.setattr(tropsdp.exact, "_gains",
                         _counting(evaluations, tropsdp.exact._gains))
     monkeypatch.setattr(tropsdp.exact, "analyze", _counting(analyses, analyze))
+    monkeypatch.setattr(tropsdp.exact, "chain_from_policies",
+                        _counting(analyses, chain_from_policies))
     for G in (worked_game, game_from_pencil(gen_random(GenSpec(2, 3, 0)))):
         taus = math.prod(len(b) for b in G.max_actions)
         values = []
         for block in (tropsdp.exact._BLOCK, 1):
             evaluations.clear()
-            analyses.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(tropsdp.exact, "_BLOCK", block)
                 values.append(game_value_bruteforce(G))
             shapes = [ids.shape for _, ids, _ in evaluations]
             assert sum(rows * cols for rows, cols in shapes) == G.policy_count()
             assert all(cols == taus for _, cols in shapes)
-            assert len(analyses) == 1
         assert len(shapes) == G.policy_count() // taus  # one sigma per block
         assert values[0] == values[1]
+    assert analyses == []
+
+
+def _corrupting(monkeypatch, change):
+    """Make ``game_value_bruteforce`` check its optimal pair against
+    ``change(chi, law, lcm)`` in place of its own (chi, law)."""
+    original = tropsdp.exact._attains
+
+    def corrupted(G, sigma, tau, chi, law, lcm):
+        return original(G, sigma, tau, *change(chi, law, lcm), lcm)
+
+    monkeypatch.setattr(tropsdp.exact, "_attains", corrupted)
 
 
 def test_saddle_check_rejects_a_pair_the_reference_disagrees_with(
-        monkeypatch, worked_game):
-    # the reference analysis of the returned pair is an independent check
-    def shifted(chain):
-        res = analyze(chain)
-        return dataclasses.replace(res, gain=tuple(g + 1 for g in res.gain))
+        monkeypatch, worked_game, dominion_game):
+    # the integer check of the returned pair is independent of the block
+    # gains: chi shifted by a constant, which W g = 2 g alone would accept,
+    # fails the bias equation, and so does the law of a chain that stays
+    # put (a law of equal rows q would pass: it gives a bias h with q h = 0,
+    # so the equations hold and still prove the gain)
+    corruptions = [
+        lambda chi, law, lcm: (tuple(c + 1 for c in chi), law),
+        lambda chi, law, lcm: (tuple(c - F(1, 7) for c in chi), law),
+        lambda chi, law, lcm: (chi, lcm * np.eye(len(chi), dtype=object)),
+        lambda chi, law, lcm: (chi, 0 * law),  # a singular bias system
+    ]
+    for G in (worked_game, dominion_game):
+        for change in corruptions:
+            with monkeypatch.context() as patch:
+                _corrupting(patch, change)
+                with pytest.raises(SaddlePointError, match="does not attain"):
+                    game_value_bruteforce(G)
+        with monkeypatch.context() as patch:
+            _corrupting(patch, lambda chi, law, lcm: (chi, law))
+            assert game_value_bruteforce(G).saddle_verified
 
-    monkeypatch.setattr(tropsdp.exact, "analyze", shifted)
+
+def test_gain_check_rejects_a_vector_its_chain_does_not_fix(monkeypatch, worked_game):
+    # g' = g + (e_0 - P* e_0) has P* g' = g, so some h solves the bias
+    # equation for it; the optimal pair's chain is irreducible, so P fixes
+    # only the constants and W g' = 2 g' alone rejects g'
+    value = game_value_bruteforce(worked_game)
+    chain = analyze(chain_from_policies(worked_game, *value.optimal_pair))
+    assert len(chain.recurrent_classes) == 1 and not chain.absorption
+    moved = []
+
+    def change(chi, law, lcm):
+        column = [F(int(row[0]), lcm) for row in law.tolist()]
+        moved.append(tuple(c + (F(k == 0) - p) / 2
+                           for k, (c, p) in enumerate(zip(chi, column))))
+        return moved[-1], law
+
+    _corrupting(monkeypatch, change)
     with pytest.raises(SaddlePointError, match="does not attain"):
         game_value_bruteforce(worked_game)
+    assert moved[0] != value.chi and len(set(moved[0])) > 1
+
+
+def _huge_denominator_game() -> StochGame:
+    # two Mersenne-prime denominators make den about 2^150 by themselves
+    big, huge = 2**61 - 1, 2**89 - 1
+    return StochGame(2, 2, (
+        (MinAction((0, 1), F(3, big)), MinAction((1,), F(-5, huge))),
+        (MinAction((0,), F(1, 3)), MinAction((0, 1), F(-7, big))),
+    ), (
+        (MaxAction(0, F(2, huge)), MaxAction(1, F(-1, 3))),
+        (MaxAction(0, F(11, big)), MaxAction(1, F(4, huge))),
+    ))
+
+
+def _bias_solves(monkeypatch, G, solve=None) -> list:
+    """The (d, y) of every bias solve that the gain check of
+    ``game_value_bruteforce(G)`` ran, with ``solve`` in place of
+    ``_bareiss`` there if given; the value must not change."""
+    solves = []
+    original, bareiss = tropsdp.exact._attains, tropsdp.exact._bareiss
+
+    def recording(a, b):
+        solves.append((solve or bareiss)(a, b))
+        return solves[-1]
+
+    def attains(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(tropsdp.exact, "_bareiss", recording)
+            return original(*args)
+
+    expected = game_value_bruteforce(G)
+    with monkeypatch.context() as patch:
+        patch.setattr(tropsdp.exact, "_attains", attains)
+        assert game_value_bruteforce(G) == expected
+    return solves
+
+
+@pytest.mark.parametrize("G, dtype", [("dominion_game", np.int64),
+                                      ("worked_game", object),
+                                      ("huge", object)])
+def test_gain_check_runs_one_solve_in_int64_or_python_ints(monkeypatch, request,
+                                                           G, dtype):
+    G = _huge_denominator_game() if G == "huge" else request.getfixturevalue(G)
+    solves = _bias_solves(monkeypatch, G)
+    assert [y.dtype for _, y in solves] == [np.dtype(dtype)]
+
+
+@pytest.mark.parametrize("G", ["worked_game", "dominion_game", "huge"])
+def test_gain_check_reads_the_bias_with_the_sign_of_the_determinant(
+        monkeypatch, request, G):
+    # (-d, -y) is the same bias y / d as (d, y); the check must read it so
+    G = _huge_denominator_game() if G == "huge" else request.getfixturevalue(G)
+
+    def negated(a, b):
+        d, y = _bareiss(a, b)
+        return -d, -y
+
+    [(d, _)] = _bias_solves(monkeypatch, G, negated)
+    assert d < 0
+
+
+def _check_every_pair(monkeypatch, G) -> int:
+    """Run the gain check on every policy pair of G, with the pair's gain
+    from ``markov.analyze`` and the law the block evaluator used for it;
+    return how many of the pairs' chains have more than one recurrent
+    class."""
+    laws = []
+    original = tropsdp.exact._gains
+
+    def recording(coef, ids, r):
+        laws.extend(coef[ids.ravel()])
+        return original(coef, ids, r)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tropsdp.exact, "_gains", recording)
+        patch.setattr(tropsdp.exact, "_BLOCK", 1)
+        game_value_bruteforce(G)
+    lcm = int(laws[0][0].sum())
+    multichain = 0
+    for (sigma, tau), law in zip(_pairs(G), laws):
+        res = analyze(chain_from_policies(G, sigma, tau))
+        multichain += len(res.recurrent_classes) > 1
+        tropsdp.exact._attains(G, G.min_seg + sigma, G.max_seg + tau,
+                               res.gain[:G.n], law, lcm)
+        with pytest.raises(SaddlePointError):
+            tropsdp.exact._attains(G, G.min_seg + sigma, G.max_seg + tau,
+                                   tuple(g + F(1, 3) for g in res.gain[:G.n]),
+                                   law, lcm)
+    return multichain
+
+
+def test_gain_check_passes_every_pair_of_multichain_games(monkeypatch, dominion_game):
+    # unlike the random games' optimal pairs, these chains have several
+    # closed classes, and the hand-built games also transient states
+    games = [dominion_game, _two_traps_game(), _unequal_laws_game()]
+    for G in games:
+        assert _check_every_pair(monkeypatch, G) > 0
 
 
 def _folded_gains(monkeypatch, G) -> list:
@@ -211,10 +353,10 @@ def test_folded_gains_match_analyze_on_dominion_example(monkeypatch, dominion_ga
         _assert_folded_matches_analyze(monkeypatch, induced_subgame(dominion_game, D))
 
 
-def test_folded_gains_with_two_closed_classes_and_a_transient_state(monkeypatch):
+def _two_traps_game() -> StochGame:
     # Min 0 and Min 1 can each be trapped on their own; Min 2 splits its
     # mass between the two traps or keeps part of it
-    G = StochGame(3, 3, (
+    return StochGame(3, 3, (
         (MinAction((0,), F(-1)), MinAction((0, 2), F(1, 3))),
         (MinAction((1,), F(2)),),
         (MinAction((0, 1), F(5, 7)), MinAction((1, 2), F(-2))),
@@ -223,6 +365,10 @@ def test_folded_gains_with_two_closed_classes_and_a_transient_state(monkeypatch)
         (MaxAction(1, F(-3)),),
         (MaxAction(2, F(1)), MaxAction(0, F(1, 5))),
     ))
+
+
+def test_folded_gains_with_two_closed_classes_and_a_transient_state(monkeypatch):
+    G = _two_traps_game()
     _assert_folded_matches_analyze(monkeypatch, G)
     res = analyze(chain_from_policies(G, (0, 0, 0), (0, 0, 0)))
     assert res.recurrent_classes == (frozenset({0, 3}), frozenset({1, 4}))
@@ -231,10 +377,10 @@ def test_folded_gains_with_two_closed_classes_and_a_transient_state(monkeypatch)
     assert _folded_gains(monkeypatch, G)[0] == (F(-1, 4), F(-1, 2), F(-3, 8))
 
 
-def test_folded_gains_mix_unequal_class_laws(monkeypatch):
+def _unequal_laws_game() -> StochGame:
     # under the first pair {0} is closed with law (1), {1, 2} closed with
     # law (1/3, 2/3), and Min 3 splits its mass between the two
-    G = StochGame(4, 4, (
+    return StochGame(4, 4, (
         (MinAction((0,), F(1)),),
         (MinAction((2,), F(0)),),
         (MinAction((1, 2), F(-1)),),
@@ -245,6 +391,10 @@ def test_folded_gains_mix_unequal_class_laws(monkeypatch):
         (MaxAction(2, F(3)),),
         (MaxAction(3, F(5)),),
     ))
+
+
+def test_folded_gains_mix_unequal_class_laws(monkeypatch):
+    G = _unequal_laws_game()
     _assert_folded_matches_analyze(monkeypatch, G)
     res = analyze(chain_from_policies(G, (0,) * 4, (0,) * 4))
     assert res.recurrent_classes == (frozenset({0, 4}), frozenset({1, 2, 5, 6}))
@@ -449,16 +599,7 @@ def test_value_matches_direct_across_the_int64_bound(monkeypatch, seed):
 
 
 def test_value_matches_direct_with_unlike_huge_denominators(monkeypatch):
-    # two Mersenne-prime denominators make den about 2^150 by themselves
-    big, huge = 2**61 - 1, 2**89 - 1
-    G = StochGame(2, 2, (
-        (MinAction((0, 1), F(3, big)), MinAction((1,), F(-5, huge))),
-        (MinAction((0,), F(1, 3)), MinAction((0, 1), F(-7, big))),
-    ), (
-        (MaxAction(0, F(2, huge)), MaxAction(1, F(-1, 3))),
-        (MaxAction(0, F(11, big)), MaxAction(1, F(4, huge))),
-    ))
-    assert _cross_check(G, monkeypatch) == {np.dtype(object)}
+    assert _cross_check(_huge_denominator_game(), monkeypatch) == {np.dtype(object)}
 
 
 def test_policy_space_cap_refuses_before_any_limit_computation(monkeypatch):

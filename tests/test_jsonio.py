@@ -143,13 +143,14 @@ def read_by_records(obj):
 
 
 def random_literal(rng):
-    p = rng.choice((rng.randint(-9, 9), rng.randint(-2 ** 40, 2 ** 40)))
-    return rng.choice((str(p), f"{p}/{rng.randint(1, 12)}"))
+    p = rng.choice((rng.randint(-9, 9), rng.randint(-2 ** 40, 2 ** 40),
+                    rng.randint(-2 ** 70, 2 ** 70)))
+    return rng.choice((str(p), f"{p}/{rng.randint(1, 12)}", p))
 
 
 def random_pencil_json(rng):
     """A well-formed pencil object: n, m in 1..4, random cells in shuffled
-    order, "p" and "p/q" literals."""
+    order, "p" and "p/q" literals and JSON integers."""
     n, m = rng.randint(1, 4), rng.randint(1, 4)
     cells = [(i, j) for i in range(1, m + 1) for j in range(i, m + 1)]
     matrices = []
@@ -205,6 +206,22 @@ def test_column_reader_reads_generated_pencils():
         assert jsonio.pencil_from_json(obj) == read_by_records(obj)
         if any(mat["entries"] for mat in obj["matrices"]):
             assert jsonio._columns(obj["n"], obj["m"], obj["matrices"]) is not None
+
+
+@pytest.mark.parametrize("val", [7, 0, -2 ** 70, 2 ** 63])
+def test_column_reader_reads_json_integers(val):
+    obj = json.loads(json.dumps(one_entry_pencil(val)))
+    assert jsonio._columns(1, 1, obj["matrices"]) is not None
+    P = jsonio.pencil_from_json(obj)
+    assert P == read_by_records(obj) == jsonio.pencil_from_json(one_entry_pencil(str(val)))
+    assert P.entry(0, 0, 0).modulus == val
+
+
+def test_column_reader_declines_an_int_past_the_digit_limit():
+    # no JSON text parses to it, but a caller's dict can hold it
+    obj = one_entry_pencil(10 ** 5000)
+    assert jsonio._columns(1, 1, obj["matrices"]) is None
+    assert jsonio.pencil_from_json(obj).entry(0, 0, 0).modulus == 10 ** 5000
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -452,6 +469,12 @@ def test_load_json_rejects_text_that_is_not_utf8(tmp_path, monkeypatch):
 @pytest.mark.parametrize("text", ["[" * 200_000, '{"a": ' * 200_000])
 def test_load_json_rejects_deep_nesting(text):
     with pytest.raises(ValidationError, match="^malformed JSON: maximum recursion depth exceeded"):
+        jsonio.load_json(io.StringIO(text))
+
+
+def test_load_json_rejects_integers_past_the_digit_limit():
+    text = '{"val": ' + "9" * 5000 + "}"
+    with pytest.raises(ValidationError, match=r"^malformed JSON: Exceeds the limit \(4300 digits\)"):
         jsonio.load_json(io.StringIO(text))
 
 
