@@ -103,7 +103,7 @@ def _sample_seed(seed: int, n: int, m: int, s: int) -> int:
     return int(np.random.SeedSequence((seed, n, m, s)).generate_state(1)[0])
 
 
-def _run_sample(spec: GenSpec, epsilon: float, max_iters: int, timing: bool):
+def _run_sample(spec: GenSpec, epsilon, max_iters: int, timing: bool):
     """Decide one instance; returns (status, iters, wall time of the
     decision or None)."""
     if spec.m < 2:
@@ -114,7 +114,7 @@ def _run_sample(spec: GenSpec, epsilon: float, max_iters: int, timing: bool):
     return status, iters, time.perf_counter() - start if timing else None
 
 
-def _run_cell(n: int, m: int, samples: int, epsilon: float, seed: int,
+def _run_cell(n: int, m: int, samples: int, epsilon, seed: int,
               max_iters: int, timing: bool) -> CellResult:
     results = [_run_sample(GenSpec(n, m, _sample_seed(seed, n, m, s)),
                            epsilon, max_iters, timing) for s in range(samples)]
@@ -130,7 +130,7 @@ def _run_cell(n: int, m: int, samples: int, epsilon: float, seed: int,
 
 
 def phase_diagram(n_list: Sequence[int], m_list: Sequence[int], samples: int = 10,
-                  epsilon: float = 1e-8, seed: int = 0, max_iters: int = 10**5,
+                  epsilon=Fraction(1, 10**8), seed: int = 0, max_iters: int = 10**5,
                   timing: bool = True) -> list:
     """Feasibility ratio of random instances over a grid of sizes.
 

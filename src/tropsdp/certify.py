@@ -10,13 +10,14 @@ finite rational u with F(u) <= lambda + u, which caps the game value below
 zero and hence proves the spectrahedron trivial.
 
 Both kinds are produced by running value iteration on the game with all Min
-rewards shifted by -lambda (the sublevel sets of the shifted operator are
-exactly the reinforced spectrahedra): its witness, checked in integers, is
-the certificate.  A feasibility certificate is the running entrywise
-maximum of the iterates, and an infeasibility certificate the last iterate
-or the tilted running minimum of the iterates, unless the iteration stopped
-at an iterate that is itself an exact certificate.  Verification helpers
-are exposed for checking third-party certificates too.
+rewards shifted by -lambda (``shift_min_rewards``; the sublevel sets of the
+shifted operator are exactly the reinforced spectrahedra): its witness is the
+certificate.  A feasibility certificate is the running entrywise maximum of
+the iterates, and an infeasibility certificate the last iterate or the
+tilted running minimum of the iterates, unless the iteration stopped at an
+iterate that is itself an exact certificate.  Every check, of these or of
+third-party certificates, runs in integers on the game itself, with lambda
+passed to ``StochGame.doubled_step``: no check builds a second game.
 """
 
 from __future__ import annotations
@@ -46,15 +47,14 @@ def _finite_vector(x: Sequence) -> tuple:
 
 
 def verify_subharmonic(G: StochGame, v: Sequence, lam=Fraction(0)):
-    """Exact check of lambda + v <= F(v); returns (holds, strict).  Shifting
-    the Min rewards by -lambda turns F into F - lambda."""
-    x2, fx2 = shift_min_rewards(G, -as_fraction(lam)).doubled_step(_finite_vector(v))
+    """Exact check of lambda + v <= F(v); returns (holds, strict)."""
+    x2, fx2 = G.doubled_step(_finite_vector(v), as_fraction(lam))
     return bool(np.all(x2 <= fx2)), bool(np.all(x2 < fx2))
 
 
 def _superharmonic(G: StochGame, u: Sequence, lam):
     """Exact check of F(u) <= lambda + u; returns (holds, strict)."""
-    x2, fx2 = shift_min_rewards(G, -as_fraction(lam)).doubled_step(_finite_vector(u))
+    x2, fx2 = G.doubled_step(_finite_vector(u), as_fraction(lam))
     return bool(np.all(fx2 <= x2)), bool(np.all(fx2 < x2))
 
 
@@ -80,8 +80,8 @@ class Certificate:
 
 
 def shift_min_rewards(G: StochGame, delta) -> StochGame:
-    """Copy of the game with every Min reward shifted by delta; its
-    subharmonic points at level 0 are the original's at level -delta."""
+    """Copy of the game with every Min reward shifted by delta: the game
+    that value iteration runs on to produce a certificate at margin -delta."""
     delta = as_fraction(delta)
     den = math.lcm(G.den, delta.denominator)
     scale = lambda p: p.astype(object) * (den // G.den)
@@ -104,12 +104,14 @@ def check_certificate(G: StochGame, cert: Certificate):
     raise CertificateInvalid(f"unknown certificate kind {cert.kind!r}")
 
 
-def _shifted_certificate(G: StochGame, lam: Fraction, kind: str, epsilon,
+def _shifted_certificate(G: StochGame, lam, kind: str, epsilon,
                          max_iters: int) -> Certificate:
     """Run value iteration on the game with Min rewards shifted down by lam,
     whose checked witness (``shapley._decide``) is the certificate:
     v <= F(v) - lam, or F(u) - lam < u in every entry, which is strict."""
-    feasible = kind == "Feasibility"
+    lam, feasible = as_fraction(lam), kind == "Feasibility"
+    if not (lam > 0 if feasible else lam < 0):
+        raise ValidationError(f"{kind.lower()} certificates need lambda {'>' if feasible else '<'} 0")
     status, _, vector, _, _ = _decide(shift_min_rewards(G, -lam),
                                       as_fraction(epsilon), max_iters)
     if status != ("feasible" if feasible else "infeasible"):
@@ -130,9 +132,6 @@ def feasibility_certificate(G: StochGame, lam, epsilon=Fraction(1, 10**8),
     the iteration concludes the reinforced problem is infeasible (lam at or
     above the margin) or cannot decide.
     """
-    lam = as_fraction(lam)
-    if lam <= 0:
-        raise ValidationError("feasibility certificates need lambda > 0")
     return _shifted_certificate(G, lam, "Feasibility", epsilon, max_iters)
 
 
@@ -146,9 +145,6 @@ def infeasibility_certificate(G: StochGame, lam, epsilon=Fraction(1, 10**8),
     satisfy F(u) - lam < u, so the certificate is always strict.  Its
     entries need not be negative.
     """
-    lam = as_fraction(lam)
-    if lam >= 0:
-        raise ValidationError("infeasibility certificates need lambda < 0")
     return _shifted_certificate(G, lam, "Infeasibility", epsilon, max_iters)
 
 

@@ -327,7 +327,7 @@ def _cmd_gen(args) -> int:
 def _cmd_phase(args) -> int:
     cells = bench_mod.phase_diagram(
         args.n_list, args.m_list, samples=args.samples,
-        epsilon=float(args.eps), seed=args.seed, max_iters=args.max_iters,
+        epsilon=args.eps, seed=args.seed, max_iters=args.max_iters,
         timing=not args.no_timing)
     _emit(args, bench_mod.to_csv(cells))
     return EXIT_FEASIBLE
@@ -352,12 +352,11 @@ def _cmd_certify(args) -> int:
         return EXIT_ERROR
     if args.lam is None:
         raise ValidationError("certify needs --lambda (or --check CERT)")
-    if args.lam > 0:
-        cert = certify_mod.feasibility_certificate(
-            G, args.lam, epsilon=args.eps, max_iters=args.max_iters)
-    else:
-        cert = certify_mod.infeasibility_certificate(
-            G, args.lam, epsilon=args.eps, max_iters=args.max_iters)
+    if args.lam == 0:
+        raise ValidationError("the margin --lambda must be nonzero")
+    produce = (certify_mod.feasibility_certificate if args.lam > 0
+               else certify_mod.infeasibility_certificate)
+    cert = produce(G, args.lam, epsilon=args.eps, max_iters=args.max_iters)
     _emit(args, jsonio.dump_json(jsonio.certificate_to_json(cert)))
     return EXIT_FEASIBLE
 

@@ -67,10 +67,13 @@ def _float_view(p: np.ndarray, den: int) -> np.ndarray:
     """p / den rounded to the nearest double, as ``float(Fraction(p, den))``
     rounds it.  Below 2^53 both operands are exact doubles and one IEEE
     division rounds the quotient correctly; otherwise Python's int true
-    division does."""
+    division does, and a quotient past the largest double is refused."""
     if p.dtype != object and den < 2**53 and max(p.max(), -p.min()) < 2**53:
         return p / den
-    return np.array([q / den for q in p.tolist()])
+    try:
+        return np.array([q / den for q in p.tolist()])
+    except OverflowError:
+        raise ValidationError("a reward lies beyond the range of doubles") from None
 
 
 def _segment_starts(count) -> np.ndarray:
@@ -225,34 +228,35 @@ class StochGame:
         half = Fraction(1, 2)
         return lambda x: self._apply(x, max_r, min_r, half)
 
-    def _scaled(self, v: Sequence) -> tuple:
-        """(Max rewards, Min rewards, v), all multiplied by L = lcm(den, the
-        denominators of v) and so integers: int64 arrays when the bound
+    def _scaled(self, v: Sequence, lam=0) -> tuple:
+        """(Max rewards, Min rewards - lam, v) times S = lcm(den, the
+        denominators of v and lam), so integers: int64 arrays when the bound
         below rules out overflow, object arrays of Python ints otherwise."""
         if len(v) != self.n:
             raise ValidationError(f"point has {len(v)} coordinates, expected {self.n}")
-        ratios = [t.as_integer_ratio() for t in v]
+        ratios = [t.as_integer_ratio() for t in (*v, lam)]
         scale = math.lcm(self.den, *(d for _, d in ratios))
         s = scale // self.den
-        x = [p * (scale // d) for p, d in ratios]
-        # Every |x_k| and every scaled reward |p * s| is below 2^B, so the
-        # Max values y = r + x stay below 2^(B+1) and the doubled Min values
-        # 2 r + y_i + y_j below 2^(B+1) + 2^(B+2) < 2^(B+3): B <= 60 keeps
-        # every intermediate inside int64.
+        *x, shift = [p * (scale // d) for p, d in ratios]
+        # Every |x_k| and every scaled reward (|p s|, or |p s - shift| for
+        # Min) is below 2^B, so the Max values y = r + x stay below 2^(B+1)
+        # and the doubled Min values 2 r + y_i + y_j below 2^(B+1) + 2^(B+2)
+        # < 2^(B+3): B <= 60 keeps every intermediate inside int64.
+        top = max(int(np.abs(self.max_p).max()), int(np.abs(self.min_p).max()))
         bits = max(max(abs(t) for t in x).bit_length(),
-                   int(max(np.abs(self.max_p).max(), np.abs(self.min_p).max())
-                       ).bit_length() + s.bit_length())
+                   (top * s + abs(shift)).bit_length())
         dtype = np.int64 if bits <= 60 else object
-        return (self.max_p.astype(dtype) * s, self.min_p.astype(dtype) * s,
+        return (self.max_p.astype(dtype) * s, self.min_p.astype(dtype) * s - shift,
                 np.array(x, dtype=dtype))
 
-    def doubled_step(self, v: Sequence) -> tuple:
-        """(2 X, 2 F(X)) in integers for a finite rational vector v (floats,
-        ints or Fractions) and the rewards scaled to integers X and R:
-        2 F(X)_k is the min of 2 R_a + Y_i + Y_j over the Min actions
-        a = {i, j} of state k, Y being the Max values of X.  Comparing the
-        two decides v <= F(v), v >= F(v) and their strict forms exactly."""
-        max_r, min_r, x = self._scaled(v)
+    def doubled_step(self, v: Sequence, lam=0) -> tuple:
+        """(2 X, 2 F(X) - 2 L) in integers for a finite rational vector v and
+        a margin lam (floats, ints or Fractions), with v, lam and the rewards
+        scaled to integers X, L and R: 2 F(X)_k is the min of 2 R_a + Y_i +
+        Y_j over the Min actions a = {i, j} of state k, Y being the Max values
+        of X.  The pair decides lam + v <= F(v), F(v) <= lam + v and their
+        strict forms exactly, without building the game shifted by -lam."""
+        max_r, min_r, x = self._scaled(v, lam)
         return 2 * x, self._apply(x, max_r, 2 * min_r, 1)
 
     def is_subharmonic(self, v: Sequence) -> bool:

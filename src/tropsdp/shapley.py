@@ -181,8 +181,8 @@ def _iterate(G: StochGame, epsilon, max_iters: int, exact: bool):
     "budget".
     """
     step, u = _start(G, exact)
-    if not exact:
-        epsilon = float(epsilon)
+    if not exact:  # past the largest double no epsilon exit can come
+        epsilon = float(min(epsilon, np.finfo(float).max))
     if not epsilon > 0:
         raise ValidationError(
             f"epsilon must be positive, got {epsilon} in the iteration's "
@@ -247,7 +247,7 @@ def _decide(G: StochGame, epsilon: Fraction, max_iters: int):
     hold by construction.  Certificate and budget stops return the last
     iterate, already checked or undecided.
     """
-    for exact in ((True,) if float(epsilon) == 0 else (False, True)):
+    for exact in ((True,) if float(min(epsilon, 1)) == 0 else (False, True)):
         status, iters, u, v, _, stop = _iterate(G, epsilon, max_iters, exact)
         witness = u
         if stop == "epsilon" and status == "feasible":

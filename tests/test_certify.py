@@ -1,5 +1,7 @@
 """Certificates, their verification, and archimedean lift thresholds."""
 
+import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -27,9 +29,11 @@ from tropsdp import (
 )
 from tropsdp.bench import GenSpec, gen_random
 from tropsdp.certify import _superharmonic, shift_min_rewards
+from tropsdp.cli import run
+from tropsdp.pencil import int_array
 from tropsdp.tropical import MINUS_INF
 
-from conftest import games, small_rationals, trop_points
+from conftest import example_path, games, small_rationals, trop_points
 
 F = Fraction
 
@@ -107,6 +111,112 @@ def test_shift_on_the_arrays_equals_the_shift_of_the_tuples(worked_game, delta):
             np.testing.assert_array_equal(getattr(shifted, name),
                                           getattr(expected, name), err_msg=name)
         assert shifted.min_actions == expected.min_actions
+
+
+# ---------------------------------------------------------------------------
+# the margin inside the integer check
+# ---------------------------------------------------------------------------
+
+def widened(G, factor):
+    """G with every reward numerator multiplied by factor over the same
+    denominator: the rewards times factor."""
+    wide = lambda p: int_array(p.astype(object) * factor)
+    return StochGame.from_arrays(G.max_t, G.max_seg, wide(G.max_p), G.min_i,
+                                 G.min_j, G.min_seg, wide(G.min_p), G.den)
+
+
+def margin_corpus():
+    """(game, v, lam) triples: grids 8 and 2^31, numerators past 2^63,
+    margins of both signs with denominators up to 2^89 - 1, and vectors
+    of doubles, small fractions and fractions over large primes."""
+    rng = random.Random(11)
+    dens = [1, 3, 100, 2**31, 10**9 + 7, 2**61 - 1, 2**89 - 1]
+    for seed in range(6):
+        base = game_from_pencil(gen_random(GenSpec(
+            rng.randint(1, 6), rng.randint(2, 5), seed, (8, 2**31)[seed % 2])))
+        for G in (base, widened(base, 2**40 + 1)):
+            for _ in range(8):
+                q = rng.choice(dens)
+                lam = F(rng.randint(-3 * q, 3 * q), q)
+                vq = rng.choice(dens)
+                v = rng.choice([
+                    [rng.uniform(-2, 2) for _ in range(G.n)],
+                    [F(rng.randint(-4 * vq, 4 * vq), vq) for _ in range(G.n)],
+                    [F(0)] * G.n])
+                yield G, v, lam
+
+
+def reference_pair(G, v, lam):
+    return shift_min_rewards(G, -lam).doubled_step(v)
+
+
+def test_margin_check_equals_the_check_of_the_shifted_game():
+    seen = set()
+    for G, v, lam in margin_corpus():
+        x2, fx2 = G.doubled_step(v, lam)
+        ref_x2, ref_fx2 = reference_pair(G, v, lam)
+        assert (x2.tolist(), fx2.tolist()) == (ref_x2.tolist(), ref_fx2.tolist())
+        seen.add(fx2.dtype.type)
+    assert seen == {np.int64, np.object_}
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["int64", "object"])
+def test_margin_check_at_the_int64_bound(over):
+    # grid 8 and v = 0: the scale is 8, so the largest scaled Min reward is
+    # top + 8 |lam|, and lam = (2^60 - 1 - top) / 8 puts it at 2^60 - 1,
+    # the last value the bound keeps in int64
+    G = game_from_pencil(gen_random(GenSpec(4, 3, 5, 8)))
+    top = int(max(np.abs(G.max_p).max(), np.abs(G.min_p).max()))
+    v = [F(0)] * G.n
+    for sign in (1, -1):
+        lam = sign * F(2**60 - 1 - top + over, 8)
+        x2, fx2 = G.doubled_step(v, lam)
+        assert fx2.dtype == (object if over else np.int64)
+        ref_x2, ref_fx2 = reference_pair(G, v, lam)
+        assert (x2.tolist(), fx2.tolist()) == (ref_x2.tolist(), ref_fx2.tolist())
+
+
+@pytest.fixture
+def built_games(monkeypatch):
+    """The games built (by either constructor) while the test runs."""
+    built = []
+    store = StochGame._store
+
+    def counted(self, *arrays):
+        built.append(self)
+        store(self, *arrays)
+
+    monkeypatch.setattr(StochGame, "_store", counted)
+    return built
+
+
+def test_checks_build_no_game(worked_game, built_games):
+    v = check_feasibility(worked_game).witness
+    cert = feasibility_certificate(worked_game, F(1, 100))
+    built_games.clear()
+    assert verify_subharmonic(worked_game, v, F(1, 100)) == (True, True)
+    assert verify_superharmonic(worked_game, v, F(-1)) is False
+    assert check_certificate(worked_game, cert) == (True, True)
+    assert built_games == []
+
+
+def test_certify_builds_one_game_besides_the_input(built_games, capsys):
+    assert run(["certify", example_path("running.json"), "--lambda=1/100"]) == 0
+    assert len(built_games) == 2  # the pencil's game and its shift
+    cert = capsys.readouterr().out
+    assert '"strict": true' in cert
+
+
+def test_margin_check_allocates_no_second_game():
+    G = game_from_pencil(gen_random(GenSpec(1000, 30, 0)))
+    v = [F(0)] * G.n
+    tracemalloc.start()
+    try:
+        verify_subharmonic(G, v, F(1, 100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropsdp import Pencil, SignedTrop, jsonio
+from tropsdp import Pencil, SignedTrop, jsonio, phase_diagram, to_csv
 from tropsdp.cli import run
 
 from conftest import example_path
@@ -469,6 +469,70 @@ def test_underflowing_epsilon_needs_exact(capsys):
     report = json.loads(captured.out)
     assert (report["verdict"], report["iterations"]) == ("Feasible", 20)
     assert report["epsilon"] == "1/1" + "0" * 400
+
+
+HUGE = "1" + "0" * 400  # past the largest double
+PHASE = ["phase", "--n-list", "3", "--m-list", "2", "--samples", "2",
+         "--no-timing"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", RUNNING], ["certify", RUNNING, "--lambda=1/100"], PHASE,
+], ids=["check", "certify", "phase"])
+def test_epsilon_past_the_largest_double(argv, capsys):
+    # no epsilon exit can come in doubles; a checkpoint decides instead
+    assert run([*argv, "--eps", HUGE]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if argv[0] == "check":
+        report = json.loads(captured.out)
+        assert (report["verdict"], report["iterations"]) == ("Feasible", 64)
+
+
+def test_phase_passes_epsilon_as_a_rational(capsys):
+    # 1e-400 is 0 as a double: phase decides in rationals, as check does
+    assert run([*PHASE, "--eps", "1e-400"]) == 0
+    assert capsys.readouterr().out == to_csv(phase_diagram(
+        [3], [2], samples=2, epsilon=F(1, 10**400), timing=False))
+
+
+def test_certify_needs_a_nonzero_margin(capsys):
+    assert run(["certify", RUNNING, "--lambda=0"]) == 1
+    assert capsys.readouterr().err == \
+        "tropsdp: ValidationError: the margin --lambda must be nonzero\n"
+
+
+@pytest.mark.parametrize("margin", [HUGE, "-" + HUGE], ids=["positive", "negative"])
+def test_rewards_past_the_largest_double_are_refused(tmp_path, margin, capsys):
+    huge = write_pencil(tmp_path, "huge.json", 1, 2, [
+        (0, 0, 0, POS(F(HUGE))), (0, 1, 1, POS(F(1))), (0, 0, 1, NEG(F(0)))])
+    for argv in (["check", huge], ["exact", huge],
+                 ["certify", RUNNING, f"--lambda={margin}"]):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == ("tropsdp: ValidationError: a reward "
+                                           "lies beyond the range of doubles\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1e-400", HUGE],
+                         ids=["zero", "negative", "tiny", "huge"])
+@pytest.mark.parametrize("argv, flag", [
+    (["check", RUNNING], "--eps"),
+    (["check", RUNNING], "--max-iters"),
+    (["certify", RUNNING, "--lambda=1/100"], "--eps"),
+    (["certify", RUNNING], "--lambda"),
+    (["certify", RUNNING, "--lambda=1/100"], "--max-iters"),
+    (PHASE, "--eps"),
+    (PHASE, "--max-iters"),
+    (["exact", RUNNING], "--max-pairs"),
+], ids=["check-eps", "check-max-iters", "certify-eps", "certify-lambda",
+        "certify-max-iters", "phase-eps", "phase-max-iters", "exact-max-pairs"])
+def test_numeric_flags_never_raise(argv, flag, value, capsys):
+    try:
+        code = run([*argv, f"{flag}={value}"])
+    except SystemExit as exc:  # argparse refuses the literal
+        code = exc.code
+    assert code in (0, 10, 20, 1)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["exact", "solve-game"])
