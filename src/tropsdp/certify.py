@@ -9,20 +9,19 @@ threshold computed here.  An infeasibility certificate at lambda < 0 is a
 finite rational u with F(u) <= lambda + u, which caps the game value below
 zero and hence proves the spectrahedron trivial.
 
-Both kinds are produced by running value iteration on the game with all Min
-rewards shifted by -lambda (``shift_min_rewards``; the sublevel sets of the
-shifted operator are exactly the reinforced spectrahedra): its witness is the
+Both kinds are produced by value iteration on F - lambda, whose sublevel
+sets are exactly the reinforced spectrahedra: its checked witness is the
 certificate.  A feasibility certificate is the running entrywise maximum of
 the iterates, and an infeasibility certificate the last iterate or the
 tilted running minimum of the iterates, unless the iteration stopped at an
-iterate that is itself an exact certificate.  Every check, of these or of
-third-party certificates, runs in integers on the game itself, with lambda
-passed to ``StochGame.doubled_step``: no check builds a second game.
+iterate that is itself an exact certificate.  Lambda is an argument of the
+one operator, in the loop (``StochGame.operator``) and in every check, of
+these or of third-party certificates, which runs in integers
+(``StochGame.doubled_step``): no path builds a second game.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -32,7 +31,6 @@ import numpy as np
 
 from .errors import CertificateInvalid, DeltaTooLarge, ValidationError
 from .game import StochGame
-from .pencil import int_array
 from .shapley import _decide
 from .tropical import MINUS_INF, as_fraction
 
@@ -79,18 +77,6 @@ class Certificate:
     strict: bool
 
 
-def shift_min_rewards(G: StochGame, delta) -> StochGame:
-    """Copy of the game with every Min reward shifted by delta: the game
-    that value iteration runs on to produce a certificate at margin -delta."""
-    delta = as_fraction(delta)
-    den = math.lcm(G.den, delta.denominator)
-    scale = lambda p: p.astype(object) * (den // G.den)
-    return StochGame.from_arrays(
-        G.max_t, G.max_seg, int_array(scale(G.max_p)), G.min_i, G.min_j,
-        G.min_seg, int_array(scale(G.min_p) + delta.numerator
-                             * (den // delta.denominator)), den)
-
-
 def check_certificate(G: StochGame, cert: Certificate):
     """Re-verify a certificate against a game; returns (holds, strict)."""
     if cert.kind == "Feasibility":
@@ -106,14 +92,13 @@ def check_certificate(G: StochGame, cert: Certificate):
 
 def _shifted_certificate(G: StochGame, lam, kind: str, epsilon,
                          max_iters: int) -> Certificate:
-    """Run value iteration on the game with Min rewards shifted down by lam,
-    whose checked witness (``shapley._decide``) is the certificate:
-    v <= F(v) - lam, or F(u) - lam < u in every entry, which is strict."""
+    """Run value iteration on F - lam, whose checked witness
+    (``shapley._decide``) is the certificate: v <= F(v) - lam, or
+    F(u) - lam < u in every entry, which is strict."""
     lam, feasible = as_fraction(lam), kind == "Feasibility"
     if not (lam > 0 if feasible else lam < 0):
         raise ValidationError(f"{kind.lower()} certificates need lambda {'>' if feasible else '<'} 0")
-    status, _, vector, _, _ = _decide(shift_min_rewards(G, -lam),
-                                      as_fraction(epsilon), max_iters)
+    status, _, vector, _, _ = _decide(G, as_fraction(epsilon), max_iters, lam)
     if status != ("feasible" if feasible else "infeasible"):
         raise CertificateInvalid(
             f"value iteration on the lambda-shifted game returned "
@@ -126,11 +111,10 @@ def feasibility_certificate(G: StochGame, lam, epsilon=Fraction(1, 10**8),
                             max_iters: int = 10**6) -> Certificate:
     """Produce a vector v with lam + v <= F(v), for lam > 0.
 
-    Runs value iteration on the game with Min rewards shifted down by lam;
-    the running maximum of the iterates, or an iterate checked at a
-    certificate stop, is the certificate.  Raises CertificateInvalid when
-    the iteration concludes the reinforced problem is infeasible (lam at or
-    above the margin) or cannot decide.
+    Runs value iteration on F - lam; the running maximum of the iterates,
+    or an iterate checked at a certificate stop, is the certificate.  Raises
+    CertificateInvalid when the iteration concludes the reinforced problem
+    is infeasible (lam at or above the margin) or cannot decide.
     """
     return _shifted_certificate(G, lam, "Feasibility", epsilon, max_iters)
 
@@ -140,10 +124,10 @@ def infeasibility_certificate(G: StochGame, lam, epsilon=Fraction(1, 10**8),
     """Produce a finite vector u with F(u) < lam + u in every entry, for
     lam < 0.
 
-    The shifted iteration's Infeasible witness works: its last iterate, or
-    the tilted running minimum of its iterates, checked in integers to
-    satisfy F(u) - lam < u, so the certificate is always strict.  Its
-    entries need not be negative.
+    The Infeasible witness of the iteration on F - lam works: its last
+    iterate, or the tilted running minimum of its iterates, checked in
+    integers to satisfy F(u) - lam < u, so the certificate is always
+    strict.  Its entries need not be negative.
     """
     return _shifted_certificate(G, lam, "Infeasibility", epsilon, max_iters)
 

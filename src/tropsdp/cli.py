@@ -393,8 +393,8 @@ def run(argv=None) -> int:
     except TropSdpError as exc:
         print(f"tropsdp: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
-        print(f"tropsdp: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"tropsdp: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -6,10 +6,12 @@ pays its reward r^a_k, and nature moves to Max state i or j with probability
 1/2 each.  At a Max state i, Max picks an action {k}, receives r^b_i, and
 play moves to Min state k.  Both players always have at least one action.
 
-``StochGame`` is the one game class: it stores the flat arrays that value
-iteration, the exact witness check, the translation back to a pencil and
-the dominion fixpoint ``largest_dominion`` run on, and reads them as tuples
-of actions with Fraction rewards for JSON and the exact reference evaluators.
+``StochGame`` is the one game class: it stores the flat integer arrays that
+value iteration, the exact witness check, the translation back to a pencil
+and the dominion fixpoint ``largest_dominion`` run on, and reads them as
+tuples of actions with Fraction rewards for JSON and the exact reference
+evaluators.  It holds no doubles: ``StochGame.operator(lam)`` makes them
+for value iteration, which alone needs rewards within their range.
 
 A Metzler pencil turns into such a game (``game_from_pencil``) by reading
 negatively signed entries of Q^(k) as Min actions of state k and positively
@@ -76,6 +78,11 @@ def _float_view(p: np.ndarray, den: int) -> np.ndarray:
         raise ValidationError("a reward lies beyond the range of doubles") from None
 
 
+def _fraction_view(p: np.ndarray, den: int) -> np.ndarray:
+    """p / den as an object array of Fractions."""
+    return np.array([Fraction(q, den) for q in p.tolist()], dtype=object)
+
+
 def _segment_starts(count) -> np.ndarray:
     """Where each state's block of actions starts, from the per-state
     action counts."""
@@ -110,8 +117,9 @@ class StochGame:
     moves to Max states ``min_i[a]`` and ``min_j[a]`` (equal for a
     singleton) with reward ``min_p[a] / den``.  The reward numerators share
     the one denominator ``den``; they are int64 arrays when they fit and
-    object arrays of Python ints otherwise.  ``max_r`` and ``min_r`` are
-    the rewards as correctly rounded doubles.
+    object arrays of Python ints otherwise.  These integers are the game:
+    ``operator`` evaluates F - lambda on them over doubles or Fractions,
+    and ``doubled_step`` in integers.
 
     ``StochGame(n, m, min_actions, max_actions)`` builds the game from one
     nonempty tuple of ``MinAction`` per Min state and of ``MaxAction`` per
@@ -167,8 +175,6 @@ class StochGame:
         self.min_i, self.min_j, self.min_seg, self.min_p = min_i, min_j, min_seg, min_p
         self.den = den
         self.n, self.m = len(min_seg), len(max_seg)
-        self.max_r = _float_view(max_p, den)
-        self.min_r = _float_view(min_p, den)
 
     @property
     def min_actions(self) -> tuple:
@@ -182,7 +188,7 @@ class StochGame:
 
     def _actions(self) -> tuple:
         if self._tuples is None:
-            max_r, min_r = self._fractions()
+            max_r, min_r = (_fraction_view(p, self.den) for p in (self.max_p, self.min_p))
             max_t, min_i, min_j = (a.tolist() for a in (self.max_t, self.min_i, self.min_j))
             bounds = lambda seg, total: zip(seg.tolist(), seg.tolist()[1:] + [total])
             self._tuples = (
@@ -205,27 +211,33 @@ class StochGame:
         return math.prod(np.diff(self.min_seg, append=len(self.min_p)).tolist()
                          + np.diff(self.max_seg, append=len(self.max_p)).tolist())
 
-    def _fractions(self) -> tuple:
-        """The rewards (Max, Min) as object arrays of Fractions."""
-        frac = lambda p: np.array([Fraction(q, self.den) for q in p.tolist()],
-                                  dtype=object)
-        return frac(self.max_p), frac(self.min_p)
-
     def _apply(self, x: np.ndarray, max_r: np.ndarray, min_r: np.ndarray,
                half) -> np.ndarray:
         y = np.maximum.reduceat(max_r + x[self.max_t], self.max_seg)
         return np.minimum.reduceat(min_r + half * (y[self.min_i] + y[self.min_j]),
                                    self.min_seg)
 
-    def step(self, x: np.ndarray) -> np.ndarray:
-        """F(x) for a float vector x."""
-        return self._apply(x, self.max_r, self.min_r, 0.5)
+    def _rewards(self, scale: int, shift: int, bits: int, floor: int = 0) -> tuple:
+        """(Max numerators, Min numerators - shift) over the denominator
+        scale, a multiple of den: int64 arrays when these numerators, the
+        factor scale / den and ``floor`` have at most ``bits`` bits, object
+        arrays of Python ints otherwise."""
+        s = scale // self.den
+        top = max(int(np.abs(self.max_p).max()), int(np.abs(self.min_p).max()), 1)
+        wide = max(floor, (top * s + abs(shift)).bit_length()) > bits
+        dtype = object if wide else np.int64
+        return self.max_p.astype(dtype) * s, self.min_p.astype(dtype) * s - shift
 
-    def exact_step(self):
-        """F over object arrays of Fractions: the kernel of ``step`` with
-        the rewards and the coin's 1/2 as Fractions."""
-        max_r, min_r = self._fractions()
-        half = Fraction(1, 2)
+    def operator(self, lam=0, exact: bool = False):
+        """x -> F(x) - lam for a vector x of doubles, or of Fractions when
+        ``exact``: the kernel ``_apply`` on the rewards over lcm(den, the
+        denominator of lam), the Min rewards shifted by -lam, as correctly
+        rounded doubles or as Fractions."""
+        p, q = lam.as_integer_ratio()
+        scale = math.lcm(self.den, q)
+        rewards = self._rewards(scale, p * (scale // q), 63)
+        view, half = (_fraction_view, Fraction(1, 2)) if exact else (_float_view, 0.5)
+        max_r, min_r = (view(r, scale) for r in rewards)
         return lambda x: self._apply(x, max_r, min_r, half)
 
     def _scaled(self, v: Sequence, lam=0) -> tuple:
@@ -236,18 +248,14 @@ class StochGame:
             raise ValidationError(f"point has {len(v)} coordinates, expected {self.n}")
         ratios = [t.as_integer_ratio() for t in (*v, lam)]
         scale = math.lcm(self.den, *(d for _, d in ratios))
-        s = scale // self.den
         *x, shift = [p * (scale // d) for p, d in ratios]
         # Every |x_k| and every scaled reward (|p s|, or |p s - shift| for
         # Min) is below 2^B, so the Max values y = r + x stay below 2^(B+1)
         # and the doubled Min values 2 r + y_i + y_j below 2^(B+1) + 2^(B+2)
         # < 2^(B+3): B <= 60 keeps every intermediate inside int64.
-        top = max(int(np.abs(self.max_p).max()), int(np.abs(self.min_p).max()))
-        bits = max(max(abs(t) for t in x).bit_length(),
-                   (top * s + abs(shift)).bit_length())
-        dtype = np.int64 if bits <= 60 else object
-        return (self.max_p.astype(dtype) * s, self.min_p.astype(dtype) * s - shift,
-                np.array(x, dtype=dtype))
+        max_r, min_r = self._rewards(scale, shift, 60,
+                                     max(abs(t) for t in x).bit_length())
+        return max_r, min_r, np.array(x, dtype=max_r.dtype)
 
     def doubled_step(self, v: Sequence, lam=0) -> tuple:
         """(2 X, 2 F(X) - 2 L) in integers for a finite rational vector v and
@@ -259,9 +267,9 @@ class StochGame:
         max_r, min_r, x = self._scaled(v, lam)
         return 2 * x, self._apply(x, max_r, 2 * min_r, 1)
 
-    def is_subharmonic(self, v: Sequence) -> bool:
-        """Exact test of v <= F(v), in integers (see ``doubled_step``)."""
-        x2, fx2 = self.doubled_step(v)
+    def is_subharmonic(self, v: Sequence, lam=0) -> bool:
+        """Exact test of lam + v <= F(v), in integers (see ``doubled_step``)."""
+        x2, fx2 = self.doubled_step(v, lam)
         return bool(np.all(x2 <= fx2))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .certify import Certificate
 from .errors import ValidationError
 from .game import MaxAction, MinAction, StochGame
-from .pencil import Pencil, int_array
+from .pencil import Pencil, _check_size, int_array
 from .shapley import IterationReport
 from .tropical import NEG, POS
 
@@ -96,8 +96,7 @@ def _columns(n: int, m: int, matrices: list):
     if (not raw or raw.translate(None, b"0123456789-/,")  # a byte of no JSON integer
             or text.count(",") != len(val) - 1  # "1,2" is not one number
             or set(map(type, entries)) != {list} or set(map(type, i + j)) != {int}
-            or sign.count("+") + sign.count("-") != len(sign)
-            or n * m * m >= 2 ** 63):  # the cell keys below fit in int64
+            or sign.count("+") + sign.count("-") != len(sign)):
         return None
     commas, cuts = (np.flatnonzero(np.frombuffer(raw, np.uint8) == ord(c)) for c in ",/")
     slashes = np.bincount(np.searchsorted(commas, cuts), minlength=len(val))
@@ -134,6 +133,7 @@ def pencil_from_json(obj) -> Pencil:
     if not isinstance(matrices, list) or len(matrices) != n:
         raise ValidationError(f"expected {n} matrices, got "
                               f"{len(matrices) if isinstance(matrices, list) else '?'}")
+    _check_size(n, m)  # so the cell keys of _columns fit in int64
     # _columns holds lists of some 10^5 ints and strs, which form no cycles; a
     # collection that starts while they are young walks every item for nothing,
     # so the collector waits until they are freed.

@@ -183,6 +183,9 @@ class Pencil:
 def _check_size(n: int, m: int) -> None:
     if n < 1 or m < 1:
         raise ValidationError(f"pencil needs n >= 1 and m >= 1, got ({n}, {m})")
+    if n * m * m >= 2**63:  # the cell keys (k m + i) m + j must fit in int64
+        raise ValidationError(f"pencil of {n} matrices {m} x {m} is too large: "
+                              "n m^2 must be below 2^63")
 
 
 def _coordinates(cells) -> tuple:

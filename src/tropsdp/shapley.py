@@ -23,20 +23,22 @@ max(F(u) - u) on the game's value chi; near the boundary, where the
 epsilon exits take about (span + epsilon) / |chi| steps, it decides after
 64 or 128.  Runs that decide within 64 steps never reach a check.
 
-The iteration runs on the arrays a `StochGame` stores: `StochGame.step`
-evaluates F on them and one loop (`_iterate`) iterates it, over doubles or
-over Fractions.  `_decide` runs it in doubles and accepts an epsilon exit
-only after its vector passes a check in integers (`StochGame.doubled_step`,
-int64 when a bit bound allows, Python ints otherwise): a Feasible exit
-needs v <= F(v), an Infeasible one F(u) < u for the last iterate u or for
-the tilted running minimum of the iterates (`_tilted_min`).  A vector that
-fails, or an epsilon that is 0 as a double, reruns the loop in Fractions,
-whose exits pass the same checks by construction.  So every verdict is
-checked exactly; whether all states share one mean payoff bears only on
-whether an epsilon exit comes.  `recession` runs the same kernel with zero
-rewards over Fractions and -oo.  `apply_F` evaluates F over Fractions and
--oo from the game's action tuples; it is the exact reference the arrays are
-tested against.
+The iteration runs on the integer arrays a `StochGame` stores, and every
+part of it takes a margin lambda (0 by default): `StochGame.operator(lam)`
+evaluates F - lambda on them, over doubles or over Fractions, and one loop
+(`_iterate`) iterates it.  Doubles exist only inside that loop.  `_decide`
+runs it in doubles and accepts an epsilon exit only after its vector passes
+a check in integers (`StochGame.doubled_step`, with the same lambda, int64
+when a bit bound allows, Python ints otherwise): a Feasible exit needs
+lambda + v <= F(v), an Infeasible one F(u) < lambda + u for the last
+iterate u or for the tilted running minimum of the iterates
+(`_tilted_min`).  A vector that fails, or an epsilon that is 0 as a double,
+reruns the loop in Fractions, whose exits pass the same checks by
+construction.  So every verdict is checked exactly; whether all states
+share one mean payoff bears only on whether an epsilon exit comes.
+`recession` runs the same kernel with zero rewards over Fractions and -oo.
+`apply_F` evaluates F over Fractions and -oo from the game's action tuples;
+it is the exact reference the arrays are tested against.
 """
 
 from __future__ import annotations
@@ -144,11 +146,11 @@ class IterationReport:
     exit: str | None = None
 
 
-def _certificate(G: StochGame, u) -> str | None:
-    """"feasible" if u <= F(u), "infeasible" if F(u) < u in every entry,
-    None otherwise; decided in integers (``StochGame.doubled_step``), never
-    in the arithmetic of u."""
-    x2, fx2 = G.doubled_step(u)
+def _certificate(G: StochGame, u, lam=0) -> str | None:
+    """"feasible" if lam + u <= F(u), "infeasible" if F(u) < lam + u in
+    every entry, None otherwise; decided in integers
+    (``StochGame.doubled_step``), never in the arithmetic of u."""
+    x2, fx2 = G.doubled_step(u, lam)
     if np.all(x2 <= fx2):
         return "feasible"
     if np.all(fx2 < x2):
@@ -156,22 +158,21 @@ def _certificate(G: StochGame, u) -> str | None:
     return None
 
 
-def _start(G: StochGame, exact: bool):
-    """The step F and the start vector 0, over doubles or Fractions."""
-    if exact:
-        return G.exact_step(), np.array([Fraction(0)] * G.n, dtype=object)
-    return G.step, np.zeros(G.n)
+def _start(G: StochGame, exact: bool, lam):
+    """The step F - lam and the start vector 0, over doubles or Fractions."""
+    zero = np.array([Fraction(0)] * G.n, dtype=object) if exact else np.zeros(G.n)
+    return G.operator(lam, exact), zero
 
 
-def _iterate(G: StochGame, epsilon, max_iters: int, exact: bool):
-    """Iterate u := F(u) from 0, keeping the running entrywise maximum v
+def _iterate(G: StochGame, epsilon, max_iters: int, exact: bool, lam=0):
+    """Iterate u := F(u) - lam from 0, keeping the running entrywise maximum v
     and minimum w, until every entry of u is <= -epsilon ("infeasible") or
     >= epsilon ("feasible"), or max_iters steps ran ("indeterminate").
 
     After FIRST_CHECK steps, and again whenever the step count doubles, the
-    current iterate is tested exactly (``_certificate``): if u <= F(u) it
-    is a feasible point and the loop stops "feasible"; if F(u) < u in every
-    entry it is a strict infeasibility certificate and the loop stops
+    current iterate is tested exactly (``_certificate``): if lam + u <= F(u)
+    it is a feasible point and the loop stops "feasible"; if F(u) < lam + u
+    in every entry it is a strict infeasibility certificate and the loop stops
     "infeasible".  Either way u is returned in all three places, as the
     iterate, v and w.
 
@@ -180,7 +181,7 @@ def _iterate(G: StochGame, epsilon, max_iters: int, exact: bool):
     and exit the stop that ended the run: "epsilon", "certificate" or
     "budget".
     """
-    step, u = _start(G, exact)
+    step, u = _start(G, exact, lam)
     if not exact:  # past the largest double no epsilon exit can come
         epsilon = float(min(epsilon, np.finfo(float).max))
     if not epsilon > 0:
@@ -193,7 +194,7 @@ def _iterate(G: StochGame, epsilon, max_iters: int, exact: bool):
     while u.max() > -epsilon and u.min() < epsilon:
         if iters == checkpoint:
             checkpoint *= 2
-            status = _certificate(G, u)
+            status = _certificate(G, u, lam)
             if status is not None:
                 return status, iters, u, u, u, "certificate"
         if iters >= max_iters:
@@ -206,7 +207,7 @@ def _iterate(G: StochGame, epsilon, max_iters: int, exact: bool):
     return verdict, iters, u, v, w, "epsilon"
 
 
-def _tilted_min(G: StochGame, t: int, epsilon: Fraction, exact: bool):
+def _tilted_min(G: StochGame, t: int, epsilon: Fraction, exact: bool, lam=0):
     """z = min over 0 <= s < t of u_s + s delta, with delta = epsilon / t,
     for a run whose iterate u_t is <= -epsilon in every entry; rounded
     down to the grid 1/L with 1/L <= delta / 2.
@@ -216,9 +217,9 @@ def _tilted_min(G: StochGame, t: int, epsilon: Fraction, exact: bool):
     (monotonicity and additive homogeneity); the rounding keeps
     F(z) < z - delta / 2 and the integers of the check small.  In doubles
     the iterates carry rounding errors, and only that check decides.
-    Replays the run's t steps in its arithmetic.
+    Replays the run's t steps of F - lam in its arithmetic.
     """
-    step, u = _start(G, exact)
+    step, u = _start(G, exact, lam)
     delta = epsilon / t
     tilt = delta if exact else float(delta)
     z = u.copy()
@@ -235,26 +236,26 @@ def _to_fractions(arr: np.ndarray) -> tuple:
     return tuple(Fraction(t) for t in arr.tolist())
 
 
-def _decide(G: StochGame, epsilon: Fraction, max_iters: int):
-    """Value iteration whose epsilon exits are checked in integers;
-    returns (status, iterations, witness, engine, exit), the witness as a
-    tuple of Fractions (see ``IterationReport``).
+def _decide(G: StochGame, epsilon: Fraction, max_iters: int, lam=0):
+    """Value iteration on F - lam whose epsilon exits are checked in
+    integers; returns (status, iterations, witness, engine, exit), the
+    witness as a tuple of Fractions (see ``IterationReport``).
 
-    A Feasible exit stands when v <= F(v); an Infeasible one when F(u) < u
-    in every entry for the last iterate u, or else for ``_tilted_min``.
-    The loop runs in doubles first, unless epsilon is 0 as a double; a
-    vector that fails its check reruns it in Fractions, where the checks
-    hold by construction.  Certificate and budget stops return the last
-    iterate, already checked or undecided.
+    A Feasible exit stands when lam + v <= F(v); an Infeasible one when
+    F(u) < lam + u in every entry for the last iterate u, or else for
+    ``_tilted_min``.  The loop runs in doubles first, unless epsilon is 0
+    as a double; a vector that fails its check reruns it in Fractions,
+    where the checks hold by construction.  Certificate and budget stops
+    return the last iterate, already checked or undecided.
     """
     for exact in ((True,) if float(min(epsilon, 1)) == 0 else (False, True)):
-        status, iters, u, v, _, stop = _iterate(G, epsilon, max_iters, exact)
+        status, iters, u, v, _, stop = _iterate(G, epsilon, max_iters, exact, lam)
         witness = u
         if stop == "epsilon" and status == "feasible":
-            witness = v if G.is_subharmonic(v) else None
-        elif stop == "epsilon" and _certificate(G, u) != "infeasible":
-            z = _tilted_min(G, iters, epsilon, exact)
-            witness = z if _certificate(G, z) == "infeasible" else None
+            witness = v if G.is_subharmonic(v, lam) else None
+        elif stop == "epsilon" and _certificate(G, u, lam) != "infeasible":
+            z = _tilted_min(G, iters, epsilon, exact, lam)
+            witness = z if _certificate(G, z, lam) == "infeasible" else None
         if witness is not None:
             return (status, iters, _to_fractions(witness),
                     "rational" if exact else "double", stop)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from tropsdp import MinAction, MaxAction, StochGame, jsonio
+from tropsdp import game as game_module
 from tropsdp.tropical import MINUS_INF
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -115,3 +116,26 @@ def sparse_json_games(seed, count):
                 [{"to": rng.randint(1, n), "reward": reward()}
                  for _ in range(rng.randint(1, 3))]
                 for _ in range(m)]})
+
+
+def shift_of_the_tuples(G, delta):
+    """G with every Min reward shifted by delta, rebuilt from its action
+    tuples, so independent of the arrays: its operator is F + delta."""
+    shifted = tuple(tuple(MinAction(a.targets, a.reward + delta) for a in acts)
+                    for acts in G.min_actions)
+    return StochGame(G.n, G.m, shifted, G.max_actions)
+
+
+@pytest.fixture
+def float_views(monkeypatch):
+    """The numerator arrays that ``game._float_view`` turns into doubles
+    while the test runs."""
+    seen = []
+    view = game_module._float_view
+
+    def recorded(p, den):
+        seen.append(p)
+        return view(p, den)
+
+    monkeypatch.setattr(game_module, "_float_view", recorded)
+    return seen

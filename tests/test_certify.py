@@ -28,12 +28,13 @@ from tropsdp import (
     verify_superharmonic,
 )
 from tropsdp.bench import GenSpec, gen_random
-from tropsdp.certify import _superharmonic, shift_min_rewards
+from tropsdp.certify import _superharmonic
 from tropsdp.cli import run
 from tropsdp.pencil import int_array
 from tropsdp.tropical import MINUS_INF
 
-from conftest import example_path, games, small_rationals, trop_points
+from conftest import (example_path, games, shift_of_the_tuples,
+                      small_rationals, trop_points)
 
 F = Fraction
 
@@ -71,14 +72,15 @@ def test_verification_needs_finite_vectors(worked_game):
 
 
 def test_shifting_min_rewards_shifts_the_operator(worked_game):
-    shifted = shift_min_rewards(worked_game, F(5, 7))
     x = (F(1, 3), F(0), F(-2))
-    assert apply_F(shifted, x) == tuple(F(5, 7) + f for f in apply_F(worked_game, x))
+    shifted = worked_game.operator(F(-5, 7), exact=True)
+    assert tuple(shifted(np.array(x, dtype=object))) == \
+        tuple(F(5, 7) + f for f in apply_F(worked_game, x))
     # subharmonicity at margin lam is plain subharmonicity after a -lam shift
     v = check_feasibility(worked_game).witness
     lam = F(1, 100)
     assert verify_subharmonic(worked_game, v, lam) == \
-        verify_subharmonic(shift_min_rewards(worked_game, -lam), v)
+        verify_subharmonic(shift_of_the_tuples(worked_game, -lam), v)
 
 
 @settings(max_examples=80, deadline=None)
@@ -94,27 +96,22 @@ def test_integer_verification_matches_apply_F(g, data):
                                              all(t < lam for t in gaps))
 
 
-def shift_of_the_tuples(G, delta):
-    """The shift rebuilt from the game's action tuples."""
-    shifted = tuple(tuple(MinAction(a.targets, a.reward + delta) for a in acts)
-                    for acts in G.min_actions)
-    return StochGame(G.n, G.m, shifted, G.max_actions)
-
-
 @pytest.mark.parametrize("delta", [F(5, 7), F(-1, 100000), F(0), F(2**70, 3)])
 def test_shift_on_the_arrays_equals_the_shift_of_the_tuples(worked_game, delta):
+    # the operator at margin -delta against the game whose Min rewards
+    # were shifted by delta, over doubles bit for bit and over Fractions
     generated = game_from_pencil(gen_random(GenSpec(30, 4, seed=3)))
+    rng = np.random.default_rng(7)
     for G in (worked_game, generated):
-        shifted, expected = shift_min_rewards(G, delta), shift_of_the_tuples(G, delta)
-        assert shifted == expected
-        for name in ("max_r", "min_r"):
-            np.testing.assert_array_equal(getattr(shifted, name),
-                                          getattr(expected, name), err_msg=name)
-        assert shifted.min_actions == expected.min_actions
+        expected = shift_of_the_tuples(G, delta)
+        x = rng.uniform(-4, 4, G.n)
+        assert G.operator(-delta)(x).tobytes() == expected.operator()(x).tobytes()
+        q = np.array([F(t) for t in x.tolist()], dtype=object)
+        assert tuple(G.operator(-delta, exact=True)(q)) == apply_F(expected, tuple(q))
 
 
 # ---------------------------------------------------------------------------
-# the margin inside the integer check
+# the margin inside the operator and the integer check
 # ---------------------------------------------------------------------------
 
 def widened(G, factor):
@@ -146,8 +143,44 @@ def margin_corpus():
                 yield G, v, lam
 
 
+def at_the_int64_bound(over):
+    """(game, v, lam) whose largest shifted Min numerator is +-(2^63 - 1 +
+    over): one Min reward +-1/q and lam = -+(2^63 - 2 + over)/q."""
+    for q in (1, 3):
+        for sign in (1, -1):
+            G = StochGame(1, 1, ((MinAction((0,), F(sign, q)),),),
+                          ((MaxAction(0, F(0)),),))
+            yield G, [F(1, 2)], F(-sign * (2**63 - 2 + over), q)
+
+
+def operator_corpus():
+    yield from margin_corpus()
+    for over in (0, 1):
+        yield from at_the_int64_bound(over)
+
+
+def test_operator_at_a_margin_equals_the_operator_of_the_shifted_tuples():
+    for G, v, lam in operator_corpus():
+        x = np.array([float(t) for t in v])
+        out = G.operator(lam)(x)
+        assert out.tobytes() == shift_of_the_tuples(G, -lam).operator()(x).tobytes()
+        exact = G.operator(lam, exact=True)(np.array([F(t) for t in v], dtype=object))
+        assert tuple(exact) == tuple(f - lam for f in apply_F(G, [F(t) for t in v]))
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["int64", "object"])
+def test_operator_at_the_int64_bound(over, float_views):
+    # the shifted Min numerators 2^63 - 1 fit in int64 and are shifted
+    # there; 2^63 does not, and is shifted in Python ints
+    for G, v, lam in at_the_int64_bound(over):
+        float_views.clear()
+        G.operator(lam)
+        assert [p.dtype for p in float_views] == [np.dtype(object if over else np.int64)] * 2
+        assert abs(float_views[1][0]) == 2**63 - 1 + over
+
+
 def reference_pair(G, v, lam):
-    return shift_min_rewards(G, -lam).doubled_step(v)
+    return shift_of_the_tuples(G, -lam).doubled_step(v)
 
 
 def test_margin_check_equals_the_check_of_the_shifted_game():
@@ -176,6 +209,16 @@ def test_margin_check_at_the_int64_bound(over):
         assert (x2.tolist(), fx2.tolist()) == (ref_x2.tolist(), ref_fx2.tolist())
 
 
+def test_the_scale_factor_counts_in_the_int64_bound():
+    # all rewards 0: only the factor S / den = 2^70 of the scaling leaves
+    # int64, so the bound must count that factor
+    G = StochGame(1, 1, ((MinAction((0,), F(0)),),), ((MaxAction(0, F(0)),),))
+    lam = F(1, 2**70)
+    x2, fx2 = G.doubled_step([F(0)], lam)
+    assert (x2.tolist(), fx2.tolist()) == ([0], [-2])
+    assert G.operator(lam)(np.zeros(1)).tolist() == [-2.0**-70]
+
+
 @pytest.fixture
 def built_games(monkeypatch):
     """The games built (by either constructor) while the test runs."""
@@ -200,11 +243,17 @@ def test_checks_build_no_game(worked_game, built_games):
     assert built_games == []
 
 
-def test_certify_builds_one_game_besides_the_input(built_games, capsys):
+def test_certify_builds_no_game_besides_the_input(built_games, capsys):
     assert run(["certify", example_path("running.json"), "--lambda=1/100"]) == 0
-    assert len(built_games) == 2  # the pencil's game and its shift
+    assert len(built_games) == 1  # the pencil's game
     cert = capsys.readouterr().out
     assert '"strict": true' in cert
+
+
+def test_certify_makes_doubles_only_inside_the_loop(float_views, capsys):
+    # one operator over doubles for the iteration, none for the checks
+    assert run(["certify", example_path("running.json"), "--lambda=1/100"]) == 0
+    assert len(float_views) == 2  # its Max and Min rewards
 
 
 def test_margin_check_allocates_no_second_game():
@@ -280,7 +329,7 @@ UNDERFLOWING = F(1, 10**400)
 def test_exact_mode_produces_a_valid_certificate(worked_game):
     cert = feasibility_certificate(worked_game, F(1, 100), UNDERFLOWING)
     assert check_certificate(worked_game, cert)[0]
-    losing = shift_min_rewards(worked_game, F(-1, 10))  # value -9/140
+    losing = shift_of_the_tuples(worked_game, F(-1, 10))  # value -9/140
     cert = infeasibility_certificate(losing, F(-1, 100), UNDERFLOWING)
     assert check_certificate(losing, cert) == (True, True)
 
@@ -294,7 +343,7 @@ def test_certificates_10_to_the_minus_7_from_the_value(worked_game, exact):
     cert = feasibility_certificate(worked_game, F(1, 28) - near, epsilon)
     assert check_certificate(worked_game, cert) == (True, True)
     # the running example with Min rewards lowered by 1/10: value -9/140
-    losing = shift_min_rewards(worked_game, F(-1, 10))
+    losing = shift_of_the_tuples(worked_game, F(-1, 10))
     cert = infeasibility_certificate(losing, F(-9, 140) + near, epsilon)
     assert cert.strict
     assert check_certificate(losing, cert) == (True, True)

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from tropsdp import Pencil, SignedTrop, jsonio, phase_diagram, to_csv
+from tropsdp import (Certificate, Pencil, SignedTrop, feasibility_certificate,
+                     game_from_pencil, jsonio, phase_diagram, to_csv)
 from tropsdp.cli import run
 
 from conftest import example_path
@@ -437,6 +438,32 @@ def test_unreadable_input_exits_one_without_traceback(tmp_path, capsys, monkeypa
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("m", [2**40, 10**18])
+@pytest.mark.parametrize("command", ["check", "exact", "normalize", "game"])
+def test_pencils_whose_cell_keys_pass_int64_exit_one(tmp_path, capsys, command, m):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 1, "m": m, "matrices": [{"entries": [
+        {"i": i, "j": j, "sign": "+" if i == j else "-", "val": 0}
+        for i, j in ((m // 2 + 1, m // 2 + 1), (1, m), (2, 2))]}]}))
+    assert run([command, str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"tropsdp: ValidationError: pencil of 1 matrices {m} x {m} is too "
+        "large: n m^2 must be below 2^63\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", str(10**15), "--m", "2"],
+    ["phase", "--n-list", str(10**15), "--m-list", "2", "--samples", "1"],
+], ids=["gen", "phase"])
+def test_sizes_past_the_address_space_exit_one(argv, capsys):
+    # 10^15 int64 entries take 8 * 10^15 bytes, past the 2^47-byte address
+    # space: numpy refuses them at once, whatever the overcommit mode
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tropsdp: Unable to allocate")
+    assert err.count("\n") == 1
+
+
 def test_bad_epsilon_exits_one(capsys):
     assert run(["check", RUNNING, "--eps", "0"]) == 1
     assert run(["check", RUNNING, "--eps=-1/2"]) == 1
@@ -502,15 +529,63 @@ def test_certify_needs_a_nonzero_margin(capsys):
         "tropsdp: ValidationError: the margin --lambda must be nonzero\n"
 
 
+def huge_pencil(tmp_path, affine=False):
+    """The 1 x 2 pencil with a diagonal modulus of 10^400: its game's
+    value is (10^400 + 1) / 4 per move."""
+    return write_pencil(tmp_path, f"huge-{affine}.json", 1, 2, [
+        (0, 0, 0, POS(F(HUGE))), (0, 1, 1, POS(F(1))), (0, 0, 1, NEG(F(0)))],
+        affine)
+
+
 @pytest.mark.parametrize("margin", [HUGE, "-" + HUGE], ids=["positive", "negative"])
 def test_rewards_past_the_largest_double_are_refused(tmp_path, margin, capsys):
-    huge = write_pencil(tmp_path, "huge.json", 1, 2, [
-        (0, 0, 0, POS(F(HUGE))), (0, 1, 1, POS(F(1))), (0, 0, 1, NEG(F(0)))])
-    for argv in (["check", huge], ["exact", huge],
+    # value iteration runs in doubles; the exact paths take any reward
+    for argv in (["check", huge_pencil(tmp_path)],
                  ["certify", RUNNING, f"--lambda={margin}"]):
         assert run(argv) == 1
         assert capsys.readouterr().err == ("tropsdp: ValidationError: a reward "
                                            "lies beyond the range of doubles\n")
+
+
+def exact_paths(tmp_path, pencil, vector):
+    """argv of the commands that never iterate: exact, game, solve-game on
+    the game that writes, affine on the pencil with its affine flag set,
+    and certify --check of this vector as a certificate at margin 1/100."""
+    P = jsonio.pencil_from_json(jsonio.load_json(pencil))
+    affine, game, cert = (str(tmp_path / name) for name in
+                          ("affine.json", "game.json", "cert.json"))
+    jsonio.dump_json(jsonio.pencil_to_json(Pencil.from_arrays(
+        P.n, P.m, P.k, P.i, P.j, P.sign, P.num, P.den, affine=True)), affine)
+    jsonio.dump_json(jsonio.certificate_to_json(
+        Certificate("Feasibility", tuple(vector), F(1, 100), True)), cert)
+    return [["exact", pencil], ["game", pencil, "-o", game], ["solve-game", game],
+            ["affine", affine], ["certify", pencil, "--check", cert]]
+
+
+def test_exact_paths_take_any_reward(tmp_path, capsys):
+    outputs = []
+    for argv in exact_paths(tmp_path, huge_pencil(tmp_path), [F(0)]):
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr())
+    exact, _, solved, affine, check = (json.loads(out.out or "null") for out in outputs)
+    chi = [jsonio.format_rational(F(10**400 + 1, 4))]
+    assert (exact["status"], exact["value"]["chi"], solved["chi"]) == ("Nontrivial", chi, chi)
+    assert affine == {"feasible": True}
+    assert (check["holds"], check["strict"]) == (True, True)
+
+
+@pytest.mark.parametrize("huge", [False, True], ids=["running", "huge"])
+def test_exact_paths_make_no_doubles(tmp_path, huge, float_views):
+    if huge:
+        paths = exact_paths(tmp_path, huge_pencil(tmp_path), [F(0)])
+    else:
+        G = game_from_pencil(jsonio.pencil_from_json(jsonio.load_json(RUNNING)))
+        paths = exact_paths(tmp_path, RUNNING,
+                            feasibility_certificate(G, F(1, 100)).vector)
+    float_views.clear()
+    for argv in paths:
+        assert run(argv) == 0
+    assert float_views == []
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "1e-400", HUGE],

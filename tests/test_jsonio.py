@@ -487,3 +487,14 @@ def test_dump_json_writes_and_returns(tmp_path):
     buf = io.StringIO()
     jsonio.dump_json({"z": 0}, buf)
     assert json.loads(buf.getvalue()) == {"z": 0}
+
+
+def test_cell_keys_past_int64_are_refused_before_sorting():
+    # with m = 2^40 the keys (k m + i) m + j wrap in int64, and the
+    # entries came back out of (k, i, j) order
+    m = 2**40
+    obj = {"n": 1, "m": m, "matrices": [{"entries": [
+        {"i": i, "j": j, "sign": "+" if i == j else "-", "val": 0}
+        for i, j in ((2**39 + 1, 2**39 + 1), (1, m), (2, 2))]}]}
+    with pytest.raises(ValidationError, match="too large"):
+        jsonio.pencil_from_json(obj)

@@ -1,5 +1,6 @@
 """Pencils: membership, Metzlerization and normalization."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -385,3 +386,15 @@ def test_normalize_matches_stepwise_search_on_a_corpus():
     assert set(kinds) == {"nontrivial", "trivial", "reduced as-is",
                           "reduced after reductions"}
     assert min(kinds.values()) >= 100
+
+
+def test_cell_keys_stay_inside_int64():
+    # n m^2 < 2^63 keeps every cell key (k m + i) m + j inside int64
+    m = math.isqrt(2**63 - 1)
+    P = Pencil.from_entries(1, m, [(0, m - 1, m - 1, SignedTrop.pos(1)),
+                                   (0, 0, m - 1, SignedTrop.neg(0))])
+    assert (P.i.tolist(), P.j.tolist()) == ([0, m - 1], [m - 1, m - 1])
+    with pytest.raises(ValidationError, match="n m\\^2 must be below 2\\^63"):
+        Pencil.from_entries(1, m + 1, [(0, m, m, SignedTrop.pos(1))])
+    with pytest.raises(ValidationError, match="too large"):
+        Pencil.from_entries(2, m, [(1, m - 1, m - 1, SignedTrop.pos(1))])

@@ -22,7 +22,7 @@ from tropsdp import (
     verify_subharmonic,
 )
 from tropsdp.bench import GenSpec, gen_random
-from tropsdp.certify import _superharmonic, shift_min_rewards
+from tropsdp.certify import _superharmonic
 from tropsdp.markov import chain_from_policies
 from tropsdp.shapley import (
     FIRST_CHECK,
@@ -36,8 +36,8 @@ from tropsdp.shapley import (
 )
 from tropsdp.tropical import MINUS_INF
 
-from conftest import (dyadic_rationals, games, small_rationals, sparse_json_games,
-                      trop_points)
+from conftest import (dyadic_rationals, games, shift_of_the_tuples, small_rationals,
+                      sparse_json_games, trop_points)
 
 F = Fraction
 
@@ -244,7 +244,8 @@ def test_zero_cycle_is_decided_at_the_first_check(monkeypatch):
     checked = []
     is_subharmonic = StochGame.is_subharmonic
     monkeypatch.setattr(StochGame, "is_subharmonic",
-                        lambda self, v: checked.append(v) or is_subharmonic(self, v))
+                        lambda self, v, lam=0: checked.append(v)
+                        or is_subharmonic(self, v, lam))
     report = check_feasibility(cycle_game(0, 0))
     assert report.verdict == "Feasible"
     assert report.iterations == FIRST_CHECK
@@ -286,7 +287,7 @@ def test_double_engine_agrees_with_exact_on_dyadic_games(data):
 def test_exact_kernel_matches_apply_F(data):
     # the array kernel over Fractions against the operator on the tuples
     g = data.draw(games())
-    step = g.exact_step()
+    step = g.operator(exact=True)
     x = np.array([F(0)] * g.n, dtype=object)
     ref = (F(0),) * g.n
     for _ in range(8):
@@ -417,7 +418,7 @@ def test_near_boundary_is_decided_by_a_checked_iterate(worked_game, k, side,
     # the running example with value +-10^-k per step: the epsilon exits
     # would need about 7 * 10^(k-1) steps, and from k = 7 on more than the
     # default max_iters
-    g = shift_min_rewards(worked_game, side * F(1, 10**k) - RUNNING_MARGIN)
+    g = shift_of_the_tuples(worked_game, side * F(1, 10**k) - RUNNING_MARGIN)
     report = check_feasibility(g, epsilon=UNDERFLOWING if exact else F(1, 10**8))
     assert report.verdict == ("Feasible" if side > 0 else "Infeasible")
     assert report.exit == "certificate"
@@ -446,7 +447,7 @@ def two_cycles(a, b):
 def test_certificate_is_decided_in_integers():
     # F(u)_0 = u_0 exactly, but the doubles put F(u)_0 one ulp below 0.5
     u = np.array([0.5, 0.5])
-    assert two_cycles(0, -1).step(u)[0] < u[0]
+    assert two_cycles(0, -1).operator()(u)[0] < u[0]
     # a tie in one entry: subharmonic, but not strictly superharmonic
     assert _certificate(two_cycles(0, 1), u) == "feasible"
     assert _certificate(two_cycles(0, -1), u) is None
@@ -466,9 +467,9 @@ def test_checks_come_at_doublings_of_the_first(exact, monkeypatch):
     checked = []
     doubled_step = StochGame.doubled_step
 
-    def counted(self, v):
+    def counted(self, v, lam=0):
         checked.append(max(map(abs, v)) * 2)  # the step count, 2 |u_1|
-        return doubled_step(self, v)
+        return doubled_step(self, v, lam)
 
     monkeypatch.setattr(StochGame, "doubled_step", counted)
     status, iters, *_ = value_iteration_raw(g, F(1, 10**8), 1000, exact)
@@ -566,7 +567,7 @@ def test_tilted_minimum_is_rounded_down_to_its_grid(spec, exact):
     L = 1
     while F(1, L) > delta / 2:
         L *= 2
-    step = g.exact_step() if exact else g.step
+    step = g.operator(exact=exact)
     u = np.array([F(0)] * g.n, dtype=object) if exact else np.zeros(g.n)
     tilt = delta if exact else float(delta)
     reference = u.copy()
