@@ -8,11 +8,15 @@ experimental harness (`gen`, `phase`).
 
 Exit codes: 0 feasible/success, 10 infeasible/trivial, 20 indeterminate,
 1 usage or validation error.  `-` means stdin/stdout everywhere.
+
+`run(argv)` may be called any number of times in one process; every call
+parses with the one parser that `build_parser` builds on first use.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -76,10 +80,23 @@ def _rational(text: str) -> Fraction:
 
 
 def _int_list(text: str) -> list:
-    return [int(part) for part in text.split(",") if part.strip()]
+    try:
+        sizes = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    if not sizes:
+        raise argparse.ArgumentTypeError("expected at least one size")
+    return sizes
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process and shared by
+    all `run` calls: callers must not change it.  Reuse is safe because
+    parsing keeps no state in the parser (each parse makes fresh
+    namespaces, every default is immutable, and help reads the terminal
+    width when it formats)."""
     parser = _Parser(prog="tropsdp",
                      description="Tropical Metzler semidefinite feasibility "
                                  "via stochastic mean payoff games.")

@@ -32,10 +32,11 @@ a check in integers (`StochGame.doubled_step`, with the same lambda, int64
 when a bit bound allows, Python ints otherwise): a Feasible exit needs
 lambda + v <= F(v), an Infeasible one F(u) < lambda + u for the last
 iterate u or for the tilted running minimum of the iterates
-(`_tilted_min`).  A vector that fails, or an epsilon that is 0 as a double,
-reruns the loop in Fractions, whose exits pass the same checks by
-construction.  So every verdict is checked exactly; whether all states
-share one mean payoff bears only on whether an epsilon exit comes.
+(`_tilted_min`).  A vector that fails reruns the loop in Fractions, whose
+exits pass the same checks by construction; the whole run is in Fractions
+when epsilon is 0 as a double or a double of the run could overflow.  So
+every verdict is checked exactly; whether all states share one mean payoff
+bears only on whether an epsilon exit comes.
 `recession` runs the same kernel with zero rewards over Fractions and -oo.
 `apply_F` evaluates F over Fractions and -oo from the game's action tuples;
 it is the exact reference the arrays are tested against.
@@ -132,10 +133,10 @@ class IterationReport:
     for Indeterminate it is the last iterate.  Entries are exact rationals
     (doubles convert losslessly), and an Infeasible witness's entries need
     not be <= -epsilon.  engine names the arithmetic of the iteration that
-    produced them: "double", or "rational" when epsilon is 0 as a double
-    or a double witness failed its check.  exit names the stop that
-    decided: "epsilon", "certificate" or "budget"; it is None for a report
-    that no iteration produced.
+    produced them: "double", or "rational" when epsilon is 0 as a double,
+    the rewards are too large for doubles, or a double witness failed its
+    check.  exit names the stop that decided: "epsilon", "certificate" or
+    "budget"; it is None for a report that no iteration produced.
     """
 
     verdict: str  # "Feasible" | "Infeasible" | "Indeterminate"
@@ -236,6 +237,18 @@ def _to_fractions(arr: np.ndarray) -> tuple:
     return tuple(Fraction(t) for t in arr.tolist())
 
 
+def _doubles_suffice(G: StochGame, epsilon: Fraction, max_iters: int, lam) -> bool:
+    """Whether value iteration on F - lam may run in doubles: epsilon is not
+    0 as a double, and no double of max_iters steps from 0 can overflow.
+    With R the largest |Max reward| plus the largest |Min reward - lam|,
+    the iterate after t steps is at most t R in magnitude and every value
+    of a step from it at most 2 (t + 1) R, so 2 (max_iters + 1) R < 2^1023
+    leaves room for rounding below the largest double."""
+    top = sum(int(np.abs(p).max()) for p in (G.max_p, G.min_p))
+    reach = 2 * (max_iters + 1) * (Fraction(top, G.den) + abs(lam))
+    return float(min(epsilon, 1)) != 0 and reach < 2**1023
+
+
 def _decide(G: StochGame, epsilon: Fraction, max_iters: int, lam=0):
     """Value iteration on F - lam whose epsilon exits are checked in
     integers; returns (status, iterations, witness, engine, exit), the
@@ -243,12 +256,13 @@ def _decide(G: StochGame, epsilon: Fraction, max_iters: int, lam=0):
 
     A Feasible exit stands when lam + v <= F(v); an Infeasible one when
     F(u) < lam + u in every entry for the last iterate u, or else for
-    ``_tilted_min``.  The loop runs in doubles first, unless epsilon is 0
-    as a double; a vector that fails its check reruns it in Fractions,
-    where the checks hold by construction.  Certificate and budget stops
-    return the last iterate, already checked or undecided.
+    ``_tilted_min``.  The loop runs in doubles first when they suffice
+    (``_doubles_suffice``); a vector that fails its check reruns it in
+    Fractions, where the checks hold by construction.  Certificate and
+    budget stops return the last iterate, already checked or undecided.
     """
-    for exact in ((True,) if float(min(epsilon, 1)) == 0 else (False, True)):
+    doubles = _doubles_suffice(G, epsilon, max_iters, lam)
+    for exact in ((False, True) if doubles else (True,)):
         status, iters, u, v, _, stop = _iterate(G, epsilon, max_iters, exact, lam)
         witness = u
         if stop == "epsilon" and status == "feasible":
@@ -280,10 +294,11 @@ def check_feasibility(G: StochGame, epsilon=Fraction(1, 10**8),
     ``_decide``), and a certificate stop (the iterate after 64, 128, 256,
     ... steps satisfying u <= F(u), or F(u) < u in every entry) by the
     same integer test; iterations is the step count of the run that
-    decided.  An epsilon that is 0 as a double runs in rationals from the
-    start.  Hitting ``max_iters`` yields Indeterminate: no epsilon exit,
-    and no checked iterate was a certificate, as can happen at value 0 or
-    with values of both signs.
+    decided.  An epsilon that is 0 as a double, or rewards so large that a
+    double of the run could overflow, run in rationals from the start.
+    Hitting ``max_iters`` yields Indeterminate: no epsilon exit, and no
+    checked iterate was a certificate, as can happen at value 0 or with
+    values of both signs.
     """
     epsilon = as_fraction(epsilon)
     status, iters, witness, engine, stop = _decide(G, epsilon, max_iters)

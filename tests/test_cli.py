@@ -8,6 +8,7 @@ import pytest
 
 from tropsdp import (Certificate, Pencil, SignedTrop, feasibility_certificate,
                      game_from_pencil, jsonio, phase_diagram, to_csv)
+from tropsdp import cli
 from tropsdp.cli import run
 
 from conftest import example_path
@@ -354,6 +355,22 @@ def test_gen_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ("1,x", "expected comma-separated integers, got '1,x'"),
+    ("", "expected at least one size"),
+    (",", "expected at least one size"),
+], ids=["not-an-integer", "empty", "comma"])
+@pytest.mark.parametrize("flag", ["--n-list", "--m-list"])
+def test_phase_refuses_a_bad_size_list(flag, sizes, message, capsys):
+    argv = {"--n-list": "3", "--m-list": "2", flag: sizes}
+    with pytest.raises(SystemExit) as exc:
+        run(["phase", *(part for item in argv.items() for part in item)])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"tropsdp phase: error: argument {flag}: {message}\n"
+
+
 def test_phase_csv(capsys):
     assert run(["phase", "--n-list", "3", "--m-list", "2,3",
                 "--samples", "2", "--no-timing", "--max-iters", "2000"]) == 0
@@ -385,6 +402,50 @@ def test_unknown_flag_exits_one():
     with pytest.raises(SystemExit) as exc:
         run(["check", RUNNING, "--bogus"])
     assert exc.value.code == 1
+
+
+def test_one_parser_serves_every_run(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def recorded(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", recorded)
+    cli.build_parser.cache_clear()
+    assert run(["check", RUNNING]) == 0
+    report = capsys.readouterr().out
+    assert run(["--schema"]) == 0
+    schema = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        run(["check", RUNNING, "--bogus"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    for _ in range(3):
+        assert run(["check", RUNNING]) == 0
+        assert capsys.readouterr().out == report
+    assert run(["--schema"]) == 0
+    assert capsys.readouterr().out == schema
+    # the top-level parser and one per subcommand, once
+    assert built.count("tropsdp") == 1
+    assert len(built) == 1 + len(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [[]] + [[name] for name in cli._COMMANDS],
+                         ids=lambda argv: argv[0] if argv else "top")
+def test_help_reads_the_width_when_it_formats(argv, monkeypatch, capsys):
+    cli.build_parser()  # built before the widths below are set
+    pages = []
+    for columns in ("50", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for parser in (cli.build_parser(), cli.build_parser.__wrapped__()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([*argv, "--help"])
+            assert exc.value.code == 0
+            pages.append(capsys.readouterr().out)
+    assert pages[0] == pages[1] and pages[2] == pages[3]
+    assert pages[0] != pages[2]
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -538,13 +599,40 @@ def huge_pencil(tmp_path, affine=False):
 
 
 @pytest.mark.parametrize("margin", [HUGE, "-" + HUGE], ids=["positive", "negative"])
-def test_rewards_past_the_largest_double_are_refused(tmp_path, margin, capsys):
-    # value iteration runs in doubles; the exact paths take any reward
-    for argv in (["check", huge_pencil(tmp_path)],
-                 ["certify", RUNNING, f"--lambda={margin}"]):
-        assert run(argv) == 1
-        assert capsys.readouterr().err == ("tropsdp: ValidationError: a reward "
-                                           "lies beyond the range of doubles\n")
+def test_rewards_past_the_largest_double_are_decided(tmp_path, margin, capsys):
+    # past the largest double value iteration runs in Fractions
+    assert run(["check", huge_pencil(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["iterations"]) == ("Feasible", 1)
+    # F - 10^400 is Infeasible and F + 10^400 Feasible: no certificate
+    assert run(["certify", RUNNING, f"--lambda={margin}"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.count("\n")) == ("", 1)
+    assert captured.err.startswith("tropsdp: CertificateInvalid: ")
+
+
+def overflow_pencil(tmp_path):
+    """The 1 x 2 pencil with F(x) = x - 34 * 10^307: its rewards are
+    doubles, but their sum overflows."""
+    big = F(17 * 10**307)
+    return write_pencil(tmp_path, "overflow.json", 1, 2, [
+        (0, 0, 0, POS(-big)), (0, 0, 1, NEG(big)), (0, 1, 1, POS(-big))])
+
+
+def test_rewards_whose_sums_leave_the_doubles_are_decided(tmp_path, capsys):
+    path = overflow_pencil(tmp_path)
+    assert run(["exact", path]) == 10
+    assert json.loads(capsys.readouterr().out)["status"] == "Trivial"
+    assert run(["check", path]) == 10
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (report["verdict"], report["iterations"]) == ("Infeasible", 1)
+    assert report["witness"] == [str(-34 * 10**307)]
+    assert captured.err == ""
+    assert run(["certify", path, "--lambda=-1"]) == 0
+    captured = capsys.readouterr()
+    cert = json.loads(captured.out)
+    assert (cert["kind"], cert["strict"], captured.err) == ("Infeasibility", True, "")
 
 
 def exact_paths(tmp_path, pencil, vector):

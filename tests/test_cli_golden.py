@@ -337,6 +337,14 @@ def test_cli_output_is_unchanged(case, paths):
                                          case["stderr"])
 
 
+def test_one_process_writes_the_corpus_in_either_order(paths):
+    # every run shares one parser: no run may leave state for the next
+    cases = _golden()
+    for case in cases + cases[::-1]:
+        assert _run(case["argv"], paths) == (case["exit"], case["stdout"],
+                                             case["stderr"])
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as directory:
         paths = _materialize(directory)

@@ -172,6 +172,8 @@ def test_float_rewards_round_like_fractions():
     for numerators, den in cases:
         p = int_array(numerators)
         assert _float_view(p, den).tolist() == [float(F(q, den)) for q in numerators]
+    with pytest.raises(ValidationError, match="beyond the range of doubles"):
+        _float_view(int_array([1, 10**400]), 3)
     assert int_array([2**63 - 1, -(2**63 - 1)]).dtype == np.int64
     assert int_array([2**63]).dtype == object
     assert int_array([-(2**63)]).dtype == object

@@ -395,6 +395,21 @@ def test_rounded_witness_triggers_rational_rerun():
     assert verify_subharmonic(g, report.witness)[0]
 
 
+@pytest.mark.parametrize("reward, max_iters, engine", [
+    (17 * 10**307, 10**6, "rational"),  # F(0) = -3.4e308 overflows
+    (10**400, 10**6, "rational"),  # past the largest double
+    (2**900, 10**6, "double"),
+    (2**900, 2**200, "rational"),  # 2^200 steps could reach 2^1101
+], ids=["sum-overflows", "reward-overflows", "fits", "budget-overflows"])
+def test_the_loop_runs_in_doubles_only_where_none_can_overflow(reward, max_iters,
+                                                               engine):
+    # F(x) = x - 2 reward: Infeasible after one step in either arithmetic
+    report = check_feasibility(cycle_game(-reward, -reward), max_iters=max_iters)
+    assert (report.verdict, report.iterations, report.witness) == \
+        ("Infeasible", 1, (-2 * reward,))
+    assert report.engine == engine
+
+
 # ---------------------------------------------------------------------------
 # the certificate stop
 # ---------------------------------------------------------------------------
