@@ -10,9 +10,6 @@ Sweeps decide the game of each generated pencil,
 ``game_from_pencil(gen_random(spec))``, with the same checked value
 iteration as `check` (`shapley._decide`); the generator fills the pencil's
 coordinate arrays straight from the drawn numerators.
-The grid moduli are dyadic with denominator 2^31, hence exactly
-representable in float64 — the float loop computes the same iterates the
-exact loop would, up to the rounding of the averages themselves.
 """
 
 from __future__ import annotations

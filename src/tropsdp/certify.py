@@ -14,10 +14,11 @@ sets are exactly the reinforced spectrahedra: its checked witness is the
 certificate.  A feasibility certificate is the running entrywise maximum of
 the iterates, and an infeasibility certificate the last iterate or the
 tilted running minimum of the iterates, unless the iteration stopped at an
-iterate that is itself an exact certificate.  Lambda is an argument of the
-one operator, in the loop (``StochGame.operator``) and in every check, of
-these or of third-party certificates, which runs in integers
-(``StochGame.doubled_step``): no path builds a second game.
+iterate that is itself an exact certificate.  Every entry is a rational on
+the loop's dyadic grid.  Lambda is an argument of the one operator, in the
+loop (the grid step ``StochGame.operator``) and in every check, of these or
+of third-party certificates (``StochGame.doubled_step``); all of it runs in
+integers, and no path builds a second game.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ play moves to Min state k.  Both players always have at least one action.
 value iteration, the exact witness check, the translation back to a pencil
 and the dominion fixpoint ``largest_dominion`` run on, and reads them as
 tuples of actions with Fraction rewards for JSON and the exact reference
-evaluators.  It holds no doubles: ``StochGame.operator(lam)`` makes them
-for value iteration, which alone needs rewards within their range.
+evaluators.  Every evaluation of F on the arrays runs in integers:
+``StochGame.operator`` on a dyadic grid for value iteration, and
+``StochGame.doubled_step`` for the exact check of any rational vector.
 
 A Metzler pencil turns into such a game (``game_from_pencil``) by reading
 negatively signed entries of Q^(k) as Min actions of state k and positively
@@ -25,6 +26,7 @@ otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,19 +65,6 @@ class MaxAction:
 
     def __post_init__(self):
         object.__setattr__(self, "reward", as_fraction(self.reward))
-
-
-def _float_view(p: np.ndarray, den: int) -> np.ndarray:
-    """p / den rounded to the nearest double, as ``float(Fraction(p, den))``
-    rounds it.  Below 2^53 both operands are exact doubles and one IEEE
-    division rounds the quotient correctly; otherwise Python's int true
-    division does, and a quotient past the largest double is refused."""
-    if p.dtype != object and den < 2**53 and max(p.max(), -p.min()) < 2**53:
-        return p / den
-    try:
-        return np.array([q / den for q in p.tolist()])
-    except OverflowError:
-        raise ValidationError("a reward lies beyond the range of doubles") from None
 
 
 def _fraction_view(p: np.ndarray, den: int) -> np.ndarray:
@@ -118,8 +107,8 @@ class StochGame:
     singleton) with reward ``min_p[a] / den``.  The reward numerators share
     the one denominator ``den``; they are int64 arrays when they fit and
     object arrays of Python ints otherwise.  These integers are the game:
-    ``operator`` evaluates F - lambda on them over doubles or Fractions,
-    and ``doubled_step`` in integers.
+    ``operator`` and ``doubled_step`` evaluate F - lambda on them in
+    integers.
 
     ``StochGame(n, m, min_actions, max_actions)`` builds the game from one
     nonempty tuple of ``MinAction`` per Min state and of ``MaxAction`` per
@@ -211,34 +200,42 @@ class StochGame:
         return math.prod(np.diff(self.min_seg, append=len(self.min_p)).tolist()
                          + np.diff(self.max_seg, append=len(self.max_p)).tolist())
 
-    def _apply(self, x: np.ndarray, max_r: np.ndarray, min_r: np.ndarray,
-               half) -> np.ndarray:
+    def _apply(self, x: np.ndarray, max_r, min_r, halve: bool = True) -> np.ndarray:
+        """The kernel: Max values y = max (max_r + x), then per Min state the
+        min of min_r + (y_i + y_j) >> 1, or of min_r + y_i + y_j when not
+        ``halve``.  When ``halve``, an integer result is at most
+        |x| + max |max_r| + max |min_r| in magnitude, and no intermediate
+        exceeds twice that."""
         y = np.maximum.reduceat(max_r + x[self.max_t], self.max_seg)
-        return np.minimum.reduceat(min_r + half * (y[self.min_i] + y[self.min_j]),
+        pair = y[self.min_i] + y[self.min_j]
+        return np.minimum.reduceat(min_r + (pair >> 1 if halve else pair),
                                    self.min_seg)
 
-    def _rewards(self, scale: int, shift: int, bits: int, floor: int = 0) -> tuple:
-        """(Max numerators, Min numerators - shift) over the denominator
-        scale, a multiple of den: int64 arrays when these numerators, the
-        factor scale / den and ``floor`` have at most ``bits`` bits, object
-        arrays of Python ints otherwise."""
-        s = scale // self.den
-        top = max(int(np.abs(self.max_p).max()), int(np.abs(self.min_p).max()), 1)
-        wide = max(floor, (top * s + abs(shift)).bit_length()) > bits
-        dtype = object if wide else np.int64
-        return self.max_p.astype(dtype) * s, self.min_p.astype(dtype) * s - shift
+    def _top(self) -> int:
+        """The largest |reward numerator|, at least 1."""
+        return max(int(np.abs(self.max_p).max()), int(np.abs(self.min_p).max()), 1)
 
-    def operator(self, lam=0, exact: bool = False):
-        """x -> F(x) - lam for a vector x of doubles, or of Fractions when
-        ``exact``: the kernel ``_apply`` on the rewards over lcm(den, the
-        denominator of lam), the Min rewards shifted by -lam, as correctly
-        rounded doubles or as Fractions."""
+    def _rewards(self, factor: int, shift: int, dtype) -> tuple:
+        """(Max numerators, Min numerators - shift) over den * factor, as
+        arrays of ``dtype``: int64, which the caller has bounded, or object
+        for Python ints."""
+        return (self.max_p.astype(dtype) * factor,
+                self.min_p.astype(dtype) * factor - shift)
+
+    def operator(self, lam=0, bits: int = 0) -> tuple:
+        """(S, R, step) on the grid S = lcm(den, the denominator of lam) 2^bits.
+
+        step sends integer numerators X over S to floor(S (F - lam)(X / S)):
+        the kernel ``_apply`` on the rewards over S, the Min ones shifted by
+        -lam, with the halving rounded down, which is exact because min and
+        floor commute with integer shifts.  R bounds |step(X) - X|.  The
+        rewards take the dtype of X, so an int64 X needs |X| + R < 2^62."""
         p, q = lam.as_integer_ratio()
-        scale = math.lcm(self.den, q)
-        rewards = self._rewards(scale, p * (scale // q), 63)
-        view, half = (_fraction_view, Fraction(1, 2)) if exact else (_float_view, 0.5)
-        max_r, min_r = (view(r, scale) for r in rewards)
-        return lambda x: self._apply(x, max_r, min_r, half)
+        scale = math.lcm(self.den, q) << bits
+        factor, shift = scale // self.den, p * (scale // q)
+        reach = 2 * self._top() * factor + abs(shift)
+        rewards = functools.cache(lambda dtype: self._rewards(factor, shift, dtype))
+        return scale, reach, lambda x: self._apply(x, *rewards(x.dtype))
 
     def _scaled(self, v: Sequence, lam=0) -> tuple:
         """(Max rewards, Min rewards - lam, v) times S = lcm(den, the
@@ -253,8 +250,10 @@ class StochGame:
         # Min) is below 2^B, so the Max values y = r + x stay below 2^(B+1)
         # and the doubled Min values 2 r + y_i + y_j below 2^(B+1) + 2^(B+2)
         # < 2^(B+3): B <= 60 keeps every intermediate inside int64.
-        max_r, min_r = self._rewards(scale, shift, 60,
-                                     max(abs(t) for t in x).bit_length())
+        factor = scale // self.den
+        wide = max(max(abs(t) for t in x).bit_length(),
+                   (self._top() * factor + abs(shift)).bit_length()) > 60
+        max_r, min_r = self._rewards(factor, shift, object if wide else np.int64)
         return max_r, min_r, np.array(x, dtype=max_r.dtype)
 
     def doubled_step(self, v: Sequence, lam=0) -> tuple:
@@ -265,7 +264,7 @@ class StochGame:
         of X.  The pair decides lam + v <= F(v), F(v) <= lam + v and their
         strict forms exactly, without building the game shifted by -lam."""
         max_r, min_r, x = self._scaled(v, lam)
-        return 2 * x, self._apply(x, max_r, 2 * min_r, 1)
+        return 2 * x, self._apply(x, max_r, 2 * min_r, halve=False)
 
     def is_subharmonic(self, v: Sequence, lam=0) -> bool:
         """Exact test of lam + v <= F(v), in integers (see ``doubled_step``)."""

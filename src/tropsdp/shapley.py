@@ -23,20 +23,21 @@ max(F(u) - u) on the game's value chi; near the boundary, where the
 epsilon exits take about (span + epsilon) / |chi| steps, it decides after
 64 or 128.  Runs that decide within 64 steps never reach a check.
 
-The iteration runs on the integer arrays a `StochGame` stores, and every
-part of it takes a margin lambda (0 by default): `StochGame.operator(lam)`
-evaluates F - lambda on them, over doubles or over Fractions, and one loop
-(`_iterate`) iterates it.  Doubles exist only inside that loop.  `_decide`
-runs it in doubles and accepts an epsilon exit only after its vector passes
-a check in integers (`StochGame.doubled_step`, with the same lambda, int64
-when a bit bound allows, Python ints otherwise): a Feasible exit needs
-lambda + v <= F(v), an Infeasible one F(u) < lambda + u for the last
-iterate u or for the tilted running minimum of the iterates
-(`_tilted_min`).  A vector that fails reruns the loop in Fractions, whose
-exits pass the same checks by construction; the whole run is in Fractions
-when epsilon is 0 as a double or a double of the run could overflow.  So
-every verdict is checked exactly; whether all states share one mean payoff
-bears only on whether an epsilon exit comes.
+The iteration runs in integers on a dyadic grid, and every part of it
+takes a margin lambda (0 by default).  On the grid S = lcm(den, lambda's
+denominator) 2^K, one step sends the numerators X of u = X / S to
+floor(S (F - lambda)(X / S)) (``StochGame.operator``), exactly, in int64
+while a bound on the iterate and its growth to the next checkpoint allows
+and in Python ints from then on.  This floor step is monotone, commutes
+with integer shifts and lies below F - lambda, so at a Feasible epsilon
+exit lambda + v <= F(v) holds by construction; ``_decide`` still checks it
+in integers, with one step.  An Infeasible exit stands when F(u) < lambda
++ u in every entry for the last iterate u or for the tilted running
+minimum of the iterates (``_tilted_min``).  A vector that fails its check
+reruns the loop with K doubled, from K0 = 8 on; once K reaches the step
+count the grid holds F^t(0) exactly, where both checks hold, so the reruns
+are bounded.  Every verdict is thus checked exactly; whether all states
+share one mean payoff bears only on whether an epsilon exit comes.
 `recession` runs the same kernel with zero rewards over Fractions and -oo.
 `apply_F` evaluates F over Fractions and -oo from the game's action tuples;
 it is the exact reference the arrays are tested against.
@@ -62,6 +63,9 @@ UNKNOWN = "Unknown"
 # Value iteration tests its iterate for an exact certificate at this step
 # count and at every doubling of it.
 FIRST_CHECK = 64
+# The first grid width K: the loop starts on the grid 1 / (lcm(den,
+# lambda's denominator) 2^K0), and doubles K when a witness fails its check.
+K0 = 8
 
 
 def _check_point(G: StochGame, x: Sequence) -> None:
@@ -106,8 +110,8 @@ def recession(G: StochGame, x: Sequence[ExtReal]) -> tuple:
     """Recession operator lim_{gamma->oo} F(gamma x)/gamma: the Shapley
     operator of the same game with all rewards set to zero."""
     _check_point(G, x)
-    return tuple(G._apply(np.array(x, dtype=object), 0, 0,
-                          Fraction(1, 2)).tolist())
+    doubled = G._apply(np.array(x, dtype=object), 0, 0, halve=False)
+    return tuple((doubled * Fraction(1, 2)).tolist())
 
 
 def structural_constant_value_check(P: Pencil) -> str:
@@ -131,158 +135,152 @@ class IterationReport:
     at a certificate stop), and F(u) < u in every entry for an Infeasible
     one (the last iterate, or the tilted running minimum of the iterates);
     for Indeterminate it is the last iterate.  Entries are exact rationals
-    (doubles convert losslessly), and an Infeasible witness's entries need
-    not be <= -epsilon.  engine names the arithmetic of the iteration that
-    produced them: "double", or "rational" when epsilon is 0 as a double,
-    the rewards are too large for doubles, or a double witness failed its
-    check.  exit names the stop that decided: "epsilon", "certificate" or
-    "budget"; it is None for a report that no iteration produced.
+    on the run's dyadic grid, and an Infeasible witness's entries need not
+    be <= -epsilon.  bits is the grid width K of the run that decided: K0,
+    or a doubling of it after a witness failed its check.  exit names the
+    stop that decided: "epsilon", "certificate" or "budget".  Both are None
+    for a report that no iteration produced.
     """
 
     verdict: str  # "Feasible" | "Infeasible" | "Indeterminate"
     iterations: int
     witness: tuple
     epsilon: Fraction
-    engine: str = "double"
+    bits: int | None = None
     exit: str | None = None
 
 
-def _certificate(G: StochGame, u, lam=0) -> str | None:
+def _certificate(step, x) -> str | None:
     """"feasible" if lam + u <= F(u), "infeasible" if F(u) < lam + u in
-    every entry, None otherwise; decided in integers
-    (``StochGame.doubled_step``), never in the arithmetic of u."""
-    x2, fx2 = G.doubled_step(u, lam)
-    if np.all(x2 <= fx2):
+    every entry, None otherwise, for u = X / S on the grid of ``step``
+    (``StochGame.operator``).  Exact with one step, since for an integer X
+    and a real y, X <= y iff X <= floor(y) and y < X iff floor(y) < X."""
+    fx = step(x)
+    if np.all(x <= fx):
         return "feasible"
-    if np.all(fx2 < x2):
+    if np.all(fx < x):
         return "infeasible"
     return None
 
 
-def _start(G: StochGame, exact: bool, lam):
-    """The step F - lam and the start vector 0, over doubles or Fractions."""
-    zero = np.array([Fraction(0)] * G.n, dtype=object) if exact else np.zeros(G.n)
-    return G.operator(lam, exact), zero
+# An int64 iterate X stays below this bound, with R times the steps to the
+# next check on top, so that every step and check from it fits int64.
+INT64_ROOM = 2**61
 
 
-def _iterate(G: StochGame, epsilon, max_iters: int, exact: bool, lam=0):
-    """Iterate u := F(u) - lam from 0, keeping the running entrywise maximum v
-    and minimum w, until every entry of u is <= -epsilon ("infeasible") or
-    >= epsilon ("feasible"), or max_iters steps ran ("indeterminate").
+def _widened(x: np.ndarray, growth: int) -> np.ndarray:
+    """x as Python ints unless |x| + growth < INT64_ROOM keeps it int64."""
+    if x.dtype != object and int(np.abs(x).max()) + growth >= INT64_ROOM:
+        return x.astype(object)
+    return x
+
+
+def _iterate(grid: tuple, n: int, epsilon: Fraction, max_iters: int):
+    """Iterate X := step(X) from 0 on a grid (S, R, step) of
+    ``StochGame.operator``, keeping the running entrywise maximum V, until
+    every entry of X is <= -epsilon S ("infeasible") or >= epsilon S
+    ("feasible"), or max_iters steps ran ("indeterminate").
 
     After FIRST_CHECK steps, and again whenever the step count doubles, the
-    current iterate is tested exactly (``_certificate``): if lam + u <= F(u)
-    it is a feasible point and the loop stops "feasible"; if F(u) < lam + u
-    in every entry it is a strict infeasibility certificate and the loop stops
-    "infeasible".  Either way u is returned in all three places, as the
-    iterate, v and w.
+    current iterate is tested exactly (``_certificate``): if it is
+    subharmonic or strictly superharmonic the loop stops there, with X in
+    place of V.  There the int64 bound is tested again for the steps to the
+    next check, and X and V become Python ints when it fails.
 
-    Runs over doubles, or over Fractions when ``exact``; returns (status,
-    iterations, u, v, w, exit), the vectors as arrays in that arithmetic
-    and exit the stop that ended the run: "epsilon", "certificate" or
-    "budget".
+    Returns (status, iterations, X, V, exit), exit naming the stop that
+    ended the run: "epsilon", "certificate" or "budget".
     """
-    step, u = _start(G, exact, lam)
-    if not exact:  # past the largest double no epsilon exit can come
-        epsilon = float(min(epsilon, np.finfo(float).max))
-    if not epsilon > 0:
-        raise ValidationError(
-            f"epsilon must be positive, got {epsilon} in the iteration's "
-            "arithmetic")
-    v = u.copy()
-    w = u.copy()
+    scale, reach, step = grid
+    bound = math.ceil(epsilon * scale)  # X >= epsilon S iff X >= bound
+    x = _widened(np.zeros(n, dtype=np.int64), reach * FIRST_CHECK)
+    v = x.copy()
     iters, checkpoint = 0, FIRST_CHECK
-    while u.max() > -epsilon and u.min() < epsilon:
+    while x.max() > -bound and x.min() < bound:
         if iters == checkpoint:
-            checkpoint *= 2
-            status = _certificate(G, u, lam)
+            status = _certificate(step, x)
             if status is not None:
-                return status, iters, u, u, u, "certificate"
+                return status, iters, x, x, "certificate"
+            x = _widened(x, reach * checkpoint)
+            v = v.astype(x.dtype, copy=False)
+            checkpoint *= 2
         if iters >= max_iters:
-            return "indeterminate", iters, u, v, w, "budget"
-        np.maximum(v, u, out=v)
-        np.minimum(w, u, out=w)
-        u = step(u)
+            return "indeterminate", iters, x, v, "budget"
+        np.maximum(v, x, out=v)
+        x = step(x)
         iters += 1
-    verdict = "infeasible" if u.max() <= -epsilon else "feasible"
-    return verdict, iters, u, v, w, "epsilon"
+    verdict = "infeasible" if x.max() <= -bound else "feasible"
+    return verdict, iters, x, v, "epsilon"
 
 
-def _tilted_min(G: StochGame, t: int, epsilon: Fraction, exact: bool, lam=0):
-    """z = min over 0 <= s < t of u_s + s delta, with delta = epsilon / t,
-    for a run whose iterate u_t is <= -epsilon in every entry; rounded
-    down to the grid 1/L with 1/L <= delta / 2.
+def _tilted_min(G: StochGame, t: int, epsilon: Fraction, bits: int, lam=0):
+    """z = floor(S' min over 0 <= s < t of (u_s + s delta)), delta = epsilon
+    / t, for the run's iterates u_s on the grid S of ``bits``, where S' =
+    S 2^j is the coarsest such grid with delta S' >= 2; returns (z, the
+    grid of S').
 
-    In exact arithmetic F(z) <= min_s F(u_s) + s delta = min_{1<=s<=t}
-    (u_s + s delta) - delta <= z - delta, because u_t + t delta <= 0 = u_0
-    (monotonicity and additive homogeneity); the rounding keeps
-    F(z) < z - delta / 2 and the integers of the check small.  In doubles
-    the iterates carry rounding errors, and only that check decides.
-    Replays the run's t steps of F - lam in its arithmetic.
-    """
-    step, u = _start(G, exact, lam)
-    delta = epsilon / t
-    tilt = delta if exact else float(delta)
-    z = u.copy()
+    For exact iterates F(u_s) - lam = u_(s+1), and a run whose u_t is <=
+    -epsilon in every entry gives F(z) - lam < z - delta / 2 in every entry
+    by monotonicity and additive homogeneity, because u_t + t delta <= 0 =
+    u_0; the run is exact once bits >= t.  On a coarser grid the iterates
+    are rounded, and only the check decides.  Replays the run's t steps."""
+    scale, reach, step = G.operator(lam, bits)
+    p, q = (epsilon / t).as_integer_ratio()
+    j = (-(-2 * q // (p * scale)) - 1).bit_length()
+    fine = G.operator(lam, bits + j)
+    tilt = lambda s: s * p * fine[0] // q
+    # |z| <= t R' + epsilon S', and one step from it adds R'
+    room = (t + 1) * fine[1] + tilt(t) < INT64_ROOM
+    x = np.zeros(G.n, dtype=np.int64 if room else object)
+    z = x.copy()
     for s in range(1, t):
-        u = step(u)
-        np.minimum(z, u + s * tilt, out=z)
-    scale = 1 << (math.ceil(2 / delta) - 1).bit_length()
-    return np.array([Fraction(p * scale // q, scale)
-                     for p, q in (x.as_integer_ratio() for x in z.tolist())],
-                    dtype=object)
+        x = step(x)
+        np.minimum(z, (x << j) + tilt(s), out=z)
+    return z, fine
 
 
-def _to_fractions(arr: np.ndarray) -> tuple:
-    return tuple(Fraction(t) for t in arr.tolist())
-
-
-def _doubles_suffice(G: StochGame, epsilon: Fraction, max_iters: int, lam) -> bool:
-    """Whether value iteration on F - lam may run in doubles: epsilon is not
-    0 as a double, and no double of max_iters steps from 0 can overflow.
-    With R the largest |Max reward| plus the largest |Min reward - lam|,
-    the iterate after t steps is at most t R in magnitude and every value
-    of a step from it at most 2 (t + 1) R, so 2 (max_iters + 1) R < 2^1023
-    leaves room for rounding below the largest double."""
-    top = sum(int(np.abs(p).max()) for p in (G.max_p, G.min_p))
-    reach = 2 * (max_iters + 1) * (Fraction(top, G.den) + abs(lam))
-    return float(min(epsilon, 1)) != 0 and reach < 2**1023
+def _to_fractions(x: np.ndarray, scale: int) -> tuple:
+    return tuple(Fraction(t, scale) for t in x.tolist())
 
 
 def _decide(G: StochGame, epsilon: Fraction, max_iters: int, lam=0):
     """Value iteration on F - lam whose epsilon exits are checked in
-    integers; returns (status, iterations, witness, engine, exit), the
+    integers; returns (status, iterations, witness, bits, exit), the
     witness as a tuple of Fractions (see ``IterationReport``).
 
     A Feasible exit stands when lam + v <= F(v); an Infeasible one when
     F(u) < lam + u in every entry for the last iterate u, or else for
-    ``_tilted_min``.  The loop runs in doubles first when they suffice
-    (``_doubles_suffice``); a vector that fails its check reruns it in
-    Fractions, where the checks hold by construction.  Certificate and
+    ``_tilted_min``.  The loop runs on the grid of K0 bits first; a vector
+    that fails its check reruns it with the bits doubled, until they reach
+    the step count, where the checks hold by construction.  Certificate and
     budget stops return the last iterate, already checked or undecided.
     """
-    doubles = _doubles_suffice(G, epsilon, max_iters, lam)
-    for exact in ((False, True) if doubles else (True,)):
-        status, iters, u, v, _, stop = _iterate(G, epsilon, max_iters, exact, lam)
-        witness = u
+    if not epsilon > 0:
+        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    bits = K0
+    while True:
+        grid = G.operator(lam, bits)
+        status, iters, x, v, stop = _iterate(grid, G.n, epsilon, max_iters)
+        witness = x
         if stop == "epsilon" and status == "feasible":
-            witness = v if G.is_subharmonic(v, lam) else None
-        elif stop == "epsilon" and _certificate(G, u, lam) != "infeasible":
-            z = _tilted_min(G, iters, epsilon, exact, lam)
-            witness = z if _certificate(G, z, lam) == "infeasible" else None
+            witness = v if _certificate(grid[2], v) == "feasible" else None
+        elif stop == "epsilon" and _certificate(grid[2], x) != "infeasible":
+            z, grid = _tilted_min(G, iters, epsilon, bits, lam)
+            witness = z if _certificate(grid[2], z) == "infeasible" else None
         if witness is not None:
-            return (status, iters, _to_fractions(witness),
-                    "rational" if exact else "double", stop)
-    raise AssertionError("a witness of the rational iteration failed its check")
+            return status, iters, _to_fractions(witness, grid[0]), bits, stop
+        if bits >= iters:
+            raise AssertionError("a witness of the exact iteration failed its check")
+        bits *= 2
 
 
 def value_iteration_raw(G: StochGame, epsilon, max_iters: int, exact: bool):
-    """The bare iteration loop, unchecked, also tracking the running
-    entrywise minimum w: returns (status, iterations, u, v, w) with
-    rational entries."""
-    status, iters, *vectors, _ = _iterate(G, as_fraction(epsilon), max_iters,
-                                          exact)
-    return (status, iters, *map(_to_fractions, vectors))
+    """The bare iteration loop of ``_decide``, unchecked, on the grid of K0
+    bits, or of max_iters bits when ``exact``, where the iterates are
+    F^t(0) exactly.  Returns (status, iterations, u, v, None) with rational
+    entries; the last slot, once the running minimum, is always None."""
+    grid = G.operator(0, max_iters if exact else K0)
+    status, iters, x, v, _ = _iterate(grid, G.n, as_fraction(epsilon), max_iters)
+    return status, iters, _to_fractions(x, grid[0]), _to_fractions(v, grid[0]), None
 
 
 def check_feasibility(G: StochGame, epsilon=Fraction(1, 10**8),
@@ -290,18 +288,16 @@ def check_feasibility(G: StochGame, epsilon=Fraction(1, 10**8),
     """Decide feasibility of {x : x <= F(x)} != {-oo} by value iteration.
 
     Every verdict is checked exactly: an epsilon exit by its witness in
-    integers, with a rerun in rationals when the double witness fails (see
+    integers, with a rerun on a finer grid when the witness fails (see
     ``_decide``), and a certificate stop (the iterate after 64, 128, 256,
     ... steps satisfying u <= F(u), or F(u) < u in every entry) by the
     same integer test; iterations is the step count of the run that
-    decided.  An epsilon that is 0 as a double, or rewards so large that a
-    double of the run could overflow, run in rationals from the start.
-    Hitting ``max_iters`` yields Indeterminate: no epsilon exit, and no
-    checked iterate was a certificate, as can happen at value 0 or with
-    values of both signs.
+    decided.  Hitting ``max_iters`` yields Indeterminate: no epsilon exit,
+    and no checked iterate was a certificate, as can happen with values of
+    both signs.
     """
     epsilon = as_fraction(epsilon)
-    status, iters, witness, engine, stop = _decide(G, epsilon, max_iters)
+    status, iters, witness, bits, stop = _decide(G, epsilon, max_iters)
     verdict = {"feasible": "Feasible",
                "infeasible": "Infeasible"}.get(status, "Indeterminate")
-    return IterationReport(verdict, iters, witness, epsilon, engine, stop)
+    return IterationReport(verdict, iters, witness, epsilon, bits, stop)

@@ -1,12 +1,13 @@
+import math
 import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from tropsdp import MinAction, MaxAction, StochGame, jsonio
-from tropsdp import game as game_module
+from tropsdp import MinAction, MaxAction, StochGame, apply_F, jsonio
 from tropsdp.tropical import MINUS_INF
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -40,8 +41,7 @@ def dominion_game():
 small_rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4)
 
-# multiples of 1/16: exactly representable in float64 (so the double engine
-# stays exact for a few dozen halving steps)
+# multiples of 1/16: dyadic rewards, whose iterates stay dyadic
 dyadic_rationals = st.integers(-48, 48).map(lambda k: Fraction(k, 16))
 
 
@@ -127,15 +127,24 @@ def shift_of_the_tuples(G, delta):
 
 
 @pytest.fixture
-def float_views(monkeypatch):
-    """The numerator arrays that ``game._float_view`` turns into doubles
-    while the test runs."""
+def kernel_dtypes(monkeypatch):
+    """The dtypes of the arrays that ``StochGame._apply``, the one kernel
+    of F on the arrays, takes and returns while the test runs."""
     seen = []
-    view = game_module._float_view
+    apply = StochGame._apply
 
-    def recorded(p, den):
-        seen.append(p)
-        return view(p, den)
+    def recorded(self, x, max_r, min_r, halve=True):
+        out = apply(self, x, max_r, min_r, halve)
+        seen.extend(a.dtype for a in (x, max_r, min_r, out)
+                    if isinstance(a, np.ndarray))
+        return out
 
-    monkeypatch.setattr(game_module, "_float_view", recorded)
+    monkeypatch.setattr(StochGame, "_apply", recorded)
     return seen
+
+
+def floor_of_F(G, X, scale, lam=0):
+    """floor(S (F - lam)(X / S)) for integer numerators X over S = scale,
+    from ``apply_F`` on the action tuples: the reference of the grid step."""
+    fx = apply_F(G, [Fraction(int(t), scale) for t in X])
+    return [math.floor((f - lam) * scale) for f in fx]

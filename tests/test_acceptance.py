@@ -41,6 +41,7 @@ from tropsdp import (
     winning_dominions,
 )
 from tropsdp.bench import GenSpec, gen_random, phase_diagram
+from tropsdp.shapley import K0
 from tropsdp.tropical import NEG, POS
 
 F = Fraction
@@ -344,7 +345,7 @@ def test_criterion_11_large_instance_smoke():
     report = check_feasibility(game, epsilon=EPS, max_iters=10**5)
     elapsed = time.perf_counter() - start
     assert report.verdict in ("Feasible", "Infeasible")
-    assert report.engine == "double"
+    assert report.bits == K0
     assert elapsed < 5.0
     _line(11, f"(1000, 100) -> {report.verdict} after {report.iterations} "
               f"iterations in {elapsed:.2f}s")

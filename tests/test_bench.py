@@ -18,7 +18,7 @@ from tropsdp.bench import (
     to_csv,
 )
 from tropsdp.exact import game_value_bruteforce
-from tropsdp.shapley import FIRST_CHECK, apply_F, value_iteration_raw
+from tropsdp.shapley import FIRST_CHECK, K0, apply_F, value_iteration_raw
 from tropsdp.tropical import POS, NEG
 
 F = Fraction
@@ -107,21 +107,22 @@ def test_dense_engine_equals_engine_of_generated_game(n, m):
             a, b = getattr(built, name), getattr(reference, name)
             assert a.dtype == b.dtype, name
             np.testing.assert_array_equal(a, b, err_msg=name)
-        x = np.random.default_rng(seed).uniform(-2, 2, n)
-        np.testing.assert_array_equal(built.operator()(x), reference.operator()(x))
+        scale, _, step = built.operator(0, K0)
+        x = np.random.default_rng(seed).integers(-2 * scale, 2 * scale, n)
+        np.testing.assert_array_equal(step(x), reference.operator(0, K0)[2](x))
 
 
 def test_dense_step_matches_exact_operator():
-    # moduli have 31 fraction bits and each step adds one halving, so the
-    # first few float iterates are exact and must equal the rational ones
+    # each step adds one halving, so the first K0 iterates on the grid of
+    # K0 bits are exact and must equal the rational ones
     game = game_from_pencil(gen_random(GenSpec(4, 3, seed=42)))
-    x = np.zeros(4)
+    scale, _, step = game.operator(0, K0)
+    x = np.zeros(4, dtype=np.int64)
     exact = (F(0),) * 4
-    step = game.operator()
-    for _ in range(3):
+    for _ in range(K0):
         x = step(x)
         exact = apply_F(game, exact)
-        assert tuple(F(t) for t in x.tolist()) == exact
+        assert tuple(F(t, scale) for t in x.tolist()) == exact
 
 
 # seeds of GenSpec(4, 3) whose epsilon exits come after FIRST_CHECK steps:

@@ -1,5 +1,6 @@
 """Certificates, their verification, and archimedean lift thresholds."""
 
+import math
 import random
 import tracemalloc
 from decimal import Decimal
@@ -31,9 +32,10 @@ from tropsdp.bench import GenSpec, gen_random
 from tropsdp.certify import _superharmonic
 from tropsdp.cli import run
 from tropsdp.pencil import int_array
+from tropsdp.shapley import K0
 from tropsdp.tropical import MINUS_INF
 
-from conftest import (example_path, games, shift_of_the_tuples,
+from conftest import (example_path, floor_of_F, games, shift_of_the_tuples,
                       small_rationals, trop_points)
 
 F = Fraction
@@ -71,11 +73,22 @@ def test_verification_needs_finite_vectors(worked_game):
         verify_superharmonic(worked_game, (0, MINUS_INF, 0), F(-1))
 
 
+def assert_grid_step(G, lam, bits, X, reference):
+    """The grid step of G at margin lam on the integers X equals
+    reference, over Python ints, and over int64 where the bound allows."""
+    _, reach, step = G.operator(lam, bits)
+    assert step(np.array(X, dtype=object)).tolist() == reference
+    if max(map(abs, X)) + reach < 2**62:
+        out = step(np.array(X, dtype=np.int64))
+        assert (out.dtype, out.tolist()) == (np.int64, reference)
+
+
 def test_shifting_min_rewards_shifts_the_operator(worked_game):
-    x = (F(1, 3), F(0), F(-2))
-    shifted = worked_game.operator(F(-5, 7), exact=True)
-    assert tuple(shifted(np.array(x, dtype=object))) == \
-        tuple(F(5, 7) + f for f in apply_F(worked_game, x))
+    x = (F(1, 4), F(0), F(-2))
+    scale, _, step = worked_game.operator(F(-5, 7), K0)
+    assert scale == 28 * 2**K0
+    assert step(np.array([t * scale for t in x], dtype=np.int64)).tolist() == \
+        [math.floor((F(5, 7) + f) * scale) for f in apply_F(worked_game, x)]
     # subharmonicity at margin lam is plain subharmonicity after a -lam shift
     v = check_feasibility(worked_game).witness
     lam = F(1, 100)
@@ -98,16 +111,16 @@ def test_integer_verification_matches_apply_F(g, data):
 
 @pytest.mark.parametrize("delta", [F(5, 7), F(-1, 100000), F(0), F(2**70, 3)])
 def test_shift_on_the_arrays_equals_the_shift_of_the_tuples(worked_game, delta):
-    # the operator at margin -delta against the game whose Min rewards
-    # were shifted by delta, over doubles bit for bit and over Fractions
+    # the grid step at margin -delta against the floor of the operator of
+    # the game whose Min rewards were shifted by delta
     generated = game_from_pencil(gen_random(GenSpec(30, 4, seed=3)))
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for G in (worked_game, generated):
         expected = shift_of_the_tuples(G, delta)
-        x = rng.uniform(-4, 4, G.n)
-        assert G.operator(-delta)(x).tobytes() == expected.operator()(x).tobytes()
-        q = np.array([F(t) for t in x.tolist()], dtype=object)
-        assert tuple(G.operator(-delta, exact=True)(q)) == apply_F(expected, tuple(q))
+        for bits in (0, K0):
+            scale = G.operator(-delta, bits)[0]
+            X = [rng.randint(-4 * scale, 4 * scale) for _ in range(G.n)]
+            assert_grid_step(G, -delta, bits, X, floor_of_F(expected, X, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -160,23 +173,45 @@ def operator_corpus():
 
 
 def test_operator_at_a_margin_equals_the_operator_of_the_shifted_tuples():
+    # the grid step at margin lam, at v rounded down to the grid, against
+    # the floor of F - lam and of the operator of the shifted tuples
     for G, v, lam in operator_corpus():
-        x = np.array([float(t) for t in v])
-        out = G.operator(lam)(x)
-        assert out.tobytes() == shift_of_the_tuples(G, -lam).operator()(x).tobytes()
-        exact = G.operator(lam, exact=True)(np.array([F(t) for t in v], dtype=object))
-        assert tuple(exact) == tuple(f - lam for f in apply_F(G, [F(t) for t in v]))
+        scale = G.operator(lam, K0)[0]
+        X = [math.floor(F(t) * scale) for t in v]
+        reference = floor_of_F(G, X, scale, lam)
+        assert floor_of_F(shift_of_the_tuples(G, -lam), X, scale) == reference
+        assert_grid_step(G, lam, K0, X, reference)
+
+
+def two_cycles(c):
+    """F(x) = (x_0 + c, x_1 - c) over the denominator 1: the iterate
+    grows like t c in both directions, and no checked iterate decides."""
+    return StochGame(2, 2, ((MinAction((0,), F(c)),), (MinAction((1,), F(-c)),)),
+                     ((MaxAction(0, F(0)),), (MaxAction(1, F(0)),)))
 
 
 @pytest.mark.parametrize("over", [0, 1], ids=["int64", "object"])
-def test_operator_at_the_int64_bound(over, float_views):
-    # the shifted Min numerators 2^63 - 1 fit in int64 and are shifted
-    # there; 2^63 does not, and is shifted in Python ints
-    for G, v, lam in at_the_int64_bound(over):
-        float_views.clear()
-        G.operator(lam)
-        assert [p.dtype for p in float_views] == [np.dtype(object if over else np.int64)] * 2
-        assert abs(float_views[1][0]) == 2**63 - 1 + over
+def test_operator_at_the_int64_bound(over, kernel_dtypes):
+    # on the grid 2^K0 a step moves the iterate by at most R = 2^(K0+1) c,
+    # and at step 128 the bound |X| + 128 R on the steps to the next check
+    # is 3 2^15 c: 2^61 - 2^15 for c = (2^46 - 1) / 3, which stays in
+    # int64, and 2^61 + 2^16 for c + 1, which goes on in Python ints
+    c = (2**46 - 1) // 3 + over
+    report = check_feasibility(two_cycles(c), max_iters=200)
+    assert (report.verdict, report.iterations, report.exit) == \
+        ("Indeterminate", 200, "budget")
+    assert report.witness == (200 * c, -200 * c)
+    widths = {np.int64, object} if over else {np.int64}
+    assert set(kernel_dtypes) == set(map(np.dtype, widths))
+
+
+def test_the_loop_widens_before_int64_could_overflow(kernel_dtypes):
+    # rewards 2^51 over the grid 2^K0 fit int64, but 16 steps of the
+    # iterate would not: the bound counts the growth to the next check
+    c = 2**51
+    report = check_feasibility(two_cycles(c), max_iters=100)
+    assert report.witness == (100 * c, -100 * c)
+    assert set(kernel_dtypes) == {np.dtype(object)}
 
 
 def reference_pair(G, v, lam):
@@ -216,7 +251,9 @@ def test_the_scale_factor_counts_in_the_int64_bound():
     lam = F(1, 2**70)
     x2, fx2 = G.doubled_step([F(0)], lam)
     assert (x2.tolist(), fx2.tolist()) == ([0], [-2])
-    assert G.operator(lam)(np.zeros(1)).tolist() == [-2.0**-70]
+    scale, reach, step = G.operator(lam)
+    assert (scale, reach) == (2**70, 2**71 + 1)
+    assert step(np.zeros(1, dtype=object)).tolist() == [-1]
 
 
 @pytest.fixture
@@ -250,10 +287,15 @@ def test_certify_builds_no_game_besides_the_input(built_games, capsys):
     assert '"strict": true' in cert
 
 
-def test_certify_makes_doubles_only_inside_the_loop(float_views, capsys):
-    # one operator over doubles for the iteration, none for the checks
-    assert run(["certify", example_path("running.json"), "--lambda=1/100"]) == 0
-    assert len(float_views) == 2  # its Max and Min rewards
+def test_check_certify_and_phase_make_no_doubles(kernel_dtypes, capsys):
+    # the loop and every check run the one kernel in int64 or Python ints
+    running = example_path("running.json")
+    for argv in (["check", running], ["certify", running, "--lambda=1/100"],
+                 ["phase", "--n-list", "3", "--m-list", "2", "--samples", "2",
+                  "--no-timing"]):
+        assert run(argv) == 0
+    assert kernel_dtypes
+    assert set(kernel_dtypes) <= {np.dtype(np.int64), np.dtype(object)}
 
 
 def test_margin_check_allocates_no_second_game():
@@ -287,10 +329,13 @@ def test_feasibility_certificate_above_margin(worked_game):
         feasibility_certificate(worked_game, F(1))
 
 
-def test_feasibility_certificate_at_margin_is_indeterminate(worked_game):
-    # shifting by the exact margin zeroes the mean payoff
-    with pytest.raises(CertificateInvalid):
-        feasibility_certificate(worked_game, F(1, 28), max_iters=200)
+def test_feasibility_certificate_at_the_margin(worked_game):
+    # shifting by the exact margin zeroes the mean payoff, so no epsilon
+    # exit comes; the iterate on the floor grid at step 64 is a
+    # certificate all the same, though not a strict one
+    cert = feasibility_certificate(worked_game, F(1, 28), max_iters=200)
+    assert cert.vector == (F(2449, 7168), F(-4975, 7168), F(423, 1024))
+    assert check_certificate(worked_game, cert) == (True, False)
 
 
 def test_feasibility_certificate_needs_positive_lambda(worked_game):
@@ -322,7 +367,7 @@ def test_infeasibility_certificate_needs_negative_lambda(losing_game):
         infeasibility_certificate(losing_game, F(3))
 
 
-# an epsilon of 0 as a double runs the loop in rationals
+# an epsilon that is 0 as a double, which the loop on its grid takes as is
 UNDERFLOWING = F(1, 10**400)
 
 

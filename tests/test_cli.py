@@ -4,6 +4,7 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tropsdp import (Certificate, Pencil, SignedTrop, feasibility_certificate,
@@ -50,7 +51,7 @@ def test_check_feasible(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "Feasible"
     assert report["iterations"] == 20
-    assert report["witness"] == ["2139951/2097152", "0", "2289749/2097152"]
+    assert report["witness"] == ["521/512", "0", "279/256"]
     assert report["epsilon"] == "1/100000000"
 
 
@@ -116,8 +117,8 @@ def test_no_exact_flag(command, capsys):
 
 
 # n = 1, m = 2 pencils with moduli near 10^8 and 10^20, which doubles round:
-# the double loop exits Infeasible after one step on both, although both are
-# feasible (margins 0 and 8190)
+# a loop in doubles exits Infeasible after one step on both, although both
+# are feasible (margins 0 and 8190); the integer grid rounds no modulus
 LARGE_MODULI = [
     ((F(1500000008, 15), F(1499999998, 15), F(500000001, 5)), "0"),
     ((100000000000000024575, 100000000000000008191, 100000000000000008193),
@@ -568,7 +569,8 @@ PHASE = ["phase", "--n-list", "3", "--m-list", "2", "--samples", "2",
     ["check", RUNNING], ["certify", RUNNING, "--lambda=1/100"], PHASE,
 ], ids=["check", "certify", "phase"])
 def test_epsilon_past_the_largest_double(argv, capsys):
-    # no epsilon exit can come in doubles; a checkpoint decides instead
+    # an epsilon past the largest double: no epsilon exit comes, and a
+    # checkpoint decides instead
     assert run([*argv, "--eps", HUGE]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -600,7 +602,7 @@ def huge_pencil(tmp_path, affine=False):
 
 @pytest.mark.parametrize("margin", [HUGE, "-" + HUGE], ids=["positive", "negative"])
 def test_rewards_past_the_largest_double_are_decided(tmp_path, margin, capsys):
-    # past the largest double value iteration runs in Fractions
+    # past the largest double value iteration runs in Python ints
     assert run(["check", huge_pencil(tmp_path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["verdict"], report["iterations"]) == ("Feasible", 1)
@@ -663,17 +665,17 @@ def test_exact_paths_take_any_reward(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("huge", [False, True], ids=["running", "huge"])
-def test_exact_paths_make_no_doubles(tmp_path, huge, float_views):
+def test_exact_paths_make_no_doubles(tmp_path, huge, kernel_dtypes):
     if huge:
         paths = exact_paths(tmp_path, huge_pencil(tmp_path), [F(0)])
     else:
         G = game_from_pencil(jsonio.pencil_from_json(jsonio.load_json(RUNNING)))
         paths = exact_paths(tmp_path, RUNNING,
                             feasibility_certificate(G, F(1, 100)).vector)
-    float_views.clear()
+    kernel_dtypes.clear()
     for argv in paths:
         assert run(argv) == 0
-    assert float_views == []
+    assert set(kernel_dtypes) <= {np.dtype(np.int64), np.dtype(object)}
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "1e-400", HUGE],

@@ -93,6 +93,8 @@ def _raised(matrices, shift) -> list:
 NEAR = Fraction(1, 10**5)
 NEAR_FEASIBLE = _raised(RUNNING_MATRICES, Fraction(1, 28) - NEAR)
 NEAR_INFEASIBLE = _raised(RUNNING_MATRICES, Fraction(1, 28) + NEAR)
+# and this to value exactly 0, where no epsilon exit comes
+AT_MARGIN = _raised(RUNNING_MATRICES, Fraction(1, 28))
 # a general pencil: positively signed off-diagonal entries, negatively
 # signed diagonal entries, and row 3 entirely -inf
 GENERAL_MATRICES = [
@@ -224,6 +226,7 @@ FILES = {
     "tied_game": TIED_GAME,
     "near_feasible": {"n": 3, "m": 3, "matrices": NEAR_FEASIBLE},
     "near_infeasible": {"n": 3, "m": 3, "matrices": NEAR_INFEASIBLE},
+    "at_margin": {"n": 3, "m": 3, "matrices": AT_MARGIN},
     "cert": CERT,
     "cert_tampered": dict(CERT, vector=["100"] + CERT["vector"][1:]),
     "general": {"n": 3, "m": 3, "matrices": GENERAL_MATRICES},
@@ -242,7 +245,7 @@ PENCIL_COMMANDS = (["check"], ["exact"], ["game"], ["normalize"],
 
 CASES = (
     [[*cmd, "{running}"] for cmd in (
-        # 1e-400 is 0 as a double, so the loop runs in rationals
+        # 1e-400 is 0 as a double; the loop takes it as is
         ["check"], ["check", "--eps", "1/1000"], ["check", "--eps", "1e-400"],
         ["exact"], ["exact", "--policies"], ["exact", "--dump-chain"],
         ["exact", "--policies", "--dump-chain"], ["game"], ["normalize"],
@@ -287,6 +290,8 @@ CASES = (
     + [["affine", f"{{file:{name}}}"]
        for name in ("dominion_affine", "losing_affine", "chance_split_affine",
                     "direct_sum_affine", "dense_affine")]
+    # value exactly 0: decided by the iterate checked after 64 steps
+    + [["check", "{file:at_margin}"], ["certify", "--lambda=1/28", "{running}"]]
 )
 
 

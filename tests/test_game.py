@@ -29,8 +29,9 @@ from tropsdp import (
     pencil_from_game,
     winning_dominions,
 )
-from tropsdp.game import _float_view, largest_dominion
+from tropsdp.game import largest_dominion
 from tropsdp.pencil import NOT_METZLER, int_array
+from tropsdp.shapley import K0
 from tropsdp.shapley import apply_F
 from tropsdp.tropical import MINUS_INF
 
@@ -160,20 +161,7 @@ def random_metzler_pencil(rng):
     return Pencil.from_entries(n, m, entries)
 
 
-def test_float_rewards_round_like_fractions():
-    # int64 numerators below 2^53 divide in numpy; larger numerators or
-    # denominators, and object arrays, divide as Python ints
-    cases = [
-        ([1, -2, 3, 2**52 + 1, -(2**53 - 1)], 3),
-        ([1, -2, 3, 2**52 + 1], 2**53 + 1),
-        ([2**62 + 1, -(2**53 + 1), 7], 10**9 + 7),
-        ([3**60 + 1, -(2**70), 5], 3**41),
-    ]
-    for numerators, den in cases:
-        p = int_array(numerators)
-        assert _float_view(p, den).tolist() == [float(F(q, den)) for q in numerators]
-    with pytest.raises(ValidationError, match="beyond the range of doubles"):
-        _float_view(int_array([1, 10**400]), 3)
+def test_int_array_keeps_int64_up_to_its_bound():
     assert int_array([2**63 - 1, -(2**63 - 1)]).dtype == np.int64
     assert int_array([2**63]).dtype == object
     assert int_array([-(2**63)]).dtype == object
@@ -209,8 +197,9 @@ def test_translated_game_equals_game_of_its_tuples():
                 a, b = getattr(G, name), getattr(rebuilt, name)
                 assert a.dtype == b.dtype, name
                 np.testing.assert_array_equal(a, b, err_msg=name)
-            x = np.array([rng.uniform(-2, 2) for _ in range(G.n)])
-            np.testing.assert_array_equal(G.operator()(x), rebuilt.operator()(x))
+            scale, _, step = G.operator(0, K0)
+            x = np.array([rng.randint(-2 * scale, 2 * scale) for _ in range(G.n)])
+            np.testing.assert_array_equal(step(x), rebuilt.operator(0, K0)[2](x))
             assert with_object_numerators(G) == rebuilt
             assert rebuilt == with_object_numerators(rebuilt)
     assert translated >= 100

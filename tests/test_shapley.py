@@ -1,5 +1,6 @@
 """The Shapley operator and value-iteration feasibility checking."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,17 +19,21 @@ from tropsdp import (
     apply_F,
     check_feasibility,
     game_from_pencil,
+    game_value_bruteforce,
     solve_tmsdfp,
     verify_subharmonic,
 )
 from tropsdp.bench import GenSpec, gen_random
 from tropsdp.certify import _superharmonic
 from tropsdp.markov import chain_from_policies
+from tropsdp import shapley
 from tropsdp.shapley import (
     FIRST_CHECK,
     GUARANTEED,
+    K0,
     UNKNOWN,
     _certificate,
+    _iterate,
     _tilted_min,
     recession,
     structural_constant_value_check,
@@ -36,8 +41,8 @@ from tropsdp.shapley import (
 )
 from tropsdp.tropical import MINUS_INF
 
-from conftest import (dyadic_rationals, games, shift_of_the_tuples, small_rationals,
-                      sparse_json_games, trop_points)
+from conftest import (dyadic_rationals, floor_of_F, games, shift_of_the_tuples,
+                      small_rationals, sparse_json_games, trop_points)
 
 F = Fraction
 
@@ -208,19 +213,21 @@ def test_worked_example_feasible_in_twenty_iterations(worked_game):
     assert report.verdict == "Feasible"
     assert report.iterations == 20
     assert report.epsilon == F(1, 10**8)
-    assert report.witness == (F(2139951, 2**21), F(0), F(2289749, 2**21))
-    assert report.exit == "epsilon"
+    assert report.witness == (F(521, 512), F(0), F(279, 256))
+    assert (report.exit, report.bits) == ("epsilon", K0)
     fw = apply_F(worked_game, report.witness)
     assert all(a <= b for a, b in zip(report.witness, fw))
 
 
 def test_exact_engine_matches_on_worked_example(worked_game):
+    # the exact run holds F^t(0) itself, so its running maximum has 2^21
+    # in the denominator after 20 steps; the K0 grid rounds it down
     fast = check_feasibility(worked_game)
     status, iters, _, v, _ = value_iteration_raw(
         worked_game, F(1, 10**8), 10**6, exact=True)
-    assert (fast.verdict, fast.iterations, fast.witness) == \
-        ("Feasible", iters, v)
-    assert (status, fast.engine) == ("feasible", "double")
+    assert (fast.verdict, fast.iterations, status) == ("Feasible", iters, "feasible")
+    assert v == (F(2139951, 2**21), F(0), F(2289749, 2**21))
+    assert all(a <= b for a, b in zip(fast.witness, v))
 
 
 def test_negative_cycle_is_infeasible():
@@ -255,13 +262,13 @@ def test_zero_cycle_is_decided_at_the_first_check(monkeypatch):
 
 
 def test_raw_iteration_exposes_running_envelopes(worked_game):
-    status, iters, u, v, w = value_iteration_raw(
-        worked_game, F(1, 10**8), 10**6, exact=True)
-    assert status == "feasible"
-    assert iters == 20
-    assert all(vi >= 0 for vi in v)
-    assert all(wi <= 0 for wi in w)
-    assert all(wi <= ui for wi, ui in zip(w, u))
+    # the running maximum v of u_0 = 0, ..., u_19; no running minimum
+    for exact in (False, True):
+        status, iters, u, v, w = value_iteration_raw(
+            worked_game, F(1, 10**8), 10**6, exact=exact)
+        assert (status, iters, w) == ("feasible", 20, None)
+        assert all(vi >= 0 for vi in v)
+        assert all(ui >= F(1, 10**8) for ui in u)
 
 
 def test_epsilon_must_be_positive(worked_game):
@@ -274,25 +281,43 @@ def test_epsilon_must_be_positive(worked_game):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_double_engine_agrees_with_exact_on_dyadic_games(data):
-    # rewards are multiples of 1/16 and values stay below 128 in magnitude,
-    # so forty halving steps fit in the double mantissa without rounding
+    # the default engine (the grid of K0 bits, which replaced the doubles)
+    # rounds nothing in its first K0 steps: there it equals the exact run
     g = data.draw(games(rewards=dyadic_rationals))
-    fast = value_iteration_raw(g, F(1, 2**10), 40, exact=False)
-    slow = value_iteration_raw(g, F(1, 2**10), 40, exact=True)
+    fast = value_iteration_raw(g, F(1, 2**10), K0, exact=False)
+    slow = value_iteration_raw(g, F(1, 2**10), K0, exact=True)
     assert fast == slow
 
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_exact_kernel_matches_apply_F(data):
-    # the array kernel over Fractions against the operator on the tuples
+    # on the grid of 8 bits the first 8 steps from 0 round nothing: the
+    # integer kernel against the operator on the tuples
     g = data.draw(games())
-    step = g.operator(exact=True)
-    x = np.array([F(0)] * g.n, dtype=object)
+    scale, _, step = g.operator(0, 8)
+    x = np.zeros(g.n, dtype=np.int64)
     ref = (F(0),) * g.n
     for _ in range(8):
         x, ref = step(x), apply_F(g, ref)
-        assert tuple(x) == ref
+        assert tuple(F(t, scale) for t in x.tolist()) == ref
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=games(), bits=st.integers(0, 12), lam=small_rationals,
+       data=st.data())
+def test_grid_step_is_the_floor_of_the_operator(g, bits, lam, data):
+    # step(X) = floor(S (F - lam)(X / S)) on any integer X, over int64 and
+    # over Python ints, for X near 0 and near the int64 bound
+    scale, reach, step = g.operator(lam, bits)
+    assert reach >= scale // g.den
+    top = data.draw(st.sampled_from([4 * scale, 2**61 - reach]))
+    X = data.draw(st.lists(st.integers(-top, top), min_size=g.n, max_size=g.n))
+    expected = floor_of_F(g, X, scale, lam)
+    assert step(np.array(X, dtype=object)).tolist() == expected
+    if max(map(abs, X)) + reach < 2**62:
+        out = step(np.array(X, dtype=np.int64))
+        assert (out.dtype, out.tolist()) == (np.int64, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +349,13 @@ def tied(g, v):
 
 
 def witnesses(g):
-    """Pairs (x, from the iteration?): the float vectors u, v, w after a
-    few steps, and each of them with one coordinate nudged up or down by
-    one ulp (a nudged 0 is subnormal, which needs Python ints)."""
+    """Pairs (x, from the iteration?): the vectors u and v after a few
+    steps as doubles, and each of them with one coordinate nudged up or
+    down by one ulp (a nudged 0 is subnormal, which needs Python ints)."""
     out = []
     for iters in (1, 3, 12):
-        _, _, *vectors = value_iteration_raw(g, F(1, 10**8), iters, exact=False)
-        for vec in vectors:
+        _, _, u, v, _ = value_iteration_raw(g, F(1, 10**8), iters, exact=False)
+        for vec in (u, v):
             base = np.array([float(t) for t in vec])
             out.append((base, True))
             for k in range(g.n):
@@ -374,40 +399,36 @@ def test_integer_witness_check_validates_length(worked_game):
 
 
 def test_rounded_witness_triggers_rational_rerun():
-    # rewards in thirds: the double iteration's witness misses v <= F(v) by
-    # a rounding error, so check_feasibility reruns the loop in rationals
-    g = StochGame(2, 2, (
-        (MinAction((1,), F(2)),),
-        (MinAction((0, 1), F(-5, 3)), MinAction((0, 1), F(-2, 3))),
-    ), (
-        (MaxAction(0, F(-1, 3)),),
-        (MaxAction(1, F(5, 3)),),
-    ))
-    status, _, _, v, _ = value_iteration_raw(g, F(1, 10**8), 10**6, exact=False)
-    assert status == "feasible"
-    assert not g.is_subharmonic(v)
-    assert not verify_subharmonic(g, v)[0]
-    report = check_feasibility(g)
-    _, iters, _, v, _ = value_iteration_raw(g, F(1, 10**8), 10**6, exact=True)
-    assert (report.verdict, report.iterations, report.witness) == \
-        ("Feasible", iters, v)
-    assert report.engine == "rational"
-    assert verify_subharmonic(g, report.witness)[0]
+    # a pencil of value exactly 0 at every state: on the grid of K0 bits the
+    # rounded-down iterate drifts to an Infeasible epsilon exit after 266
+    # steps, whose witnesses fail their check (no strict certificate exists
+    # at value 0); the rerun on the grid of 2 K0 bits runs to the budget,
+    # and no false Infeasible verdict comes out
+    g = game_from_pencil(gen_random(GenSpec(3, 3, 744536, 2)))
+    assert set(game_value_bruteforce(g).chi) == {0}
+    grid = g.operator(0, K0)
+    status, iters, x, _, _ = _iterate(grid, g.n, F(1, 10**8), 3000)
+    assert (status, iters, _certificate(grid[2], x)) == ("infeasible", 266, None)
+    report = check_feasibility(g, max_iters=3000)
+    assert (report.verdict, report.iterations, report.bits, report.exit) == \
+        ("Indeterminate", 3000, 2 * K0, "budget")
 
 
-@pytest.mark.parametrize("reward, max_iters, engine", [
-    (17 * 10**307, 10**6, "rational"),  # F(0) = -3.4e308 overflows
-    (10**400, 10**6, "rational"),  # past the largest double
-    (2**900, 10**6, "double"),
-    (2**900, 2**200, "rational"),  # 2^200 steps could reach 2^1101
+@pytest.mark.parametrize("reward, max_iters, dtype", [
+    (17 * 10**307, 10**6, object),  # F(0) = -3.4e308 would overflow doubles
+    (10**400, 10**6, object),  # past the largest double
+    (2**40, 10**6, np.int64),
+    (2**40, 2**200, np.int64),  # the bound counts the steps to the next check
 ], ids=["sum-overflows", "reward-overflows", "fits", "budget-overflows"])
-def test_the_loop_runs_in_doubles_only_where_none_can_overflow(reward, max_iters,
-                                                               engine):
-    # F(x) = x - 2 reward: Infeasible after one step in either arithmetic
+def test_the_loop_runs_in_doubles_only_where_none_can_overflow(
+        reward, max_iters, dtype, kernel_dtypes):
+    # the loop makes no doubles at all: it runs in int64 where no int64 can
+    # overflow and in Python ints otherwise.  F(x) = x - 2 reward:
+    # Infeasible after one step
     report = check_feasibility(cycle_game(-reward, -reward), max_iters=max_iters)
-    assert (report.verdict, report.iterations, report.witness) == \
-        ("Infeasible", 1, (-2 * reward,))
-    assert report.engine == engine
+    assert (report.verdict, report.iterations, report.witness, report.bits) == \
+        ("Infeasible", 1, (-2 * reward,), K0)
+    assert set(kernel_dtypes) == {np.dtype(dtype)}
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +463,8 @@ def test_near_boundary_is_decided_by_a_checked_iterate(worked_game, k, side,
         assert verify_subharmonic(g, report.witness)[0]
     else:
         assert _superharmonic(g, report.witness, 0) == (True, True)
-    if exact:
-        assert report.engine == "rational"
-        assert max(map(digits, report.witness)) < 100
+    assert report.bits == K0
+    assert max(map(digits, report.witness)) < 100
 
 
 def two_cycles(a, b):
@@ -460,33 +480,41 @@ def two_cycles(a, b):
 
 
 def test_certificate_is_decided_in_integers():
-    # F(u)_0 = u_0 exactly, but the doubles put F(u)_0 one ulp below 0.5
-    u = np.array([0.5, 0.5])
-    assert two_cycles(0, -1).operator()(u)[0] < u[0]
-    # a tie in one entry: subharmonic, but not strictly superharmonic
-    assert _certificate(two_cycles(0, 1), u) == "feasible"
-    assert _certificate(two_cycles(0, -1), u) is None
-    assert _certificate(two_cycles(0, 0), u) == "feasible"
-    assert _certificate(two_cycles(-1, -1), u) == "infeasible"
-    assert _certificate(two_cycles(1, -1), u) is None
-    fractions = np.array([F(1, 2), F(1, 2)], dtype=object)
-    assert _certificate(two_cycles(0, -1), fractions) is None
+    # u = (1/2, 1/2) on the grid of K0 bits, in int64 and in Python ints;
+    # a tie in one entry is subharmonic, but not strictly superharmonic
+    for dtype in (np.int64, object):
+        cases = [((0, 1), "feasible"), ((0, -1), None), ((0, 0), "feasible"),
+                 ((-1, -1), "infeasible"), ((1, -1), None)]
+        for (a, b), expected in cases:
+            scale, _, step = two_cycles(a, b).operator(0, K0)
+            u = np.array([scale // 2] * 2, dtype=dtype)
+            assert _certificate(step, u) == expected
+    # gaps of half a unit, which the floor step rounds: F(u)_0 = (u_0 +
+    # u_1) / 2 and F(u)_1 = u_1 + r, at u = (0, +-1) units
+    for r, u1, expected in ((0, 1, "feasible"), (0, -1, None),
+                            (-1, -1, "infeasible")):
+        g = StochGame(2, 2, ((MinAction((0, 1), F(0)),), (MinAction((1,), F(r)),)),
+                      ((MaxAction(0, F(0)),), (MaxAction(1, F(0)),)))
+        step = g.operator(0, K0)[2]
+        assert _certificate(step, np.array([0, u1])) == expected
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["double", "exact"])
 def test_checks_come_at_doublings_of_the_first(exact, monkeypatch):
     # value 0 at state 0, where nothing settles the iterate, and -1/2 per
     # step at state 1: u = (0, -t/2) is subharmonic at no step t, strictly
-    # superharmonic at none, and never within the epsilon exits
+    # superharmonic at none, and never within the epsilon exits; on the
+    # grid of K0 bits ("double", the default) and of max_iters bits
     g = two_cycles(0, F(-1, 2))
+    scale = g.operator(0, 1000 if exact else K0)[0]
     checked = []
-    doubled_step = StochGame.doubled_step
+    certificate = shapley._certificate
 
-    def counted(self, v, lam=0):
-        checked.append(max(map(abs, v)) * 2)  # the step count, 2 |u_1|
-        return doubled_step(self, v, lam)
+    def counted(step, x):
+        checked.append(F(max(map(abs, x.tolist())), scale) * 2)  # 2 |u_1| = t
+        return certificate(step, x)
 
-    monkeypatch.setattr(StochGame, "doubled_step", counted)
+    monkeypatch.setattr(shapley, "_certificate", counted)
     status, iters, *_ = value_iteration_raw(g, F(1, 10**8), 1000, exact)
     assert (status, iters) == ("indeterminate", 1000)
     assert checked == [64, 128, 256, 512]
@@ -532,24 +560,23 @@ def test_moduli_near_10_to_the_8_agree_with_policy_enumeration(p):
 @pytest.mark.parametrize("base", [2**53 - 1, 2**53, 2**53 + 1, 2**60 + 1,
                                   2**64 + 1, 10**20 + 1])
 def test_moduli_near_and_above_2_to_the_53_agree_with_policy_enumeration(base):
-    # numerators at and beyond the double mantissa: at 2^53 + 1 the double
-    # loop misjudges 90 of these 324 pencils, and the rational rerun decides
-    engines = set()
+    # numerators at and beyond the double mantissa: at 2^53 + 1 a loop in
+    # doubles misjudges 90 of these 324 pencils; the grid of K0 bits
+    # decides every one
+    widths = set()
     for p in range(3, 9):
         a = base + F(1, p)
         for q in range(3, 9):
             for d in (-1, 0, 1):
-                engines.add(assert_agrees_with_policy_enumeration(
-                    one_variable(a + F(1, q) + d, a - F(1, q), a)).engine)
-    assert "double" in engines
-    if base == 2**53 + 1:
-        assert "rational" in engines
+                widths.add(assert_agrees_with_policy_enumeration(
+                    one_variable(a + F(1, q) + d, a - F(1, q), a)).bits)
+    assert widths == {K0}
 
 
-# generated pencils whose double Infeasible exit ends at an iterate u that
-# is not strictly superharmonic; the tilted running minimum is.  The first
-# is in the sweep of criterion 10; on the others, over the grid 1/8, the
-# untilted running minimum is not strictly superharmonic either.
+# generated pencils whose Infeasible exit ends at an iterate u that is not
+# strictly superharmonic; the tilted running minimum is.  The first is in
+# the sweep of criterion 10; on the others, over the grid 1/8, the untilted
+# running minimum was not strictly superharmonic either.
 U_FAILS = [GenSpec(10, 5, 2549989531), GenSpec(3, 5, 46, 8),
                GenSpec(5, 5, 13, 8), GenSpec(5, 5, 46, 8),
                GenSpec(10, 5, 54, 8)]
@@ -558,13 +585,12 @@ U_FAILS = [GenSpec(10, 5, 2549989531), GenSpec(3, 5, 46, 8),
 @pytest.mark.parametrize("spec", U_FAILS, ids=lambda s: f"{s.n}x{s.m}-{s.seed}")
 def test_infeasible_exit_is_certified_by_the_tilted_minimum(spec):
     g = game_from_pencil(gen_random(spec))
-    status, iters, u, _, w = value_iteration_raw(g, F(1, 10**8), 10**6, False)
-    assert (status, _certificate(g, u)) == ("infeasible", None)
-    if spec.entry_grid == 8:
-        assert _certificate(g, w) is None
+    grid = g.operator(0, K0)
+    status, iters, x, _, _ = _iterate(grid, g.n, F(1, 10**8), 10**6)
+    assert (status, _certificate(grid[2], x)) == ("infeasible", None)
     report = check_feasibility(g)
-    assert (report.verdict, report.iterations, report.engine, report.exit) == \
-        ("Infeasible", iters, "double", "epsilon")
+    assert (report.verdict, report.iterations, report.bits, report.exit) == \
+        ("Infeasible", iters, K0, "epsilon")
     assert _superharmonic(g, report.witness, 0) == (True, True)
 
 
@@ -572,24 +598,26 @@ def test_infeasible_exit_is_certified_by_the_tilted_minimum(spec):
 @pytest.mark.parametrize("spec", U_FAILS[:3], ids=lambda s: f"{s.n}x{s.m}-{s.seed}")
 def test_tilted_minimum_is_rounded_down_to_its_grid(spec, exact):
     # z is the tilted minimum min_s (u_s + s delta) of the run's iterates,
-    # delta = epsilon / t, rounded down to the largest grid 1/L, L a power
-    # of two, with 1/L <= delta / 2
+    # delta = epsilon / t, rounded down to the coarsest grid S' = S 2^j
+    # with delta S' >= 2; the run on the grid of K0 bits ("double", the
+    # default) or of t bits, where it is exact
     g = game_from_pencil(gen_random(spec))
     epsilon = F(1, 10**8)
-    t = value_iteration_raw(g, epsilon, 10**6, exact)[1]
-    z = _tilted_min(g, t, epsilon, exact)
+    t = _iterate(g.operator(0, K0), g.n, epsilon, 10**6)[1]
+    bits = t if exact else K0
+    grid = g.operator(0, bits)
+    scale, _, step = grid
+    assert _iterate(grid, g.n, epsilon, 10**6)[1] == t
+    z, (fine, _, fine_step) = _tilted_min(g, t, epsilon, bits)
     delta = epsilon / t
-    L = 1
-    while F(1, L) > delta / 2:
-        L *= 2
-    step = g.operator(exact=exact)
-    u = np.array([F(0)] * g.n, dtype=object) if exact else np.zeros(g.n)
-    tilt = delta if exact else float(delta)
-    reference = u.copy()
+    assert fine % scale == 0 and delta * fine >= 2
+    assert fine == scale or delta * fine < 4
+    x, exact_u = np.zeros(g.n, dtype=object), (F(0),) * g.n
+    reference = list(exact_u)
     for s in range(1, t):
-        u = step(u)
-        reference = np.minimum(reference, u + s * tilt)
-    for zk, rk in zip(z, reference.tolist()):
-        assert (zk * L).denominator == 1
-        assert F(rk) - F(1, L) < zk <= F(rk)
-    assert _certificate(g, z) == "infeasible"
+        x, exact_u = step(x), apply_F(g, exact_u)
+        u = tuple(F(xk, scale) for xk in x.tolist())
+        assert u == exact_u if exact else all(map(F.__le__, u, exact_u))
+        reference = [min(r, uk + s * delta) for r, uk in zip(reference, u)]
+    assert z.tolist() == [math.floor(r * fine) for r in reference]
+    assert _certificate(fine_step, z) == "infeasible"
