@@ -229,13 +229,25 @@ class StochGame:
         the kernel ``_apply`` on the rewards over S, the Min ones shifted by
         -lam, with the halving rounded down, which is exact because min and
         floor commute with integer shifts.  R bounds |step(X) - X|.  The
-        rewards take the dtype of X, so an int64 X needs |X| + R < 2^62."""
+        rewards take the dtype of X, so an int64 X needs |X| + R < 2^62.
+
+        The reward arrays are built once per dtype: ``step.bind(dtype)`` is
+        the step on arrays of that dtype, bound to them, and step(X) looks
+        up the binding for X's dtype.  A loop that knows its dtype calls the
+        bound step and skips that lookup."""
         p, q = lam.as_integer_ratio()
         scale = math.lcm(self.den, q) << bits
         factor, shift = scale // self.den, p * (scale // q)
         reach = 2 * self._top() * factor + abs(shift)
-        rewards = functools.cache(lambda dtype: self._rewards(factor, shift, dtype))
-        return scale, reach, lambda x: self._apply(x, *rewards(x.dtype))
+
+        @functools.cache
+        def bind(dtype):
+            max_r, min_r = self._rewards(factor, shift, dtype)
+            return lambda x: self._apply(x, max_r, min_r)
+
+        step = lambda x: bind(x.dtype)(x)
+        step.bind = bind
+        return scale, reach, step
 
     def _scaled(self, v: Sequence, lam=0) -> tuple:
         """(Max rewards, Min rewards - lam, v) times S = lcm(den, the

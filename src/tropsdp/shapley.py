@@ -38,6 +38,15 @@ reruns the loop with K doubled, from K0 = 8 on; once K reaches the step
 count the grid holds F^t(0) exactly, where both checks hold, so the reruns
 are bounded.  Every verdict is thus checked exactly; whether all states
 share one mean payoff bears only on whether an epsilon exit comes.
+
+A step of the loop costs the kernel and the running maximum, and the
+epsilon test runs only where an exit can come.  Being monotone and
+commuting with integer shifts, the floor step is nonexpansive in the sup
+norm (Crandall and Tartar, Proc. AMS 1980), so no move |X_(s+1) - X_s| of
+the orbit exceeds an earlier one: after a test that finds the iterate D
+units from both exits, no exit can come for (D - 1) // move steps, move
+being a measured earlier move, and none ever comes once a move is 0.  A
+failed check's step is the next iterate, so a check costs one kernel call.
 `recession` runs the same kernel with zero rewards over Fractions and -oo.
 `apply_F` evaluates F over Fractions and -oo from the game's action tuples;
 it is the exact reference the arrays are tested against.
@@ -150,12 +159,14 @@ class IterationReport:
     exit: str | None = None
 
 
-def _certificate(step, x) -> str | None:
+def _certificate(step, x, fx=None) -> str | None:
     """"feasible" if lam + u <= F(u), "infeasible" if F(u) < lam + u in
     every entry, None otherwise, for u = X / S on the grid of ``step``
-    (``StochGame.operator``).  Exact with one step, since for an integer X
-    and a real y, X <= y iff X <= floor(y) and y < X iff floor(y) < X."""
-    fx = step(x)
+    (``StochGame.operator``), from fx = step(x) when the caller has it.
+    Exact with one step, since for an integer X and a real y, X <= y iff
+    X <= floor(y) and y < X iff floor(y) < X."""
+    if fx is None:
+        fx = step(x)
     if np.all(x <= fx):
         return "feasible"
     if np.all(fx < x):
@@ -181,11 +192,23 @@ def _iterate(grid: tuple, n: int, epsilon: Fraction, max_iters: int):
     every entry of X is <= -epsilon S ("infeasible") or >= epsilon S
     ("feasible"), or max_iters steps ran ("indeterminate").
 
+    The epsilon test runs only where an exit can come.  The step is
+    monotone and commutes with integer shifts, so it is nonexpansive in the
+    sup norm: no move |X_(s+1) - X_s| exceeds an earlier one.  A test at
+    X_t that finds no exit is D = min(bound - min X_t, max X_t + bound)
+    units from one (bound = ceil(epsilon S)), so with move bounding
+    |X_(t+1) - X_t| none can come in the next (D - 1) // move steps, and
+    the next test waits that long; a move of 0 is a fixed point, where none
+    ever comes.  move is R at the first test and is measured after the
+    next; while tests leave no steps to skip, it is measured again only
+    after 1, 2, 4, ... of them, the move measured last standing in for it.
+
     After FIRST_CHECK steps, and again whenever the step count doubles, the
     current iterate is tested exactly (``_certificate``): if it is
     subharmonic or strictly superharmonic the loop stops there, with X in
-    place of V.  There the int64 bound is tested again for the steps to the
-    next check, and X and V become Python ints when it fails.
+    place of V; otherwise the check's step(X) is the next iterate.  There
+    the int64 bound is tested again for the steps to the next check, and
+    X, its step and V become Python ints when it fails.
 
     Returns (status, iterations, X, V, exit), exit naming the stop that
     ended the run: "epsilon", "certificate" or "budget".
@@ -193,23 +216,48 @@ def _iterate(grid: tuple, n: int, epsilon: Fraction, max_iters: int):
     scale, reach, step = grid
     bound = math.ceil(epsilon * scale)  # X >= epsilon S iff X >= bound
     x = _widened(np.zeros(n, dtype=np.int64), reach * FIRST_CHECK)
-    v = x.copy()
+    v, kernel, fx = x.copy(), step.bind(x.dtype), None
     iters, checkpoint = 0, FIRST_CHECK
-    while x.max() > -bound and x.min() < bound:
+    # the next epsilon test comes at step `test`; move bounds every move from
+    # there on, R at first, and is measured after the test when wait is 0
+    test, move, wait, backoff = 0, reach, 1, 1
+    while True:
+        tested = iters == test
+        if tested:
+            low, high = int(x.min()), int(x.max())
+            if high <= -bound:
+                return "infeasible", iters, x, v, "epsilon"
+            if low >= bound:
+                return "feasible", iters, x, v, "epsilon"
         if iters == checkpoint:
-            status = _certificate(step, x)
+            fx = kernel(x)
+            status = _certificate(kernel, x, fx)
             if status is not None:
                 return status, iters, x, x, "certificate"
             x = _widened(x, reach * checkpoint)
-            v = v.astype(x.dtype, copy=False)
+            fx, v = fx.astype(x.dtype, copy=False), v.astype(x.dtype, copy=False)
+            kernel = step.bind(x.dtype)
             checkpoint *= 2
         if iters >= max_iters:
             return "indeterminate", iters, x, v, "budget"
         np.maximum(v, x, out=v)
-        x = step(x)
+        if fx is None:
+            fx = kernel(x)
+        if tested:
+            measured = not wait
+            if measured:
+                move = int(np.abs(fx - x).max())
+            else:
+                wait -= 1
+            if move:
+                quiet = (min(bound - low, high + bound) - 1) // move
+                test = iters + 1 + quiet
+                if measured:
+                    wait, backoff = (backoff, 2 * backoff) if quiet == 0 else (0, 1)
+            else:
+                test = -1  # a fixed point: no exit ever comes
+        x, fx = fx, None
         iters += 1
-    verdict = "infeasible" if x.max() <= -bound else "feasible"
-    return verdict, iters, x, v, "epsilon"
 
 
 def _tilted_min(G: StochGame, t: int, epsilon: Fraction, bits: int, lam=0):
@@ -231,9 +279,9 @@ def _tilted_min(G: StochGame, t: int, epsilon: Fraction, bits: int, lam=0):
     # |z| <= t R' + epsilon S', and one step from it adds R'
     room = (t + 1) * fine[1] + tilt(t) < INT64_ROOM
     x = np.zeros(G.n, dtype=np.int64 if room else object)
-    z = x.copy()
+    z, kernel = x.copy(), step.bind(x.dtype)
     for s in range(1, t):
-        x = step(x)
+        x = kernel(x)
         np.minimum(z, (x << j) + tilt(s), out=z)
     return z, fine
 

@@ -320,6 +320,25 @@ def test_grid_step_is_the_floor_of_the_operator(g, bits, lam, data):
         assert (out.dtype, out.tolist()) == (np.int64, expected)
 
 
+@settings(max_examples=80, deadline=None)
+@given(g=games(), bits=st.integers(0, 12), lam=small_rationals,
+       sign=st.sampled_from([1, -1]), data=st.data())
+def test_grid_step_is_nonexpansive(g, bits, lam, sign, data):
+    # |step(X) - step(Y)| <= |X - Y| in the sup norm, over int64 and over
+    # Python ints, with lambda of both signs: the loop's epsilon tests rest
+    # on it, since no move of the iterate then exceeds an earlier one
+    scale, reach, step = g.operator(sign * lam, bits)
+    top = data.draw(st.sampled_from([4 * scale, 2**61 - reach]))
+    X = data.draw(st.lists(st.integers(-top, top), min_size=g.n, max_size=g.n))
+    spread = data.draw(st.sampled_from([1, scale, top]))
+    Y = [max(-top, min(top, t + data.draw(st.integers(-spread, spread))))
+         for t in X]
+    gap = max(abs(a - b) for a, b in zip(X, Y))
+    for dtype in (np.int64, object):
+        fx, fy = (step(np.array(Z, dtype=dtype)).tolist() for Z in (X, Y))
+        assert max(abs(a - b) for a, b in zip(fx, fy)) <= gap
+
+
 # ---------------------------------------------------------------------------
 # exact witness check in integers
 # ---------------------------------------------------------------------------
@@ -510,14 +529,130 @@ def test_checks_come_at_doublings_of_the_first(exact, monkeypatch):
     checked = []
     certificate = shapley._certificate
 
-    def counted(step, x):
+    def counted(step, x, fx=None):
         checked.append(F(max(map(abs, x.tolist())), scale) * 2)  # 2 |u_1| = t
-        return certificate(step, x)
+        return certificate(step, x, fx)
 
     monkeypatch.setattr(shapley, "_certificate", counted)
     status, iters, *_ = value_iteration_raw(g, F(1, 10**8), 1000, exact)
     assert (status, iters) == ("indeterminate", 1000)
     assert checked == [64, 128, 256, 512]
+
+
+def test_a_step_calls_the_kernel_once(monkeypatch):
+    # the same 1 000-step run: a failed check's step is the next iterate,
+    # so the four checks at 64, ..., 512 add no kernel call
+    calls = []
+    apply = StochGame._apply
+
+    def counted(self, x, max_r, min_r, halve=True):
+        calls.append(len(x))
+        return apply(self, x, max_r, min_r, halve)
+
+    monkeypatch.setattr(StochGame, "_apply", counted)
+    status, iters, *_ = value_iteration_raw(two_cycles(0, F(-1, 2)),
+                                            F(1, 10**8), 1000, False)
+    assert (status, iters, len(calls)) == ("indeterminate", 1000, 1000)
+
+
+# ---------------------------------------------------------------------------
+# the epsilon tests of the loop
+# ---------------------------------------------------------------------------
+
+def every_step_iterate(grid, n, epsilon, max_iters):
+    """The loop with an epsilon test at every step and a check whose step
+    is discarded: the reference of ``_iterate``."""
+    scale, reach, step = grid
+    bound = math.ceil(epsilon * scale)
+    x = shapley._widened(np.zeros(n, dtype=np.int64), reach * FIRST_CHECK)
+    v = x.copy()
+    iters, checkpoint = 0, FIRST_CHECK
+    while x.max() > -bound and x.min() < bound:
+        if iters == checkpoint:
+            status = _certificate(step, x)
+            if status is not None:
+                return status, iters, x, x, "certificate"
+            x = shapley._widened(x, reach * checkpoint)
+            v = v.astype(x.dtype, copy=False)
+            checkpoint *= 2
+        if iters >= max_iters:
+            return "indeterminate", iters, x, v, "budget"
+        np.maximum(v, x, out=v)
+        x = step(x)
+        iters += 1
+    verdict = "infeasible" if x.max() <= -bound else "feasible"
+    return verdict, iters, x, v, "epsilon"
+
+
+def swapped(a):
+    """F(x) = (a + x_1, x_0 - a): from 0 the iterate alternates between
+    (a, -a) and (-a, a), across the epsilon band, so every step is tested."""
+    return StochGame(2, 2, ((MinAction((0,), F(a)),), (MinAction((1,), F(-a)),)),
+                     ((MaxAction(1, F(0)),), (MaxAction(0, F(0)),)))
+
+
+def settling():
+    """F(x) = (min(x_0 + 1, x_1 + 1/2), x_1): the iterate is the fixed
+    point (1/2, 0) from step 1 on, a move of 0."""
+    return StochGame(2, 2, ((MinAction((0,), F(1)), MinAction((1,), F(1, 2))),
+                            (MinAction((1,), F(0)),)),
+                     ((MaxAction(0, F(0)),), (MaxAction(1, F(0)),)))
+
+
+def loop_corpus(worked_game):
+    """(game, epsilon, max_iters) runs of every kind of stop."""
+    for side in (1, -1):  # the running example at value +-10^-5 per step
+        g = shift_of_the_tuples(worked_game, side * F(1, 10**5) - RUNNING_MARGIN)
+        for max_iters in (0, 63, 64, 65, 200):
+            yield g, F(1, 10**8), max_iters
+    rng = random.Random(23)
+    for grid in (2, 8, 2**10, 2**31):
+        for _ in range(25):
+            spec = GenSpec(rng.randint(1, 8), rng.randint(2, 6),
+                           rng.randrange(10**6), grid)
+            g = game_from_pencil(gen_random(spec))
+            for max_iters in (0, 1, 63, 64, 65, 200, 3000):
+                yield g, F(1, 10**8), max_iters
+            yield g, F(1, 100), 3000
+    for p in range(3, 40):  # the 10^8 family
+        a = 10**8 + F(1, p)
+        for q in range(3, 40):
+            yield game_from_pencil(one_variable(a + F(1, q), a - F(1, q), a)), \
+                F(1, 10**8), 10**6
+    c = (2**46 - 1) // 3 + 1  # widens at step 128, from test_certify
+    wide = StochGame(2, 2, ((MinAction((0,), F(c)),), (MinAction((1,), F(-c)),)),
+                     ((MaxAction(0, F(0)),), (MaxAction(1, F(0)),)))
+    # F(x) = x +- 1/256 moves by exactly 1/256 per step, and reaches the
+    # exit +-1/16 in exactly 16 steps: the last quiet step is the one
+    # before the exit
+    drifts = [cycle_game(d, d) for d in (F(1, 512), F(-1, 512))]
+    for g in (wide, cycle_game(-2**51, -2**51), two_cycles(2**51, -2**51),
+              settling(), swapped(F(1, 3)), two_cycles(0, F(-1, 2)), *drifts):
+        for max_iters in (0, 1, 63, 64, 65, 127, 128, 129, 200, 1000):
+            for epsilon in (F(1, 10**8), F(1, 16)):
+                yield g, epsilon, max_iters
+
+
+def test_epsilon_tests_where_an_exit_can_come_change_no_run(worked_game):
+    # _iterate skips the epsilon tests that no exit can pass and reuses the
+    # check's step: the same stop, step count, iterates and dtypes as the
+    # loop that tests every step
+    def comparable(run):
+        return [(t.dtype, t.tolist()) if isinstance(t, np.ndarray) else t
+                for t in run]
+
+    stops = set()
+    for g, epsilon, max_iters in loop_corpus(worked_game):
+        grid = g.operator(0, K0)
+        got = _iterate(grid, g.n, epsilon, max_iters)
+        want = every_step_iterate(grid, g.n, epsilon, max_iters)
+        assert comparable(got) == comparable(want), (g, epsilon, max_iters)
+        stops.add((got[0], got[4], got[2].dtype.type))
+    assert {s[:2] for s in stops} == {
+        ("feasible", "epsilon"), ("infeasible", "epsilon"),
+        ("feasible", "certificate"), ("infeasible", "certificate"),
+        ("indeterminate", "budget")}
+    assert {s[2] for s in stops} == {np.int64, np.object_}
 
 
 # ---------------------------------------------------------------------------
