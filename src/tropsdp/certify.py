@@ -15,14 +15,16 @@ certificate.  A feasibility certificate is the running entrywise maximum of
 the iterates, and an infeasibility certificate the last iterate or the
 tilted running minimum of the iterates, unless the iteration stopped at an
 iterate that is itself an exact certificate.  Every entry is a rational on
-the loop's dyadic grid.  Lambda is an argument of the one operator, in the
-loop (the grid step ``StochGame.operator``) and in every check, of these or
-of third-party certificates (``StochGame.doubled_step``); all of it runs in
-integers, and no path builds a second game.
+the loop's dyadic grid.  Lambda is an argument of the one operator
+``StochGame.operator``, in the loop and in every check, of these or of
+third-party certificates: a check runs the operator on a grid where F(v)
+is exact (``_check_pair``).  All of it runs in integers, and no path
+builds a second game.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -31,30 +33,40 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CertificateInvalid, DeltaTooLarge, ValidationError
-from .game import StochGame
-from .shapley import _decide
+from .game import StochGame, _widened
+from .pencil import int_array
+from .shapley import _check_point, _decide
 from .tropical import MINUS_INF, as_fraction
 
 
-def _finite_vector(x: Sequence) -> tuple:
-    out = []
-    for entry in x:
-        if entry is MINUS_INF:
-            raise ValidationError("vector must be finite (no -oo entries)")
-        out.append(as_fraction(entry))
-    return tuple(out)
+def _check_pair(G: StochGame, v: Sequence, lam) -> tuple:
+    """(X, step(X)) for a finite rational vector v at margin lam on the
+    grid S = 2 lcm(den, the denominators of lam and v) of
+    ``StochGame.operator``, where every reward and Max value is even, so
+    X = S v and step(X) = S (F(v) - lam) exactly.  The pair decides lam +
+    v <= F(v), F(v) <= lam + v and their strict forms."""
+    if any(t is MINUS_INF for t in v):
+        raise ValidationError("vector must be finite (no -oo entries)")
+    v, lam = tuple(map(as_fraction, v)), as_fraction(lam)
+    _check_point(G, v)
+    grid = math.lcm(G.den, lam.denominator)
+    unit = 2 * (math.lcm(grid, *(t.denominator for t in v)) // grid)
+    scale, reach, step = G.operator(lam, unit)
+    x = _widened(int_array([t.numerator * (scale // t.denominator) for t in v]),
+                 reach)
+    return x, step(x)
 
 
 def verify_subharmonic(G: StochGame, v: Sequence, lam=Fraction(0)):
     """Exact check of lambda + v <= F(v); returns (holds, strict)."""
-    x2, fx2 = G.doubled_step(_finite_vector(v), as_fraction(lam))
-    return bool(np.all(x2 <= fx2)), bool(np.all(x2 < fx2))
+    x, fx = _check_pair(G, v, lam)
+    return bool(np.all(x <= fx)), bool(np.all(x < fx))
 
 
 def _superharmonic(G: StochGame, u: Sequence, lam):
     """Exact check of F(u) <= lambda + u; returns (holds, strict)."""
-    x2, fx2 = G.doubled_step(_finite_vector(u), as_fraction(lam))
-    return bool(np.all(fx2 <= x2)), bool(np.all(fx2 < x2))
+    x, fx = _check_pair(G, u, lam)
+    return bool(np.all(fx <= x)), bool(np.all(fx < x))
 
 
 def verify_superharmonic(G: StochGame, u: Sequence, lam) -> bool:

@@ -297,7 +297,7 @@ def game_value_bruteforce(G: StochGame, max_pairs: int = DEFAULT_PAIR_CAP) -> Ga
     # |2 p + q_i + q_j| < 2^(B+2) when every |reward numerator| < 2^B, and
     # a law's coefficients are nonnegative with sum L, so every gain
     # numerator and partial sum is below 2^(bits(L) + B + 2).
-    bits = int(max(np.abs(G.max_p).max(), np.abs(G.min_p).max())).bit_length()
+    bits = G._top().bit_length()
     dtype = np.int64 if lcm.bit_length() + bits + 2 <= 63 else object
     coef = coef.astype(dtype)
     q, p2 = G.max_p[taus].T.astype(dtype), 2 * G.min_p.astype(dtype)

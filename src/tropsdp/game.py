@@ -10,9 +10,11 @@ play moves to Min state k.  Both players always have at least one action.
 value iteration, the exact witness check, the translation back to a pencil
 and the dominion fixpoint ``largest_dominion`` run on, and reads them as
 tuples of actions with Fraction rewards for JSON and the exact reference
-evaluators.  Every evaluation of F on the arrays runs in integers:
-``StochGame.operator`` on a dyadic grid for value iteration, and
-``StochGame.doubled_step`` for the exact check of any rational vector.
+evaluators.  Every evaluation of F on the arrays runs in integers, through
+the one front end ``StochGame.operator``: on a dyadic grid for value
+iteration, and on a grid that holds F(v) exactly for the check of a
+rational vector v.  ``INT64_ROOM`` is the one bound under which these
+integers stay int64.
 
 A Metzler pencil turns into such a game (``game_from_pencil``) by reading
 negatively signed entries of Q^(k) as Min actions of state k and positively
@@ -30,7 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -107,8 +109,7 @@ class StochGame:
     singleton) with reward ``min_p[a] / den``.  The reward numerators share
     the one denominator ``den``; they are int64 arrays when they fit and
     object arrays of Python ints otherwise.  These integers are the game:
-    ``operator`` and ``doubled_step`` evaluate F - lambda on them in
-    integers.
+    ``operator`` evaluates F - lambda on them in integers.
 
     ``StochGame(n, m, min_actions, max_actions)`` builds the game from one
     nonempty tuple of ``MinAction`` per Min state and of ``MaxAction`` per
@@ -215,73 +216,47 @@ class StochGame:
         """The largest |reward numerator|, at least 1."""
         return max(int(np.abs(self.max_p).max()), int(np.abs(self.min_p).max()), 1)
 
-    def _rewards(self, factor: int, shift: int, dtype) -> tuple:
-        """(Max numerators, Min numerators - shift) over den * factor, as
-        arrays of ``dtype``: int64, which the caller has bounded, or object
-        for Python ints."""
-        return (self.max_p.astype(dtype) * factor,
-                self.min_p.astype(dtype) * factor - shift)
-
-    def operator(self, lam=0, bits: int = 0) -> tuple:
-        """(S, R, step) on the grid S = lcm(den, the denominator of lam) 2^bits.
+    def operator(self, lam=0, unit: int = 1) -> tuple:
+        """(S, R, step) on the grid S = lcm(den, the denominator of lam) unit.
 
         step sends integer numerators X over S to floor(S (F - lam)(X / S)):
         the kernel ``_apply`` on the rewards over S, the Min ones shifted by
         -lam, with the halving rounded down, which is exact because min and
         floor commute with integer shifts.  R bounds |step(X) - X|.  The
-        rewards take the dtype of X, so an int64 X needs |X| + R < 2^62.
+        rewards take the dtype of X; an int64 X is safe while |X| + R <
+        INT64_ROOM (see ``_widened``).
 
         The reward arrays are built once per dtype: ``step.bind(dtype)`` is
         the step on arrays of that dtype, bound to them, and step(X) looks
         up the binding for X's dtype.  A loop that knows its dtype calls the
         bound step and skips that lookup."""
         p, q = lam.as_integer_ratio()
-        scale = math.lcm(self.den, q) << bits
+        scale = math.lcm(self.den, q) * unit
         factor, shift = scale // self.den, p * (scale // q)
         reach = 2 * self._top() * factor + abs(shift)
 
         @functools.cache
         def bind(dtype):
-            max_r, min_r = self._rewards(factor, shift, dtype)
+            max_r = self.max_p.astype(dtype) * factor
+            min_r = self.min_p.astype(dtype) * factor - shift
             return lambda x: self._apply(x, max_r, min_r)
 
         step = lambda x: bind(x.dtype)(x)
         step.bind = bind
         return scale, reach, step
 
-    def _scaled(self, v: Sequence, lam=0) -> tuple:
-        """(Max rewards, Min rewards - lam, v) times S = lcm(den, the
-        denominators of v and lam), so integers: int64 arrays when the bound
-        below rules out overflow, object arrays of Python ints otherwise."""
-        if len(v) != self.n:
-            raise ValidationError(f"point has {len(v)} coordinates, expected {self.n}")
-        ratios = [t.as_integer_ratio() for t in (*v, lam)]
-        scale = math.lcm(self.den, *(d for _, d in ratios))
-        *x, shift = [p * (scale // d) for p, d in ratios]
-        # Every |x_k| and every scaled reward (|p s|, or |p s - shift| for
-        # Min) is below 2^B, so the Max values y = r + x stay below 2^(B+1)
-        # and the doubled Min values 2 r + y_i + y_j below 2^(B+1) + 2^(B+2)
-        # < 2^(B+3): B <= 60 keeps every intermediate inside int64.
-        factor = scale // self.den
-        wide = max(max(abs(t) for t in x).bit_length(),
-                   (self._top() * factor + abs(shift)).bit_length()) > 60
-        max_r, min_r = self._rewards(factor, shift, object if wide else np.int64)
-        return max_r, min_r, np.array(x, dtype=max_r.dtype)
 
-    def doubled_step(self, v: Sequence, lam=0) -> tuple:
-        """(2 X, 2 F(X) - 2 L) in integers for a finite rational vector v and
-        a margin lam (floats, ints or Fractions), with v, lam and the rewards
-        scaled to integers X, L and R: 2 F(X)_k is the min of 2 R_a + Y_i +
-        Y_j over the Min actions a = {i, j} of state k, Y being the Max values
-        of X.  The pair decides lam + v <= F(v), F(v) <= lam + v and their
-        strict forms exactly, without building the game shifted by -lam."""
-        max_r, min_r, x = self._scaled(v, lam)
-        return 2 * x, self._apply(x, max_r, 2 * min_r, halve=False)
+# An int64 X of ``StochGame.operator`` stays below this bound with the
+# growth of its next steps on top, which keeps every intermediate of the
+# kernel below 2^62: the one int64 rule of the loop and the checks.
+INT64_ROOM = 2**61
 
-    def is_subharmonic(self, v: Sequence, lam=0) -> bool:
-        """Exact test of lam + v <= F(v), in integers (see ``doubled_step``)."""
-        x2, fx2 = self.doubled_step(v, lam)
-        return bool(np.all(x2 <= fx2))
+
+def _widened(x: np.ndarray, growth: int) -> np.ndarray:
+    """x as Python ints unless |x| + growth < INT64_ROOM keeps it int64."""
+    if x.dtype != object and int(np.abs(x).max()) + growth >= INT64_ROOM:
+        return x.astype(object)
+    return x
 
 
 # ---------------------------------------------------------------------------

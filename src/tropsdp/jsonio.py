@@ -220,16 +220,18 @@ def game_from_json(obj) -> StochGame:
     for k, acts in enumerate(raw_min):
         if not isinstance(acts, list):
             raise ValidationError(f"actions of Min state {k + 1} must be a list")
+        if not acts:
+            raise ValidationError(f"Min state {k + 1} has no actions")
         row = []
         for rec in acts:
             if not isinstance(rec, dict):
                 raise ValidationError(f"bad action record {rec!r}")
             targets = rec.get("to")
             if (not isinstance(targets, list) or not 1 <= len(targets) <= 2
-                    or not all(type(t) is int for t in targets)):
+                    or not all(type(t) is int and 1 <= t <= m for t in targets)):
                 raise ValidationError(
-                    f'Min action "to" must list one or two row states, got '
-                    f"{targets!r} at state {k + 1}")
+                    f'Min action "to" must list one or two row states in '
+                    f"1..{m}, got {targets!r} at state {k + 1}")
             row.append(MinAction(tuple(t - 1 for t in targets),
                                  parse_rational(rec.get("reward", 0))))
         min_actions.append(tuple(row))
@@ -237,15 +239,17 @@ def game_from_json(obj) -> StochGame:
     for i, acts in enumerate(raw_max):
         if not isinstance(acts, list):
             raise ValidationError(f"actions of Max state {i + 1} must be a list")
+        if not acts:
+            raise ValidationError(f"Max state {i + 1} has no actions")
         row = []
         for rec in acts:
             if not isinstance(rec, dict):
                 raise ValidationError(f"bad action record {rec!r}")
             target = rec.get("to")
-            if type(target) is not int:
+            if type(target) is not int or not 1 <= target <= n:
                 raise ValidationError(
-                    f'Max action "to" must be a column state index, got '
-                    f"{target!r} at state {i + 1}")
+                    f'Max action "to" must be a column state index in 1..{n}, '
+                    f"got {target!r} at state {i + 1}")
             row.append(MaxAction(target - 1, parse_rational(rec.get("reward", 0))))
         max_actions.append(tuple(row))
     return StochGame(n, m, tuple(min_actions), tuple(max_actions))

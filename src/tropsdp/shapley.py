@@ -62,7 +62,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .game import StochGame
+from .game import StochGame, _widened
 from .pencil import Pencil
 from .tropical import MINUS_INF, ExtReal, as_fraction
 
@@ -174,18 +174,6 @@ def _certificate(step, x, fx=None) -> str | None:
     return None
 
 
-# An int64 iterate X stays below this bound, with R times the steps to the
-# next check on top, so that every step and check from it fits int64.
-INT64_ROOM = 2**61
-
-
-def _widened(x: np.ndarray, growth: int) -> np.ndarray:
-    """x as Python ints unless |x| + growth < INT64_ROOM keeps it int64."""
-    if x.dtype != object and int(np.abs(x).max()) + growth >= INT64_ROOM:
-        return x.astype(object)
-    return x
-
-
 def _iterate(grid: tuple, n: int, epsilon: Fraction, max_iters: int):
     """Iterate X := step(X) from 0 on a grid (S, R, step) of
     ``StochGame.operator``, keeping the running entrywise maximum V, until
@@ -271,14 +259,13 @@ def _tilted_min(G: StochGame, t: int, epsilon: Fraction, bits: int, lam=0):
     by monotonicity and additive homogeneity, because u_t + t delta <= 0 =
     u_0; the run is exact once bits >= t.  On a coarser grid the iterates
     are rounded, and only the check decides.  Replays the run's t steps."""
-    scale, reach, step = G.operator(lam, bits)
+    scale, reach, step = G.operator(lam, 1 << bits)
     p, q = (epsilon / t).as_integer_ratio()
     j = (-(-2 * q // (p * scale)) - 1).bit_length()
-    fine = G.operator(lam, bits + j)
+    fine = G.operator(lam, 1 << (bits + j))
     tilt = lambda s: s * p * fine[0] // q
     # |z| <= t R' + epsilon S', and one step from it adds R'
-    room = (t + 1) * fine[1] + tilt(t) < INT64_ROOM
-    x = np.zeros(G.n, dtype=np.int64 if room else object)
+    x = _widened(np.zeros(G.n, dtype=np.int64), (t + 1) * fine[1] + tilt(t))
     z, kernel = x.copy(), step.bind(x.dtype)
     for s in range(1, t):
         x = kernel(x)
@@ -306,7 +293,7 @@ def _decide(G: StochGame, epsilon: Fraction, max_iters: int, lam=0):
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     bits = K0
     while True:
-        grid = G.operator(lam, bits)
+        grid = G.operator(lam, 1 << bits)
         status, iters, x, v, stop = _iterate(grid, G.n, epsilon, max_iters)
         witness = x
         if stop == "epsilon" and status == "feasible":
@@ -326,7 +313,7 @@ def value_iteration_raw(G: StochGame, epsilon, max_iters: int, exact: bool):
     bits, or of max_iters bits when ``exact``, where the iterates are
     F^t(0) exactly.  Returns (status, iterations, u, v, None) with rational
     entries; the last slot, once the running minimum, is always None."""
-    grid = G.operator(0, max_iters if exact else K0)
+    grid = G.operator(0, 1 << (max_iters if exact else K0))
     status, iters, x, v, _ = _iterate(grid, G.n, as_fraction(epsilon), max_iters)
     return status, iters, _to_fractions(x, grid[0]), _to_fractions(v, grid[0]), None
 

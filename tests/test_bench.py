@@ -107,16 +107,16 @@ def test_dense_engine_equals_engine_of_generated_game(n, m):
             a, b = getattr(built, name), getattr(reference, name)
             assert a.dtype == b.dtype, name
             np.testing.assert_array_equal(a, b, err_msg=name)
-        scale, _, step = built.operator(0, K0)
+        scale, _, step = built.operator(0, 1 << K0)
         x = np.random.default_rng(seed).integers(-2 * scale, 2 * scale, n)
-        np.testing.assert_array_equal(step(x), reference.operator(0, K0)[2](x))
+        np.testing.assert_array_equal(step(x), reference.operator(0, 1 << K0)[2](x))
 
 
 def test_dense_step_matches_exact_operator():
     # each step adds one halving, so the first K0 iterates on the grid of
     # K0 bits are exact and must equal the rational ones
     game = game_from_pencil(gen_random(GenSpec(4, 3, seed=42)))
-    scale, _, step = game.operator(0, K0)
+    scale, _, step = game.operator(0, 1 << K0)
     x = np.zeros(4, dtype=np.int64)
     exact = (F(0),) * 4
     for _ in range(K0):

@@ -29,8 +29,9 @@ from tropsdp import (
     verify_superharmonic,
 )
 from tropsdp.bench import GenSpec, gen_random
-from tropsdp.certify import _superharmonic
+from tropsdp.certify import _check_pair, _superharmonic
 from tropsdp.cli import run
+from tropsdp.game import INT64_ROOM
 from tropsdp.pencil import int_array
 from tropsdp.shapley import K0
 from tropsdp.tropical import MINUS_INF
@@ -76,7 +77,7 @@ def test_verification_needs_finite_vectors(worked_game):
 def assert_grid_step(G, lam, bits, X, reference):
     """The grid step of G at margin lam on the integers X equals
     reference, over Python ints, and over int64 where the bound allows."""
-    _, reach, step = G.operator(lam, bits)
+    _, reach, step = G.operator(lam, 1 << bits)
     assert step(np.array(X, dtype=object)).tolist() == reference
     if max(map(abs, X)) + reach < 2**62:
         out = step(np.array(X, dtype=np.int64))
@@ -85,7 +86,7 @@ def assert_grid_step(G, lam, bits, X, reference):
 
 def test_shifting_min_rewards_shifts_the_operator(worked_game):
     x = (F(1, 4), F(0), F(-2))
-    scale, _, step = worked_game.operator(F(-5, 7), K0)
+    scale, _, step = worked_game.operator(F(-5, 7), 1 << K0)
     assert scale == 28 * 2**K0
     assert step(np.array([t * scale for t in x], dtype=np.int64)).tolist() == \
         [math.floor((F(5, 7) + f) * scale) for f in apply_F(worked_game, x)]
@@ -109,6 +110,20 @@ def test_integer_verification_matches_apply_F(g, data):
                                              all(t < lam for t in gaps))
 
 
+@pytest.mark.parametrize("r", [1, -2])
+def test_the_check_keeps_the_half_units_of_F(r):
+    # F(v) = ((v_0 + v_1) / 2, v_1 + r) at v = (0, 1) over the denominator
+    # 1: a floor step on the grid 1 would round the gap 1/2 down to 0, and
+    # the check's grid, twice that, holds it
+    G = StochGame(2, 2, ((MinAction((0, 1), F(0)),), (MinAction((1,), F(r)),)),
+                  ((MaxAction(0, F(0)),), (MaxAction(1, F(0)),)))
+    v = [F(0), F(1)]
+    gaps = [b - a for a, b in zip(v, apply_F(G, v))]
+    assert gaps == [F(1, 2), F(r)]
+    assert verify_subharmonic(G, v) == (min(gaps) >= 0, min(gaps) > 0)
+    assert _superharmonic(G, v, 0) == (max(gaps) <= 0, max(gaps) < 0)
+
+
 @pytest.mark.parametrize("delta", [F(5, 7), F(-1, 100000), F(0), F(2**70, 3)])
 def test_shift_on_the_arrays_equals_the_shift_of_the_tuples(worked_game, delta):
     # the grid step at margin -delta against the floor of the operator of
@@ -118,7 +133,7 @@ def test_shift_on_the_arrays_equals_the_shift_of_the_tuples(worked_game, delta):
     for G in (worked_game, generated):
         expected = shift_of_the_tuples(G, delta)
         for bits in (0, K0):
-            scale = G.operator(-delta, bits)[0]
+            scale = G.operator(-delta, 1 << bits)[0]
             X = [rng.randint(-4 * scale, 4 * scale) for _ in range(G.n)]
             assert_grid_step(G, -delta, bits, X, floor_of_F(expected, X, scale))
 
@@ -138,7 +153,8 @@ def widened(G, factor):
 def margin_corpus():
     """(game, v, lam) triples: grids 8 and 2^31, numerators past 2^63,
     margins of both signs with denominators up to 2^89 - 1, and vectors
-    of doubles, small fractions and fractions over large primes."""
+    of doubles (as their exact Fractions), small fractions and fractions
+    over large primes."""
     rng = random.Random(11)
     dens = [1, 3, 100, 2**31, 10**9 + 7, 2**61 - 1, 2**89 - 1]
     for seed in range(6):
@@ -150,7 +166,7 @@ def margin_corpus():
                 lam = F(rng.randint(-3 * q, 3 * q), q)
                 vq = rng.choice(dens)
                 v = rng.choice([
-                    [rng.uniform(-2, 2) for _ in range(G.n)],
+                    [F(rng.uniform(-2, 2)) for _ in range(G.n)],
                     [F(rng.randint(-4 * vq, 4 * vq), vq) for _ in range(G.n)],
                     [F(0)] * G.n])
                 yield G, v, lam
@@ -176,7 +192,7 @@ def test_operator_at_a_margin_equals_the_operator_of_the_shifted_tuples():
     # the grid step at margin lam, at v rounded down to the grid, against
     # the floor of F - lam and of the operator of the shifted tuples
     for G, v, lam in operator_corpus():
-        scale = G.operator(lam, K0)[0]
+        scale = G.operator(lam, 1 << K0)[0]
         X = [math.floor(F(t) * scale) for t in v]
         reference = floor_of_F(G, X, scale, lam)
         assert floor_of_F(shift_of_the_tuples(G, -lam), X, scale) == reference
@@ -215,42 +231,52 @@ def test_the_loop_widens_before_int64_could_overflow(kernel_dtypes):
 
 
 def reference_pair(G, v, lam):
-    return shift_of_the_tuples(G, -lam).doubled_step(v)
+    return _check_pair(shift_of_the_tuples(G, -lam), v, 0)
+
+
+def assert_checks_match_the_shifted_game(G, v, lam):
+    """The pair (X, step(X)) of the check at margin lam, and the answers of
+    both checks, equal those of the game whose Min rewards were shifted by
+    -lam, at margin 0; returns the pair."""
+    x, fx = _check_pair(G, v, lam)
+    ref_x, ref_fx = reference_pair(G, v, lam)
+    assert (x.tolist(), fx.tolist()) == (ref_x.tolist(), ref_fx.tolist())
+    shifted = shift_of_the_tuples(G, -lam)
+    assert verify_subharmonic(G, v, lam) == verify_subharmonic(shifted, v)
+    assert _superharmonic(G, v, lam) == _superharmonic(shifted, v, 0)
+    return x, fx
 
 
 def test_margin_check_equals_the_check_of_the_shifted_game():
     seen = set()
     for G, v, lam in margin_corpus():
-        x2, fx2 = G.doubled_step(v, lam)
-        ref_x2, ref_fx2 = reference_pair(G, v, lam)
-        assert (x2.tolist(), fx2.tolist()) == (ref_x2.tolist(), ref_fx2.tolist())
-        seen.add(fx2.dtype.type)
+        seen.add(assert_checks_match_the_shifted_game(G, v, lam)[1].dtype.type)
     assert seen == {np.int64, np.object_}
 
 
 @pytest.mark.parametrize("over", [0, 1], ids=["int64", "object"])
 def test_margin_check_at_the_int64_bound(over):
-    # grid 8 and v = 0: the scale is 8, so the largest scaled Min reward is
-    # top + 8 |lam|, and lam = (2^60 - 1 - top) / 8 puts it at 2^60 - 1,
-    # the last value the bound keeps in int64
+    # grid 8 and v = 0: the check's grid is S = 16, so X = 0 and R = 4 top
+    # + 16 |lam|, and lam = (2^60 - 1 - 2 top) / 8 puts R at 2^61 - 2, the
+    # last value that keeps |X| + R below INT64_ROOM = 2^61 and int64
     G = game_from_pencil(gen_random(GenSpec(4, 3, 5, 8)))
-    top = int(max(np.abs(G.max_p).max(), np.abs(G.min_p).max()))
+    assert (G.den, INT64_ROOM) == (8, 2**61)
     v = [F(0)] * G.n
     for sign in (1, -1):
-        lam = sign * F(2**60 - 1 - top + over, 8)
-        x2, fx2 = G.doubled_step(v, lam)
-        assert fx2.dtype == (object if over else np.int64)
-        ref_x2, ref_fx2 = reference_pair(G, v, lam)
-        assert (x2.tolist(), fx2.tolist()) == (ref_x2.tolist(), ref_fx2.tolist())
+        lam = sign * F(2**60 - 1 - 2 * G._top() + over, 8)
+        x, fx = assert_checks_match_the_shifted_game(G, v, lam)
+        assert x.dtype == fx.dtype == (object if over else np.int64)
 
 
 def test_the_scale_factor_counts_in_the_int64_bound():
-    # all rewards 0: only the factor S / den = 2^70 of the scaling leaves
-    # int64, so the bound must count that factor
+    # all rewards 0: only the factor S / den = 2^71 of the check's grid
+    # leaves int64, so the bound must count that factor
     G = StochGame(1, 1, ((MinAction((0,), F(0)),),), ((MaxAction(0, F(0)),),))
     lam = F(1, 2**70)
-    x2, fx2 = G.doubled_step([F(0)], lam)
-    assert (x2.tolist(), fx2.tolist()) == ([0], [-2])
+    x, fx = _check_pair(G, [F(0)], lam)
+    assert (x.tolist(), fx.tolist(), fx.dtype) == ([0], [-2], object)
+    assert (verify_subharmonic(G, [F(0)], lam), _superharmonic(G, [F(0)], lam)) \
+        == ((False, False), (True, True))
     scale, reach, step = G.operator(lam)
     assert (scale, reach) == (2**70, 2**71 + 1)
     assert step(np.zeros(1, dtype=object)).tolist() == [-1]

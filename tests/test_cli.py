@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -139,6 +141,20 @@ def test_check_decides_large_moduli_that_doubles_round(tmp_path, capsys,
     assert report["verdict"] == "Feasible"
 
 
+def test_readme_transcripts_are_what_the_commands_print(monkeypatch, capsys):
+    # every `$ tropsdp ...` line of README.md shown with its output; the
+    # README prints short arrays on one line, so compare parsed JSON
+    root = os.path.join(os.path.dirname(RUNNING), "..")
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        transcripts = re.findall(r"^\$ tropsdp ([^\n]+)\n(\{.*?^\})$", f.read(),
+                                 re.MULTILINE | re.DOTALL)
+    assert [argv.split()[0] for argv, _ in transcripts] == ["check", "exact"]
+    monkeypatch.chdir(root)
+    for argv, printed in transcripts:
+        assert run(argv.split()) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(printed)
+
+
 # ---------------------------------------------------------------------------
 # exact / game / solve-game
 # ---------------------------------------------------------------------------
@@ -205,6 +221,28 @@ def test_solve_game_losing(tmp_path, capsys):
     assert run(["solve-game", str(path)]) == 10
     out = json.loads(capsys.readouterr().out)
     assert out["chi"] == ["-1/2"]
+
+
+@pytest.mark.parametrize("min_to, max_to, n, reason", [
+    ([[{"to": [0]}]], [[{"to": 1}]], 1,
+     'Min action "to" must list one or two row states in 1..1, got [0] at state 1'),
+    ([[{"to": [1]}]], [[{"to": 2}]], 1,
+     'Max action "to" must be a column state index in 1..1, got 2 at state 1'),
+    ([[{"to": [1]}], []], [[{"to": 1}]], 2, "Min state 2 has no actions"),
+    ([[{"to": [1]}]], [[]], 1, "Max state 1 has no actions"),
+], ids=["min-target", "max-target", "no-min-action", "no-max-action"])
+@pytest.mark.parametrize("argv", [["solve-game"], ["certify", "--game"]],
+                         ids=["solve-game", "certify"])
+def test_game_file_errors_count_states_from_one(tmp_path, capsys, argv, min_to,
+                                                max_to, n, reason):
+    # the file numbers states from 1, so its errors do too
+    path = tmp_path / "bad.json"
+    jsonio.dump_json({"n": n, "m": 1, "min_actions": min_to,
+                      "max_actions": max_to}, str(path))
+    assert run([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"tropsdp: ValidationError: {reason}\n"
 
 
 # ---------------------------------------------------------------------------

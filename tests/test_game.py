@@ -197,9 +197,9 @@ def test_translated_game_equals_game_of_its_tuples():
                 a, b = getattr(G, name), getattr(rebuilt, name)
                 assert a.dtype == b.dtype, name
                 np.testing.assert_array_equal(a, b, err_msg=name)
-            scale, _, step = G.operator(0, K0)
+            scale, _, step = G.operator(0, 1 << K0)
             x = np.array([rng.randint(-2 * scale, 2 * scale) for _ in range(G.n)])
-            np.testing.assert_array_equal(step(x), rebuilt.operator(0, K0)[2](x))
+            np.testing.assert_array_equal(step(x), rebuilt.operator(0, 1 << K0)[2](x))
             assert with_object_numerators(G) == rebuilt
             assert rebuilt == with_object_numerators(rebuilt)
     assert translated >= 100

@@ -24,7 +24,7 @@ from tropsdp import (
     verify_subharmonic,
 )
 from tropsdp.bench import GenSpec, gen_random
-from tropsdp.certify import _superharmonic
+from tropsdp.certify import _check_pair, _superharmonic
 from tropsdp.markov import chain_from_policies
 from tropsdp import shapley
 from tropsdp.shapley import (
@@ -247,18 +247,28 @@ def test_zero_cycle_is_indeterminate():
 def test_zero_cycle_is_decided_at_the_first_check(monkeypatch):
     # F(0) = 0: the iterate 0 is subharmonic, though no epsilon exit comes;
     # the certificate stop proved that in integers, so the witness is not
-    # checked a second time
-    checked = []
-    is_subharmonic = StochGame.is_subharmonic
-    monkeypatch.setattr(StochGame, "is_subharmonic",
-                        lambda self, v, lam=0: checked.append(v)
-                        or is_subharmonic(self, v, lam))
+    # checked a second time: one check, after the kernel calls of the first
+    # FIRST_CHECK steps and the check's own step
+    calls, checked = [], []
+    apply, certificate = StochGame._apply, shapley._certificate
+
+    def applied(self, x, max_r, min_r, halve=True):
+        calls.append(len(x))
+        return apply(self, x, max_r, min_r, halve)
+
+    def counted(step, x, fx=None):
+        checked.append(len(calls))
+        return certificate(step, x, fx)
+
+    monkeypatch.setattr(StochGame, "_apply", applied)
+    monkeypatch.setattr(shapley, "_certificate", counted)
     report = check_feasibility(cycle_game(0, 0))
     assert report.verdict == "Feasible"
     assert report.iterations == FIRST_CHECK
     assert report.witness == (F(0),)
     assert report.exit == "certificate"
-    assert checked == []
+    assert checked == [FIRST_CHECK + 1]
+    assert len(calls) == FIRST_CHECK + 1
 
 
 def test_raw_iteration_exposes_running_envelopes(worked_game):
@@ -295,7 +305,7 @@ def test_exact_kernel_matches_apply_F(data):
     # on the grid of 8 bits the first 8 steps from 0 round nothing: the
     # integer kernel against the operator on the tuples
     g = data.draw(games())
-    scale, _, step = g.operator(0, 8)
+    scale, _, step = g.operator(0, 1 << 8)
     x = np.zeros(g.n, dtype=np.int64)
     ref = (F(0),) * g.n
     for _ in range(8):
@@ -309,7 +319,7 @@ def test_exact_kernel_matches_apply_F(data):
 def test_grid_step_is_the_floor_of_the_operator(g, bits, lam, data):
     # step(X) = floor(S (F - lam)(X / S)) on any integer X, over int64 and
     # over Python ints, for X near 0 and near the int64 bound
-    scale, reach, step = g.operator(lam, bits)
+    scale, reach, step = g.operator(lam, 1 << bits)
     assert reach >= scale // g.den
     top = data.draw(st.sampled_from([4 * scale, 2**61 - reach]))
     X = data.draw(st.lists(st.integers(-top, top), min_size=g.n, max_size=g.n))
@@ -327,7 +337,7 @@ def test_grid_step_is_nonexpansive(g, bits, lam, sign, data):
     # |step(X) - step(Y)| <= |X - Y| in the sup norm, over int64 and over
     # Python ints, with lambda of both signs: the loop's epsilon tests rest
     # on it, since no move of the iterate then exceeds an earlier one
-    scale, reach, step = g.operator(sign * lam, bits)
+    scale, reach, step = g.operator(sign * lam, 1 << bits)
     top = data.draw(st.sampled_from([4 * scale, 2**61 - reach]))
     X = data.draw(st.lists(st.integers(-top, top), min_size=g.n, max_size=g.n))
     spread = data.draw(st.sampled_from([1, scale, top]))
@@ -370,7 +380,8 @@ def tied(g, v):
 def witnesses(g):
     """Pairs (x, from the iteration?): the vectors u and v after a few
     steps as doubles, and each of them with one coordinate nudged up or
-    down by one ulp (a nudged 0 is subnormal, which needs Python ints)."""
+    down by one ulp (a nudged 0 is subnormal, which needs Python ints),
+    each double as its exact Fraction."""
     out = []
     for iters in (1, 3, 12):
         _, _, u, v, _ = value_iteration_raw(g, F(1, 10**8), iters, exact=False)
@@ -382,7 +393,7 @@ def witnesses(g):
                     nudged = base.copy()
                     nudged[k] = np.nextafter(nudged[k], toward)
                     out.append((nudged, False))
-    return out
+    return [([F(t) for t in x.tolist()], iterate) for x, iterate in out]
 
 
 @pytest.mark.parametrize("denominators,branches", [
@@ -399,22 +410,21 @@ def test_integer_witness_check_matches_fraction_check(denominators, branches):
         for h in (g, tied(g, [F(k, 4) for k in range(g.n)])):
             for x, iterate in witnesses(h):
                 if iterate:
-                    seen.add(h._scaled(x)[2].dtype.type)
-                expected = verify_subharmonic(h, [F(t) for t in x])[0]
-                assert h.is_subharmonic(x) == expected
-                assert h.is_subharmonic([F(t) for t in x]) == expected
+                    seen.add(_check_pair(h, x, 0)[0].dtype.type)
+                expected = all(t <= f for t, f in zip(x, apply_F(h, x)))
+                assert verify_subharmonic(h, x)[0] == expected
                 outcomes.add(expected)
         # an exact tie at a float witness of the iteration
         x = witnesses(g)[0][0]
-        h = tied(g, [F(t) for t in x])
-        assert h.is_subharmonic(x)
+        h = tied(g, x)
+        assert verify_subharmonic(h, x) == (True, False)
     assert outcomes == {True, False}
     assert seen == {np.dtype(t).type for t in branches}
 
 
 def test_integer_witness_check_validates_length(worked_game):
-    with pytest.raises(ValidationError):
-        worked_game.is_subharmonic([0.0, 0.0])
+    with pytest.raises(ValidationError, match="point has 2 coordinates, expected 3"):
+        verify_subharmonic(worked_game, [F(0), F(0)])
 
 
 def test_rounded_witness_triggers_rational_rerun():
@@ -425,7 +435,7 @@ def test_rounded_witness_triggers_rational_rerun():
     # and no false Infeasible verdict comes out
     g = game_from_pencil(gen_random(GenSpec(3, 3, 744536, 2)))
     assert set(game_value_bruteforce(g).chi) == {0}
-    grid = g.operator(0, K0)
+    grid = g.operator(0, 1 << K0)
     status, iters, x, _, _ = _iterate(grid, g.n, F(1, 10**8), 3000)
     assert (status, iters, _certificate(grid[2], x)) == ("infeasible", 266, None)
     report = check_feasibility(g, max_iters=3000)
@@ -505,7 +515,7 @@ def test_certificate_is_decided_in_integers():
         cases = [((0, 1), "feasible"), ((0, -1), None), ((0, 0), "feasible"),
                  ((-1, -1), "infeasible"), ((1, -1), None)]
         for (a, b), expected in cases:
-            scale, _, step = two_cycles(a, b).operator(0, K0)
+            scale, _, step = two_cycles(a, b).operator(0, 1 << K0)
             u = np.array([scale // 2] * 2, dtype=dtype)
             assert _certificate(step, u) == expected
     # gaps of half a unit, which the floor step rounds: F(u)_0 = (u_0 +
@@ -514,7 +524,7 @@ def test_certificate_is_decided_in_integers():
                             (-1, -1, "infeasible")):
         g = StochGame(2, 2, ((MinAction((0, 1), F(0)),), (MinAction((1,), F(r)),)),
                       ((MaxAction(0, F(0)),), (MaxAction(1, F(0)),)))
-        step = g.operator(0, K0)[2]
+        step = g.operator(0, 1 << K0)[2]
         assert _certificate(step, np.array([0, u1])) == expected
 
 
@@ -525,7 +535,7 @@ def test_checks_come_at_doublings_of_the_first(exact, monkeypatch):
     # superharmonic at none, and never within the epsilon exits; on the
     # grid of K0 bits ("double", the default) and of max_iters bits
     g = two_cycles(0, F(-1, 2))
-    scale = g.operator(0, 1000 if exact else K0)[0]
+    scale = g.operator(0, 1 << (1000 if exact else K0))[0]
     checked = []
     certificate = shapley._certificate
 
@@ -643,7 +653,7 @@ def test_epsilon_tests_where_an_exit_can_come_change_no_run(worked_game):
 
     stops = set()
     for g, epsilon, max_iters in loop_corpus(worked_game):
-        grid = g.operator(0, K0)
+        grid = g.operator(0, 1 << K0)
         got = _iterate(grid, g.n, epsilon, max_iters)
         want = every_step_iterate(grid, g.n, epsilon, max_iters)
         assert comparable(got) == comparable(want), (g, epsilon, max_iters)
@@ -720,7 +730,7 @@ U_FAILS = [GenSpec(10, 5, 2549989531), GenSpec(3, 5, 46, 8),
 @pytest.mark.parametrize("spec", U_FAILS, ids=lambda s: f"{s.n}x{s.m}-{s.seed}")
 def test_infeasible_exit_is_certified_by_the_tilted_minimum(spec):
     g = game_from_pencil(gen_random(spec))
-    grid = g.operator(0, K0)
+    grid = g.operator(0, 1 << K0)
     status, iters, x, _, _ = _iterate(grid, g.n, F(1, 10**8), 10**6)
     assert (status, _certificate(grid[2], x)) == ("infeasible", None)
     report = check_feasibility(g)
@@ -738,9 +748,9 @@ def test_tilted_minimum_is_rounded_down_to_its_grid(spec, exact):
     # default) or of t bits, where it is exact
     g = game_from_pencil(gen_random(spec))
     epsilon = F(1, 10**8)
-    t = _iterate(g.operator(0, K0), g.n, epsilon, 10**6)[1]
+    t = _iterate(g.operator(0, 1 << K0), g.n, epsilon, 10**6)[1]
     bits = t if exact else K0
-    grid = g.operator(0, bits)
+    grid = g.operator(0, 1 << bits)
     scale, _, step = grid
     assert _iterate(grid, g.n, epsilon, 10**6)[1] == t
     z, (fine, _, fine_step) = _tilted_min(g, t, epsilon, bits)
