@@ -39,7 +39,7 @@ _SCHEMAS = """\
 File formats (all indices 1-based, rationals as "p/q" or integer strings):
 
 signed tropical entry
-  {"sign": "+"|"-", "val": "p/q"}  or the string "-inf"
+  {"sign": "+"|"-", "val": "p/q"}
 
 pencil
   {"n": int, "m": int, "affine": bool,
@@ -305,7 +305,7 @@ def _cmd_solve_game(args) -> int:
 def _cmd_metzlerize(args) -> int:
     P = _load_pencil(args)
     result = metzlerize(P)
-    if result.pencil is not P:
+    if result.pencil.n > P.n:
         print(f"note: {result.pencil.n - P.n} auxiliary variables added for "
               "off-diagonal pairs", file=sys.stderr)
     _emit(args, jsonio.dump_json(jsonio.pencil_to_json(result.pencil)))

@@ -391,13 +391,14 @@ def winning_dominions(G: StochGame, max_states: int = 16) -> list:
 def affine_feasibility(P: Pencil) -> bool:
     """Does the spectrahedron contain a point with x_0 finite?
 
-    Variable 0 is the distinguished (affine) one.  Forced eliminations, run
-    to their fixpoint (``_forced_reductions``), either kill variable 0
-    (infeasible) or leave a well-formed pencil whose game decides the
-    question: feasible iff some winning dominion contains state 0.  A
-    matrix without negative entries makes its own variable free; that
-    settles the question when the variable is 0 itself, and is out of scope
-    otherwise (no game encodes such a pencil).
+    Variable 0 is the distinguished (affine) one.  A matrix without
+    negative entries makes its own variable free; that settles the question
+    when the variable is 0 itself, and is out of scope otherwise (no game
+    encodes such a pencil).  Forced eliminations, run to their fixpoint
+    (``_forced_reductions``), never kill or make a free variable, and
+    either kill variable 0 (infeasible) or leave a well-formed pencil whose
+    game decides the question: feasible iff some winning dominion contains
+    state 0.
 
     At most n exact solves (each under ``DEFAULT_PAIR_CAP``) find the
     largest winning dominion in the dominion R of states reachable from state
@@ -408,22 +409,20 @@ def affine_feasibility(P: Pencil) -> bool:
     if not P.affine:
         raise ValidationError("affine_feasibility needs a pencil with the affine flag")
     require_metzler(P)
-    vars_alive, rows_alive, _, _ = _forced_reductions(P)
-    if 0 not in vars_alive:
-        return False
-    if not rows_alive:
-        return True
-    free = all_positive_variables(P, vars_alive, rows_alive)
+    free = all_positive_variables(P)
     if 0 in free:
         return True
+    var, row, _, _ = _forced_reductions(P)
+    if not var[0]:
+        return False
     if free:
         raise UnsupportedInstance(
             f"variables {free} are unconstrained (all-positive matrices); the dominion "
             "method cannot decide finiteness of x_0 on such instances")
-    game = game_from_pencil(_extract(P, vars_alive, rows_alive))
-    state0 = vars_alive.index(0)
-    inside = reachable(game, state0)
-    while inside[state0]:
+    # the renumbering is monotone, so the live variable 0 is state 0
+    game = game_from_pencil(_extract(P, var, row))
+    inside = reachable(game, 0)
+    while inside[0]:
         states = np.flatnonzero(inside)
         chi = game_value_bruteforce(induced_subgame(game, states.tolist())).chi
         if min(chi) >= 0:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (AssumptionViolated, NotADominion, PolicySpaceTooLarge,
                      ValidationError)
-from .pencil import NOT_METZLER, Pencil, int_array
+from .pencil import Pencil, int_array, require_metzler
 from .tropical import NEG, POS, as_fraction
 
 
@@ -276,9 +276,8 @@ def game_from_pencil(P: Pencil) -> StochGame:
     AssumptionViolated when some state would end up with no action, which
     ``normalize`` repairs.
     """
+    require_metzler(P)
     pos, neg = P.sign == POS, P.sign == NEG
-    if np.any(pos & (P.i != P.j)):
-        raise ValidationError(NOT_METZLER)
     min_count = np.bincount(P.k[neg], minlength=P.n)
     if not min_count.all():
         raise AssumptionViolated(
@@ -344,11 +343,12 @@ def largest_dominion(G: StochGame, inside: np.ndarray) -> np.ndarray:
     Each pass keeps the states whose actions all lead to Max states with an
     action back into the mask, until the mask stops changing (at most n
     passes).  Every dominion inside survives each pass, so a mask is a
-    dominion iff it comes back unchanged."""
+    dominion iff it comes back unchanged.  A pass is the kernel on the 0/1
+    support with zero rewards: the Max maximum says some action lands inside,
+    the halved pair sum that both targets do, the Min minimum that all
+    actions do."""
     while True:
-        covered = np.logical_or.reduceat(inside[G.max_t], G.max_seg)
-        kept = inside & np.logical_and.reduceat(covered[G.min_i] & covered[G.min_j],
-                                                G.min_seg)
+        kept = inside & G._apply(inside.view(np.int8), 0, 0).view(bool)
         if np.array_equal(kept, inside):
             return kept
         inside = kept

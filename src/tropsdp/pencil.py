@@ -333,7 +333,8 @@ def metzlerize(P: Pencil) -> Metzlerization:
       * 2x2 per pair (i,j):   Q_ii+(x) + Q_jj+(x) >= 2 y_ij
 
     A point x belongs to the source spectrahedron iff some (x, y) belongs
-    to the lifted one; see ``Metzlerization.witness``.
+    to the lifted one; see ``Metzlerization.witness``.  Variables 0..n-1
+    keep their indices, so the lift keeps the affine flag.
     """
     n, m = P.n, P.m
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
@@ -368,7 +369,7 @@ def metzlerize(P: Pencil) -> Metzlerization:
                         P.sign[pos_diag], slack_sign)),
         np.concatenate((P.num[diag], P.num[off], P.num[off], P.num[pos_diag],
                         np.zeros(len(slack), dtype=np.int64))),
-        P.den)
+        P.den, affine=P.affine)
     return Metzlerization(pencil=lifted, source=P, pair_var=pair_var)
 
 
@@ -409,90 +410,61 @@ class NormalizeResult:
         return full
 
 
-def _mask(size: int, alive) -> np.ndarray:
-    mask = np.zeros(size, dtype=bool)
-    mask[list(alive)] = True
-    return mask
-
-
-def _positive_row_step(P: Pencil, vars_alive: list, rows_alive: list):
-    """One forced reduction for a row lacking any positive diagonal entry.
-
-    Returns ("vars", dead_list) or ("row", i), or None when every row is
-    covered.  A row i with Q_ii+ identically -oo kills all variables with a
-    negative entry on it (diagonal ones first, then off-diagonal ones), and
-    disappears itself once entirely -oo.
-    """
-    rows = _mask(P.m, rows_alive)
-    live = _mask(P.n, vars_alive)[P.k] & rows[P.i] & rows[P.j]
-    diag, neg = P.i == P.j, P.sign == NEG
-    covered = np.bincount(P.i[live & diag & (P.sign == POS)], minlength=P.m)
-    for i in rows_alive:
-        if covered[i]:
-            continue
-        on_row = live & ((P.i == i) | (P.j == i))
-        dead = P.k[on_row & diag & neg]
-        if dead.size:
-            return "vars", dead.tolist()
-        if not on_row.any():
-            return "row", i
-        return "vars", sorted(set(P.k[on_row & neg].tolist()))
-    return None
-
-
 def _forced_reductions(P: Pencil):
     """Apply the forced row/variable eliminations to a fixpoint: no variable
     left, or every row covered.
 
-    Returns (vars_alive, rows_alive, eliminated, removed_rows).  Sound for
-    any question about the spectrahedron: eliminated variables are -oo at
-    every point of it (for every reinforcement lambda), and removed rows
-    constrain nothing.
+    Returns (var, row, eliminated, removed_rows): the masks of the live
+    variables and rows, and what went, in order.  Each pass takes the first
+    live row with no live positive diagonal entry and kills its negative
+    diagonal variables, or else every variable with an entry on it (all
+    negative off the diagonal of a Metzler pencil), or, with no live entry
+    left on it, drops the row.  Sound for any question about the
+    spectrahedron: eliminated variables are -oo at every point of it (for
+    every reinforcement lambda), and removed rows constrain nothing.
     """
-    vars_alive = list(range(P.n))
-    rows_alive = list(range(P.m))
+    var, row = np.ones(P.n, dtype=bool), np.ones(P.m, dtype=bool)
     eliminated: list[int] = []
     removed_rows: list[int] = []
-    while vars_alive:
-        step = _positive_row_step(P, vars_alive, rows_alive)
-        if step is None:
+    diag = P.i == P.j
+    neg_diag, pos_diag = diag & (P.sign == NEG), diag & (P.sign == POS)
+    while var.any():
+        live = var[P.k]  # a row goes only once no live entry is left on it
+        uncovered = row.copy()
+        uncovered[P.i[live & pos_diag]] = False
+        r = uncovered.argmax()
+        if not uncovered[r]:
             break
-        what, payload = step
-        if what == "vars":
-            vars_alive = [k for k in vars_alive if k not in payload]
-            eliminated += payload
+        on_row = live & ((P.i == r) | (P.j == r))
+        dead = P.k[on_row & neg_diag]
+        if not dead.size:
+            dead = np.unique(P.k[on_row])
+        if dead.size:
+            var[dead] = False
+            eliminated += dead.tolist()
         else:
-            rows_alive.remove(payload)
-            removed_rows.append(payload)
-    return vars_alive, rows_alive, eliminated, removed_rows
+            row[r] = False
+            removed_rows.append(int(r))
+    return var, row, eliminated, removed_rows
 
 
-def _extract(P: Pencil, vars_alive: Sequence[int], rows_alive: Sequence[int]) -> Pencil:
-    """The pencil of the given variables on the given rows, renumbered in
-    the order listed."""
-    def renumber(size, alive):
-        new = np.full(size, -1, dtype=np.intp)
-        new[list(alive)] = np.arange(len(alive))
-        return new
-
-    k = renumber(P.n, vars_alive)[P.k]
-    rows = renumber(P.m, rows_alive)
-    i, j = rows[P.i], rows[P.j]
-    keep = (k >= 0) & (i >= 0) & (j >= 0)
+def _extract(P: Pencil, var: np.ndarray, row: np.ndarray) -> Pencil:
+    """The pencil of the variables and rows of these masks, renumbered in
+    order; the renumbering is monotone, so i <= j holds."""
+    keep = var[P.k] & row[P.i] & row[P.j]
+    k, r = np.cumsum(var) - 1, np.cumsum(row) - 1
     return Pencil.from_arrays(
-        len(vars_alive), len(rows_alive), k[keep], np.minimum(i, j)[keep],
-        np.maximum(i, j)[keep], P.sign[keep], P.num[keep], P.den,
-        affine=P.affine and 0 in vars_alive)
+        int(var.sum()), int(row.sum()), k[P.k[keep]], r[P.i[keep]],
+        r[P.j[keep]], P.sign[keep], P.num[keep], P.den,
+        affine=P.affine and bool(var[0]))
 
 
-def all_positive_variables(P: Pencil, vars_alive: Sequence[int],
-                           rows_alive: Sequence[int]) -> list:
-    """Variables whose matrix has no negative entry on the given rows; the
-    unit-support point of any of them lies in the spectrahedron."""
-    rows = _mask(P.m, rows_alive)
-    negative = np.bincount(P.k[(P.sign == NEG) & rows[P.i] & rows[P.j]],
-                           minlength=P.n)
-    return [k for k in vars_alive if not negative[k]]
+def all_positive_variables(P: Pencil) -> list:
+    """Variables whose matrix has no negative entry; the unit-support point
+    of any of them lies in the spectrahedron.  Forced reductions never kill
+    one and never make one, so this is read off the whole pencil."""
+    negative = np.bincount(P.k[P.sign == NEG], minlength=P.n)
+    return np.nonzero(negative == 0)[0].tolist()
 
 
 def normalize(P: Pencil) -> NormalizeResult:
@@ -511,22 +483,22 @@ def normalize(P: Pencil) -> NormalizeResult:
     checked once, before the first step.
     """
     require_metzler(P)
-    witnesses = all_positive_variables(P, range(P.n), range(P.m))
+    witnesses = all_positive_variables(P)
     if witnesses:
         return NormalizeResult(kind="nontrivial", witness_variable=witnesses[0],
                                variable_map=tuple(range(P.n)),
                                row_map=tuple(range(P.m)))
-    vars_alive, rows_alive, eliminated, removed_rows = _forced_reductions(P)
-    if not vars_alive:
+    var, row, eliminated, removed_rows = _forced_reductions(P)
+    if not var.any():
         kind, reduced = "trivial", None
     else:
         kind = "reduced"
-        reduced = _extract(P, vars_alive, rows_alive) if (eliminated or removed_rows) else P
+        reduced = _extract(P, var, row) if (eliminated or removed_rows) else P
     return NormalizeResult(
         kind=kind,
         pencil=reduced,
         eliminated_variables=tuple(eliminated),
         removed_rows=tuple(removed_rows),
-        variable_map=tuple(vars_alive),
-        row_map=tuple(rows_alive),
+        variable_map=tuple(np.nonzero(var)[0].tolist()),
+        row_map=tuple(np.nonzero(row)[0].tolist()),
     )

@@ -276,6 +276,29 @@ def test_metzlerize(tmp_path, capsys):
     assert "auxiliary variables" in out.err
 
 
+def test_metzlerize_notes_only_added_variables(tmp_path, capsys):
+    # one row has no off-diagonal pair, so the lift adds no variable
+    path = write_pencil(tmp_path, "one_row.json", 1, 1, [(0, 0, 0, POS(F(0)))])
+    assert run(["metzlerize", path]) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["n"] == 1
+    assert out.err == ""
+
+
+def test_affine_reads_a_metzlerized_affine_pencil(tmp_path, capsys):
+    # x_0 = x_1 satisfies the general pencil, which needs x_1 >= x_0
+    path = write_pencil(tmp_path, "general.json", 2, 2, [
+        (0, 0, 0, POS(F(0))), (0, 0, 1, POS(F(1))), (0, 1, 1, NEG(F(0))),
+        (1, 0, 0, NEG(F(0))), (1, 1, 1, POS(F(2))),
+    ], affine=True)
+    lifted = str(tmp_path / "lifted.json")
+    assert run(["metzlerize", path, "-o", lifted]) == 0
+    capsys.readouterr()
+    assert jsonio.load_json(lifted)["affine"] is True
+    assert run(["affine", lifted]) == 0
+    assert json.loads(capsys.readouterr().out) == {"feasible": True}
+
+
 def test_affine_exit_codes(tmp_path, capsys):
     dead = write_pencil(tmp_path, "dead.json", 1, 1,
                         [(0, 0, 0, NEG(F(5)))], affine=True)
@@ -428,6 +451,22 @@ def test_schema_flag(capsys):
     out = capsys.readouterr().out
     assert '"sign": "+"|"-"' in out
     assert "feasible_ratio" in out
+
+
+@pytest.mark.parametrize("record, message", [
+    ("-inf", "bad entry record '-inf'"),
+    ({"i": 1, "j": 2, "sign": "-", "val": "-inf"}, "bad rational literal '-inf'"),
+])
+def test_minus_infinity_is_an_omitted_entry_not_a_record(tmp_path, capsys,
+                                                          record, message):
+    assert run(["--schema"]) == 0
+    assert '"-inf"' not in capsys.readouterr().out
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({"n": 1, "m": 2, "matrices": [
+        {"entries": [{"i": 1, "j": 1, "sign": "+", "val": "0"}, record]}]}))
+    assert run(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
@@ -713,7 +752,9 @@ def test_exact_paths_make_no_doubles(tmp_path, huge, kernel_dtypes):
     kernel_dtypes.clear()
     for argv in paths:
         assert run(argv) == 0
-    assert set(kernel_dtypes) <= {np.dtype(np.int64), np.dtype(object)}
+    # int8 is largest_dominion's pass over 0/1 supports
+    assert set(kernel_dtypes) <= {np.dtype(np.int8), np.dtype(np.int64),
+                                  np.dtype(object)}
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "1e-400", HUGE],
@@ -812,7 +853,8 @@ def test_pencil_command_scans_and_translates_once(argv, scans, translations,
         monkeypatch.setattr(module, "game_from_pencil", counted_translation)
     assert run([*argv, str(path)]) == 0
     capsys.readouterr()
-    assert (len(scanned), len(translated)) == (scans, translations)
+    # each translation checks the Metzler rule itself, through require_metzler
+    assert (len(scanned), len(translated)) == (scans + translations, translations)
 
 
 def test_check_builds_no_matrix_view(tmp_path, monkeypatch, capsys):

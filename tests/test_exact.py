@@ -29,7 +29,8 @@ from tropsdp.bench import GenSpec, gen_random
 from tropsdp.exact import _bareiss, _coefficients, winning_dominions
 from tropsdp.game import dominions, induced_subgame, pencil_from_game
 from tropsdp.markov import MarkovChain, _solve, analyze, chain_from_policies
-from tropsdp.pencil import _extract, _forced_reductions, all_positive_variables
+from tropsdp.pencil import _extract, _forced_reductions
+from tropsdp import tropical
 
 F = Fraction
 POS = SignedTrop.pos
@@ -823,17 +824,21 @@ def affine_corpus(seed, count):
 
 def enumerated_affine(P):
     """The affine verdict by the enumeration: the checks of
-    ``affine_feasibility`` before its game, then a search of every winning
-    dominion for state 0."""
-    vars_alive, rows_alive, _, _ = _forced_reductions(P)
+    ``affine_feasibility`` before its game, in the order of a search that
+    reduces first and then counts free variables on the live rows only,
+    then a search of every winning dominion for state 0."""
+    var, row, _, _ = _forced_reductions(P)
+    vars_alive = np.flatnonzero(var).tolist()
     if 0 not in vars_alive:
         return False
-    if not rows_alive:
+    if not row.any():
         return True
-    free = all_positive_variables(P, vars_alive, rows_alive)
+    negative = np.bincount(P.k[(P.sign == tropical.NEG) & row[P.i] & row[P.j]],
+                           minlength=P.n)
+    free = [k for k in vars_alive if not negative[k]]
     if free:
         return True if 0 in free else "UnsupportedInstance"
-    game = game_from_pencil(_extract(P, vars_alive, rows_alive))
+    game = game_from_pencil(_extract(P, var, row))
     return any(vars_alive.index(0) in D for D in winning_dominions(game))
 
 

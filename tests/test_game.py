@@ -396,6 +396,31 @@ def test_largest_dominion_is_the_union_of_the_dominions_inside():
     assert shrunk >= 50
 
 
+def largest_dominion_by_or_and(G, inside):
+    """``largest_dominion`` by boolean reductions: a Max state is covered
+    when some action lands inside, a Min state kept when every target of
+    every action is covered."""
+    while True:
+        covered = np.logical_or.reduceat(inside[G.max_t], G.max_seg)
+        kept = inside & np.logical_and.reduceat(covered[G.min_i] & covered[G.min_j],
+                                                G.min_seg)
+        if np.array_equal(kept, inside):
+            return kept
+        inside = kept
+
+
+def test_largest_dominion_on_the_kernel_matches_boolean_reductions():
+    rng = random.Random(29)
+    nonempty = 0
+    for G in sparse_json_games(29, 3000):
+        inside = np.array([rng.random() < 0.7 for _ in range(G.n)])
+        got = largest_dominion(G, inside.copy())
+        assert got.dtype == bool
+        assert np.array_equal(got, largest_dominion_by_or_and(G, inside))
+        nonempty += bool(got.any())
+    assert nonempty >= 1000
+
+
 def test_induced_subgame_is_the_game_of_the_filtered_tuples():
     subgames = 0
     for G in sparse_json_games(22, 150):

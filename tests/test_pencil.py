@@ -13,7 +13,7 @@ from tropsdp import (Pencil, ValidationError, membership_general,
                      require_metzler, support)
 from tropsdp.errors import AssumptionViolated
 from tropsdp.pencil import (NormalizeResult, _extract, _forced_reductions,
-                            _positive_row_step, all_positive_variables)
+                            all_positive_variables)
 from tropsdp.tropical import MINUS_INF, NEG, POS, TROP_ZERO, SignedTrop
 
 F = Fraction
@@ -95,7 +95,8 @@ def test_from_arrays_sorts_entries_over_the_least_denominator():
     assert shuffled.matrices == reference.matrices
     assert reference.entry(1, 1, 0) == P("-", "1/3")
     # without the entry over 3, the kept moduli share the denominator 4
-    assert _extract(reference, [0], [0, 1]).den == 4
+    assert _extract(reference, np.array([True, False]),
+                    np.array([True, True])).den == 4
 
 
 def test_require_metzler(running_pencil):
@@ -184,6 +185,16 @@ def test_metzlerize_shape_and_output_is_metzler():
     assert M.source is Pg
 
 
+@pytest.mark.parametrize("affine", [False, True])
+def test_metzlerize_keeps_the_affine_flag(affine):
+    # variables 0..n-1 keep their indices, so variable 0 stays the affine one
+    Pg = Pencil.from_entries(1, 2, [(0, 0, 0, P("+", 0)), (0, 0, 1, P("+", 1))],
+                             affine=affine)
+    lifted = metzlerize(Pg).pencil
+    assert lifted.affine is affine
+    assert lifted.n == 2
+
+
 @settings(max_examples=60)
 @given(general_pencils(), st.data())
 def test_metzlerize_membership_projection(Pg, data):
@@ -269,7 +280,9 @@ def test_normalize_stops_at_trivial_before_the_fixpoint():
     assert res.eliminated_variables == (0, 1)
     assert res.removed_rows == (0,)
     assert (res.variable_map, res.row_map) == ((), (1, 2, 3))
-    assert _forced_reductions(Pz) == ([], [1, 2, 3], [0, 1], [0])
+    var, row, eliminated, removed = _forced_reductions(Pz)
+    assert (var.tolist(), row.tolist()) == ([False] * 2, [False] + [True] * 3)
+    assert (eliminated, removed) == ([0, 1], [0])
 
 
 def test_normalize_removes_empty_rows_and_embeds_points():
@@ -329,23 +342,76 @@ def test_nontrivial_witness_is_always_a_member():
 
 
 
+def mask(size, alive):
+    return np.isin(np.arange(size), list(alive))
+
+
+def free_on_rows(Pz, vars_alive, rows_alive):
+    """The live variables with no negative entry on the live rows."""
+    rows = mask(Pz.m, rows_alive)
+    negative = np.bincount(Pz.k[(Pz.sign == NEG) & rows[Pz.i] & rows[Pz.j]],
+                           minlength=Pz.n)
+    return [k for k in vars_alive if not negative[k]]
+
+
+def positive_row_step(Pz, vars_alive, rows_alive):
+    """One forced reduction for the first live row lacking a live positive
+    diagonal entry: ("vars", dead) kills its negative diagonal variables, or
+    else those of its negative off-diagonal entries, and ("row", i) drops it
+    once no live entry is left on it.  None when every row is covered."""
+    rows = mask(Pz.m, rows_alive)
+    live = mask(Pz.n, vars_alive)[Pz.k] & rows[Pz.i] & rows[Pz.j]
+    diag, neg = Pz.i == Pz.j, Pz.sign == NEG
+    covered = np.bincount(Pz.i[live & diag & (Pz.sign == POS)], minlength=Pz.m)
+    for i in rows_alive:
+        if covered[i]:
+            continue
+        on_row = live & ((Pz.i == i) | (Pz.j == i))
+        dead = Pz.k[on_row & diag & neg]
+        if dead.size:
+            return "vars", dead.tolist()
+        if not on_row.any():
+            return "row", i
+        return "vars", sorted(set(Pz.k[on_row & neg].tolist()))
+    return None
+
+
+def extract_listed(Pz, vars_alive, rows_alive):
+    """The pencil of the listed variables on the listed rows, renumbered in
+    the order listed."""
+    def renumber(size, alive):
+        new = np.full(size, -1, dtype=np.intp)
+        new[list(alive)] = np.arange(len(alive))
+        return new
+
+    k = renumber(Pz.n, vars_alive)[Pz.k]
+    rows = renumber(Pz.m, rows_alive)
+    i, j = rows[Pz.i], rows[Pz.j]
+    keep = (k >= 0) & (i >= 0) & (j >= 0)
+    return Pencil.from_arrays(
+        len(vars_alive), len(rows_alive), k[keep], np.minimum(i, j)[keep],
+        np.maximum(i, j)[keep], Pz.sign[keep], Pz.num[keep], Pz.den,
+        affine=Pz.affine and 0 in vars_alive)
+
+
 def stepwise_normalize(Pz):
-    """``normalize`` as a step-by-step search: both exits are tested on the
-    state before every forced reduction, not only on the first one."""
+    """``normalize`` as a step-by-step search over lists: both exits are
+    tested on the state before every forced reduction, not only on the
+    first one, and free variables are counted on the live rows only."""
     vars_alive, rows_alive = list(range(Pz.n)), list(range(Pz.m))
     eliminated, removed = [], []
     while True:
         if not vars_alive:
             return NormalizeResult("trivial", None, None, tuple(eliminated),
                                    tuple(removed), (), tuple(rows_alive))
-        witnesses = all_positive_variables(Pz, vars_alive, rows_alive)
+        witnesses = free_on_rows(Pz, vars_alive, rows_alive)
         if witnesses:
             return NormalizeResult("nontrivial", None, witnesses[0],
                                    tuple(eliminated), tuple(removed),
                                    tuple(vars_alive), tuple(rows_alive))
-        step = _positive_row_step(Pz, vars_alive, rows_alive)
+        step = positive_row_step(Pz, vars_alive, rows_alive)
         if step is None:
-            reduced = (_extract(Pz, vars_alive, rows_alive)
+            reduced = (extract_listed(Pz, vars_alive, rows_alive)
                        if eliminated or removed else Pz)
             return NormalizeResult("reduced", reduced, None, tuple(eliminated),
                                    tuple(removed), tuple(vars_alive),
