@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from tropsdp import MinAction, MaxAction, StochGame, apply_F, jsonio
+from tropsdp import (MinAction, MaxAction, Pencil, SignedTrop, StochGame,
+                     apply_F, jsonio)
+from tropsdp.shapley import _certificate
 from tropsdp.tropical import MINUS_INF
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -27,6 +29,20 @@ def example_path(name):
 @pytest.fixture(scope="session")
 def running_pencil():
     return jsonio.pencil_from_json(jsonio.load_json(example_path("running.json")))
+
+
+@pytest.fixture(scope="session")
+def both_signs_pencil():
+    """The 2 x 4 direct sum with values of both signs: variable 0 on rows
+    {0, 1} with F(x)_0 = x_0 + 1, variable 1 on rows {2, 3} with F(x)_1 =
+    x_1 - 2, so chi = (1/2, -1).  From 0 the iterate is (t, -2 t): no
+    epsilon exit comes, and step(X) - X = (1, -2) makes no iterate a
+    certificate, so only the budget ends the loop."""
+    pos, neg = SignedTrop.pos, SignedTrop.neg
+    return Pencil.from_entries(2, 4, [
+        (0, 0, 0, pos(Fraction(1))), (0, 0, 1, neg(Fraction(0))),
+        (0, 1, 1, pos(Fraction(1))), (1, 2, 2, pos(Fraction(0))),
+        (1, 2, 3, neg(Fraction(2))), (1, 3, 3, pos(Fraction(0)))])
 
 
 @pytest.fixture(scope="session")
@@ -148,3 +164,16 @@ def floor_of_F(G, X, scale, lam=0):
     from ``apply_F`` on the action tuples: the reference of the grid step."""
     fx = apply_F(G, [Fraction(int(t), scale) for t in X])
     return [math.floor((f - lam) * scale) for f in fx]
+
+
+def first_checked_certificate(grid, n, limit):
+    """(t, status) for the first step t of 1, 2, 4, ... up to limit whose
+    iterate X_t of the orbit of 0 on ``grid`` (``StochGame.operator``)
+    passes ``_certificate``, or None: where the certificate stop of the
+    loop comes, unless an epsilon exit comes first."""
+    step, x = grid[2], np.zeros(n, dtype=object)
+    for t in range(1, limit + 1):
+        x = step(x)
+        if t & (t - 1) == 0 and (status := _certificate(step, x)) is not None:
+            return t, status
+    return None

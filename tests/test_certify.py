@@ -221,13 +221,35 @@ def test_operator_at_the_int64_bound(over, kernel_dtypes):
     assert set(kernel_dtypes) == set(map(np.dtype, widths))
 
 
-def test_the_loop_widens_before_int64_could_overflow(kernel_dtypes):
-    # rewards 2^51 over the grid 2^K0 fit int64, but 16 steps of the
-    # iterate would not: the bound counts the growth to the next check
-    c = 2**51
-    report = check_feasibility(two_cycles(c), max_iters=100)
-    assert report.witness == (100 * c, -100 * c)
-    assert set(kernel_dtypes) == {np.dtype(object)}
+def test_the_loop_widens_before_int64_could_overflow(monkeypatch):
+    # rewards 2^51 over the grid 2^K0 fit int64, and so do the first
+    # iterates, but not for long: the bound counts the growth to the next
+    # check, so no int64 iterate X_t plus (next check - t) R reaches
+    # INT64_ROOM, and the loop widens at the first check where it would,
+    # at step 2; with rewards 2^46 - 1 that is step 64
+    inputs, apply = [], StochGame._apply
+
+    def recorded(self, x, max_r, min_r, halve=True):
+        inputs.append((x.dtype, int(np.abs(x).max())))
+        return apply(self, x, max_r, min_r, halve)
+
+    monkeypatch.setattr(StochGame, "_apply", recorded)
+    for c, checkpoint in ((2**51, 2), (2**46 - 1, 64)):
+        G = two_cycles(c)
+        reach = G.operator(0, 1 << K0)[1]
+        inputs.clear()
+        report = check_feasibility(G, max_iters=100)
+        assert report.witness == (100 * c, -100 * c)
+        # one kernel call per step, on X_t: int64 up to the check, then
+        # ints from its step X_(checkpoint + 1) on
+        assert len(inputs) == 100
+        dtypes = [dtype for dtype, _ in inputs]
+        assert dtypes == [np.dtype(np.int64)] * (checkpoint + 1) + \
+            [np.dtype(object)] * (99 - checkpoint)
+        assert inputs[checkpoint][1] + checkpoint * reach >= INT64_ROOM
+        for t, (_, top) in enumerate(inputs[:checkpoint + 1]):
+            next_check = 1 << max(t - 1, 0).bit_length()
+            assert top + (next_check - t) * reach < INT64_ROOM
 
 
 def reference_pair(G, v, lam):
@@ -357,7 +379,7 @@ def test_feasibility_certificate_above_margin(worked_game):
 
 def test_feasibility_certificate_at_the_margin(worked_game):
     # shifting by the exact margin zeroes the mean payoff, so no epsilon
-    # exit comes; the iterate on the floor grid at step 64 is a
+    # exit comes; the iterate on the floor grid at step 16 is a
     # certificate all the same, though not a strict one
     cert = feasibility_certificate(worked_game, F(1, 28), max_iters=200)
     assert cert.vector == (F(2449, 7168), F(-4975, 7168), F(423, 1024))
@@ -408,7 +430,7 @@ def test_exact_mode_produces_a_valid_certificate(worked_game):
 @pytest.mark.parametrize("exact", [False, True], ids=["double", "exact"])
 def test_certificates_10_to_the_minus_7_from_the_value(worked_game, exact):
     # the shifted games have value +-10^-7 per step: the epsilon exits would
-    # take about 7 * 10^5 steps, a checked iterate certifies after 64
+    # take about 7 * 10^5 steps, a checked iterate certifies after 32
     near = F(1, 10**7)
     epsilon = UNDERFLOWING if exact else F(1, 10**8)
     cert = feasibility_certificate(worked_game, F(1, 28) - near, epsilon)

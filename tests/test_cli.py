@@ -37,11 +37,10 @@ def trivial_pencil(tmp_path):
 
 
 @pytest.fixture
-def zero_cycle_pencil(tmp_path):
-    return write_pencil(tmp_path, "cycle0.json", 2, 2, [
-        (0, 0, 0, POS(F(0))), (0, 1, 1, NEG(F(0))),
-        (1, 0, 0, NEG(F(0))), (1, 1, 1, POS(F(0))),
-    ])
+def both_signs_path(tmp_path, both_signs_pencil):
+    path = tmp_path / "both_signs.json"
+    jsonio.dump_json(jsonio.pencil_to_json(both_signs_pencil), str(path))
+    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +51,8 @@ def test_check_feasible(capsys):
     assert run(["check", RUNNING]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "Feasible"
-    assert report["iterations"] == 20
-    assert report["witness"] == ["521/512", "0", "279/256"]
+    assert report["iterations"] == 8
+    assert report["witness"] == ["161/256", "-209/512", "713/1024"]
     assert report["epsilon"] == "1/100000000"
 
 
@@ -92,8 +91,8 @@ def test_check_free_ray(tmp_path, capsys):
     assert "feasible ray" in out.err
 
 
-def test_check_indeterminate(zero_cycle_pencil, capsys):
-    assert run(["check", zero_cycle_pencil, "--max-iters", "50"]) == 20
+def test_check_indeterminate(both_signs_path, capsys):
+    assert run(["check", both_signs_path, "--max-iters", "50"]) == 20
     out = capsys.readouterr()
     assert json.loads(out.out)["verdict"] == "Indeterminate"
     assert "indeterminate at this precision" in out.err
@@ -633,7 +632,7 @@ def test_underflowing_epsilon_needs_exact(capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     report = json.loads(captured.out)
-    assert (report["verdict"], report["iterations"]) == ("Feasible", 20)
+    assert (report["verdict"], report["iterations"]) == ("Feasible", 8)
     assert report["epsilon"] == "1/1" + "0" * 400
 
 
@@ -647,13 +646,14 @@ PHASE = ["phase", "--n-list", "3", "--m-list", "2", "--samples", "2",
 ], ids=["check", "certify", "phase"])
 def test_epsilon_past_the_largest_double(argv, capsys):
     # an epsilon past the largest double: no epsilon exit comes, and a
-    # checkpoint decides instead
+    # checkpoint decides instead, the running example's at step 8 as at
+    # any epsilon
     assert run([*argv, "--eps", HUGE]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     if argv[0] == "check":
         report = json.loads(captured.out)
-        assert (report["verdict"], report["iterations"]) == ("Feasible", 64)
+        assert (report["verdict"], report["iterations"]) == ("Feasible", 8)
 
 
 def test_phase_passes_epsilon_as_a_rational(capsys):

@@ -6,7 +6,8 @@ the pencil of ``gen --n N --m M --seed S`` and ``{file:NAME}`` the JSON
 object ``FILES[NAME]``; each is written to a temporary file first.
 
 An intended change of output is recorded by regenerating the golden file,
-``PYTHONPATH=src python tests/test_cli_golden.py``, and reviewing its diff.
+``PYTHONPATH=src python tests/test_cli_golden.py``, which prints a line for
+each case whose bytes change, and reviewing its diff.
 """
 
 import contextlib
@@ -280,7 +281,7 @@ CASES = (
     + [["exact", "--policies", "--dump-chain", f"{{gen:3:3:{seed}}}"]
        for seed in (0, 1, 2)]
     + [["exact", "{gen:2:4:0}"], ["solve-game", "--policies", "{file:tied_game}"]]
-    # near the boundary: decided by an iterate checked after 64 steps
+    # near the boundary: decided by the iterate checked after 32 steps
     + [[*cmd, f"{{file:{name}}}"]
        for name in ("near_feasible", "near_infeasible")
        for cmd in (["check"],)]
@@ -290,7 +291,7 @@ CASES = (
     + [["affine", f"{{file:{name}}}"]
        for name in ("dominion_affine", "losing_affine", "chance_split_affine",
                     "direct_sum_affine", "dense_affine")]
-    # value exactly 0: decided by the iterate checked after 64 steps
+    # value exactly 0: decided by the iterate checked after 16 steps
     + [["check", "{file:at_margin}"], ["certify", "--lambda=1/28", "{running}"]]
 )
 
@@ -350,14 +351,34 @@ def test_one_process_writes_the_corpus_in_either_order(paths):
                                              case["stderr"])
 
 
+def _outcome(case) -> str:
+    """The exit code, and for a JSON report its verdict and iterations."""
+    try:
+        report = json.loads(case["stdout"])
+    except ValueError:
+        report = None
+    if isinstance(report, dict) and "verdict" in report:
+        return (f"exit {case['exit']} {report['verdict']} "
+                f"iterations {report['iterations']}")
+    return f"exit {case['exit']}"
+
+
 def main() -> None:
+    """Rewrite the golden file, printing a line for each case whose bytes
+    change: its argv and its outcome before -> after (``_outcome``)."""
+    old = {json.dumps(case["argv"]): case
+           for case in (_golden() if os.path.exists(GOLDEN) else [])}
     with tempfile.TemporaryDirectory() as directory:
         paths = _materialize(directory)
         cases = []
         for argv in CASES:
             code, out, err = _run(argv, paths)
-            cases.append({"argv": argv, "exit": code, "stdout": out,
-                          "stderr": err})
+            case = {"argv": argv, "exit": code, "stdout": out, "stderr": err}
+            before = old.get(json.dumps(argv))
+            if before != case:
+                was = "(new)" if before is None else _outcome(before)
+                print(f"{' '.join(argv)}: {was} -> {_outcome(case)}")
+            cases.append(case)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump({"cases": cases}, fh, indent=1, ensure_ascii=False)
         fh.write("\n")

@@ -28,7 +28,6 @@ from tropsdp.certify import _check_pair, _superharmonic
 from tropsdp.markov import chain_from_policies
 from tropsdp import shapley
 from tropsdp.shapley import (
-    FIRST_CHECK,
     GUARANTEED,
     K0,
     UNKNOWN,
@@ -41,8 +40,9 @@ from tropsdp.shapley import (
 )
 from tropsdp.tropical import MINUS_INF
 
-from conftest import (dyadic_rationals, floor_of_F, games, shift_of_the_tuples,
-                      small_rationals, sparse_json_games, trop_points)
+from conftest import (dyadic_rationals, first_checked_certificate, floor_of_F,
+                      games, shift_of_the_tuples, small_rationals,
+                      sparse_json_games, trop_points)
 
 F = Fraction
 
@@ -208,26 +208,28 @@ def test_structural_check(running_pencil):
 # value iteration
 # ---------------------------------------------------------------------------
 
-def test_worked_example_feasible_in_twenty_iterations(worked_game):
+def test_worked_example_feasible_in_eight_iterations(worked_game):
+    # the iterate of step 8 is subharmonic, 12 steps before the epsilon exit
     report = check_feasibility(worked_game)
     assert report.verdict == "Feasible"
-    assert report.iterations == 20
+    assert report.iterations == 8
     assert report.epsilon == F(1, 10**8)
-    assert report.witness == (F(521, 512), F(0), F(279, 256))
-    assert (report.exit, report.bits) == ("epsilon", K0)
+    assert report.witness == (F(161, 256), F(-209, 512), F(713, 1024))
+    assert (report.exit, report.bits) == ("certificate", K0)
     fw = apply_F(worked_game, report.witness)
     assert all(a <= b for a, b in zip(report.witness, fw))
 
 
 def test_exact_engine_matches_on_worked_example(worked_game):
-    # the exact run holds F^t(0) itself, so its running maximum has 2^21
-    # in the denominator after 20 steps; the K0 grid rounds it down
+    # the exact run holds F^t(0) itself; both stop at the certificate of
+    # step 8, and the K0 grid rounds nothing in its first K0 steps, so
+    # both return the same iterate
     fast = check_feasibility(worked_game)
-    status, iters, _, v, _ = value_iteration_raw(
+    status, iters, u, v, _ = value_iteration_raw(
         worked_game, F(1, 10**8), 10**6, exact=True)
     assert (fast.verdict, fast.iterations, status) == ("Feasible", iters, "feasible")
-    assert v == (F(2139951, 2**21), F(0), F(2289749, 2**21))
-    assert all(a <= b for a, b in zip(fast.witness, v))
+    assert (iters, fast.bits) == (K0, K0)
+    assert u == v == fast.witness
 
 
 def test_negative_cycle_is_infeasible():
@@ -237,18 +239,19 @@ def test_negative_cycle_is_infeasible():
     assert report.witness == (F(-1),)
 
 
-def test_zero_cycle_is_indeterminate():
-    report = check_feasibility(cycle_game(0, 0), max_iters=50)
+def test_values_of_both_signs_are_indeterminate(both_signs_pencil):
+    report = check_feasibility(game_from_pencil(both_signs_pencil), max_iters=50)
     assert report.verdict == "Indeterminate"
     assert report.iterations == 50
+    assert report.witness == (F(50), F(-100))
     assert report.exit == "budget"
 
 
 def test_zero_cycle_is_decided_at_the_first_check(monkeypatch):
     # F(0) = 0: the iterate 0 is subharmonic, though no epsilon exit comes;
     # the certificate stop proved that in integers, so the witness is not
-    # checked a second time: one check, after the kernel calls of the first
-    # FIRST_CHECK steps and the check's own step
+    # checked a second time: one check, at step 1, after the kernel call of
+    # the first step and the check's own step
     calls, checked = [], []
     apply, certificate = StochGame._apply, shapley._certificate
 
@@ -264,21 +267,26 @@ def test_zero_cycle_is_decided_at_the_first_check(monkeypatch):
     monkeypatch.setattr(shapley, "_certificate", counted)
     report = check_feasibility(cycle_game(0, 0))
     assert report.verdict == "Feasible"
-    assert report.iterations == FIRST_CHECK
+    assert report.iterations == 1
     assert report.witness == (F(0),)
     assert report.exit == "certificate"
-    assert checked == [FIRST_CHECK + 1]
-    assert len(calls) == FIRST_CHECK + 1
+    assert checked == [2]
+    assert len(calls) == 2
 
 
-def test_raw_iteration_exposes_running_envelopes(worked_game):
-    # the running maximum v of u_0 = 0, ..., u_19; no running minimum
+def test_raw_iteration_exposes_running_envelopes():
+    # the iterate alternates across the epsilon band while it drifts up by
+    # d = epsilon / 20 per step, so no checked iterate is a certificate and
+    # the epsilon exit comes at u_20 = (epsilon, epsilon); v is the running
+    # maximum of u_0 = 0, ..., u_19, and there is no running minimum
+    epsilon = F(1, 10**8)
+    d = epsilon / 20
     for exact in (False, True):
         status, iters, u, v, w = value_iteration_raw(
-            worked_game, F(1, 10**8), 10**6, exact=exact)
+            swapped(1, d), epsilon, 10**6, exact=exact)
         assert (status, iters, w) == ("feasible", 20, None)
-        assert all(vi >= 0 for vi in v)
-        assert all(ui >= F(1, 10**8) for ui in u)
+        assert u == (epsilon, epsilon)
+        assert v == (1 + 19 * d, 18 * d)
 
 
 def test_epsilon_must_be_positive(worked_game):
@@ -487,13 +495,52 @@ def test_near_boundary_is_decided_by_a_checked_iterate(worked_game, k, side,
     report = check_feasibility(g, epsilon=UNDERFLOWING if exact else F(1, 10**8))
     assert report.verdict == ("Feasible" if side > 0 else "Infeasible")
     assert report.exit == "certificate"
-    assert FIRST_CHECK <= report.iterations <= 2 * FIRST_CHECK
+    stop, status = first_checked_certificate(g.operator(0, 1 << K0), g.n, 1024)
+    assert (report.iterations, status) == (stop, report.verdict.lower())
     if side > 0:
         assert verify_subharmonic(g, report.witness)[0]
     else:
         assert _superharmonic(g, report.witness, 0) == (True, True)
     assert report.bits == K0
     assert max(map(digits, report.witness)) < 100
+
+
+def test_near_boundary_stops_at_step_32_after_33_kernel_calls(worked_game,
+                                                               monkeypatch):
+    # the running example at value +-10^-5 per step: the checks at 1, ...,
+    # 16 fail, and each one's step is the next iterate; the check at 32
+    # passes with one kernel call of its own
+    calls = []
+    apply = StochGame._apply
+
+    def counted(self, x, max_r, min_r, halve=True):
+        calls.append(len(x))
+        return apply(self, x, max_r, min_r, halve)
+
+    monkeypatch.setattr(StochGame, "_apply", counted)
+    for side in (1, -1):
+        g = shift_of_the_tuples(worked_game, side * F(1, 10**5) - RUNNING_MARGIN)
+        calls.clear()
+        report = check_feasibility(g)
+        assert (report.exit, report.iterations, len(calls)) == \
+            ("certificate", 32, 33)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=games(), lam=small_rationals, bits=st.integers(0, K0))
+def test_certificate_bounds_persist_along_the_orbit(g, lam, bits):
+    # the step is monotone and commutes with integer shifts, so X + c <=
+    # step(X) gives step(X) + c <= step(step(X)): along the orbit of 0,
+    # min(step(X) - X) never falls and max(step(X) - X) never rises, and a
+    # certificate at one step is one at every later step
+    step = g.operator(lam, 1 << bits)[2]
+    x = np.zeros(g.n, dtype=object)
+    low, high = -math.inf, math.inf
+    for _ in range(40):
+        fx = step(x)
+        moves = (fx - x).tolist()
+        assert low <= min(moves) and max(moves) <= high
+        low, high, x = min(moves), max(moves), fx
 
 
 def two_cycles(a, b):
@@ -546,12 +593,12 @@ def test_checks_come_at_doublings_of_the_first(exact, monkeypatch):
     monkeypatch.setattr(shapley, "_certificate", counted)
     status, iters, *_ = value_iteration_raw(g, F(1, 10**8), 1000, exact)
     assert (status, iters) == ("indeterminate", 1000)
-    assert checked == [64, 128, 256, 512]
+    assert checked == [1 << k for k in range(1000 .bit_length())]
 
 
 def test_a_step_calls_the_kernel_once(monkeypatch):
     # the same 1 000-step run: a failed check's step is the next iterate,
-    # so the four checks at 64, ..., 512 add no kernel call
+    # so the ten checks at 1, 2, 4, ..., 512 add no kernel call
     calls = []
     apply = StochGame._apply
 
@@ -571,15 +618,25 @@ def test_a_step_calls_the_kernel_once(monkeypatch):
 
 def every_step_iterate(grid, n, epsilon, max_iters):
     """The loop with an epsilon test at every step and a check whose step
-    is discarded: the reference of ``_iterate``."""
+    is discarded: the reference of ``_iterate``.  At every step it asserts
+    that min(step(X) - X) has not fallen and max(step(X) - X) has not
+    risen, so that a certificate persists, and at every check after 1, 2,
+    4, ... steps that the check passes iff some iterate so far was a
+    certificate: the stop is the first check from that iterate on."""
     scale, reach, step = grid
     bound = math.ceil(epsilon * scale)
-    x = shapley._widened(np.zeros(n, dtype=np.int64), reach * FIRST_CHECK)
+    x = shapley._widened(np.zeros(n, dtype=np.int64), reach)
     v = x.copy()
-    iters, checkpoint = 0, FIRST_CHECK
+    iters, checkpoint = 0, 1
+    low, high, certified = -math.inf, math.inf, False
     while x.max() > -bound and x.min() < bound:
+        moves = step(x) - x
+        assert low <= moves.min() and moves.max() <= high
+        low, high = int(moves.min()), int(moves.max())
+        certified = certified or low >= 0 or high < 0
         if iters == checkpoint:
             status = _certificate(step, x)
+            assert (status is not None) == certified
             if status is not None:
                 return status, iters, x, x, "certificate"
             x = shapley._widened(x, reach * checkpoint)
@@ -594,10 +651,14 @@ def every_step_iterate(grid, n, epsilon, max_iters):
     return verdict, iters, x, v, "epsilon"
 
 
-def swapped(a):
-    """F(x) = (a + x_1, x_0 - a): from 0 the iterate alternates between
-    (a, -a) and (-a, a), across the epsilon band, so every step is tested."""
-    return StochGame(2, 2, ((MinAction((0,), F(a)),), (MinAction((1,), F(-a)),)),
+def swapped(a, drift=0):
+    """F(x) = (a + x_1, x_0 - a) + drift: from 0 the iterate alternates
+    between (a, -a) and (-a, a), across the epsilon band, so every step is
+    tested, and moves up by drift at each step.  F(u) - u is (a, -a) or
+    (-a, a), plus drift, so while |drift| < a no iterate is a
+    certificate."""
+    return StochGame(2, 2, ((MinAction((0,), F(a) + drift),),
+                            (MinAction((1,), F(-a) + drift),)),
                      ((MaxAction(1, F(0)),), (MaxAction(0, F(0)),)))
 
 
@@ -613,7 +674,7 @@ def loop_corpus(worked_game):
     """(game, epsilon, max_iters) runs of every kind of stop."""
     for side in (1, -1):  # the running example at value +-10^-5 per step
         g = shift_of_the_tuples(worked_game, side * F(1, 10**5) - RUNNING_MARGIN)
-        for max_iters in (0, 63, 64, 65, 200):
+        for max_iters in (0, 1, 2, 31, 32, 33, 200):
             yield g, F(1, 10**8), max_iters
     rng = random.Random(23)
     for grid in (2, 8, 2**10, 2**31):
@@ -621,7 +682,7 @@ def loop_corpus(worked_game):
             spec = GenSpec(rng.randint(1, 8), rng.randint(2, 6),
                            rng.randrange(10**6), grid)
             g = game_from_pencil(gen_random(spec))
-            for max_iters in (0, 1, 63, 64, 65, 200, 3000):
+            for max_iters in (0, 1, 2, 3, 64, 200, 3000):
                 yield g, F(1, 10**8), max_iters
             yield g, F(1, 100), 3000
     for p in range(3, 40):  # the 10^8 family
@@ -646,7 +707,8 @@ def loop_corpus(worked_game):
 def test_epsilon_tests_where_an_exit_can_come_change_no_run(worked_game):
     # _iterate skips the epsilon tests that no exit can pass and reuses the
     # check's step: the same stop, step count, iterates and dtypes as the
-    # loop that tests every step
+    # loop that tests every step, whose certificate stop is the first
+    # check from the first certified iterate on
     def comparable(run):
         return [(t.dtype, t.tolist()) if isinstance(t, np.ndarray) else t
                 for t in run]
