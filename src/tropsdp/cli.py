@@ -214,16 +214,16 @@ def _chain_to_json(info) -> dict:
 
 
 def _describe_policies(G, pair) -> str:
-    sigma, tau = pair
+    """The actions of the pair (sigma, tau), read off the game's arrays."""
+    sigma, tau = G.min_seg + pair[0], G.max_seg + pair[1]
     lines = []
-    for k, a in enumerate(sigma):
-        act = G.min_actions[k][a]
-        rows = "".join(f" row {t + 1}" for t in act.targets)
-        lines.append(f"  Min {k + 1}: ->{rows}, pays {act.reward}")
-    for i, a in enumerate(tau):
-        act = G.max_actions[i][a]
-        lines.append(f"  Max {i + 1}: -> var {act.target + 1}, "
-                     f"receives {act.reward}")
+    for k, (i, j, r) in enumerate(zip(G.min_i[sigma].tolist(), G.min_j[sigma].tolist(),
+                                      jsonio.format_rationals(G.min_p[sigma], G.den))):
+        rows = f" row {i + 1}" + (f" row {j + 1}" if j != i else "")
+        lines.append(f"  Min {k + 1}: ->{rows}, pays {r}")
+    for i, (t, r) in enumerate(zip(G.max_t[tau].tolist(),
+                                   jsonio.format_rationals(G.max_p[tau], G.den))):
+        lines.append(f"  Max {i + 1}: -> var {t + 1}, receives {r}")
     return "\n".join(lines)
 
 

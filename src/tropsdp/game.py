@@ -7,14 +7,14 @@ pays its reward r^a_k, and nature moves to Max state i or j with probability
 play moves to Min state k.  Both players always have at least one action.
 
 ``StochGame`` is the one game class: it stores the flat integer arrays that
-value iteration, the exact witness check, the translation back to a pencil
-and the dominion fixpoint ``largest_dominion`` run on, and reads them as
-tuples of actions with Fraction rewards for JSON and the exact reference
-evaluators.  Every evaluation of F on the arrays runs in integers, through
-the one front end ``StochGame.operator``: on a dyadic grid for value
-iteration, and on a grid that holds F(v) exactly for the check of a
-rational vector v.  ``INT64_ROOM`` is the one bound under which these
-integers stay int64.
+value iteration, the exact witness check, the translation back to a pencil,
+the JSON writer and the dominion fixpoint ``largest_dominion`` run on.  The
+constructor and the JSON reader build them in one step, ``_canonical``;
+tuples of actions with Fraction rewards are a view built on first read.
+Every evaluation of F on the arrays runs in integers, through the one front
+end ``StochGame.operator``: on a dyadic grid for value iteration, and on a
+grid that holds F(v) exactly for the check of a rational vector v.
+``INT64_ROOM`` is the one bound under which these integers stay int64.
 
 A Metzler pencil turns into such a game (``game_from_pencil``) by reading
 negatively signed entries of Q^(k) as Min actions of state k and positively
@@ -32,6 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -69,11 +70,6 @@ class MaxAction:
         object.__setattr__(self, "reward", as_fraction(self.reward))
 
 
-def _fraction_view(p: np.ndarray, den: int) -> np.ndarray:
-    """p / den as an object array of Fractions."""
-    return np.array([Fraction(q, den) for q in p.tolist()], dtype=object)
-
-
 def _segment_starts(count) -> np.ndarray:
     """Where each state's block of actions starts, from the per-state
     action counts."""
@@ -85,17 +81,42 @@ def _owners(seg: np.ndarray, total: int) -> np.ndarray:
     return np.repeat(np.arange(len(seg)), np.diff(seg, append=total))
 
 
-def _compile(max_t, max_seg, max_gain, min_i, min_j, min_seg,
-             min_cost) -> tuple:
-    """The arrays of ``StochGame.from_arrays`` from per-action lists of
-    Fraction Max rewards and Min costs (the negated Min rewards)."""
-    den = math.lcm(*{q.denominator for q in max_gain},
-                   *{q.denominator for q in min_cost})
-    max_p = [q.numerator * (den // q.denominator) for q in max_gain]
-    min_p = [-q.numerator * (den // q.denominator) for q in min_cost]
-    index = lambda seq: np.array(seq, dtype=np.intp)
-    return (index(max_t), index(max_seg), int_array(max_p),
-            index(min_i), index(min_j), index(min_seg), int_array(min_p), den)
+def _blocks(items: list, seg: np.ndarray) -> list:
+    """items, one per action, cut into the states' blocks laid out by seg."""
+    cuts = seg.tolist()
+    return [items[lo:hi] for lo, hi in zip(cuts, cuts[1:] + [len(items)])]
+
+
+def _check_shape(n: int, m: int, min_states: int, max_states: int) -> None:
+    if n < 1 or m < 1:
+        raise ValidationError(f"game needs n >= 1 and m >= 1, got ({n}, {m})")
+    if min_states != n:
+        raise ValidationError("min_actions must list every Min state")
+    if max_states != m:
+        raise ValidationError("max_actions must list every Max state")
+
+
+def _canonical(n: int, m: int, min_rows: list, max_rows: list) -> tuple:
+    """The arrays of ``StochGame.from_arrays`` from one row per action:
+    (k, i, j, reward) for Min state k with targets i <= j (j = i for a
+    singleton), (i, k, reward) for Max state i with target k; every state
+    owns a row.  The Fraction rewards go over the lcm of their denominators,
+    one stable lexsort per player orders the rows, and equal rows go."""
+    den = math.lcm(*{row[-1].denominator for row in chain(min_rows, max_rows)})
+
+    def rows(table: list, states: int) -> tuple:
+        *keys, rewards = zip(*table)
+        keys = [*(np.array(key, dtype=np.intp) for key in keys),
+                int_array([q.numerator * (den // q.denominator) for q in rewards])]
+        order = np.lexsort(keys[::-1])
+        keys = [key[order] for key in keys]
+        new = np.append(True, np.any([key[1:] != key[:-1] for key in keys], axis=0))
+        state, *cols = (key[new] for key in keys)
+        return _segment_starts(np.bincount(state, minlength=states)), *cols
+
+    max_seg, max_t, max_p = rows(max_rows, m)
+    min_seg, min_i, min_j, min_p = rows(min_rows, n)
+    return max_t, max_seg, max_p, min_i, min_j, min_seg, min_p, den
 
 
 class StochGame:
@@ -113,51 +134,40 @@ class StochGame:
 
     ``StochGame(n, m, min_actions, max_actions)`` builds the game from one
     nonempty tuple of ``MinAction`` per Min state and of ``MaxAction`` per
-    Max state; duplicates are dropped and each state's actions sorted.
-    ``min_actions`` and ``max_actions`` read the actions back in that order.
-    Two games are equal when they have the same actions in the same order.
+    Max state, in the step ``_canonical`` that the JSON reader shares:
+    duplicates are dropped and each state's actions sorted by targets, then
+    reward.  The game keeps only the arrays; ``min_actions`` and
+    ``max_actions`` read the actions back in that order, as tuples built on
+    first read.  Two games are equal when they have the same actions in the
+    same order.
     """
 
     def __init__(self, n: int, m: int, min_actions: tuple, max_actions: tuple):
-        if n < 1 or m < 1:
-            raise ValidationError(f"game needs n >= 1 and m >= 1, got ({n}, {m})")
-        if len(min_actions) != n:
-            raise ValidationError("min_actions must list every Min state")
-        if len(max_actions) != m:
-            raise ValidationError("max_actions must list every Max state")
-        canon_min = []
+        _check_shape(n, m, len(min_actions), len(max_actions))
+        min_rows, max_rows = [], []
         for k, actions in enumerate(min_actions):
             if not actions:
                 raise ValidationError(f"Min state {k} has no actions")
             for a in actions:
                 if not all(0 <= i < m for i in a.targets):
                     raise ValidationError(f"Min state {k} action targets {a.targets} out of range")
-            canon_min.append(tuple(sorted(set(actions), key=lambda a: (a.targets, a.reward))))
-        canon_max = []
+                min_rows.append((k, a.targets[0], a.targets[-1], a.reward))
         for i, actions in enumerate(max_actions):
             if not actions:
                 raise ValidationError(f"Max state {i} has no actions")
             for b in actions:
                 if not 0 <= b.target < n:
                     raise ValidationError(f"Max state {i} action target {b.target} out of range")
-            canon_max.append(tuple(sorted(set(actions), key=lambda b: (b.target, b.reward))))
-        flat_max = [b for acts in canon_max for b in acts]
-        flat_min = [a for acts in canon_min for a in acts]
-        starts = lambda canon: _segment_starts([len(acts) for acts in canon])
-        self._store(*_compile(
-            [b.target for b in flat_max], starts(canon_max), [b.reward for b in flat_max],
-            [a.targets[0] for a in flat_min], [a.targets[-1] for a in flat_min],
-            starts(canon_min), [-a.reward for a in flat_min]))
-        self._tuples = (tuple(canon_min), tuple(canon_max))
+                max_rows.append((i, b.target, b.reward))
+        self._store(*_canonical(n, m, min_rows, max_rows))
 
     @classmethod
     def from_arrays(cls, max_t, max_seg, max_p, min_i, min_j, min_seg, min_p,
                     den: int) -> "StochGame":
         """The game stored in these arrays, whose actions must come in the
-        order the tuple constructor sorts them."""
+        canonical order of ``_canonical``."""
         game = cls.__new__(cls)
         game._store(max_t, max_seg, max_p, min_i, min_j, min_seg, min_p, den)
-        game._tuples = None
         return game
 
     def _store(self, max_t, max_seg, max_p, min_i, min_j, min_seg, min_p, den):
@@ -165,6 +175,7 @@ class StochGame:
         self.min_i, self.min_j, self.min_seg, self.min_p = min_i, min_j, min_seg, min_p
         self.den = den
         self.n, self.m = len(min_seg), len(max_seg)
+        self._tuples = None
 
     @property
     def min_actions(self) -> tuple:
@@ -178,14 +189,13 @@ class StochGame:
 
     def _actions(self) -> tuple:
         if self._tuples is None:
-            max_r, min_r = (_fraction_view(p, self.den) for p in (self.max_p, self.min_p))
-            max_t, min_i, min_j = (a.tolist() for a in (self.max_t, self.min_i, self.min_j))
-            bounds = lambda seg, total: zip(seg.tolist(), seg.tolist()[1:] + [total])
-            self._tuples = (
-                tuple(tuple(MinAction((min_i[a], min_j[a]), min_r[a]) for a in range(lo, hi))
-                      for lo, hi in bounds(self.min_seg, len(min_i))),
-                tuple(tuple(MaxAction(max_t[a], max_r[a]) for a in range(lo, hi))
-                      for lo, hi in bounds(self.max_seg, len(max_t))))
+            min_r, max_r = ([Fraction(q, self.den) for q in p.tolist()]
+                            for p in (self.min_p, self.max_p))
+            mins = [MinAction((i, j), r) for i, j, r in
+                    zip(self.min_i.tolist(), self.min_j.tolist(), min_r)]
+            maxs = [MaxAction(t, r) for t, r in zip(self.max_t.tolist(), max_r)]
+            self._tuples = tuple(tuple(map(tuple, _blocks(acts, seg))) for acts, seg
+                                 in ((mins, self.min_seg), (maxs, self.max_seg)))
         return self._tuples
 
     def __eq__(self, other):

@@ -8,7 +8,8 @@ i <= j; omitted entries stand for minus infinity.
 Pencil records are checked column by column with array masks, and their
 values, JSON integers or "p" and "p/q" in JSON integers, parsed by one
 ``json.loads``; any other record sends the pencil through a per-record loop
-that words every error.
+that words every error.  Game records always go through such a loop into
+``StochGame``'s build step, and both writers read the arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .certify import Certificate
 from .errors import ValidationError
-from .game import MaxAction, MinAction, StochGame
+from .game import StochGame, _blocks, _canonical, _check_shape
 from .pencil import Pencil, _check_size, int_array
 from .shapley import IterationReport
 from .tropical import NEG, POS
@@ -64,16 +65,21 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def format_rationals(num: np.ndarray, den: int) -> list:
+    """``format_rational`` of each num[e] / den, for an integer array num."""
+    return [format_rational(Fraction(p, den)) for p in num.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # Pencils
 # ---------------------------------------------------------------------------
 
 def pencil_to_json(P: Pencil) -> dict:
     matrices = [{"entries": []} for _ in range(P.n)]
-    for k, i, j, sign, p in zip(*(a.tolist() for a in (P.k, P.i, P.j, P.sign, P.num))):
+    for k, i, j, sign, val in zip(*(a.tolist() for a in (P.k, P.i, P.j, P.sign)),
+                                  format_rationals(P.num, P.den)):
         matrices[k]["entries"].append({
-            "i": i + 1, "j": j + 1, "sign": "+" if sign > 0 else "-",
-            "val": format_rational(Fraction(p, P.den))})
+            "i": i + 1, "j": j + 1, "sign": "+" if sign > 0 else "-", "val": val})
     return {"n": P.n, "m": P.m, "affine": P.affine, "matrices": matrices}
 
 
@@ -190,23 +196,17 @@ def pencil_from_json(obj) -> Pencil:
 # ---------------------------------------------------------------------------
 
 def game_to_json(G: StochGame) -> dict:
-    return {
-        "n": G.n,
-        "m": G.m,
-        "min_actions": [
-            [{"to": [t + 1 for t in a.targets],
-              "reward": format_rational(a.reward)} for a in acts]
-            for acts in G.min_actions
-        ],
-        "max_actions": [
-            [{"to": a.target + 1, "reward": format_rational(a.reward)}
-             for a in acts]
-            for acts in G.max_actions
-        ],
-    }
+    mins = [{"to": [i + 1] if i == j else [i + 1, j + 1], "reward": r}
+            for i, j, r in zip(G.min_i.tolist(), G.min_j.tolist(),
+                               format_rationals(G.min_p, G.den))]
+    maxs = [{"to": t + 1, "reward": r}
+            for t, r in zip(G.max_t.tolist(), format_rationals(G.max_p, G.den))]
+    return {"n": G.n, "m": G.m, "min_actions": _blocks(mins, G.min_seg),
+            "max_actions": _blocks(maxs, G.max_seg)}
 
 
 def game_from_json(obj) -> StochGame:
+    """The game of a JSON object, read by one per-record loop."""
     if not isinstance(obj, dict):
         raise ValidationError("game file must contain a JSON object")
     try:
@@ -216,43 +216,31 @@ def game_from_json(obj) -> StochGame:
         raise ValidationError(f"game object is missing key {exc}") from exc
     if not isinstance(raw_min, list) or not isinstance(raw_max, list):
         raise ValidationError("min_actions and max_actions must be lists")
-    min_actions = []
-    for k, acts in enumerate(raw_min):
-        if not isinstance(acts, list):
-            raise ValidationError(f"actions of Min state {k + 1} must be a list")
-        if not acts:
-            raise ValidationError(f"Min state {k + 1} has no actions")
-        row = []
-        for rec in acts:
-            if not isinstance(rec, dict):
-                raise ValidationError(f"bad action record {rec!r}")
-            targets = rec.get("to")
-            if (not isinstance(targets, list) or not 1 <= len(targets) <= 2
-                    or not all(type(t) is int and 1 <= t <= m for t in targets)):
-                raise ValidationError(
-                    f'Min action "to" must list one or two row states in '
-                    f"1..{m}, got {targets!r} at state {k + 1}")
-            row.append(MinAction(tuple(t - 1 for t in targets),
-                                 parse_rational(rec.get("reward", 0))))
-        min_actions.append(tuple(row))
-    max_actions = []
-    for i, acts in enumerate(raw_max):
-        if not isinstance(acts, list):
-            raise ValidationError(f"actions of Max state {i + 1} must be a list")
-        if not acts:
-            raise ValidationError(f"Max state {i + 1} has no actions")
-        row = []
-        for rec in acts:
-            if not isinstance(rec, dict):
-                raise ValidationError(f"bad action record {rec!r}")
-            target = rec.get("to")
-            if type(target) is not int or not 1 <= target <= n:
-                raise ValidationError(
-                    f'Max action "to" must be a column state index in 1..{n}, '
-                    f"got {target!r} at state {i + 1}")
-            row.append(MaxAction(target - 1, parse_rational(rec.get("reward", 0))))
-        max_actions.append(tuple(row))
-    return StochGame(n, m, tuple(min_actions), tuple(max_actions))
+    rows = {"Min": [], "Max": []}
+    for player, states in (("Min", raw_min), ("Max", raw_max)):
+        for s, acts in enumerate(states):
+            if not isinstance(acts, list):
+                raise ValidationError(f"actions of {player} state {s + 1} must be a list")
+            if not acts:
+                raise ValidationError(f"{player} state {s + 1} has no actions")
+            for rec in acts:
+                if not isinstance(rec, dict):
+                    raise ValidationError(f"bad action record {rec!r}")
+                to = rec.get("to")
+                if player == "Min" and (
+                        not isinstance(to, list) or not 1 <= len(to) <= 2
+                        or not all(type(t) is int and 1 <= t <= m for t in to)):
+                    raise ValidationError(
+                        f'Min action "to" must list one or two row states in '
+                        f"1..{m}, got {to!r} at state {s + 1}")
+                if player == "Max" and (type(to) is not int or not 1 <= to <= n):
+                    raise ValidationError(
+                        f'Max action "to" must be a column state index in 1..{n}, '
+                        f"got {to!r} at state {s + 1}")
+                to = (min(to) - 1, max(to) - 1) if player == "Min" else (to - 1,)
+                rows[player].append((s, *to, parse_rational(rec.get("reward", 0))))
+    _check_shape(n, m, len(raw_min), len(raw_max))
+    return StochGame.from_arrays(*_canonical(n, m, rows["Min"], rows["Max"]))
 
 
 # ---------------------------------------------------------------------------

@@ -202,16 +202,16 @@ def _iterate(grid: tuple, n: int, epsilon: Fraction, max_iters: int):
     is the next iterate.  Along the orbit min(step(X) - X) never falls and
     max(step(X) - X) never rises, the step being monotone and commuting
     with integer shifts, so a certificate at step t holds at every later
-    step and the loop stops at the first power of two from t on.  At each
-    check the int64 bound is tested again for the steps to the next one,
-    and X, its step and V become Python ints when it fails.
+    step and the loop stops at the first power of two from t on.  Each
+    check tests the int64 bound again up to the next check's own step, and
+    X, its step and V become Python ints when it fails.
 
     Returns (status, iterations, X, V, exit), exit naming the stop that
     ended the run: "epsilon", "certificate" or "budget".
     """
     scale, reach, step = grid
     bound = math.ceil(epsilon * scale)  # X >= epsilon S iff X >= bound
-    x = _widened(np.zeros(n, dtype=np.int64), reach)
+    x = _widened(np.zeros(n, dtype=np.int64), 2 * reach)
     v, kernel, fx = x.copy(), step.bind(x.dtype), None
     iters, checkpoint = 0, 1
     # the next epsilon test comes at step `test`; move bounds every move from
@@ -230,7 +230,7 @@ def _iterate(grid: tuple, n: int, epsilon: Fraction, max_iters: int):
             status = _certificate(kernel, x, fx)
             if status is not None:
                 return status, iters, x, x, "certificate"
-            x = _widened(x, reach * checkpoint)
+            x = _widened(x, reach * (checkpoint + 1))
             fx, v = fx.astype(x.dtype, copy=False), v.astype(x.dtype, copy=False)
             kernel = step.bind(x.dtype)
             checkpoint *= 2

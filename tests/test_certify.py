@@ -209,10 +209,11 @@ def two_cycles(c):
 @pytest.mark.parametrize("over", [0, 1], ids=["int64", "object"])
 def test_operator_at_the_int64_bound(over, kernel_dtypes):
     # on the grid 2^K0 a step moves the iterate by at most R = 2^(K0+1) c,
-    # and at step 128 the bound |X| + 128 R on the steps to the next check
-    # is 3 2^15 c: 2^61 - 2^15 for c = (2^46 - 1) / 3, which stays in
-    # int64, and 2^61 + 2^16 for c + 1, which goes on in Python ints
-    c = (2**46 - 1) // 3 + over
+    # and at step 128 the bound |X| + 129 R on the steps to the next check
+    # and that check's own step is 193 2^9 c: 2^61 - 177 2^9 for
+    # c = (2^52 - 1) // 193, which stays in int64, and 2^61 + 2^13 for
+    # c + 1, which goes on in Python ints
+    c = (2**52 - 1) // 193 + over
     report = check_feasibility(two_cycles(c), max_iters=200)
     assert (report.verdict, report.iterations, report.exit) == \
         ("Indeterminate", 200, "budget")
@@ -222,11 +223,13 @@ def test_operator_at_the_int64_bound(over, kernel_dtypes):
 
 
 def test_the_loop_widens_before_int64_could_overflow(monkeypatch):
-    # rewards 2^51 over the grid 2^K0 fit int64, and so do the first
-    # iterates, but not for long: the bound counts the growth to the next
-    # check, so no int64 iterate X_t plus (next check - t) R reaches
-    # INT64_ROOM, and the loop widens at the first check where it would,
-    # at step 2; with rewards 2^46 - 1 that is step 64
+    # rewards 2^51 over the grid 2^K0 leave no room for the first steps, so
+    # the loop starts in Python ints; rewards 2^50 fit int64, and so do the
+    # first iterates, but not for long.  The bound counts the growth to the
+    # next check and that check's own step, so no int64 iterate X_t plus
+    # (next check - t + 1) R reaches INT64_ROOM, and the loop widens at the
+    # first check where one would, at step 2; with rewards 2^46 - 1 that
+    # is step 64
     inputs, apply = [], StochGame._apply
 
     def recorded(self, x, max_r, min_r, halve=True):
@@ -234,22 +237,25 @@ def test_the_loop_widens_before_int64_could_overflow(monkeypatch):
         return apply(self, x, max_r, min_r, halve)
 
     monkeypatch.setattr(StochGame, "_apply", recorded)
-    for c, checkpoint in ((2**51, 2), (2**46 - 1, 64)):
+    for c, widened in ((2**51, 0), (2**50, 2), (2**46 - 1, 64)):
         G = two_cycles(c)
         reach = G.operator(0, 1 << K0)[1]
         inputs.clear()
         report = check_feasibility(G, max_iters=100)
         assert report.witness == (100 * c, -100 * c)
-        # one kernel call per step, on X_t: int64 up to the check, then
-        # ints from its step X_(checkpoint + 1) on
+        # one kernel call per step, on X_t: int64 up to the check at step
+        # `widened`, then ints from its step X_(widened + 1) on; widened 0
+        # is the start, before any int64 call
         assert len(inputs) == 100
+        calls = widened + 1 if widened else 0
         dtypes = [dtype for dtype, _ in inputs]
-        assert dtypes == [np.dtype(np.int64)] * (checkpoint + 1) + \
-            [np.dtype(object)] * (99 - checkpoint)
-        assert inputs[checkpoint][1] + checkpoint * reach >= INT64_ROOM
-        for t, (_, top) in enumerate(inputs[:checkpoint + 1]):
+        assert dtypes == [np.dtype(np.int64)] * calls + \
+            [np.dtype(object)] * (100 - calls)
+        next_check = max(2 * widened, 1)
+        assert inputs[widened][1] + (next_check - widened + 1) * reach >= INT64_ROOM
+        for t, (_, top) in enumerate(inputs[:calls]):
             next_check = 1 << max(t - 1, 0).bit_length()
-            assert top + (next_check - t) * reach < INT64_ROOM
+            assert top + (next_check - t + 1) * reach < INT64_ROOM
 
 
 def reference_pair(G, v, lam):

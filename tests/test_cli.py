@@ -76,6 +76,49 @@ def test_check_reads_no_action_tuples(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_game_file_commands_read_no_action_tuples(tmp_path, monkeypatch,
+                                                  capsys):
+    from tropsdp import MaxAction, MinAction, StochGame
+
+    # unsorted and duplicate actions, targets given high first and twice
+    game = tmp_path / "losing.json"
+    jsonio.dump_json({"n": 2, "m": 2, "min_actions": [
+        [{"to": [2, 1], "reward": "-1/3"}, {"to": [1], "reward": "-1"},
+         {"to": [1, 2], "reward": "-1/3"}],
+        [{"to": [2, 2], "reward": "-2"}],
+    ], "max_actions": [
+        [{"to": 2, "reward": "1/4"}, {"to": 1}],
+        [{"to": 2, "reward": "0.5"}],
+    ]}, str(game))
+    cert = tmp_path / "cert.json"
+    commands = (["game", RUNNING], ["solve-game", str(game), "--policies"],
+                ["certify", str(game), "--game", "--lambda=-1/100"],
+                ["certify", str(game), "--game", "--check", str(cert)],
+                ["exact", RUNNING, "--policies"])
+
+    def outputs():
+        seen = []
+        for argv in commands:
+            code = run(argv)
+            out, err = capsys.readouterr()
+            if argv[-1] == "--lambda=-1/100":
+                cert.write_text(out)
+            seen.append((code, out, err))
+        return seen
+
+    expected = outputs()
+    assert [code for code, _, _ in expected] == [0, 10, 0, 0, 0]
+    assert "optimal pair:" in expected[1][2]
+
+    def refuse(*args):
+        raise AssertionError("a game file command built action tuples")
+
+    monkeypatch.setattr(StochGame, "_actions", refuse)
+    monkeypatch.setattr(MinAction, "__post_init__", refuse)
+    monkeypatch.setattr(MaxAction, "__post_init__", refuse)
+    assert outputs() == expected
+
+
 def test_check_trivial_instance(trivial_pencil, capsys):
     assert run(["check", trivial_pencil]) == 10
     report = json.loads(capsys.readouterr().out)

@@ -4,16 +4,21 @@ import copy
 import gc
 import io
 import json
+import math
 import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from tropsdp import (
     Certificate,
+    MaxAction,
+    MinAction,
     Pencil,
+    StochGame,
     ValidationError,
     check_feasibility,
     game_from_pencil,
@@ -305,6 +310,66 @@ def test_column_reader_runs_with_the_collector_paused(enabled):
 def test_game_round_trip(dominion_game):
     again = jsonio.game_from_json(jsonio.game_to_json(dominion_game))
     assert again == dominion_game
+
+
+def random_game_json(rng, big):
+    """A well-formed game object with n, m in 1..4: actions in random order,
+    some repeated, Min targets given as [j, i] or [i, i], rewards omitted or
+    integers, "p/q" and "0.25" literals, and with ``big`` one of 2^64 + 1."""
+    n, m = rng.randint(1, 4), rng.randint(1, 4)
+
+    def reward():
+        p, q = rng.randint(-9, 9), rng.choice((1, 2, 3, 4))
+        return rng.choice((None, p, f"{p}/{q}", f"{p / 4}"))
+
+    def record(to):
+        value = reward()
+        return {"to": to} if value is None else {"to": to, "reward": value}
+
+    def shuffled(recs):
+        recs += [dict(rec) for rec in rng.sample(recs, rng.randint(0, len(recs)))]
+        rng.shuffle(recs)
+        return recs
+
+    min_actions = [shuffled([record(rng.choice(([i], [i, i], [j, i], [i, j])))
+                             for i, j in (sorted(rng.choices(range(1, m + 1), k=2))
+                                          for _ in range(rng.randint(1, 3)))])
+                   for _ in range(n)]
+    max_actions = [shuffled([record(rng.randint(1, n)) for _ in range(rng.randint(1, 3))])
+                   for _ in range(m)]
+    if big:
+        rng.choice(min_actions + max_actions)[0]["reward"] = 2**64 + 1
+    return {"n": n, "m": m, "min_actions": min_actions, "max_actions": max_actions}
+
+
+def sorted_states(states, key) -> tuple:
+    """Each state's distinct actions, sorted by ``key``."""
+    return tuple(tuple(sorted(set(acts), key=key)) for acts in states)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_game_from_json_equals_the_game_of_its_actions(seed):
+    # the reader and the constructor share the build step, so its canonical
+    # order is also checked against per-state Python sorts of the actions
+    rng = random.Random(seed)
+    reward = lambda rec: jsonio.parse_rational(rec.get("reward", 0))
+    for trial in range(50):
+        big = trial % 5 == 0
+        obj = random_game_json(rng, big)
+        mins = tuple(tuple(MinAction(tuple(t - 1 for t in rec["to"]), reward(rec))
+                           for rec in acts) for acts in obj["min_actions"])
+        maxs = tuple(tuple(MaxAction(rec["to"] - 1, reward(rec)) for rec in acts)
+                     for acts in obj["max_actions"])
+        G, H = jsonio.game_from_json(obj), StochGame(obj["n"], obj["m"], mins, maxs)
+        assert G == H and G.den == H.den
+        for name in ("max_t", "max_seg", "max_p", "min_i", "min_j", "min_seg", "min_p"):
+            assert getattr(G, name).dtype == getattr(H, name).dtype
+        assert object in (G.min_p.dtype, G.max_p.dtype) if big else \
+            G.min_p.dtype == G.max_p.dtype == np.int64
+        assert G.min_actions == sorted_states(mins, lambda a: (a.targets, a.reward))
+        assert G.max_actions == sorted_states(maxs, lambda b: (b.target, b.reward))
+        assert G.den == math.lcm(*(a.reward.denominator for acts in mins + maxs
+                                   for a in acts))
 
 
 def test_game_from_json_validates_targets():

@@ -625,7 +625,7 @@ def every_step_iterate(grid, n, epsilon, max_iters):
     certificate: the stop is the first check from that iterate on."""
     scale, reach, step = grid
     bound = math.ceil(epsilon * scale)
-    x = shapley._widened(np.zeros(n, dtype=np.int64), reach)
+    x = shapley._widened(np.zeros(n, dtype=np.int64), 2 * reach)
     v = x.copy()
     iters, checkpoint = 0, 1
     low, high, certified = -math.inf, math.inf, False
@@ -639,7 +639,7 @@ def every_step_iterate(grid, n, epsilon, max_iters):
             assert (status is not None) == certified
             if status is not None:
                 return status, iters, x, x, "certificate"
-            x = shapley._widened(x, reach * checkpoint)
+            x = shapley._widened(x, reach * (checkpoint + 1))
             v = v.astype(x.dtype, copy=False)
             checkpoint *= 2
         if iters >= max_iters:
@@ -690,7 +690,7 @@ def loop_corpus(worked_game):
         for q in range(3, 40):
             yield game_from_pencil(one_variable(a + F(1, q), a - F(1, q), a)), \
                 F(1, 10**8), 10**6
-    c = (2**46 - 1) // 3 + 1  # widens at step 128, from test_certify
+    c = (2**52 - 1) // 193 + 1  # widens at step 128, from test_certify
     wide = StochGame(2, 2, ((MinAction((0,), F(c)),), (MinAction((1,), F(-c)),)),
                      ((MaxAction(0, F(0)),), (MaxAction(1, F(0)),)))
     # F(x) = x +- 1/256 moves by exactly 1/256 per step, and reaches the
