@@ -25,7 +25,7 @@ from .errors import ValidationError
 from .game import game_from_pencil
 from .pencil import Pencil
 from .shapley import _decide
-from .tropical import NEG, POS
+from .tropical import NEG, POS, as_fraction
 
 DEFAULT_GRID = 2**31
 
@@ -107,7 +107,7 @@ def _run_sample(spec: GenSpec, epsilon, max_iters: int, timing: bool):
         raise ValidationError("dense instances need m >= 2 so Min can move")
     game = game_from_pencil(gen_random(spec))
     start = time.perf_counter()
-    status, iters = _decide(game, Fraction(epsilon), max_iters)[:2]
+    status, iters = _decide(game, as_fraction(epsilon), max_iters)[:2]
     return status, iters, time.perf_counter() - start if timing else None
 
 
@@ -134,10 +134,14 @@ def phase_diagram(n_list: Sequence[int], m_list: Sequence[int], samples: int = 1
     Runs `samples` seeded instances per (n, m) cell, one after another, so
     no timed run overlaps another; with timing disabled the output is
     byte-identical across runs (wall clock is the only nondeterministic
-    column).
+    column).  epsilon is a positive exact rational, as for
+    ``check_feasibility``: a nonpositive one raises ValidationError, and
+    any other float TypeError.
     """
     if samples < 1:
         raise ValidationError("need at least one sample per cell")
+    if not epsilon > 0:
+        raise ValidationError(f"epsilon must be positive, got {epsilon}")
     return [_run_cell(n, m, samples, epsilon, seed, max_iters, timing)
             for n in n_list for m in m_list]
 

@@ -30,12 +30,10 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import CertificateInvalid, DeltaTooLarge, ValidationError
 from .game import StochGame, _widened
 from .pencil import int_array
-from .shapley import _check_point, _decide
+from .shapley import _bracket, _check_point, _decide
 from .tropical import MINUS_INF, as_fraction
 
 
@@ -43,8 +41,9 @@ def _check_pair(G: StochGame, v: Sequence, lam) -> tuple:
     """(X, step(X)) for a finite rational vector v at margin lam on the
     grid S = 2 lcm(den, the denominators of lam and v) of
     ``StochGame.operator``, where every reward and Max value is even, so
-    X = S v and step(X) = S (F(v) - lam) exactly.  The pair decides lam +
-    v <= F(v), F(v) <= lam + v and their strict forms."""
+    X = S v and step(X) = S (F(v) - lam) exactly.  Its bracket
+    (``shapley._bracket``) decides lam + v <= F(v), F(v) <= lam + v and
+    their strict forms."""
     if any(t is MINUS_INF for t in v):
         raise ValidationError("vector must be finite (no -oo entries)")
     v, lam = tuple(map(as_fraction, v)), as_fraction(lam)
@@ -59,14 +58,14 @@ def _check_pair(G: StochGame, v: Sequence, lam) -> tuple:
 
 def verify_subharmonic(G: StochGame, v: Sequence, lam=Fraction(0)):
     """Exact check of lambda + v <= F(v); returns (holds, strict)."""
-    x, fx = _check_pair(G, v, lam)
-    return bool(np.all(x <= fx)), bool(np.all(x < fx))
+    lo, _ = _bracket(*_check_pair(G, v, lam))
+    return lo >= 0, lo > 0
 
 
 def _superharmonic(G: StochGame, u: Sequence, lam):
     """Exact check of F(u) <= lambda + u; returns (holds, strict)."""
-    x, fx = _check_pair(G, u, lam)
-    return bool(np.all(fx <= x)), bool(np.all(fx < x))
+    _, hi = _bracket(*_check_pair(G, u, lam))
+    return hi <= 0, hi < 0
 
 
 def verify_superharmonic(G: StochGame, u: Sequence, lam) -> bool:

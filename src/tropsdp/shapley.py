@@ -14,19 +14,18 @@ u := F(u) from 0 while keeping the running entrywise maximum v; if all
 entries of u drop to -epsilon the problem is infeasible, and if they all
 climb to +epsilon then v itself is a feasible point.
 
-The loop also stops at the first checked iterate that is an exact
-certificate.  After 1, 2, 4, ... steps it tests the current iterate u in
-integers: u <= F(u) makes u a feasible point, and F(u) < u in every entry
-drives F^t(0) to -oo, so the spectrahedron is trivial.  This is the bound
-min(F(u) - u) <= chi <= max(F(u) - u) on the game's value chi, and it
-persists along the orbit: the floor step below is monotone and commutes
-with integer shifts, so X + c <= step(X) for an integer c gives step(X) + c
-<= step(step(X)), and min(step(X) - X) never falls, nor max(step(X) - X)
-rises.  An iterate that is a certificate at step t is one at every later
-step, so the check at the first power of two from t on decides, after
-about log2 t checks.  Near the boundary, where the epsilon exits take about
-(span + epsilon) / |chi| steps, the running example at value +-10^-5 per
-step is decided at step 32.
+The whole loop runs on one value bracket.  After 1, 2, 4, ... steps it
+computes step(u) for the current iterate u, in integers, and the bracket
+[min(F(u) - u), max(F(u) - u)], which holds the game's value chi: u <=
+F(u) makes u a feasible point, and F(u) < u in every entry drives F^t(0)
+to -oo, so the spectrahedron is trivial.  The bracket only narrows along
+the orbit: the floor step below is monotone and commutes with integer
+shifts, so X + c <= step(X) for an integer c gives step(X) + c <=
+step(step(X)).  An iterate that is a certificate at step t is one at every
+later step, so the check at the first power of two from t on decides,
+after about log2 t checks.  Near the boundary, where the epsilon exits
+take about (span + epsilon) / |chi| steps, the running example at value
++-10^-5 per step is decided at step 32.
 
 The iteration runs in integers on a dyadic grid, and every part of it
 takes a margin lambda (0 by default).  On the grid S = lcm(den, lambda's
@@ -45,14 +44,12 @@ are bounded.  Every verdict is thus checked exactly; whether all states
 share one mean payoff bears only on whether an epsilon exit comes.
 
 A step of the loop costs the kernel and the running maximum, and the
-epsilon test runs only where an exit can come.  Being monotone and
-commuting with integer shifts, the floor step is nonexpansive in the sup
-norm (Crandall and Tartar, Proc. AMS 1980), so no move |X_(s+1) - X_s| of
-the orbit exceeds an earlier one: after a test that finds the iterate D
-units from both exits, no exit can come for (D - 1) // move steps, move
-being a measured earlier move, and none ever comes once a move is 0.  A
-failed check's step is the next iterate, so a check costs no kernel call
-of its own, only its two comparisons and the int64 bound.
+epsilon test runs only where an exit can come: every later move of the
+iterate lies in the last check's bracket, so a test that finds no exit
+bounds how soon the iterate's minimum can climb to +epsilon or its maximum
+fall to -epsilon, and the next test waits that long.  A failed check's
+step is the next iterate, so a check costs no kernel call of its own, only
+its bracket and the int64 bound.
 `recession` runs the same kernel with zero rewards over Fractions and -oo.
 `apply_F` evaluates F over Fractions and -oo from the game's action tuples;
 it is the exact reference the arrays are tested against.
@@ -164,17 +161,22 @@ class IterationReport:
     exit: str | None = None
 
 
-def _certificate(step, x, fx=None) -> str | None:
-    """"feasible" if lam + u <= F(u), "infeasible" if F(u) < lam + u in
-    every entry, None otherwise, for u = X / S on the grid of ``step``
-    (``StochGame.operator``), from fx = step(x) when the caller has it.
-    Exact with one step, since for an integer X and a real y, X <= y iff
+def _bracket(x, fx) -> tuple:
+    """(lo, hi) = (min, max) of fx - x for fx = step(x) of
+    ``StochGame.operator``: the value bracket of u = X / S in units of the
+    grid.  It decides lam + u <= F(u) (lo >= 0) and F(u) < lam + u in every
+    entry (hi < 0) exactly, since for an integer X and a real y, X <= y iff
     X <= floor(y) and y < X iff floor(y) < X."""
-    if fx is None:
-        fx = step(x)
-    if np.all(x <= fx):
+    d = fx - x
+    return int(d.min()), int(d.max())
+
+
+def _certificate(lo: int, hi: int) -> str | None:
+    """"feasible" if the bracket (``_bracket``) makes u subharmonic,
+    "infeasible" if it makes u strictly superharmonic, None otherwise."""
+    if lo >= 0:
         return "feasible"
-    if np.all(fx < x):
+    if hi < 0:
         return "infeasible"
     return None
 
@@ -185,26 +187,24 @@ def _iterate(grid: tuple, n: int, epsilon: Fraction, max_iters: int):
     every entry of X is <= -epsilon S ("infeasible") or >= epsilon S
     ("feasible"), or max_iters steps ran ("indeterminate").
 
-    The epsilon test runs only where an exit can come.  The step is
-    monotone and commutes with integer shifts, so it is nonexpansive in the
-    sup norm: no move |X_(s+1) - X_s| exceeds an earlier one.  A test at
-    X_t that finds no exit is D = min(bound - min X_t, max X_t + bound)
-    units from one (bound = ceil(epsilon S)), so with move bounding
-    |X_(t+1) - X_t| none can come in the next (D - 1) // move steps, and
-    the next test waits that long; a move of 0 is a fixed point, where none
-    ever comes.  move is R at the first test and is measured after the
-    next; while tests leave no steps to skip, it is measured again only
-    after 1, 2, 4, ... of them, the move measured last standing in for it.
+    The whole loop runs on the bracket [lo, hi] of step(X) - X
+    (``_bracket``), [-R, R] until the first check.  After 1, 2, 4, ...
+    steps the current iterate is checked: its step gives the bracket, and
+    the loop stops there, with X in place of V, if the bracket makes X a
+    certificate (``_certificate``); otherwise the check's step(X) is the
+    next iterate.  A certificate at step t holds at every later step, as
+    the bracket only narrows along the orbit, so the loop stops at the
+    first power of two from t on.  Each check tests the int64 bound again
+    up to the next check's own step, and X, its step and V become Python
+    ints when it fails.
 
-    After 1, 2, 4, ... steps the current iterate is tested exactly
-    (``_certificate``): if it is subharmonic or strictly superharmonic the
-    loop stops there, with X in place of V; otherwise the check's step(X)
-    is the next iterate.  Along the orbit min(step(X) - X) never falls and
-    max(step(X) - X) never rises, the step being monotone and commuting
-    with integer shifts, so a certificate at step t holds at every later
-    step and the loop stops at the first power of two from t on.  Each
-    check tests the int64 bound again up to the next check's own step, and
-    X, its step and V become Python ints when it fails.
+    The epsilon test runs only where an exit can come.  Until a check
+    passes, lo < 0 <= hi, and every later move lies in [lo, hi], so a test
+    at X_t that finds low = min X_t < bound and high = max X_t > -bound
+    (bound = ceil(epsilon S)) bounds min X_s <= low + (s - t) hi and max
+    X_s >= high + (s - t) lo: no exit comes before s - t reaches
+    ceil((bound - low) / hi) (when hi > 0) or ceil((high + bound) / -lo),
+    and the next test waits for the nearer one.
 
     Returns (status, iterations, X, V, exit), exit naming the stop that
     ended the run: "epsilon", "certificate" or "budget".
@@ -213,10 +213,8 @@ def _iterate(grid: tuple, n: int, epsilon: Fraction, max_iters: int):
     bound = math.ceil(epsilon * scale)  # X >= epsilon S iff X >= bound
     x = _widened(np.zeros(n, dtype=np.int64), 2 * reach)
     v, kernel, fx = x.copy(), step.bind(x.dtype), None
-    iters, checkpoint = 0, 1
-    # the next epsilon test comes at step `test`; move bounds every move from
-    # there on, R at first, and is measured after the test when wait is 0
-    test, move, wait, backoff = 0, reach, 1, 1
+    iters, checkpoint, test = 0, 1, 0
+    lo, hi = -reach, reach
     while True:
         tested = iters == test
         if tested:
@@ -227,7 +225,8 @@ def _iterate(grid: tuple, n: int, epsilon: Fraction, max_iters: int):
                 return "feasible", iters, x, v, "epsilon"
         if iters == checkpoint:
             fx = kernel(x)
-            status = _certificate(kernel, x, fx)
+            lo, hi = _bracket(x, fx)
+            status = _certificate(lo, hi)
             if status is not None:
                 return status, iters, x, x, "certificate"
             x = _widened(x, reach * (checkpoint + 1))
@@ -236,22 +235,12 @@ def _iterate(grid: tuple, n: int, epsilon: Fraction, max_iters: int):
             checkpoint *= 2
         if iters >= max_iters:
             return "indeterminate", iters, x, v, "budget"
+        if tested:
+            wait = -((high + bound) // lo)
+            test = iters + (min(wait, -((low - bound) // hi)) if hi else wait)
         np.maximum(v, x, out=v)
         if fx is None:
             fx = kernel(x)
-        if tested:
-            measured = not wait
-            if measured:
-                move = int(np.abs(fx - x).max())
-            else:
-                wait -= 1
-            if move:
-                quiet = (min(bound - low, high + bound) - 1) // move
-                test = iters + 1 + quiet
-                if measured:
-                    wait, backoff = (backoff, 2 * backoff) if quiet == 0 else (0, 1)
-            else:
-                test = -1  # a fixed point: no exit ever comes
         x, fx = fx, None
         iters += 1
 
@@ -303,12 +292,13 @@ def _decide(G: StochGame, epsilon: Fraction, max_iters: int, lam=0):
     while True:
         grid = G.operator(lam, 1 << bits)
         status, iters, x, v, stop = _iterate(grid, G.n, epsilon, max_iters)
+        checked = lambda step, y: _certificate(*_bracket(y, step(y)))
         witness = x
         if stop == "epsilon" and status == "feasible":
-            witness = v if _certificate(grid[2], v) == "feasible" else None
-        elif stop == "epsilon" and _certificate(grid[2], x) != "infeasible":
+            witness = v if checked(grid[2], v) == "feasible" else None
+        elif stop == "epsilon" and checked(grid[2], x) != "infeasible":
             z, grid = _tilted_min(G, iters, epsilon, bits, lam)
-            witness = z if _certificate(grid[2], z) == "infeasible" else None
+            witness = z if checked(grid[2], z) == "infeasible" else None
         if witness is not None:
             return status, iters, _to_fractions(witness, grid[0]), bits, stop
         if bits >= iters:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tropsdp import (MinAction, MaxAction, Pencil, SignedTrop, StochGame,
                      apply_F, jsonio)
-from tropsdp.shapley import _certificate
+from tropsdp.shapley import _bracket, _certificate
 from tropsdp.tropical import MINUS_INF
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -166,14 +166,20 @@ def floor_of_F(G, X, scale, lam=0):
     return [math.floor((f - lam) * scale) for f in fx]
 
 
+def certificate_of(step, x):
+    """The certificate (``_certificate``) that the bracket of x and its
+    step makes of x, or None."""
+    return _certificate(*_bracket(x, step(x)))
+
+
 def first_checked_certificate(grid, n, limit):
     """(t, status) for the first step t of 1, 2, 4, ... up to limit whose
     iterate X_t of the orbit of 0 on ``grid`` (``StochGame.operator``)
-    passes ``_certificate``, or None: where the certificate stop of the
-    loop comes, unless an epsilon exit comes first."""
+    is a certificate (``certificate_of``), or None: where the certificate
+    stop of the loop comes, unless an epsilon exit comes first."""
     step, x = grid[2], np.zeros(n, dtype=object)
     for t in range(1, limit + 1):
         x = step(x)
-        if t & (t - 1) == 0 and (status := _certificate(step, x)) is not None:
+        if t & (t - 1) == 0 and (status := certificate_of(step, x)) is not None:
             return t, status
     return None

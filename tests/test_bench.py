@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tropsdp import StochGame, ValidationError, game_from_pencil, jsonio
+from tropsdp import (StochGame, ValidationError, check_feasibility,
+                     game_from_pencil, jsonio)
 from tropsdp.bench import (
     CSV_HEADER,
     CellResult,
@@ -146,7 +147,7 @@ def test_dense_iteration_matches_exact_verdict():
     for seed in (*range(5), *LATE_SEEDS):
         spec = GenSpec(4, 3, seed=seed)
         game = game_from_pencil(gen_random(spec))
-        status, iters, _ = _run_sample(spec, 1e-6, 1000, False)
+        status, iters, _ = _run_sample(spec, F(1, 10**6), 1000, False)
         exact_status, exact_iters, _, _, _ = value_iteration_raw(
             game, F(1, 10**6), 1000, exact=True)
         assert (status, iters) == (exact_status, exact_iters)
@@ -162,7 +163,7 @@ def test_sweep_samples_stop_at_a_certificate(seed, status):
     # enumeration, agrees with the stop
     spec = GenSpec(4, 3, seed=seed)
     stop, certified = checked_stop(spec)
-    assert _run_sample(spec, 1e-6, 1000, False) == (status, stop, None)
+    assert _run_sample(spec, F(1, 10**6), 1000, False) == (status, stop, None)
     assert certified == status
     chi = game_value_bruteforce(game_from_pencil(gen_random(spec))).chi
     assert all(c > 0 for c in chi) == (status == "feasible")
@@ -186,7 +187,8 @@ def test_cell_result_csv_row():
 
 
 def test_phase_diagram_is_reproducible_without_timing():
-    kwargs = dict(samples=4, epsilon=1e-8, seed=3, max_iters=2000, timing=False)
+    kwargs = dict(samples=4, epsilon=F(1, 10**8), seed=3, max_iters=2000,
+                  timing=False)
     first = phase_diagram([4], [2, 3], **kwargs)
     second = phase_diagram([4], [2, 3], **kwargs)
     assert first == second
@@ -212,6 +214,16 @@ def test_phase_diagram_needs_samples():
 def test_sweeps_reject_nonpositive_epsilon(epsilon):
     with pytest.raises(ValidationError):
         phase_diagram([10], [2, 3], samples=5, epsilon=epsilon)
+
+
+def test_sweeps_refuse_a_float_epsilon_as_check_does():
+    # 1e-8 as a double is not 1/10^8: the sweep refuses it, as
+    # check_feasibility does, rather than run on its binary value
+    game = game_from_pencil(gen_random(GenSpec(3, 3, seed=0)))
+    with pytest.raises(TypeError):
+        check_feasibility(game, epsilon=1e-8)
+    with pytest.raises(TypeError):
+        phase_diagram([3], [3], samples=1, epsilon=1e-8)
 
 
 def test_readme_phase_sweep_is_unchanged():

@@ -31,7 +31,6 @@ from tropsdp.shapley import (
     GUARANTEED,
     K0,
     UNKNOWN,
-    _certificate,
     _iterate,
     _tilted_min,
     recession,
@@ -40,9 +39,10 @@ from tropsdp.shapley import (
 )
 from tropsdp.tropical import MINUS_INF
 
-from conftest import (dyadic_rationals, first_checked_certificate, floor_of_F,
-                      games, shift_of_the_tuples, small_rationals,
-                      sparse_json_games, trop_points)
+from conftest import (certificate_of, dyadic_rationals,
+                      first_checked_certificate, floor_of_F, games,
+                      shift_of_the_tuples, small_rationals, sparse_json_games,
+                      trop_points)
 
 F = Fraction
 
@@ -253,18 +253,18 @@ def test_zero_cycle_is_decided_at_the_first_check(monkeypatch):
     # checked a second time: one check, at step 1, after the kernel call of
     # the first step and the check's own step
     calls, checked = [], []
-    apply, certificate = StochGame._apply, shapley._certificate
+    apply, bracket = StochGame._apply, shapley._bracket
 
     def applied(self, x, max_r, min_r, halve=True):
         calls.append(len(x))
         return apply(self, x, max_r, min_r, halve)
 
-    def counted(step, x, fx=None):
+    def counted(x, fx):
         checked.append(len(calls))
-        return certificate(step, x, fx)
+        return bracket(x, fx)
 
     monkeypatch.setattr(StochGame, "_apply", applied)
-    monkeypatch.setattr(shapley, "_certificate", counted)
+    monkeypatch.setattr(shapley, "_bracket", counted)
     report = check_feasibility(cycle_game(0, 0))
     assert report.verdict == "Feasible"
     assert report.iterations == 1
@@ -343,8 +343,9 @@ def test_grid_step_is_the_floor_of_the_operator(g, bits, lam, data):
        sign=st.sampled_from([1, -1]), data=st.data())
 def test_grid_step_is_nonexpansive(g, bits, lam, sign, data):
     # |step(X) - step(Y)| <= |X - Y| in the sup norm, over int64 and over
-    # Python ints, with lambda of both signs: the loop's epsilon tests rest
-    # on it, since no move of the iterate then exceeds an earlier one
+    # Python ints, with lambda of both signs: a property of the operator
+    # (Crandall and Tartar, Proc. AMS 1980), as the step is monotone and
+    # commutes with integer shifts
     scale, reach, step = g.operator(sign * lam, 1 << bits)
     top = data.draw(st.sampled_from([4 * scale, 2**61 - reach]))
     X = data.draw(st.lists(st.integers(-top, top), min_size=g.n, max_size=g.n))
@@ -445,7 +446,7 @@ def test_rounded_witness_triggers_rational_rerun():
     assert set(game_value_bruteforce(g).chi) == {0}
     grid = g.operator(0, 1 << K0)
     status, iters, x, _, _ = _iterate(grid, g.n, F(1, 10**8), 3000)
-    assert (status, iters, _certificate(grid[2], x)) == ("infeasible", 266, None)
+    assert (status, iters, certificate_of(grid[2], x)) == ("infeasible", 266, None)
     report = check_feasibility(g, max_iters=3000)
     assert (report.verdict, report.iterations, report.bits, report.exit) == \
         ("Indeterminate", 3000, 2 * K0, "budget")
@@ -564,7 +565,7 @@ def test_certificate_is_decided_in_integers():
         for (a, b), expected in cases:
             scale, _, step = two_cycles(a, b).operator(0, 1 << K0)
             u = np.array([scale // 2] * 2, dtype=dtype)
-            assert _certificate(step, u) == expected
+            assert certificate_of(step, u) == expected
     # gaps of half a unit, which the floor step rounds: F(u)_0 = (u_0 +
     # u_1) / 2 and F(u)_1 = u_1 + r, at u = (0, +-1) units
     for r, u1, expected in ((0, 1, "feasible"), (0, -1, None),
@@ -572,7 +573,7 @@ def test_certificate_is_decided_in_integers():
         g = StochGame(2, 2, ((MinAction((0, 1), F(0)),), (MinAction((1,), F(r)),)),
                       ((MaxAction(0, F(0)),), (MaxAction(1, F(0)),)))
         step = g.operator(0, 1 << K0)[2]
-        assert _certificate(step, np.array([0, u1])) == expected
+        assert certificate_of(step, np.array([0, u1])) == expected
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["double", "exact"])
@@ -584,13 +585,13 @@ def test_checks_come_at_doublings_of_the_first(exact, monkeypatch):
     g = two_cycles(0, F(-1, 2))
     scale = g.operator(0, 1 << (1000 if exact else K0))[0]
     checked = []
-    certificate = shapley._certificate
+    bracket = shapley._bracket
 
-    def counted(step, x, fx=None):
+    def counted(x, fx):
         checked.append(F(max(map(abs, x.tolist())), scale) * 2)  # 2 |u_1| = t
-        return certificate(step, x, fx)
+        return bracket(x, fx)
 
-    monkeypatch.setattr(shapley, "_certificate", counted)
+    monkeypatch.setattr(shapley, "_bracket", counted)
     status, iters, *_ = value_iteration_raw(g, F(1, 10**8), 1000, exact)
     assert (status, iters) == ("indeterminate", 1000)
     assert checked == [1 << k for k in range(1000 .bit_length())]
@@ -635,7 +636,7 @@ def every_step_iterate(grid, n, epsilon, max_iters):
         low, high = int(moves.min()), int(moves.max())
         certified = certified or low >= 0 or high < 0
         if iters == checkpoint:
-            status = _certificate(step, x)
+            status = certificate_of(step, x)
             assert (status is not None) == certified
             if status is not None:
                 return status, iters, x, x, "certificate"
@@ -704,15 +705,16 @@ def loop_corpus(worked_game):
                 yield g, epsilon, max_iters
 
 
+def comparable(run):
+    return [(t.dtype, t.tolist()) if isinstance(t, np.ndarray) else t
+            for t in run]
+
+
 def test_epsilon_tests_where_an_exit_can_come_change_no_run(worked_game):
     # _iterate skips the epsilon tests that no exit can pass and reuses the
     # check's step: the same stop, step count, iterates and dtypes as the
     # loop that tests every step, whose certificate stop is the first
     # check from the first certified iterate on
-    def comparable(run):
-        return [(t.dtype, t.tolist()) if isinstance(t, np.ndarray) else t
-                for t in run]
-
     stops = set()
     for g, epsilon, max_iters in loop_corpus(worked_game):
         grid = g.operator(0, 1 << K0)
@@ -725,6 +727,20 @@ def test_epsilon_tests_where_an_exit_can_come_change_no_run(worked_game):
         ("feasible", "certificate"), ("infeasible", "certificate"),
         ("indeterminate", "budget")}
     assert {s[2] for s in stops} == {np.int64, np.object_}
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=games(), lam=small_rationals, bits=st.integers(0, 8),
+       epsilon=st.sampled_from([F(1, 10**8), F(1, 16)]),
+       max_iters=st.integers(0, 300))
+def test_iterate_equals_the_loop_that_tests_every_step(g, lam, bits, epsilon,
+                                                        max_iters):
+    # random rewards and margins of both signs give brackets [lo, hi] far
+    # from symmetric, where the epsilon tests the bracket schedules are
+    # sparse on one side: they still find every exit at its step
+    grid = g.operator(lam, 1 << bits)
+    assert comparable(_iterate(grid, g.n, epsilon, max_iters)) == \
+        comparable(every_step_iterate(grid, g.n, epsilon, max_iters))
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +810,7 @@ def test_infeasible_exit_is_certified_by_the_tilted_minimum(spec):
     g = game_from_pencil(gen_random(spec))
     grid = g.operator(0, 1 << K0)
     status, iters, x, _, _ = _iterate(grid, g.n, F(1, 10**8), 10**6)
-    assert (status, _certificate(grid[2], x)) == ("infeasible", None)
+    assert (status, certificate_of(grid[2], x)) == ("infeasible", None)
     report = check_feasibility(g)
     assert (report.verdict, report.iterations, report.bits, report.exit) == \
         ("Infeasible", iters, K0, "epsilon")
@@ -827,4 +843,4 @@ def test_tilted_minimum_is_rounded_down_to_its_grid(spec, exact):
         assert u == exact_u if exact else all(map(F.__le__, u, exact_u))
         reference = [min(r, uk + s * delta) for r, uk in zip(reference, u)]
     assert z.tolist() == [math.floor(r * fine) for r in reference]
-    assert _certificate(fine_step, z) == "infeasible"
+    assert certificate_of(fine_step, z) == "infeasible"
