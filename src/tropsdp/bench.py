@@ -107,7 +107,7 @@ def _run_sample(spec: GenSpec, epsilon, max_iters: int, timing: bool):
         raise ValidationError("dense instances need m >= 2 so Min can move")
     game = game_from_pencil(gen_random(spec))
     start = time.perf_counter()
-    status, iters = _decide(game, as_fraction(epsilon), max_iters)[:2]
+    status, iters = _decide(game, epsilon, max_iters)[:2]
     return status, iters, time.perf_counter() - start if timing else None
 
 
@@ -135,9 +135,10 @@ def phase_diagram(n_list: Sequence[int], m_list: Sequence[int], samples: int = 1
     no timed run overlaps another; with timing disabled the output is
     byte-identical across runs (wall clock is the only nondeterministic
     column).  epsilon is a positive exact rational, as for
-    ``check_feasibility``: a nonpositive one raises ValidationError, and
-    any other float TypeError.
+    ``check_feasibility``: a float raises TypeError, and a nonpositive
+    rational ValidationError.
     """
+    epsilon = as_fraction(epsilon)
     if samples < 1:
         raise ValidationError("need at least one sample per cell")
     if not epsilon > 0:

@@ -104,8 +104,9 @@ def build_parser() -> _Parser:
                         help="print the JSON/CSV file formats and exit")
     sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND")
 
-    def add(name, help_text, with_input=True):
+    def add(name, handler, help_text, with_input=True):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         if with_input:
             p.add_argument("input", nargs="?", default="-",
                            help="input file, or - for stdin")
@@ -113,50 +114,52 @@ def build_parser() -> _Parser:
                        help="output file, or - for stdout")
         return p
 
-    p = add("check", "decide feasibility of a pencil by value iteration")
-    p.add_argument("--eps", type=_rational, default=Fraction(1, 10**8),
-                   help="termination threshold (rational, default 1/10^8)")
-    p.add_argument("--max-iters", type=int, default=10**6)
+    def iteration_flags(p, max_iters=10**6):
+        p.add_argument("--eps", type=_rational, default=Fraction(1, 10**8),
+                       help="termination threshold (rational, default 1/10^8)")
+        p.add_argument("--max-iters", type=int, default=max_iters)
 
-    p = add("exact", "exact game value / margin by policy enumeration")
-    p.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_CAP,
-                   help="cap on the number of policy pairs to evaluate")
-    p.add_argument("--policies", action="store_true",
-                   help="also print the optimal pair in readable form")
-    p.add_argument("--dump-chain", action="store_true",
-                   help="include the Markov analysis of the optimal pair")
+    def enumeration_flags(p):
+        p.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_CAP,
+                       help="cap on the number of policy pairs to evaluate")
+        p.add_argument("--policies", action="store_true",
+                       help="also print the optimal pair in readable form")
+        p.add_argument("--dump-chain", action="store_true",
+                       help="include the Markov analysis of the optimal pair")
 
-    add("game", "translate a well-formed Metzler pencil to its game")
+    iteration_flags(add("check", _cmd_check,
+                        "decide feasibility of a pencil by value iteration"))
+    enumeration_flags(add("exact", _cmd_exact,
+                          "exact game value / margin by policy enumeration"))
+    add("game", _cmd_game, "translate a well-formed Metzler pencil to its game")
+    enumeration_flags(add("solve-game", _cmd_solve_game,
+                          "exact value of a game given directly as JSON"))
+    add("metzlerize", _cmd_metzlerize,
+        "rewrite a general symmetric pencil as a Metzler one")
+    add("normalize", _cmd_normalize,
+        "strip forced variables/rows; detect trivial instances")
+    add("affine", _cmd_affine,
+        "decide an affine pencil via its largest winning dominion")
 
-    p = add("solve-game", "exact value of a game given directly as JSON")
-    p.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_CAP)
-    p.add_argument("--policies", action="store_true")
-    p.add_argument("--dump-chain", action="store_true")
-
-    add("metzlerize", "rewrite a general symmetric pencil as a Metzler one")
-    add("normalize", "strip forced variables/rows; detect trivial instances")
-
-    add("affine", "decide an affine pencil via its largest winning dominion")
-
-    p = add("gen", "generate a random pencil", with_input=False)
+    p = add("gen", _cmd_gen, "generate a random pencil", with_input=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=int, default=bench_mod.DEFAULT_GRID,
                    help="denominator of the rational entry grid")
 
-    p = add("phase", "feasibility-ratio sweep over a size grid",
+    p = add("phase", _cmd_phase, "feasibility-ratio sweep over a size grid",
             with_input=False)
     p.add_argument("--n-list", type=_int_list, required=True)
     p.add_argument("--m-list", type=_int_list, required=True)
     p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--eps", type=_rational, default=Fraction(1, 10**8))
-    p.add_argument("--max-iters", type=int, default=10**5)
+    iteration_flags(p, max_iters=10**5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-timing", action="store_true",
                    help="omit wall-clock column (output becomes reproducible)")
 
-    p = add("certify", "produce or check (in)feasibility certificates")
+    p = add("certify", _cmd_certify,
+            "produce or check (in)feasibility certificates")
     p.add_argument("--lambda", dest="lam", type=_rational, default=None,
                    help="margin: positive for feasibility, negative for "
                         "infeasibility certificates (write --lambda=-1/100 "
@@ -165,8 +168,7 @@ def build_parser() -> _Parser:
                    help="verify this certificate file against the instance")
     p.add_argument("--game", action="store_true",
                    help="input is a game file rather than a pencil")
-    p.add_argument("--eps", type=_rational, default=Fraction(1, 10**8))
-    p.add_argument("--max-iters", type=int, default=10**6)
+    iteration_flags(p)
 
     return parser
 
@@ -262,11 +264,12 @@ def _cmd_check(args) -> int:
 def _emit_value(args, out: dict, G, value) -> None:
     """The shared tail of `exact` and `solve-game`: under --dump-chain the
     ``markov.analyze`` report of the optimal pair's unfolded chain, run only
-    for that flag, the JSON, then --policies on stderr."""
-    if args.dump_chain:
+    for that flag, the JSON, then --policies on stderr.  Without a value
+    (a trivial `exact` instance) only the JSON."""
+    if value is not None and args.dump_chain:
         out["chain"] = _chain_to_json(optimal_chain(G, value))
     _emit(args, jsonio.dump_json(out))
-    if args.policies:
+    if value is not None and args.policies:
         print("optimal pair:\n" + _describe_policies(G, value.optimal_pair),
               file=sys.stderr)
 
@@ -280,10 +283,7 @@ def _cmd_exact(args) -> int:
         else jsonio.format_rational(result.margin),
         "value": None if result.value is None else _value_to_json(result.value),
     }
-    if result.value is None:
-        _emit(args, jsonio.dump_json(out))
-    else:
-        _emit_value(args, out, result.game, result.value)
+    _emit_value(args, out, result.game, result.value)
     return EXIT_FEASIBLE if result.status == "Nontrivial" else EXIT_INFEASIBLE
 
 
@@ -378,20 +378,6 @@ def _cmd_certify(args) -> int:
     return EXIT_FEASIBLE
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "exact": _cmd_exact,
-    "game": _cmd_game,
-    "solve-game": _cmd_solve_game,
-    "metzlerize": _cmd_metzlerize,
-    "normalize": _cmd_normalize,
-    "affine": _cmd_affine,
-    "gen": _cmd_gen,
-    "phase": _cmd_phase,
-    "certify": _cmd_certify,
-}
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -406,7 +392,7 @@ def run(argv=None) -> int:
         for cap in ("max_iters", "max_pairs"):
             if getattr(args, cap, 1) < 1:
                 raise ValidationError(f"{cap.replace('_', '-')} must be at least 1")
-        return _COMMANDS[args.subcommand](args)
+        return args.handler(args)
     except TropSdpError as exc:
         print(f"tropsdp: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

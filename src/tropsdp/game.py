@@ -325,9 +325,7 @@ def pencil_from_game(G: StochGame) -> Pencil:
                      (len(G.min_p), len(G.max_p)))
     num = np.concatenate((-G.min_p, G.max_p))
     key = (k * G.m + i) * G.m + j
-    order = np.argsort(sign, kind="stable")
-    order = order[np.argsort(num[order], kind="stable")]
-    order = order[np.argsort(key[order], kind="stable")]
+    order = np.lexsort((sign, num, key))
     last = np.append(key[order][1:] != key[order][:-1], True)
     win = order[last]
     return Pencil.from_arrays(G.n, G.m, k[win], i[win], j[win], sign[win],

@@ -245,18 +245,18 @@ def _iterate(grid: tuple, n: int, epsilon: Fraction, max_iters: int):
         iters += 1
 
 
-def _tilted_min(G: StochGame, t: int, epsilon: Fraction, bits: int, lam=0):
+def _tilted_min(G: StochGame, grid, t: int, epsilon: Fraction, bits: int, lam=0):
     """z = floor(S' min over 0 <= s < t of (u_s + s delta)), delta = epsilon
-    / t, for the run's iterates u_s on the grid S of ``bits``, where S' =
-    S 2^j is the coarsest such grid with delta S' >= 2; returns (z, the
-    grid of S').
+    / t, for the run's iterates u_s on its grid S of ``bits``, where
+    ``grid`` is the run's operator and S' = S 2^j the coarsest such grid
+    with delta S' >= 2; returns (z, the grid of S').
 
     For exact iterates F(u_s) - lam = u_(s+1), and a run whose u_t is <=
     -epsilon in every entry gives F(z) - lam < z - delta / 2 in every entry
     by monotonicity and additive homogeneity, because u_t + t delta <= 0 =
     u_0; the run is exact once bits >= t.  On a coarser grid the iterates
     are rounded, and only the check decides.  Replays the run's t steps."""
-    scale, reach, step = G.operator(lam, 1 << bits)
+    scale, _, step = grid
     p, q = (epsilon / t).as_integer_ratio()
     j = (-(-2 * q // (p * scale)) - 1).bit_length()
     fine = G.operator(lam, 1 << (bits + j))
@@ -297,7 +297,7 @@ def _decide(G: StochGame, epsilon: Fraction, max_iters: int, lam=0):
         if stop == "epsilon" and status == "feasible":
             witness = v if checked(grid[2], v) == "feasible" else None
         elif stop == "epsilon" and checked(grid[2], x) != "infeasible":
-            z, grid = _tilted_min(G, iters, epsilon, bits, lam)
+            z, grid = _tilted_min(G, grid, iters, epsilon, bits, lam)
             witness = z if checked(grid[2], z) == "infeasible" else None
         if witness is not None:
             return status, iters, _to_fractions(witness, grid[0]), bits, stop

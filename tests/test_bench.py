@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tropsdp import (StochGame, ValidationError, check_feasibility,
-                     game_from_pencil, jsonio)
+                     feasibility_certificate, game_from_pencil,
+                     infeasibility_certificate, jsonio)
 from tropsdp.bench import (
     CSV_HEADER,
     CellResult,
@@ -210,20 +211,28 @@ def test_phase_diagram_needs_samples():
         phase_diagram([3], [2], samples=0)
 
 
-@pytest.mark.parametrize("epsilon", [0, -1, 1e-400])
+@pytest.mark.parametrize("epsilon", [0, -1])
 def test_sweeps_reject_nonpositive_epsilon(epsilon):
     with pytest.raises(ValidationError):
         phase_diagram([10], [2, 3], samples=5, epsilon=epsilon)
 
 
-def test_sweeps_refuse_a_float_epsilon_as_check_does():
-    # 1e-8 as a double is not 1/10^8: the sweep refuses it, as
-    # check_feasibility does, rather than run on its binary value
+@pytest.mark.parametrize("epsilon", [1e-8, 1e-400, -1.0],
+                         ids=["1e-8", "1e-400", "-1.0"])
+def test_sweeps_refuse_a_float_epsilon_as_check_does(epsilon):
+    # 1e-8 as a double is not 1/10^8, and 1e-400 is 0.0: every entry point
+    # refuses a float with the same exception, whatever its sign, rather
+    # than run on its binary value
     game = game_from_pencil(gen_random(GenSpec(3, 3, seed=0)))
-    with pytest.raises(TypeError):
-        check_feasibility(game, epsilon=1e-8)
-    with pytest.raises(TypeError):
-        phase_diagram([3], [3], samples=1, epsilon=1e-8)
+    entry_points = [
+        lambda: phase_diagram([3], [3], samples=1, epsilon=epsilon),
+        lambda: check_feasibility(game, epsilon=epsilon),
+        lambda: feasibility_certificate(game, F(1, 100), epsilon=epsilon),
+        lambda: infeasibility_certificate(game, F(-1, 100), epsilon=epsilon),
+    ]
+    for call in entry_points:
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_readme_phase_sweep_is_unchanged():

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, formats, plumbing."""
 
+import argparse
 import io
 import json
 import os
@@ -22,6 +23,13 @@ NEG = SignedTrop.neg
 
 RUNNING = example_path("running.json")
 DOMINION = example_path("dominion_game.json")
+
+
+def subparsers():
+    """Each subcommand's parser, by name, in declaration order."""
+    action, = [a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
 
 
 def write_pencil(tmp_path, name, n, m, entries, affine=False):
@@ -549,10 +557,10 @@ def test_one_parser_serves_every_run(monkeypatch, capsys):
     assert capsys.readouterr().out == schema
     # the top-level parser and one per subcommand, once
     assert built.count("tropsdp") == 1
-    assert len(built) == 1 + len(cli._COMMANDS)
+    assert len(built) == 1 + len(subparsers())
 
 
-@pytest.mark.parametrize("argv", [[]] + [[name] for name in cli._COMMANDS],
+@pytest.mark.parametrize("argv", [[]] + [[name] for name in subparsers()],
                          ids=lambda argv: argv[0] if argv else "top")
 def test_help_reads_the_width_when_it_formats(argv, monkeypatch, capsys):
     cli.build_parser()  # built before the widths below are set
@@ -566,6 +574,26 @@ def test_help_reads_the_width_when_it_formats(argv, monkeypatch, capsys):
             pages.append(capsys.readouterr().out)
     assert pages[0] == pages[1] and pages[2] == pages[3]
     assert pages[0] != pages[2]
+
+
+def test_shared_flags_are_declared_once():
+    # a flag that two or more subcommands take reads the same in each: help
+    # text, type and default, but for the smaller --max-iters budget of phase
+    copies = {}
+    for name, parser in subparsers().items():
+        for action in parser._actions:
+            default = action.default
+            if (name, action.dest) == ("phase", "max_iters"):
+                assert default == 10**5
+                default = 10**6
+            for flag in action.option_strings:
+                copies.setdefault(flag, []).append(
+                    (action.help, action.type, default))
+    shared = {flag for flag, seen in copies.items() if len(seen) > 1}
+    assert {"--eps", "--max-iters", "--max-pairs", "--policies",
+            "--dump-chain"} <= shared
+    for flag in shared:
+        assert len(set(copies[flag])) == 1, (flag, copies[flag])
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -669,8 +697,8 @@ def test_caps_below_one_exit_one(argv, name, value, capsys):
 
 
 def test_underflowing_epsilon_needs_exact(capsys):
-    # 1e-400 is a positive rational but 0.0 as a double; the loop runs in
-    # rationals from the start rather than report Infeasible after 0 steps
+    # 1e-400 is 0.0 as a double, but --eps reads it as the exact positive
+    # rational 1/10^400, and the run is decided at step 8
     assert run(["check", RUNNING, "--eps", "1e-400"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""

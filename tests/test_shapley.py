@@ -831,7 +831,7 @@ def test_tilted_minimum_is_rounded_down_to_its_grid(spec, exact):
     grid = g.operator(0, 1 << bits)
     scale, _, step = grid
     assert _iterate(grid, g.n, epsilon, 10**6)[1] == t
-    z, (fine, _, fine_step) = _tilted_min(g, t, epsilon, bits)
+    z, (fine, _, fine_step) = _tilted_min(g, grid, t, epsilon, bits)
     delta = epsilon / t
     assert fine % scale == 0 and delta * fine >= 2
     assert fine == scale or delta * fine < 4
