@@ -103,8 +103,6 @@ def _sample_seed(seed: int, n: int, m: int, s: int) -> int:
 def _run_sample(spec: GenSpec, epsilon, max_iters: int, timing: bool):
     """Decide one instance; returns (status, iters, wall time of the
     decision or None)."""
-    if spec.m < 2:
-        raise ValidationError("dense instances need m >= 2 so Min can move")
     game = game_from_pencil(gen_random(spec))
     start = time.perf_counter()
     status, iters = _decide(game, epsilon, max_iters)[:2]
@@ -143,6 +141,8 @@ def phase_diagram(n_list: Sequence[int], m_list: Sequence[int], samples: int = 1
         raise ValidationError("need at least one sample per cell")
     if not epsilon > 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    if any(m < 2 for m in m_list):
+        raise ValidationError("dense instances need m >= 2 so Min can move")
     return [_run_cell(n, m, samples, epsilon, seed, max_iters, timing)
             for n in n_list for m in m_list]
 

@@ -117,7 +117,14 @@ def build_parser() -> _Parser:
     def iteration_flags(p, max_iters=10**6):
         p.add_argument("--eps", type=_rational, default=Fraction(1, 10**8),
                        help="termination threshold (rational, default 1/10^8)")
-        p.add_argument("--max-iters", type=int, default=max_iters)
+        p.add_argument("--max-iters", type=int, default=max_iters,
+                       help="cap on value-iteration steps "
+                            "(default %(default)s)")
+
+    def seed_flag(p):
+        p.add_argument("--seed", type=int, default=0,
+                       help="nonnegative seed of the random draws "
+                            "(default %(default)s)")
 
     def enumeration_flags(p):
         p.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_CAP,
@@ -142,19 +149,25 @@ def build_parser() -> _Parser:
         "decide an affine pencil via its largest winning dominion")
 
     p = add("gen", _cmd_gen, "generate a random pencil", with_input=False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, required=True,
+                   help="number of variables (matrices in the pencil)")
+    p.add_argument("--m", type=int, required=True,
+                   help="size of each symmetric matrix")
+    seed_flag(p)
     p.add_argument("--grid", type=int, default=bench_mod.DEFAULT_GRID,
                    help="denominator of the rational entry grid")
 
     p = add("phase", _cmd_phase, "feasibility-ratio sweep over a size grid",
             with_input=False)
-    p.add_argument("--n-list", type=_int_list, required=True)
-    p.add_argument("--m-list", type=_int_list, required=True)
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--n-list", type=_int_list, required=True,
+                   help="comma-separated numbers of variables")
+    p.add_argument("--m-list", type=_int_list, required=True,
+                   help="comma-separated matrix sizes, each at least 2")
+    p.add_argument("--samples", type=int, default=10,
+                   help="random pencils per (n, m) cell "
+                        "(default %(default)s)")
     iteration_flags(p, max_iters=10**5)
-    p.add_argument("--seed", type=int, default=0)
+    seed_flag(p)
     p.add_argument("--no-timing", action="store_true",
                    help="omit wall-clock column (output becomes reproducible)")
 

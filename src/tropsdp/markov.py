@@ -8,12 +8,12 @@ hold the brute-force game solver to, and the report of ``--dump-chain``.
 The solver itself evaluates pairs, and checks its optimal one, in integers
 on the chain folded onto the Min states (see ``exact``).
 
-The analysis follows the standard finite-chain decomposition: the recurrent
-classes are the closed strongly connected components of the
-positive-probability digraph; each carries a unique stationary distribution
-pi (found by exact Gaussian elimination), giving the class gain g = pi . r;
-transient states average the class gains weighted by their absorption
-probabilities.
+The analysis follows the standard finite-chain decomposition: a state is
+recurrent iff every state it reaches along positive-probability transitions
+reaches it back, and its recurrent class is then the set it reaches; each
+class carries a unique stationary distribution pi (found by exact Gaussian
+elimination), giving the class gain g = pi . r; transient states average
+the class gains weighted by their absorption probabilities.
 """
 
 from __future__ import annotations
@@ -100,49 +100,6 @@ class ChainAnalysis:
     absorption: dict  # transient state -> tuple of Fraction per class
 
 
-def _strongly_connected_components(adj: list) -> list:
-    """Kosaraju's algorithm, iterative; components in no particular order."""
-    size = len(adj)
-    order = []
-    seen = [False] * size
-    for start in range(size):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [(start, iter(adj[start]))]
-        while stack:
-            u, it = stack[-1]
-            for v in it:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append((v, iter(adj[v])))
-                    break
-            else:
-                order.append(u)
-                stack.pop()
-    radj = [[] for _ in range(size)]
-    for u in range(size):
-        for v in adj[u]:
-            radj[v].append(u)
-    comp = [-1] * size
-    components = []
-    for root in reversed(order):
-        if comp[root] != -1:
-            continue
-        members = [root]
-        comp[root] = len(components)
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in radj[u]:
-                if comp[v] == -1:
-                    comp[v] = len(components)
-                    members.append(v)
-                    stack.append(v)
-        components.append(members)
-    return components
-
-
 def _solve(a: list, b: list) -> list:
     """Solve the square rational system a x = b (b holds one or more
     right-hand columns); plain Gaussian elimination, exact."""
@@ -166,18 +123,28 @@ def _solve(a: list, b: list) -> list:
 def analyze(chain: MarkovChain) -> ChainAnalysis:
     """Decompose the chain and compute exact gains everywhere.
 
-    Solves one linear system per recurrent class (stationary distribution)
-    and one for all absorption probabilities of the transient part.
+    Each state's reached set is one closure over the positive-probability
+    transitions; a state is recurrent iff every state it reaches reaches it
+    back, and its reached set is then its class.  Classes are listed in
+    order of least state.  Solves one linear system per recurrent class
+    (stationary distribution) and one for all absorption probabilities of
+    the transient part.
     """
     size = chain.size
     adj = [[v for v, q in enumerate(row) if q > 0] for row in chain.p]
-    comps = _strongly_connected_components(adj)
-    closed = []
-    for members in comps:
-        mset = set(members)
-        if all(v in mset for u in members for v in adj[u]):
-            closed.append(sorted(members))
-    closed.sort(key=lambda c: c[0])
+    reach = []
+    for u in range(size):
+        seen = {u}
+        stack = [u]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        reach.append(seen)
+    # each class is listed once, at its least state
+    closed = [sorted(reach[u]) for u in range(size)
+              if min(reach[u]) == u and all(u in reach[v] for v in reach[u])]
 
     gain: list = [None] * size
     stationary = []
@@ -211,11 +178,6 @@ def analyze(chain: MarkovChain) -> ChainAnalysis:
     transient = [u for u in range(size) if gain[u] is None]
     absorption: dict = {}
     if transient:
-        tidx = {u: t for t, u in enumerate(transient)}
-        class_of = {}
-        for c, members in enumerate(closed):
-            for u in members:
-                class_of[u] = c
         rows = [
             [
                 (ONE if u == v else ZERO) - chain.p[u][v]
@@ -224,15 +186,11 @@ def analyze(chain: MarkovChain) -> ChainAnalysis:
             for u in transient
         ]
         rhs = [
-            [
-                sum((chain.p[u][v] for v in range(size) if class_of.get(v) == c), ZERO)
-                for c in range(len(closed))
-            ]
+            [sum((chain.p[u][v] for v in members), ZERO) for members in closed]
             for u in transient
         ]
         psi = _solve(rows, rhs)
-        for u in transient:
-            probs = tuple(psi[tidx[u]])
+        for u, probs in zip(transient, map(tuple, psi)):
             if sum(probs) != 1:
                 raise ArithmeticError("absorption probabilities failed verification")
             absorption[u] = probs

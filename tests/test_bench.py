@@ -20,7 +20,7 @@ from tropsdp.bench import (
     to_csv,
 )
 from tropsdp.exact import game_value_bruteforce
-from tropsdp.shapley import K0, apply_F, value_iteration_raw
+from tropsdp.shapley import K0, _decide, apply_F, value_iteration_raw
 from tropsdp.tropical import POS, NEG
 
 from conftest import first_checked_certificate
@@ -70,6 +70,15 @@ def test_generated_pencil_survives_json_round_trip():
 def test_dense_instance_needs_room_for_min():
     with pytest.raises(ValidationError):
         phase_diagram([3], [1], samples=1, timing=False)
+
+
+def test_phase_refuses_a_small_m_before_deciding(monkeypatch):
+    decided = []
+    monkeypatch.setattr("tropsdp.bench._decide",
+                        lambda *args: decided.append(args) or _decide(*args))
+    with pytest.raises(ValidationError):
+        phase_diagram([3], [3, 1], samples=2, timing=False)
+    assert decided == []
 
 
 def _dense_engine(spec):

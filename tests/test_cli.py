@@ -596,6 +596,12 @@ def test_shared_flags_are_declared_once():
         assert len(set(copies[flag])) == 1, (flag, copies[flag])
 
 
+def test_every_option_has_help_text():
+    missing = [(name, action.dest) for name, parser in subparsers().items()
+               for action in parser._actions if not action.help]
+    assert missing == []
+
+
 def test_stdin_input(capsys, monkeypatch):
     text = jsonio.dump_json(jsonio.pencil_to_json(
         Pencil.from_entries(1, 1, [(0, 0, 0, NEG(F(0)))])))

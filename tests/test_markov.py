@@ -110,3 +110,54 @@ def test_gains_are_reward_averages(data):
         assert sum(pi.values()) == 1
     for probs in res.absorption.values():
         assert sum(probs) == 1
+
+
+@st.composite
+def chains(draw):
+    """Chains of 1-7 states; each row has 1-3 positive rational entries,
+    and the rewards lie in (1/2)Z."""
+    size = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(size):
+        targets = draw(st.lists(st.integers(0, size - 1), min_size=1,
+                                max_size=3, unique=True))
+        weights = [draw(st.integers(1, 4)) for _ in targets]
+        row = [F(0)] * size
+        for v, w in zip(targets, weights):
+            row[v] = F(w, sum(weights))
+        rows.append(tuple(row))
+    rewards = tuple(F(draw(st.integers(-8, 8)), 2) for _ in range(size))
+    return MarkovChain(tuple(rows), rewards)
+
+
+def _reached(chain):
+    """Each state's set of reached states, by Warshall's closure."""
+    size = chain.size
+    r = [[u == v or chain.p[u][v] > 0 for v in range(size)] for u in range(size)]
+    for k in range(size):
+        for u in range(size):
+            if r[u][k]:
+                r[u] = [a or b for a, b in zip(r[u], r[k])]
+    return [{v for v in range(size) if r[u][v]} for u in range(size)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain=chains())
+def test_decomposition_matches_reachability(chain):
+    res = analyze(chain)
+    reached = _reached(chain)
+    classes = res.recurrent_classes
+    recurrent = set().union(*classes)
+    assert sum(map(len, classes)) == len(recurrent)
+    assert [min(c) for c in classes] == sorted(min(c) for c in classes)
+    for c in classes:
+        # closed and communicating: every member reaches exactly its class
+        assert all(reached[u] == c for u in c)
+    for u in set(range(chain.size)) - recurrent:
+        assert any(u not in reached[v] for v in reached[u])
+    for c, pi in zip(classes, res.stationary, strict=True):
+        assert set(pi) == c and sum(pi.values()) == 1
+        assert all(sum(pi[u] * chain.p[u][v] for u in c) == pi[v] for v in c)
+    assert set(res.absorption) == set(range(chain.size)) - recurrent
+    for probs in res.absorption.values():
+        assert len(probs) == len(classes) and sum(probs) == 1
