@@ -25,7 +25,7 @@ from .errors import ValidationError
 from .game import game_from_pencil
 from .pencil import Pencil
 from .shapley import _decide
-from .tropical import NEG, POS, as_fraction
+from .tropical import NEG, POS
 
 DEFAULT_GRID = 2**31
 
@@ -100,19 +100,19 @@ def _sample_seed(seed: int, n: int, m: int, s: int) -> int:
     return int(np.random.SeedSequence((seed, n, m, s)).generate_state(1)[0])
 
 
-def _run_sample(spec: GenSpec, epsilon, max_iters: int, timing: bool):
+def _run_sample(spec: GenSpec, max_iters: int, timing: bool):
     """Decide one instance; returns (status, iters, wall time of the
     decision or None)."""
     game = game_from_pencil(gen_random(spec))
     start = time.perf_counter()
-    status, iters = _decide(game, epsilon, max_iters)[:2]
+    status, iters = _decide(game, max_iters)[:2]
     return status, iters, time.perf_counter() - start if timing else None
 
 
-def _run_cell(n: int, m: int, samples: int, epsilon, seed: int,
-              max_iters: int, timing: bool) -> CellResult:
+def _run_cell(n: int, m: int, samples: int, seed: int, max_iters: int,
+              timing: bool) -> CellResult:
     results = [_run_sample(GenSpec(n, m, _sample_seed(seed, n, m, s)),
-                           epsilon, max_iters, timing) for s in range(samples)]
+                           max_iters, timing) for s in range(samples)]
     feasible = sum(1 for v, _, _ in results if v == "feasible")
     indeterminate = sum(1 for v, _, _ in results if v == "indeterminate")
     mean_iters = Fraction(sum(it for _, it, _ in results), samples)
@@ -125,25 +125,25 @@ def _run_cell(n: int, m: int, samples: int, epsilon, seed: int,
 
 
 def phase_diagram(n_list: Sequence[int], m_list: Sequence[int], samples: int = 10,
-                  epsilon=Fraction(1, 10**8), seed: int = 0, max_iters: int = 10**5,
+                  seed: int = 0, max_iters: int = 10**5,
                   timing: bool = True) -> list:
     """Feasibility ratio of random instances over a grid of sizes.
 
     Runs `samples` seeded instances per (n, m) cell, one after another, so
     no timed run overlaps another; with timing disabled the output is
     byte-identical across runs (wall clock is the only nondeterministic
-    column).  epsilon is a positive exact rational, as for
-    ``check_feasibility``: a float raises TypeError, and a nonpositive
-    rational ValidationError.
+    column).  Every size, the sample count and the seed are checked before
+    the first sample runs.
     """
-    epsilon = as_fraction(epsilon)
     if samples < 1:
         raise ValidationError("need at least one sample per cell")
-    if not epsilon > 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    if any(n < 1 for n in n_list):
+        raise ValidationError("sizes must be positive")
     if any(m < 2 for m in m_list):
         raise ValidationError("dense instances need m >= 2 so Min can move")
-    return [_run_cell(n, m, samples, epsilon, seed, max_iters, timing)
+    if seed < 0:
+        raise ValidationError("seed must be a nonnegative integer")
+    return [_run_cell(n, m, samples, seed, max_iters, timing)
             for n in n_list for m in m_list]
 
 

@@ -11,11 +11,10 @@ zero and hence proves the spectrahedron trivial.
 
 Both kinds are produced by value iteration on F - lambda, whose sublevel
 sets are exactly the reinforced spectrahedra: its checked witness is the
-certificate.  A feasibility certificate is the running entrywise maximum of
-the iterates, and an infeasibility certificate the last iterate or the
-tilted running minimum of the iterates, unless the iteration stopped at an
-iterate that is itself an exact certificate.  Every entry is a rational on
-the loop's dyadic grid.  Lambda is an argument of the one operator
+certificate.  That is the iterate that a checkpoint found to be one, or
+else the running entrywise maximum of the iterates (feasibility) or their
+tilted running minimum (infeasibility).  Every entry is a rational on the
+loop's dyadic grid.  Lambda is an argument of the one operator
 ``StochGame.operator``, in the loop and in every check, of these or of
 third-party certificates: a check runs the operator on a grid where F(v)
 is exact (``_check_pair``).  All of it runs in integers, and no path
@@ -102,7 +101,7 @@ def check_certificate(G: StochGame, cert: Certificate):
     raise CertificateInvalid(f"unknown certificate kind {cert.kind!r}")
 
 
-def _shifted_certificate(G: StochGame, lam, kind: str, epsilon,
+def _shifted_certificate(G: StochGame, lam, kind: str,
                          max_iters: int) -> Certificate:
     """Run value iteration on F - lam, whose checked witness
     (``shapley._decide``) is the certificate: v <= F(v) - lam, or
@@ -110,38 +109,40 @@ def _shifted_certificate(G: StochGame, lam, kind: str, epsilon,
     lam, feasible = as_fraction(lam), kind == "Feasibility"
     if not (lam > 0 if feasible else lam < 0):
         raise ValidationError(f"{kind.lower()} certificates need lambda {'>' if feasible else '<'} 0")
-    status, _, vector, _, _ = _decide(G, as_fraction(epsilon), max_iters, lam)
+    status, _, vector, _, _ = _decide(G, max_iters, lam)
     if status != ("feasible" if feasible else "infeasible"):
+        outcome = (f"ran out of its budget of max_iters = {max_iters} steps"
+                   if status == "indeterminate" else f"returned {status!r}")
         raise CertificateInvalid(
-            f"value iteration on the lambda-shifted game returned "
-            f"{status!r}; no {kind.lower()} certificate at this margin")
+            f"value iteration on the lambda-shifted game {outcome}; no "
+            f"{kind.lower()} certificate at this margin")
     verify = verify_subharmonic if feasible else _superharmonic
     return Certificate(kind, vector, lam, verify(G, vector, lam)[1])
 
 
-def feasibility_certificate(G: StochGame, lam, epsilon=Fraction(1, 10**8),
+def feasibility_certificate(G: StochGame, lam,
                             max_iters: int = 10**6) -> Certificate:
     """Produce a vector v with lam + v <= F(v), for lam > 0.
 
-    Runs value iteration on F - lam; the running maximum of the iterates,
-    or an iterate checked at a certificate stop, is the certificate.  Raises
+    Runs value iteration on F - lam; its checked iterate, or the running
+    maximum of the iterates, is the certificate.  Raises
     CertificateInvalid when the iteration concludes the reinforced problem
     is infeasible (lam at or above the margin) or cannot decide.
     """
-    return _shifted_certificate(G, lam, "Feasibility", epsilon, max_iters)
+    return _shifted_certificate(G, lam, "Feasibility", max_iters)
 
 
-def infeasibility_certificate(G: StochGame, lam, epsilon=Fraction(1, 10**8),
+def infeasibility_certificate(G: StochGame, lam,
                               max_iters: int = 10**6) -> Certificate:
     """Produce a finite vector u with F(u) < lam + u in every entry, for
     lam < 0.
 
-    The Infeasible witness of the iteration on F - lam works: its last
+    The Infeasible witness of the iteration on F - lam works: its checked
     iterate, or the tilted running minimum of its iterates, checked in
     integers to satisfy F(u) - lam < u, so the certificate is always
     strict.  Its entries need not be negative.
     """
-    return _shifted_certificate(G, lam, "Infeasibility", epsilon, max_iters)
+    return _shifted_certificate(G, lam, "Infeasibility", max_iters)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ game
 
 iteration report (output of `check`)
   {"verdict": "Feasible"|"Infeasible"|"Indeterminate",
-   "iterations": int, "witness": ["p/q", ...], "epsilon": "p/q"}
+   "iterations": int, "witness": ["p/q", ...]}
 
 certificate (output of `certify`)
   {"kind": "Feasibility"|"Infeasibility", "vector": ["p/q", ...],
@@ -115,8 +115,6 @@ def build_parser() -> _Parser:
         return p
 
     def iteration_flags(p, max_iters=10**6):
-        p.add_argument("--eps", type=_rational, default=Fraction(1, 10**8),
-                       help="termination threshold (rational, default 1/10^8)")
         p.add_argument("--max-iters", type=int, default=max_iters,
                        help="cap on value-iteration steps "
                             "(default %(default)s)")
@@ -251,26 +249,25 @@ def _cmd_check(args) -> int:
     norm = normalize(P)  # rejects a non-Metzler pencil before any note
     _affine_note(P)
     if norm.kind == "trivial":
-        report = IterationReport("Infeasible", 0, (), args.eps)
+        report = IterationReport("Infeasible", 0, ())
     elif norm.kind == "nontrivial":
         print(f"note: variable {norm.witness_variable + 1} alone spans a "
               "feasible ray; no iteration needed", file=sys.stderr)
-        report = IterationReport("Feasible", 0, (), args.eps)
+        report = IterationReport("Feasible", 0, ())
     else:
         reduced = norm.pencil
         if reduced is not P:
             gone = [v + 1 for v in norm.eliminated_variables]
             print(f"note: variables {gone} are forced to -inf; the witness is "
                   "over the remaining variables", file=sys.stderr)
-        report = check_feasibility(game_from_pencil(reduced),
-                                   epsilon=args.eps, max_iters=args.max_iters)
+        report = check_feasibility(game_from_pencil(reduced), args.max_iters)
     _emit(args, jsonio.dump_json(jsonio.report_to_json(report)))
     if report.verdict == "Feasible":
         return EXIT_FEASIBLE
     if report.verdict == "Infeasible":
         return EXIT_INFEASIBLE
-    print("hint: indeterminate at this precision; try `tropsdp exact` for "
-          "small instances", file=sys.stderr)
+    print(f"hint: indeterminate after --max-iters {args.max_iters} steps; "
+          "try `tropsdp exact` for small instances", file=sys.stderr)
     return EXIT_INDETERMINATE
 
 
@@ -357,7 +354,7 @@ def _cmd_gen(args) -> int:
 def _cmd_phase(args) -> int:
     cells = bench_mod.phase_diagram(
         args.n_list, args.m_list, samples=args.samples,
-        epsilon=args.eps, seed=args.seed, max_iters=args.max_iters,
+        seed=args.seed, max_iters=args.max_iters,
         timing=not args.no_timing)
     _emit(args, bench_mod.to_csv(cells))
     return EXIT_FEASIBLE
@@ -386,7 +383,7 @@ def _cmd_certify(args) -> int:
         raise ValidationError("the margin --lambda must be nonzero")
     produce = (certify_mod.feasibility_certificate if args.lam > 0
                else certify_mod.infeasibility_certificate)
-    cert = produce(G, args.lam, epsilon=args.eps, max_iters=args.max_iters)
+    cert = produce(G, args.lam, args.max_iters)
     _emit(args, jsonio.dump_json(jsonio.certificate_to_json(cert)))
     return EXIT_FEASIBLE
 
@@ -400,8 +397,6 @@ def run(argv=None) -> int:
     if args.subcommand is None:
         parser.error("a subcommand is required (see --help)")
     try:
-        if getattr(args, "eps", 1) <= 0:
-            raise ValidationError("epsilon must be positive")
         for cap in ("max_iters", "max_pairs"):
             if getattr(args, cap, 1) < 1:
                 raise ValidationError(f"{cap.replace('_', '-')} must be at least 1")

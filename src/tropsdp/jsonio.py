@@ -252,7 +252,6 @@ def report_to_json(report: IterationReport) -> dict:
         "verdict": report.verdict,
         "iterations": report.iterations,
         "witness": [format_rational(x) for x in report.witness],
-        "epsilon": format_rational(report.epsilon),
     }
 
 

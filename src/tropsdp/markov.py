@@ -24,7 +24,6 @@ from typing import Sequence
 
 from .errors import ValidationError
 from .game import StochGame
-from .tropical import as_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

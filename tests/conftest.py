@@ -35,9 +35,9 @@ def running_pencil():
 def both_signs_pencil():
     """The 2 x 4 direct sum with values of both signs: variable 0 on rows
     {0, 1} with F(x)_0 = x_0 + 1, variable 1 on rows {2, 3} with F(x)_1 =
-    x_1 - 2, so chi = (1/2, -1).  From 0 the iterate is (t, -2 t): no
-    epsilon exit comes, and step(X) - X = (1, -2) makes no iterate a
-    certificate, so only the budget ends the loop."""
+    x_1 - 2, so chi = (1/2, -1).  From 0 the iterate is (t, -2 t): it is
+    neither >= 0 nor < 0 in every entry, and step(X) - X = (1, -2) makes
+    no iterate a certificate, so only the budget ends the loop."""
     pos, neg = SignedTrop.pos, SignedTrop.neg
     return Pencil.from_entries(2, 4, [
         (0, 0, 0, pos(Fraction(1))), (0, 0, 1, neg(Fraction(0))),
@@ -176,7 +176,8 @@ def first_checked_certificate(grid, n, limit):
     """(t, status) for the first step t of 1, 2, 4, ... up to limit whose
     iterate X_t of the orbit of 0 on ``grid`` (``StochGame.operator``)
     is a certificate (``certificate_of``), or None: where the certificate
-    stop of the loop comes, unless an epsilon exit comes first."""
+    stop of the loop comes, unless the running maximum or the tilted
+    minimum stops it first."""
     step, x = grid[2], np.zeros(n, dtype=object)
     for t in range(1, limit + 1):
         x = step(x)

@@ -45,7 +45,6 @@ from tropsdp.shapley import K0
 from tropsdp.tropical import NEG, POS
 
 F = Fraction
-EPS = F(1, 10**8)
 
 
 def _line(num: int, text: str) -> None:
@@ -161,10 +160,10 @@ def test_criterion_03_exact_value_and_unique_optimal_pair(running_pencil):
 
 
 def test_criterion_04_value_iteration_feasible_with_exact_witness(running_pencil):
-    """Value iteration at epsilon = 1e-8 answers Feasible within 100
-    iterations and its witness is strictly subharmonic in exact rationals."""
+    """Value iteration answers Feasible within 100 iterations and its
+    witness is strictly subharmonic in exact rationals."""
     game = game_from_pencil(running_pencil)
-    report = check_feasibility(game, epsilon=EPS)
+    report = check_feasibility(game)
     assert report.verdict == "Feasible"
     assert report.iterations <= 100
     holds, strict = verify_subharmonic(game, report.witness)
@@ -204,7 +203,7 @@ def test_criterion_06_membership_equals_sublevel_set():
 
 def test_criterion_07_value_iteration_matches_bruteforce_sign():
     """On 220 random small games, whenever the exact value is constant
-    across states and clears 2*epsilon, the iterative verdict matches its
+    across states and nonzero, the iterative verdict matches its
     sign.  (Off the constant-value case the iteration promises nothing, so
     those draws are skipped.)"""
     rng = random.Random(7)
@@ -214,9 +213,9 @@ def test_criterion_07_value_iteration_matches_bruteforce_sign():
         game = _random_game(rng)
         value = game_value_bruteforce(game)
         top = max(value.chi)
-        if len(set(value.chi)) != 1 or abs(top) <= 2 * EPS:
+        if len(set(value.chi)) != 1 or top == 0:
             continue
-        verdict = check_feasibility(game, epsilon=EPS).verdict
+        verdict = check_feasibility(game).verdict
         expected = "Feasible" if top > 0 else "Infeasible"
         assert verdict == expected, (game, value.chi, verdict)
         decided += 1
@@ -292,7 +291,7 @@ def test_criterion_09_dominions(dominion_game):
             sub = induced_subgame(game, D)
             chi = game_value_bruteforce(sub).chi
             if min(chi) > 0:
-                report = check_feasibility(sub, epsilon=EPS)
+                report = check_feasibility(sub)
                 assert report.verdict == "Feasible"
                 order = sorted(D)
                 lifted = tuple(
@@ -305,7 +304,7 @@ def test_criterion_09_dominions(dominion_game):
                 assert is_winning_dominion(game, D)
                 strict += 1
             elif max(chi) < 0:
-                report = check_feasibility(sub, epsilon=EPS)
+                report = check_feasibility(sub)
                 assert report.verdict == "Infeasible"
                 assert not is_winning_dominion(game, D)
                 strict += 1
@@ -342,7 +341,7 @@ def test_criterion_11_large_instance_smoke():
     five seconds, generation included."""
     start = time.perf_counter()
     game = game_from_pencil(gen_random(GenSpec(1000, 100, seed=0)))
-    report = check_feasibility(game, epsilon=EPS, max_iters=10**5)
+    report = check_feasibility(game, max_iters=10**5)
     elapsed = time.perf_counter() - start
     assert report.verdict in ("Feasible", "Infeasible")
     assert report.bits == K0

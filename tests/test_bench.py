@@ -5,9 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tropsdp import (StochGame, ValidationError, check_feasibility,
-                     feasibility_certificate, game_from_pencil,
-                     infeasibility_certificate, jsonio)
+from tropsdp import StochGame, ValidationError, game_from_pencil, jsonio
 from tropsdp.bench import (
     CSV_HEADER,
     CellResult,
@@ -81,6 +79,18 @@ def test_phase_refuses_a_small_m_before_deciding(monkeypatch):
     assert decided == []
 
 
+@pytest.mark.parametrize("n_list, seed", [([3, 0], 0), ([3], -1)],
+                         ids=["n-zero", "seed-negative"])
+def test_phase_refuses_a_bad_size_or_seed_before_deciding(n_list, seed,
+                                                         monkeypatch):
+    decided = []
+    monkeypatch.setattr("tropsdp.bench._decide",
+                        lambda *args: decided.append(args) or _decide(*args))
+    with pytest.raises(ValidationError):
+        phase_diagram(n_list, [2], samples=2, seed=seed, timing=False)
+    assert decided == []
+
+
 def _dense_engine(spec):
     """The game of a generated instance, laid out by hand: Max state i
     moves to every variable k, rewarded by the diagonal modulus (i, i) of
@@ -138,9 +148,10 @@ def test_dense_step_matches_exact_operator():
         assert tuple(F(t, scale) for t in x.tolist()) == exact
 
 
-# seeds of GenSpec(4, 3) whose epsilon exits come late: 163 after 215
-# (Feasible), 577 after 754 (Infeasible), and 269 (value 1.7e-5 per step)
-# not within 1000
+# seeds of GenSpec(4, 3) whose iterates stay near 0 for long: the iterate
+# is first >= 10^-6 in every entry at step 215 for 163 (Feasible), first
+# <= -10^-6 at step 754 for 577 (Infeasible), and neither within 1000
+# steps for 269 (value 1.7e-5 per step)
 LATE_SEEDS = (163, 577, 269)
 
 
@@ -157,9 +168,9 @@ def test_dense_iteration_matches_exact_verdict():
     for seed in (*range(5), *LATE_SEEDS):
         spec = GenSpec(4, 3, seed=seed)
         game = game_from_pencil(gen_random(spec))
-        status, iters, _ = _run_sample(spec, F(1, 10**6), 1000, False)
+        status, iters, _ = _run_sample(spec, 1000, False)
         exact_status, exact_iters, _, _, _ = value_iteration_raw(
-            game, F(1, 10**6), 1000, exact=True)
+            game, None, 1000, exact=True)
         assert (status, iters) == (exact_status, exact_iters)
         if seed in LATE_SEEDS:
             assert (iters, status) == checked_stop(spec)
@@ -169,11 +180,11 @@ def test_dense_iteration_matches_exact_verdict():
     LATE_SEEDS, ("feasible", "infeasible", "feasible")))
 def test_sweep_samples_stop_at_a_certificate(seed, status):
     # the sweep stops at the first checked iterate that is a certificate,
-    # long before the epsilon exit; the sign of the value, from policy
+    # long before the iterate clears 10^-6; the sign of the value, from policy
     # enumeration, agrees with the stop
     spec = GenSpec(4, 3, seed=seed)
     stop, certified = checked_stop(spec)
-    assert _run_sample(spec, F(1, 10**6), 1000, False) == (status, stop, None)
+    assert _run_sample(spec, 1000, False) == (status, stop, None)
     assert certified == status
     chi = game_value_bruteforce(game_from_pencil(gen_random(spec))).chi
     assert all(c > 0 for c in chi) == (status == "feasible")
@@ -197,8 +208,7 @@ def test_cell_result_csv_row():
 
 
 def test_phase_diagram_is_reproducible_without_timing():
-    kwargs = dict(samples=4, epsilon=F(1, 10**8), seed=3, max_iters=2000,
-                  timing=False)
+    kwargs = dict(samples=4, seed=3, max_iters=2000, timing=False)
     first = phase_diagram([4], [2, 3], **kwargs)
     second = phase_diagram([4], [2, 3], **kwargs)
     assert first == second
@@ -218,30 +228,6 @@ def test_phase_diagram_records_timing_by_default():
 def test_phase_diagram_needs_samples():
     with pytest.raises(ValidationError):
         phase_diagram([3], [2], samples=0)
-
-
-@pytest.mark.parametrize("epsilon", [0, -1])
-def test_sweeps_reject_nonpositive_epsilon(epsilon):
-    with pytest.raises(ValidationError):
-        phase_diagram([10], [2, 3], samples=5, epsilon=epsilon)
-
-
-@pytest.mark.parametrize("epsilon", [1e-8, 1e-400, -1.0],
-                         ids=["1e-8", "1e-400", "-1.0"])
-def test_sweeps_refuse_a_float_epsilon_as_check_does(epsilon):
-    # 1e-8 as a double is not 1/10^8, and 1e-400 is 0.0: every entry point
-    # refuses a float with the same exception, whatever its sign, rather
-    # than run on its binary value
-    game = game_from_pencil(gen_random(GenSpec(3, 3, seed=0)))
-    entry_points = [
-        lambda: phase_diagram([3], [3], samples=1, epsilon=epsilon),
-        lambda: check_feasibility(game, epsilon=epsilon),
-        lambda: feasibility_certificate(game, F(1, 100), epsilon=epsilon),
-        lambda: infeasibility_certificate(game, F(-1, 100), epsilon=epsilon),
-    ]
-    for call in entry_points:
-        with pytest.raises(TypeError):
-            call()
 
 
 def test_readme_phase_sweep_is_unchanged():

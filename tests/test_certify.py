@@ -384,9 +384,9 @@ def test_feasibility_certificate_above_margin(worked_game):
 
 
 def test_feasibility_certificate_at_the_margin(worked_game):
-    # shifting by the exact margin zeroes the mean payoff, so no epsilon
-    # exit comes; the iterate on the floor grid at step 16 is a
-    # certificate all the same, though not a strict one
+    # shifting by the exact margin zeroes the mean payoff, so the iterate
+    # never leaves a band around 0; the iterate on the floor grid at step
+    # 16 is a certificate all the same, though not a strict one
     cert = feasibility_certificate(worked_game, F(1, 28), max_iters=200)
     assert cert.vector == (F(2449, 7168), F(-4975, 7168), F(423, 1024))
     assert check_certificate(worked_game, cert) == (True, False)
@@ -421,31 +421,41 @@ def test_infeasibility_certificate_needs_negative_lambda(losing_game):
         infeasibility_certificate(losing_game, F(3))
 
 
-# an epsilon that is 0 as a double, which the loop on its grid takes as is
-UNDERFLOWING = F(1, 10**400)
+def holds_exactly(G, cert) -> bool:
+    """The certificate's inequality in rationals, by ``apply_F`` on the
+    action tuples rather than the integer check."""
+    fv = apply_F(G, cert.vector)
+    if cert.kind == "Feasibility":
+        return all(cert.lam + v <= f for v, f in zip(cert.vector, fv))
+    return all(f < cert.lam + u for u, f in zip(cert.vector, fv))
 
 
 def test_exact_mode_produces_a_valid_certificate(worked_game):
-    cert = feasibility_certificate(worked_game, F(1, 100), UNDERFLOWING)
+    # the certificates at a margin of +-1/100 hold in exact rationals too
+    cert = feasibility_certificate(worked_game, F(1, 100))
     assert check_certificate(worked_game, cert)[0]
+    assert holds_exactly(worked_game, cert)
     losing = shift_of_the_tuples(worked_game, F(-1, 10))  # value -9/140
-    cert = infeasibility_certificate(losing, F(-1, 100), UNDERFLOWING)
+    cert = infeasibility_certificate(losing, F(-1, 100))
     assert check_certificate(losing, cert) == (True, True)
+    assert holds_exactly(losing, cert)
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["double", "exact"])
 def test_certificates_10_to_the_minus_7_from_the_value(worked_game, exact):
-    # the shifted games have value +-10^-7 per step: the epsilon exits would
-    # take about 7 * 10^5 steps, a checked iterate certifies after 32
+    # the shifted games have value +-10^-7 per step: the iterate would
+    # take about 7 * 10^5 steps to clear 10^-8, a checked iterate certifies
+    # after 32; checked in integers ("double") or in rationals ("exact")
     near = F(1, 10**7)
-    epsilon = UNDERFLOWING if exact else F(1, 10**8)
-    cert = feasibility_certificate(worked_game, F(1, 28) - near, epsilon)
-    assert check_certificate(worked_game, cert) == (True, True)
+    verify = holds_exactly if exact else \
+        (lambda G, cert: check_certificate(G, cert) == (True, True))
+    cert = feasibility_certificate(worked_game, F(1, 28) - near)
+    assert verify(worked_game, cert)
     # the running example with Min rewards lowered by 1/10: value -9/140
     losing = shift_of_the_tuples(worked_game, F(-1, 10))
-    cert = infeasibility_certificate(losing, F(-9, 140) + near, epsilon)
+    cert = infeasibility_certificate(losing, F(-9, 140) + near)
     assert cert.strict
-    assert check_certificate(losing, cert) == (True, True)
+    assert verify(losing, cert)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tropsdp import (Certificate, Pencil, SignedTrop, feasibility_certificate,
-                     game_from_pencil, jsonio, phase_diagram, to_csv)
+                     game_from_pencil, jsonio)
 from tropsdp import cli
 from tropsdp.cli import run
 
@@ -61,7 +61,6 @@ def test_check_feasible(capsys):
     assert report["verdict"] == "Feasible"
     assert report["iterations"] == 8
     assert report["witness"] == ["161/256", "-209/512", "713/1024"]
-    assert report["epsilon"] == "1/100000000"
 
 
 def test_check_reads_no_action_tuples(tmp_path, monkeypatch, capsys):
@@ -131,7 +130,7 @@ def test_check_trivial_instance(trivial_pencil, capsys):
     assert run(["check", trivial_pencil]) == 10
     report = json.loads(capsys.readouterr().out)
     assert report == {"verdict": "Infeasible", "iterations": 0,
-                      "witness": [], "epsilon": "1/100000000"}
+                      "witness": []}
 
 
 def test_check_free_ray(tmp_path, capsys):
@@ -146,7 +145,7 @@ def test_check_indeterminate(both_signs_path, capsys):
     assert run(["check", both_signs_path, "--max-iters", "50"]) == 20
     out = capsys.readouterr()
     assert json.loads(out.out)["verdict"] == "Indeterminate"
-    assert "indeterminate at this precision" in out.err
+    assert "hint: indeterminate after --max-iters 50 steps;" in out.err
 
 
 def test_check_rejects_non_metzler(tmp_path, capsys):
@@ -159,13 +158,16 @@ def test_check_rejects_non_metzler(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["check", "certify"])
 def test_no_exact_flag(command, capsys):
-    # the arithmetic is the loop's choice, not the user's
+    # the arithmetic and the stopping rule are the loop's choice, not the
+    # user's: there is no --exact and no --eps
     with pytest.raises(SystemExit):
         run([command, "--help"])
-    assert "--exact" not in capsys.readouterr().out
-    with pytest.raises(SystemExit) as exc:
-        run([command, RUNNING, "--exact"])
-    assert exc.value.code == 1
+    usage = capsys.readouterr().out
+    for flag in ("--exact", "--eps"):
+        assert flag not in usage
+        with pytest.raises(SystemExit) as exc:
+            run([command, RUNNING, flag])
+        assert exc.value.code == 1
 
 
 # n = 1, m = 2 pencils with moduli near 10^8 and 10^20, which doubles round:
@@ -483,6 +485,14 @@ def test_phase_refuses_a_bad_size_list(flag, sizes, message, capsys):
     assert captured.err == f"tropsdp phase: error: argument {flag}: {message}\n"
 
 
+def test_phase_refuses_a_negative_seed(capsys):
+    assert run(["phase", "--n-list", "3", "--m-list", "2", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("tropsdp: ValidationError: seed must be a "
+                            "nonnegative integer\n")
+
+
 def test_phase_csv(capsys):
     assert run(["phase", "--n-list", "3", "--m-list", "2,3",
                 "--samples", "2", "--no-timing", "--max-iters", "2000"]) == 0
@@ -590,7 +600,7 @@ def test_shared_flags_are_declared_once():
                 copies.setdefault(flag, []).append(
                     (action.help, action.type, default))
     shared = {flag for flag, seen in copies.items() if len(seen) > 1}
-    assert {"--eps", "--max-iters", "--max-pairs", "--policies",
+    assert {"--max-iters", "--max-pairs", "--policies",
             "--dump-chain"} <= shared
     for flag in shared:
         assert len(set(copies[flag])) == 1, (flag, copies[flag])
@@ -679,15 +689,6 @@ def test_sizes_past_the_address_space_exit_one(argv, capsys):
     assert err.count("\n") == 1
 
 
-def test_bad_epsilon_exits_one(capsys):
-    assert run(["check", RUNNING, "--eps", "0"]) == 1
-    assert run(["check", RUNNING, "--eps=-1/2"]) == 1
-    with pytest.raises(SystemExit) as exc:
-        run(["check", RUNNING, "--eps", "sqrt2"])
-    assert exc.value.code == 1
-    capsys.readouterr()
-
-
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("argv, name", [
     (["exact", RUNNING, "--max-pairs"], "max-pairs"),
@@ -702,42 +703,9 @@ def test_caps_below_one_exit_one(argv, name, value, capsys):
     assert captured.err == f"tropsdp: ValidationError: {name} must be at least 1\n"
 
 
-def test_underflowing_epsilon_needs_exact(capsys):
-    # 1e-400 is 0.0 as a double, but --eps reads it as the exact positive
-    # rational 1/10^400, and the run is decided at step 8
-    assert run(["check", RUNNING, "--eps", "1e-400"]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    report = json.loads(captured.out)
-    assert (report["verdict"], report["iterations"]) == ("Feasible", 8)
-    assert report["epsilon"] == "1/1" + "0" * 400
-
-
 HUGE = "1" + "0" * 400  # past the largest double
 PHASE = ["phase", "--n-list", "3", "--m-list", "2", "--samples", "2",
          "--no-timing"]
-
-
-@pytest.mark.parametrize("argv", [
-    ["check", RUNNING], ["certify", RUNNING, "--lambda=1/100"], PHASE,
-], ids=["check", "certify", "phase"])
-def test_epsilon_past_the_largest_double(argv, capsys):
-    # an epsilon past the largest double: no epsilon exit comes, and a
-    # checkpoint decides instead, the running example's at step 8 as at
-    # any epsilon
-    assert run([*argv, "--eps", HUGE]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    if argv[0] == "check":
-        report = json.loads(captured.out)
-        assert (report["verdict"], report["iterations"]) == ("Feasible", 8)
-
-
-def test_phase_passes_epsilon_as_a_rational(capsys):
-    # 1e-400 is 0 as a double: phase decides in rationals, as check does
-    assert run([*PHASE, "--eps", "1e-400"]) == 0
-    assert capsys.readouterr().out == to_csv(phase_diagram(
-        [3], [2], samples=2, epsilon=F(1, 10**400), timing=False))
 
 
 def test_certify_needs_a_nonzero_margin(capsys):
@@ -848,6 +816,7 @@ def test_exact_paths_make_no_doubles(tmp_path, huge, kernel_dtypes):
 ], ids=["check-eps", "check-max-iters", "certify-eps", "certify-lambda",
         "certify-max-iters", "phase-eps", "phase-max-iters", "exact-max-pairs"])
 def test_numeric_flags_never_raise(argv, flag, value, capsys):
+    # --eps is gone: argparse refuses it, whatever its value
     try:
         code = run([*argv, f"{flag}={value}"])
     except SystemExit as exc:  # argparse refuses the literal
@@ -885,11 +854,6 @@ def test_dump_chain_analyses_the_optimal_pair_once(command, tmp_path,
     assert run([command, path, "--dump-chain"]) == 0
     assert len(calls) == 1
     assert json.loads(capsys.readouterr().out)["chain"]["gain"] == ["1/56"] * 6
-
-
-def test_epsilon_accepts_decimal_strings(capsys):
-    assert run(["check", RUNNING, "--eps", "0.001"]) == 0
-    assert json.loads(capsys.readouterr().out)["epsilon"] == "1/1000"
 
 
 @pytest.mark.parametrize("argv,scans,translations", [

@@ -90,11 +90,12 @@ def _raised(matrices, shift) -> list:
 
 
 # the running example's value per Shapley step is 1/28; these move it to
-# +-10^-5, where the epsilon exits take about 69 000 and 41 000 steps
+# +-10^-5, where the iterate takes about 69 000 and 41 000 steps to clear
+# 10^-8 in every entry
 NEAR = Fraction(1, 10**5)
 NEAR_FEASIBLE = _raised(RUNNING_MATRICES, Fraction(1, 28) - NEAR)
 NEAR_INFEASIBLE = _raised(RUNNING_MATRICES, Fraction(1, 28) + NEAR)
-# and this to value exactly 0, where no epsilon exit comes
+# and this to value exactly 0, where the iterate never leaves a band around 0
 AT_MARGIN = _raised(RUNNING_MATRICES, Fraction(1, 28))
 # a general pencil: positively signed off-diagonal entries, negatively
 # signed diagonal entries, and row 3 entirely -inf
@@ -246,9 +247,7 @@ PENCIL_COMMANDS = (["check"], ["exact"], ["game"], ["normalize"],
 
 CASES = (
     [[*cmd, "{running}"] for cmd in (
-        # 1e-400 is 0 as a double; the loop takes it as is
-        ["check"], ["check", "--eps", "1/1000"], ["check", "--eps", "1e-400"],
-        ["exact"], ["exact", "--policies"], ["exact", "--dump-chain"],
+        ["check"], ["exact"], ["exact", "--policies"], ["exact", "--dump-chain"],
         ["exact", "--policies", "--dump-chain"], ["game"], ["normalize"],
         ["metzlerize"], ["affine"], ["certify"],
         ["certify", "--lambda=1/100"],

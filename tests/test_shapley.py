@@ -1,5 +1,6 @@
 """The Shapley operator and value-iteration feasibility checking."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -209,11 +210,10 @@ def test_structural_check(running_pencil):
 # ---------------------------------------------------------------------------
 
 def test_worked_example_feasible_in_eight_iterations(worked_game):
-    # the iterate of step 8 is subharmonic, 12 steps before the epsilon exit
+    # the iterate of step 8 is subharmonic
     report = check_feasibility(worked_game)
     assert report.verdict == "Feasible"
     assert report.iterations == 8
-    assert report.epsilon == F(1, 10**8)
     assert report.witness == (F(161, 256), F(-209, 512), F(713, 1024))
     assert (report.exit, report.bits) == ("certificate", K0)
     fw = apply_F(worked_game, report.witness)
@@ -226,7 +226,7 @@ def test_exact_engine_matches_on_worked_example(worked_game):
     # both return the same iterate
     fast = check_feasibility(worked_game)
     status, iters, u, v, _ = value_iteration_raw(
-        worked_game, F(1, 10**8), 10**6, exact=True)
+        worked_game, None, 10**6, exact=True)
     assert (fast.verdict, fast.iterations, status) == ("Feasible", iters, "feasible")
     assert (iters, fast.bits) == (K0, K0)
     assert u == v == fast.witness
@@ -248,8 +248,8 @@ def test_values_of_both_signs_are_indeterminate(both_signs_pencil):
 
 
 def test_zero_cycle_is_decided_at_the_first_check(monkeypatch):
-    # F(0) = 0: the iterate 0 is subharmonic, though no epsilon exit comes;
-    # the certificate stop proved that in integers, so the witness is not
+    # F(0) = 0: the iterate 0 is subharmonic, though it never climbs above
+    # 0; the certificate stop proved that in integers, so the witness is not
     # checked a second time: one check, at step 1, after the kernel call of
     # the first step and the check's own step
     calls, checked = [], []
@@ -275,25 +275,15 @@ def test_zero_cycle_is_decided_at_the_first_check(monkeypatch):
 
 
 def test_raw_iteration_exposes_running_envelopes():
-    # the iterate alternates across the epsilon band while it drifts up by
-    # d = epsilon / 20 per step, so no checked iterate is a certificate and
-    # the epsilon exit comes at u_20 = (epsilon, epsilon); v is the running
-    # maximum of u_0 = 0, ..., u_19, and there is no running minimum
-    epsilon = F(1, 10**8)
-    d = epsilon / 20
+    # the iterate alternates between (1, -1) and (-1, 1) while it drifts up
+    # by d per step, so no checked iterate is a certificate; u_1 = (1 + d,
+    # -1 + d) and u_2 = (2 d, 2 d) are >= 0 between them, so the running
+    # maximum max(u_0, u_1) = (1 + d, 0) stops the loop at step 1, and the
+    # raw loop returns it in both vector slots
+    d = F(1, 10**8) / 20
     for exact in (False, True):
-        status, iters, u, v, w = value_iteration_raw(
-            swapped(1, d), epsilon, 10**6, exact=exact)
-        assert (status, iters, w) == ("feasible", 20, None)
-        assert u == (epsilon, epsilon)
-        assert v == (1 + 19 * d, 18 * d)
-
-
-def test_epsilon_must_be_positive(worked_game):
-    with pytest.raises(ValidationError):
-        check_feasibility(worked_game, epsilon=0)
-    with pytest.raises(ValidationError):
-        check_feasibility(worked_game, epsilon=F(-1, 2))
+        assert value_iteration_raw(swapped(1, d), None, 10**6, exact=exact) \
+            == ("feasible", 1, (1 + d, 0), (1 + d, 0), None)
 
 
 @settings(max_examples=50, deadline=None)
@@ -302,8 +292,8 @@ def test_double_engine_agrees_with_exact_on_dyadic_games(data):
     # the default engine (the grid of K0 bits, which replaced the doubles)
     # rounds nothing in its first K0 steps: there it equals the exact run
     g = data.draw(games(rewards=dyadic_rationals))
-    fast = value_iteration_raw(g, F(1, 2**10), K0, exact=False)
-    slow = value_iteration_raw(g, F(1, 2**10), K0, exact=True)
+    fast = value_iteration_raw(g, None, K0, exact=False)
+    slow = value_iteration_raw(g, None, K0, exact=True)
     assert fast == slow
 
 
@@ -387,21 +377,20 @@ def tied(g, v):
 
 
 def witnesses(g):
-    """Pairs (x, from the iteration?): the vectors u and v after a few
+    """Pairs (x, from the iteration?): the loop's vector after a few
     steps as doubles, and each of them with one coordinate nudged up or
     down by one ulp (a nudged 0 is subnormal, which needs Python ints),
     each double as its exact Fraction."""
     out = []
     for iters in (1, 3, 12):
-        _, _, u, v, _ = value_iteration_raw(g, F(1, 10**8), iters, exact=False)
-        for vec in (u, v):
-            base = np.array([float(t) for t in vec])
-            out.append((base, True))
-            for k in range(g.n):
-                for toward in (np.inf, -np.inf):
-                    nudged = base.copy()
-                    nudged[k] = np.nextafter(nudged[k], toward)
-                    out.append((nudged, False))
+        u = value_iteration_raw(g, None, iters, exact=False)[2]
+        base = np.array([float(t) for t in u])
+        out.append((base, True))
+        for k in range(g.n):
+            for toward in (np.inf, -np.inf):
+                nudged = base.copy()
+                nudged[k] = np.nextafter(nudged[k], toward)
+                out.append((nudged, False))
     return [([F(t) for t in x.tolist()], iterate) for x, iterate in out]
 
 
@@ -438,15 +427,18 @@ def test_integer_witness_check_validates_length(worked_game):
 
 def test_rounded_witness_triggers_rational_rerun():
     # a pencil of value exactly 0 at every state: on the grid of K0 bits the
-    # rounded-down iterate drifts to an Infeasible epsilon exit after 266
-    # steps, whose witnesses fail their check (no strict certificate exists
-    # at value 0); the rerun on the grid of 2 K0 bits runs to the budget,
-    # and no false Infeasible verdict comes out
+    # rounded-down iterate drifts below 0 in every entry by the check at
+    # step 512, where neither it nor its tilted minimum passes its check (no
+    # strict certificate exists at value 0); the rerun on the grid of 2 K0
+    # bits runs to the budget, and no false Infeasible verdict comes out
     g = game_from_pencil(gen_random(GenSpec(3, 3, 744536, 2)))
     assert set(game_value_bruteforce(g).chi) == {0}
     grid = g.operator(0, 1 << K0)
-    status, iters, x, _, _ = _iterate(grid, g.n, F(1, 10**8), 3000)
-    assert (status, iters, certificate_of(grid[2], x)) == ("infeasible", 266, None)
+    status, iters, x, stop = _iterate(grid, g.n, 3000)
+    assert (status, iters, stop) == ("infeasible", 512, "tilted-min")
+    z, fine = _tilted_min(g, grid, iters, -int(x.max()), K0)
+    assert certificate_of(grid[2], x) is None
+    assert certificate_of(fine[2], z) is None
     report = check_feasibility(g, max_iters=3000)
     assert (report.verdict, report.iterations, report.bits, report.exit) == \
         ("Indeterminate", 3000, 2 * K0, "budget")
@@ -480,23 +472,22 @@ def digits(t: Fraction) -> int:
     return len(str(abs(t.numerator))) + len(str(t.denominator))
 
 
-# an epsilon of 0 as a double runs the loop in rationals
-UNDERFLOWING = F(1, 10**400)
-
-
 @pytest.mark.parametrize("exact", [False, True], ids=["double", "exact"])
 @pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
 @pytest.mark.parametrize("k", range(3, 10))
 def test_near_boundary_is_decided_by_a_checked_iterate(worked_game, k, side,
                                                        exact):
-    # the running example with value +-10^-k per step: the epsilon exits
-    # would need about 7 * 10^(k-1) steps, and from k = 7 on more than the
-    # default max_iters
+    # the running example with value +-10^-k per step: the iterate reaches
+    # +-10^-8 in every entry only after about 7 * 10^(k-1) steps, yet a
+    # checked iterate decides at step 16 or 32, the first whose iterate is
+    # a certificate on the grid of K0 bits ("double", where the run goes)
+    # and on the grid of 1024 bits ("exact", where the orbit is F^t(0))
     g = shift_of_the_tuples(worked_game, side * F(1, 10**k) - RUNNING_MARGIN)
-    report = check_feasibility(g, epsilon=UNDERFLOWING if exact else F(1, 10**8))
+    report = check_feasibility(g)
     assert report.verdict == ("Feasible" if side > 0 else "Infeasible")
     assert report.exit == "certificate"
-    stop, status = first_checked_certificate(g.operator(0, 1 << K0), g.n, 1024)
+    grid = g.operator(0, 1 << (1024 if exact else K0))
+    stop, status = first_checked_certificate(grid, g.n, 1024)
     assert (report.iterations, status) == (stop, report.verdict.lower())
     if side > 0:
         assert verify_subharmonic(g, report.witness)[0]
@@ -580,8 +571,9 @@ def test_certificate_is_decided_in_integers():
 def test_checks_come_at_doublings_of_the_first(exact, monkeypatch):
     # value 0 at state 0, where nothing settles the iterate, and -1/2 per
     # step at state 1: u = (0, -t/2) is subharmonic at no step t, strictly
-    # superharmonic at none, and never within the epsilon exits; on the
-    # grid of K0 bits ("double", the default) and of max_iters bits
+    # superharmonic at none, and neither >= 0 nor < 0 in every entry, so
+    # only the iterate is tested; on the grid of K0 bits ("double", the
+    # default) and of max_iters bits
     g = two_cycles(0, F(-1, 2))
     scale = g.operator(0, 1 << (1000 if exact else K0))[0]
     checked = []
@@ -592,7 +584,7 @@ def test_checks_come_at_doublings_of_the_first(exact, monkeypatch):
         return bracket(x, fx)
 
     monkeypatch.setattr(shapley, "_bracket", counted)
-    status, iters, *_ = value_iteration_raw(g, F(1, 10**8), 1000, exact)
+    status, iters, *_ = value_iteration_raw(g, None, 1000, exact)
     assert (status, iters) == ("indeterminate", 1000)
     assert checked == [1 << k for k in range(1000 .bit_length())]
 
@@ -609,28 +601,28 @@ def test_a_step_calls_the_kernel_once(monkeypatch):
 
     monkeypatch.setattr(StochGame, "_apply", counted)
     status, iters, *_ = value_iteration_raw(two_cycles(0, F(-1, 2)),
-                                            F(1, 10**8), 1000, False)
+                                            None, 1000, False)
     assert (status, iters, len(calls)) == ("indeterminate", 1000, 1000)
 
 
 # ---------------------------------------------------------------------------
-# the epsilon tests of the loop
+# the stops of the loop
 # ---------------------------------------------------------------------------
 
-def every_step_iterate(grid, n, epsilon, max_iters):
-    """The loop with an epsilon test at every step and a check whose step
-    is discarded: the reference of ``_iterate``.  At every step it asserts
-    that min(step(X) - X) has not fallen and max(step(X) - X) has not
-    risen, so that a certificate persists, and at every check after 1, 2,
-    4, ... steps that the check passes iff some iterate so far was a
-    certificate: the stop is the first check from that iterate on."""
-    scale, reach, step = grid
-    bound = math.ceil(epsilon * scale)
+def every_step_iterate(grid, n, max_iters):
+    """The loop that keeps every iterate and steps each one on its own:
+    the reference of ``_iterate``.  At every step it asserts that
+    min(step(X) - X) has not fallen and max(step(X) - X) has not risen, so
+    that a certificate persists.  At every check after 1, 2, 4, ... steps
+    it asserts that the iterate passes iff some iterate so far was a
+    certificate, and that the running maximum max(X_0, ..., X_c) passes
+    wherever max(X_1, ..., X_(c+1)) >= 0 in every entry."""
+    reach, step = grid[1:]
     x = shapley._widened(np.zeros(n, dtype=np.int64), 2 * reach)
-    v = x.copy()
+    orbit = [x]
     iters, checkpoint = 0, 1
     low, high, certified = -math.inf, math.inf, False
-    while x.max() > -bound and x.min() < bound:
+    while True:
         moves = step(x) - x
         assert low <= moves.min() and moves.max() <= high
         low, high = int(moves.min()), int(moves.max())
@@ -639,25 +631,27 @@ def every_step_iterate(grid, n, epsilon, max_iters):
             status = certificate_of(step, x)
             assert (status is not None) == certified
             if status is not None:
-                return status, iters, x, x, "certificate"
+                return status, iters, x, "certificate"
+            v = functools.reduce(np.maximum, orbit).astype(x.dtype)
+            if functools.reduce(np.maximum, orbit[1:] + [step(x)]).min() >= 0:
+                assert certificate_of(step, v) == "feasible"
+                return "feasible", iters, v, "running-max"
+            if x.max() < 0:
+                return "infeasible", iters, x, "tilted-min"
             x = shapley._widened(x, reach * (checkpoint + 1))
-            v = v.astype(x.dtype, copy=False)
             checkpoint *= 2
         if iters >= max_iters:
-            return "indeterminate", iters, x, v, "budget"
-        np.maximum(v, x, out=v)
+            return "indeterminate", iters, x, "budget"
         x = step(x)
+        orbit.append(x)
         iters += 1
-    verdict = "infeasible" if x.max() <= -bound else "feasible"
-    return verdict, iters, x, v, "epsilon"
 
 
 def swapped(a, drift=0):
     """F(x) = (a + x_1, x_0 - a) + drift: from 0 the iterate alternates
-    between (a, -a) and (-a, a), across the epsilon band, so every step is
-    tested, and moves up by drift at each step.  F(u) - u is (a, -a) or
-    (-a, a), plus drift, so while |drift| < a no iterate is a
-    certificate."""
+    between (a, -a) and (-a, a), and moves up by drift at each step.  F(u)
+    - u is (a, -a) or (-a, a), plus drift, so while |drift| < a no iterate
+    is a certificate; the running maximum is one from step 1 on."""
     return StochGame(2, 2, ((MinAction((0,), F(a) + drift),),
                             (MinAction((1,), F(-a) + drift),)),
                      ((MaxAction(1, F(0)),), (MaxAction(0, F(0)),)))
@@ -672,11 +666,11 @@ def settling():
 
 
 def loop_corpus(worked_game):
-    """(game, epsilon, max_iters) runs of every kind of stop."""
+    """(game, max_iters) runs of every kind of stop."""
     for side in (1, -1):  # the running example at value +-10^-5 per step
         g = shift_of_the_tuples(worked_game, side * F(1, 10**5) - RUNNING_MARGIN)
         for max_iters in (0, 1, 2, 31, 32, 33, 200):
-            yield g, F(1, 10**8), max_iters
+            yield g, max_iters
     rng = random.Random(23)
     for grid in (2, 8, 2**10, 2**31):
         for _ in range(25):
@@ -684,25 +678,20 @@ def loop_corpus(worked_game):
                            rng.randrange(10**6), grid)
             g = game_from_pencil(gen_random(spec))
             for max_iters in (0, 1, 2, 3, 64, 200, 3000):
-                yield g, F(1, 10**8), max_iters
-            yield g, F(1, 100), 3000
+                yield g, max_iters
+    for spec in (GenSpec(8, 5, 753276, 8), *U_FAILS):  # running-max, tilted-min
+        yield game_from_pencil(gen_random(spec)), 3000
     for p in range(3, 40):  # the 10^8 family
         a = 10**8 + F(1, p)
         for q in range(3, 40):
-            yield game_from_pencil(one_variable(a + F(1, q), a - F(1, q), a)), \
-                F(1, 10**8), 10**6
+            yield game_from_pencil(one_variable(a + F(1, q), a - F(1, q), a)), 10**6
     c = (2**52 - 1) // 193 + 1  # widens at step 128, from test_certify
     wide = StochGame(2, 2, ((MinAction((0,), F(c)),), (MinAction((1,), F(-c)),)),
                      ((MaxAction(0, F(0)),), (MaxAction(1, F(0)),)))
-    # F(x) = x +- 1/256 moves by exactly 1/256 per step, and reaches the
-    # exit +-1/16 in exactly 16 steps: the last quiet step is the one
-    # before the exit
-    drifts = [cycle_game(d, d) for d in (F(1, 512), F(-1, 512))]
     for g in (wide, cycle_game(-2**51, -2**51), two_cycles(2**51, -2**51),
-              settling(), swapped(F(1, 3)), two_cycles(0, F(-1, 2)), *drifts):
+              settling(), swapped(F(1, 3)), two_cycles(0, F(-1, 2))):
         for max_iters in (0, 1, 63, 64, 65, 127, 128, 129, 200, 1000):
-            for epsilon in (F(1, 10**8), F(1, 16)):
-                yield g, epsilon, max_iters
+            yield g, max_iters
 
 
 def comparable(run):
@@ -710,20 +699,20 @@ def comparable(run):
             for t in run]
 
 
-def test_epsilon_tests_where_an_exit_can_come_change_no_run(worked_game):
-    # _iterate skips the epsilon tests that no exit can pass and reuses the
-    # check's step: the same stop, step count, iterates and dtypes as the
-    # loop that tests every step, whose certificate stop is the first
-    # check from the first certified iterate on
+def test_checkpoint_stops_change_no_run(worked_game):
+    # _iterate keeps only the running maximum of the orbit and reuses the
+    # check's step: the same stop, step count, vector and dtype as the loop
+    # that keeps every iterate, whose certificate stop is the first check
+    # from the first certified iterate on
     stops = set()
-    for g, epsilon, max_iters in loop_corpus(worked_game):
+    for g, max_iters in loop_corpus(worked_game):
         grid = g.operator(0, 1 << K0)
-        got = _iterate(grid, g.n, epsilon, max_iters)
-        want = every_step_iterate(grid, g.n, epsilon, max_iters)
-        assert comparable(got) == comparable(want), (g, epsilon, max_iters)
-        stops.add((got[0], got[4], got[2].dtype.type))
+        got = _iterate(grid, g.n, max_iters)
+        want = every_step_iterate(grid, g.n, max_iters)
+        assert comparable(got) == comparable(want), (g, max_iters)
+        stops.add((got[0], got[3], got[2].dtype.type))
     assert {s[:2] for s in stops} == {
-        ("feasible", "epsilon"), ("infeasible", "epsilon"),
+        ("feasible", "running-max"), ("infeasible", "tilted-min"),
         ("feasible", "certificate"), ("infeasible", "certificate"),
         ("indeterminate", "budget")}
     assert {s[2] for s in stops} == {np.int64, np.object_}
@@ -731,20 +720,67 @@ def test_epsilon_tests_where_an_exit_can_come_change_no_run(worked_game):
 
 @settings(max_examples=200, deadline=None)
 @given(g=games(), lam=small_rationals, bits=st.integers(0, 8),
-       epsilon=st.sampled_from([F(1, 10**8), F(1, 16)]),
        max_iters=st.integers(0, 300))
-def test_iterate_equals_the_loop_that_tests_every_step(g, lam, bits, epsilon,
-                                                        max_iters):
-    # random rewards and margins of both signs give brackets [lo, hi] far
-    # from symmetric, where the epsilon tests the bracket schedules are
-    # sparse on one side: they still find every exit at its step
+def test_iterate_equals_the_loop_that_tests_every_step(g, lam, bits, max_iters):
+    # random rewards and margins of both signs give orbits that stop at
+    # every kind of checkpoint, with a running maximum far from the iterate
     grid = g.operator(lam, 1 << bits)
-    assert comparable(_iterate(grid, g.n, epsilon, max_iters)) == \
-        comparable(every_step_iterate(grid, g.n, epsilon, max_iters))
+    assert comparable(_iterate(grid, g.n, max_iters)) == \
+        comparable(every_step_iterate(grid, g.n, max_iters))
+
+
+@settings(max_examples=400, deadline=None)
+@given(g=games(), lam=small_rationals, bits=st.integers(0, 8))
+def test_running_maximum_passes_wherever_its_gate_holds(g, lam, bits):
+    # at every checkpoint c up to 64 where max(X_1, ..., X_(c+1)) >= 0 in
+    # every entry, V_c = max(X_0, ..., X_c) passes its integer check, by
+    # monotonicity of the floor step alone: step(V_c) >= max(X_1, ...,
+    # X_(c+1)) >= V_c.  The run goes on past its stops, to reach every c.
+    step = g.operator(lam, 1 << bits)[2]
+    orbit = [np.zeros(g.n, dtype=object)]
+    for _ in range(65):
+        orbit.append(step(orbit[-1]))
+    for c in (1, 2, 4, 8, 16, 32, 64):
+        if functools.reduce(np.maximum, orbit[1:c + 2]).min() >= 0:
+            v = functools.reduce(np.maximum, orbit[:c + 1])
+            assert certificate_of(step, v) == "feasible"
+
+
+@pytest.mark.parametrize("make, stop", [
+    (lambda: game_from_pencil(gen_random(GenSpec(8, 5, 753276, 8))), 1),
+    (lambda: list(sparse_json_games(7, 600))[215], 2),
+], ids=["8x5-753276", "sparse-215"])
+def test_running_maximum_decides_where_no_iterate_does(make, stop):
+    # the iterate is a certificate at no check up to 10^4 steps, yet the
+    # running maximum decides Feasible at the check whose own step is the
+    # first iterate >= 0 in every entry: X_2 for the first game, X_3 for
+    # the second
+    g = make()
+    report = check_feasibility(g, max_iters=10**4)
+    assert (report.verdict, report.iterations, report.exit, report.bits) == \
+        ("Feasible", stop, "running-max", K0)
+    assert verify_subharmonic(g, report.witness)[0]
+    assert first_checked_certificate(g.operator(0, 1 << K0), g.n, 10**4) is None
+
+
+def test_running_maximum_is_checked_by_the_kernel():
+    # a fake step that is not monotone: at step 1 the gate of the running
+    # maximum holds, max(X_1, X_2) = (2, 1), but V_1 = (2, 0) is sent to
+    # (0, 0), so V_1 fails its check and the loop goes on to the fixed
+    # point X_2, a certificate at step 2
+    table = {(0, 0): (2, -1), (2, -1): (1, 1), (2, 0): (0, 0)}
+
+    def step(x):
+        key = tuple(x.tolist())
+        return np.array(table.get(key, key), dtype=x.dtype)
+
+    step.bind = lambda dtype: step
+    assert comparable(_iterate((1, 4, step), 2, 100)) == \
+        comparable(("feasible", 2, np.array([1, 1]), "certificate"))
 
 
 # ---------------------------------------------------------------------------
-# checked epsilon exits
+# checked stops
 # ---------------------------------------------------------------------------
 
 def one_variable(q11, q22, q12):
@@ -796,10 +832,11 @@ def test_moduli_near_and_above_2_to_the_53_agree_with_policy_enumeration(base):
     assert widths == {K0}
 
 
-# generated pencils whose Infeasible exit ends at an iterate u that is not
+# generated pencils whose iterate, once < 0 in every entry, is not yet
 # strictly superharmonic; the tilted running minimum is.  The first is in
-# the sweep of criterion 10; on the others, over the grid 1/8, the untilted
-# running minimum was not strictly superharmonic either.
+# the sweep of criterion 10, and its iterate is a certificate by step 16;
+# the others stop by the tilted minimum at step 2.  Over the grid 1/8 the
+# untilted running minimum is not strictly superharmonic on them either.
 U_FAILS = [GenSpec(10, 5, 2549989531), GenSpec(3, 5, 46, 8),
                GenSpec(5, 5, 13, 8), GenSpec(5, 5, 46, 8),
                GenSpec(10, 5, 54, 8)]
@@ -809,11 +846,15 @@ U_FAILS = [GenSpec(10, 5, 2549989531), GenSpec(3, 5, 46, 8),
 def test_infeasible_exit_is_certified_by_the_tilted_minimum(spec):
     g = game_from_pencil(gen_random(spec))
     grid = g.operator(0, 1 << K0)
-    status, iters, x, _, _ = _iterate(grid, g.n, F(1, 10**8), 10**6)
-    assert (status, certificate_of(grid[2], x)) == ("infeasible", None)
+    status, iters, x, stop = _iterate(grid, g.n, 10**6)
+    assert (status, iters, stop) == \
+        (("infeasible", 16, "certificate") if spec is U_FAILS[0]
+         else ("infeasible", 2, "tilted-min"))
+    assert x.max() < 0
+    assert (certificate_of(grid[2], x) is None) == (stop == "tilted-min")
     report = check_feasibility(g)
     assert (report.verdict, report.iterations, report.bits, report.exit) == \
-        ("Infeasible", iters, K0, "epsilon")
+        ("Infeasible", iters, K0, stop)
     assert _superharmonic(g, report.witness, 0) == (True, True)
 
 
@@ -821,18 +862,18 @@ def test_infeasible_exit_is_certified_by_the_tilted_minimum(spec):
 @pytest.mark.parametrize("spec", U_FAILS[:3], ids=lambda s: f"{s.n}x{s.m}-{s.seed}")
 def test_tilted_minimum_is_rounded_down_to_its_grid(spec, exact):
     # z is the tilted minimum min_s (u_s + s delta) of the run's iterates,
-    # delta = epsilon / t, rounded down to the coarsest grid S' = S 2^j
-    # with delta S' >= 2; the run on the grid of K0 bits ("double", the
-    # default) or of t bits, where it is exact
+    # delta = M / t for M = -max u_t, rounded down to the coarsest grid S' =
+    # S 2^j with delta S' >= 2; the run on the grid of K0 bits ("double",
+    # the default) or of t bits, where it is exact
     g = game_from_pencil(gen_random(spec))
-    epsilon = F(1, 10**8)
-    t = _iterate(g.operator(0, 1 << K0), g.n, epsilon, 10**6)[1]
+    t = _iterate(g.operator(0, 1 << K0), g.n, 10**6)[1]
     bits = t if exact else K0
     grid = g.operator(0, 1 << bits)
     scale, _, step = grid
-    assert _iterate(grid, g.n, epsilon, 10**6)[1] == t
-    z, (fine, _, fine_step) = _tilted_min(g, grid, t, epsilon, bits)
-    delta = epsilon / t
+    _, stop, x, _ = _iterate(grid, g.n, 10**6)
+    assert stop == t
+    z, (fine, _, fine_step) = _tilted_min(g, grid, t, -int(x.max()), bits)
+    delta = F(-int(x.max()), scale) / t
     assert fine % scale == 0 and delta * fine >= 2
     assert fine == scale or delta * fine < 4
     x, exact_u = np.zeros(g.n, dtype=object), (F(0),) * g.n
