@@ -28,9 +28,8 @@ from .exact import (GameValue, SolveResult, affine_feasibility,
                     game_value_bruteforce, is_winning_dominion, solve_tmsdfp,
                     winning_dominions)
 from .certify import (ArchimedeanThreshold, Certificate, archimedean_threshold,
-                      check_certificate, feasibility_certificate,
-                      infeasibility_certificate, verify_subharmonic,
-                      verify_superharmonic)
+                      check_certificate, margin_certificate,
+                      verify_subharmonic, verify_superharmonic)
 from .bench import GenSpec, gen_random, phase_diagram, to_csv
 
 __version__ = "0.1.0"
@@ -54,7 +53,6 @@ __all__ = [
     "affine_feasibility",
     "Certificate", "ArchimedeanThreshold",
     "verify_subharmonic", "verify_superharmonic", "check_certificate",
-    "feasibility_certificate", "infeasibility_certificate",
-    "archimedean_threshold",
+    "margin_certificate", "archimedean_threshold",
     "GenSpec", "gen_random", "phase_diagram", "to_csv",
 ]

@@ -9,16 +9,16 @@ threshold computed here.  An infeasibility certificate at lambda < 0 is a
 finite rational u with F(u) <= lambda + u, which caps the game value below
 zero and hence proves the spectrahedron trivial.
 
-Both kinds are produced by value iteration on F - lambda, whose sublevel
-sets are exactly the reinforced spectrahedra: its checked witness is the
-certificate.  That is the iterate that a checkpoint found to be one, or
-else the running entrywise maximum of the iterates (feasibility) or their
-tilted running minimum (infeasibility).  Every entry is a rational on the
-loop's dyadic grid.  Lambda is an argument of the one operator
-``StochGame.operator``, in the loop and in every check, of these or of
-third-party certificates: a check runs the operator on a grid where F(v)
-is exact (``_check_pair``).  All of it runs in integers, and no path
-builds a second game.
+Both kinds come from ``margin_certificate``, the sign of lambda picking the
+kind, by value iteration on F - lambda, whose sublevel sets are exactly the
+reinforced spectrahedra: its checked witness is the certificate.  That is
+the iterate that a checkpoint found to be one, or else the running entrywise
+maximum of the iterates (feasibility) or their tilted running minimum
+(infeasibility).  Every entry is a rational on the loop's dyadic grid.
+Lambda is an argument of the one operator ``StochGame.operator``, in the
+loop and in every check, of these or of third-party certificates: a check
+runs the operator on a grid where F(v) is exact (``_check_pair``).  All of
+it runs in integers, and no path builds a second game.
 """
 
 from __future__ import annotations
@@ -61,15 +61,10 @@ def verify_subharmonic(G: StochGame, v: Sequence, lam=Fraction(0)):
     return lo >= 0, lo > 0
 
 
-def _superharmonic(G: StochGame, u: Sequence, lam):
+def verify_superharmonic(G: StochGame, u: Sequence, lam=Fraction(0)):
     """Exact check of F(u) <= lambda + u; returns (holds, strict)."""
     _, hi = _bracket(*_check_pair(G, u, lam))
     return hi <= 0, hi < 0
-
-
-def verify_superharmonic(G: StochGame, u: Sequence, lam) -> bool:
-    """Exact check of F(u) <= lambda + u."""
-    return _superharmonic(G, u, lam)[0]
 
 
 @dataclass(frozen=True)
@@ -88,61 +83,46 @@ class Certificate:
     strict: bool
 
 
+_VERIFY = {"Feasibility": verify_subharmonic,
+           "Infeasibility": verify_superharmonic}
+
+
+def _kind(lam) -> str | None:
+    """The certificate kind that the sign of lam names; None at 0."""
+    return "Feasibility" if lam > 0 else "Infeasibility" if lam < 0 else None
+
+
 def check_certificate(G: StochGame, cert: Certificate):
     """Re-verify a certificate against a game; returns (holds, strict)."""
-    if cert.kind == "Feasibility":
-        if cert.lam <= 0:
-            raise CertificateInvalid("feasibility certificates need lambda > 0")
-        return verify_subharmonic(G, cert.vector, cert.lam)
-    if cert.kind == "Infeasibility":
-        if cert.lam >= 0:
-            raise CertificateInvalid("infeasibility certificates need lambda < 0")
-        return _superharmonic(G, cert.vector, cert.lam)
-    raise CertificateInvalid(f"unknown certificate kind {cert.kind!r}")
+    if cert.kind not in _VERIFY or _kind(cert.lam) != cert.kind:
+        raise CertificateInvalid(
+            f"no {cert.kind!r} certificate at lambda = {cert.lam}: the kinds "
+            "are Feasibility at lambda > 0 and Infeasibility at lambda < 0")
+    return _VERIFY[cert.kind](G, cert.vector, cert.lam)
 
 
-def _shifted_certificate(G: StochGame, lam, kind: str,
-                         max_iters: int) -> Certificate:
-    """Run value iteration on F - lam, whose checked witness
-    (``shapley._decide``) is the certificate: v <= F(v) - lam, or
-    F(u) - lam < u in every entry, which is strict."""
-    lam, feasible = as_fraction(lam), kind == "Feasibility"
-    if not (lam > 0 if feasible else lam < 0):
-        raise ValidationError(f"{kind.lower()} certificates need lambda {'>' if feasible else '<'} 0")
+def margin_certificate(G: StochGame, lam,
+                       max_iters: int = 10**6) -> Certificate:
+    """The certificate at margin lam != 0 whose kind the sign of lam names:
+    the checked witness of value iteration on F - lam (``shapley._decide``).
+
+    lam > 0: Feasibility, v with lam + v <= F(v).  lam < 0: Infeasibility,
+    u with F(u) < lam + u in every entry, so always strict; its entries need
+    not be negative.  Raises ValidationError at lam = 0, and
+    CertificateInvalid when the iteration decides the other way or cannot.
+    """
+    lam = as_fraction(lam)
+    kind = _kind(lam)
+    if kind is None:
+        raise ValidationError("the margin lambda must be nonzero")
     status, _, vector, _, _ = _decide(G, max_iters, lam)
-    if status != ("feasible" if feasible else "infeasible"):
+    if status != ("feasible" if lam > 0 else "infeasible"):
         outcome = (f"ran out of its budget of max_iters = {max_iters} steps"
                    if status == "indeterminate" else f"returned {status!r}")
         raise CertificateInvalid(
             f"value iteration on the lambda-shifted game {outcome}; no "
             f"{kind.lower()} certificate at this margin")
-    verify = verify_subharmonic if feasible else _superharmonic
-    return Certificate(kind, vector, lam, verify(G, vector, lam)[1])
-
-
-def feasibility_certificate(G: StochGame, lam,
-                            max_iters: int = 10**6) -> Certificate:
-    """Produce a vector v with lam + v <= F(v), for lam > 0.
-
-    Runs value iteration on F - lam; its checked iterate, or the running
-    maximum of the iterates, is the certificate.  Raises
-    CertificateInvalid when the iteration concludes the reinforced problem
-    is infeasible (lam at or above the margin) or cannot decide.
-    """
-    return _shifted_certificate(G, lam, "Feasibility", max_iters)
-
-
-def infeasibility_certificate(G: StochGame, lam,
-                              max_iters: int = 10**6) -> Certificate:
-    """Produce a finite vector u with F(u) < lam + u in every entry, for
-    lam < 0.
-
-    The Infeasible witness of the iteration on F - lam works: its checked
-    iterate, or the tilted running minimum of its iterates, checked in
-    integers to satisfy F(u) - lam < u, so the certificate is always
-    strict.  Its entries need not be negative.
-    """
-    return _shifted_certificate(G, lam, "Infeasibility", max_iters)
+    return Certificate(kind, vector, lam, _VERIFY[kind](G, vector, lam)[1])
 
 
 # ---------------------------------------------------------------------------

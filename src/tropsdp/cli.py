@@ -105,7 +105,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND")
 
     def add(name, handler, help_text, with_input=True):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(handler=handler)
         if with_input:
             p.add_argument("input", nargs="?", default="-",
@@ -170,15 +170,14 @@ def build_parser() -> _Parser:
                    help="omit wall-clock column (output becomes reproducible)")
 
     p = add("certify", _cmd_certify,
-            "produce or check (in)feasibility certificates")
-    p.add_argument("--lambda", dest="lam", type=_rational, default=None,
-                   help="margin: positive for feasibility, negative for "
-                        "infeasibility certificates (write --lambda=-1/100 "
-                        "for negative values)")
-    p.add_argument("--check", default=None, metavar="CERT",
-                   help="verify this certificate file against the instance")
-    p.add_argument("--game", action="store_true",
-                   help="input is a game file rather than a pencil")
+            "produce or check (in)feasibility certificates of a pencil, or "
+            "of a game file (one with min_actions or max_actions)")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--lambda", dest="lam", type=_rational, default=None,
+                      help="margin: > 0 for feasibility, < 0 for infeasibility "
+                           "certificates (write --lambda=-1/100 if negative)")
+    mode.add_argument("--check", default=None, metavar="CERT",
+                      help="verify this certificate file against the input")
     iteration_flags(p)
 
     return parser
@@ -217,7 +216,8 @@ def _value_to_json(value) -> dict:
 
 def _chain_to_json(info) -> dict:
     return {
-        "recurrent_classes": [sorted(c) for c in info.recurrent_classes],
+        "recurrent_classes": [sorted(u + 1 for u in c)
+                              for c in info.recurrent_classes],
         "stationary": [
             {str(state + 1): jsonio.format_rational(pi) for state, pi in dist.items()}
             for dist in info.stationary
@@ -361,10 +361,11 @@ def _cmd_phase(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if args.game:
-        G = jsonio.game_from_json(jsonio.load_json(args.input))
+    data = jsonio.load_json(args.input)
+    if isinstance(data, dict) and {"min_actions", "max_actions"} & data.keys():
+        G = jsonio.game_from_json(data)
     else:
-        P = _load_pencil(args)
+        P = jsonio.pencil_from_json(data)
         G = game_from_pencil(P)
         _affine_note(P)
     if args.check is not None:
@@ -381,9 +382,7 @@ def _cmd_certify(args) -> int:
         raise ValidationError("certify needs --lambda (or --check CERT)")
     if args.lam == 0:
         raise ValidationError("the margin --lambda must be nonzero")
-    produce = (certify_mod.feasibility_certificate if args.lam > 0
-               else certify_mod.infeasibility_certificate)
-    cert = produce(G, args.lam, args.max_iters)
+    cert = certify_mod.margin_certificate(G, args.lam, args.max_iters)
     _emit(args, jsonio.dump_json(jsonio.certificate_to_json(cert)))
     return EXIT_FEASIBLE
 

@@ -22,14 +22,13 @@ from tropsdp import (
     archimedean_threshold,
     check_certificate,
     check_feasibility,
-    feasibility_certificate,
     game_from_pencil,
-    infeasibility_certificate,
+    margin_certificate,
     verify_subharmonic,
     verify_superharmonic,
 )
 from tropsdp.bench import GenSpec, gen_random
-from tropsdp.certify import _check_pair, _superharmonic
+from tropsdp.certify import _check_pair
 from tropsdp.cli import run
 from tropsdp.game import INT64_ROOM
 from tropsdp.pencil import int_array
@@ -106,8 +105,8 @@ def test_integer_verification_matches_apply_F(g, data):
     for lam in (min(gaps), max(gaps), data.draw(small_rationals)):
         assert verify_subharmonic(g, v, lam) == (all(lam <= t for t in gaps),
                                                  all(lam < t for t in gaps))
-        assert _superharmonic(g, v, lam) == (all(t <= lam for t in gaps),
-                                             all(t < lam for t in gaps))
+        assert verify_superharmonic(g, v, lam) == (all(t <= lam for t in gaps),
+                                                   all(t < lam for t in gaps))
 
 
 @pytest.mark.parametrize("r", [1, -2])
@@ -121,7 +120,7 @@ def test_the_check_keeps_the_half_units_of_F(r):
     gaps = [b - a for a, b in zip(v, apply_F(G, v))]
     assert gaps == [F(1, 2), F(r)]
     assert verify_subharmonic(G, v) == (min(gaps) >= 0, min(gaps) > 0)
-    assert _superharmonic(G, v, 0) == (max(gaps) <= 0, max(gaps) < 0)
+    assert verify_superharmonic(G, v) == (max(gaps) <= 0, max(gaps) < 0)
 
 
 @pytest.mark.parametrize("delta", [F(5, 7), F(-1, 100000), F(0), F(2**70, 3)])
@@ -271,7 +270,7 @@ def assert_checks_match_the_shifted_game(G, v, lam):
     assert (x.tolist(), fx.tolist()) == (ref_x.tolist(), ref_fx.tolist())
     shifted = shift_of_the_tuples(G, -lam)
     assert verify_subharmonic(G, v, lam) == verify_subharmonic(shifted, v)
-    assert _superharmonic(G, v, lam) == _superharmonic(shifted, v, 0)
+    assert verify_superharmonic(G, v, lam) == verify_superharmonic(shifted, v)
     return x, fx
 
 
@@ -303,8 +302,8 @@ def test_the_scale_factor_counts_in_the_int64_bound():
     lam = F(1, 2**70)
     x, fx = _check_pair(G, [F(0)], lam)
     assert (x.tolist(), fx.tolist(), fx.dtype) == ([0], [-2], object)
-    assert (verify_subharmonic(G, [F(0)], lam), _superharmonic(G, [F(0)], lam)) \
-        == ((False, False), (True, True))
+    assert (verify_subharmonic(G, [F(0)], lam),
+            verify_superharmonic(G, [F(0)], lam)) == ((False, False), (True, True))
     scale, reach, step = G.operator(lam)
     assert (scale, reach) == (2**70, 2**71 + 1)
     assert step(np.zeros(1, dtype=object)).tolist() == [-1]
@@ -326,10 +325,10 @@ def built_games(monkeypatch):
 
 def test_checks_build_no_game(worked_game, built_games):
     v = check_feasibility(worked_game).witness
-    cert = feasibility_certificate(worked_game, F(1, 100))
+    cert = margin_certificate(worked_game, F(1, 100))
     built_games.clear()
     assert verify_subharmonic(worked_game, v, F(1, 100)) == (True, True)
-    assert verify_superharmonic(worked_game, v, F(-1)) is False
+    assert verify_superharmonic(worked_game, v, F(-1)) == (False, False)
     assert check_certificate(worked_game, cert) == (True, True)
     assert built_games == []
 
@@ -369,7 +368,7 @@ def test_margin_check_allocates_no_second_game():
 # ---------------------------------------------------------------------------
 
 def test_feasibility_certificate_below_margin(worked_game):
-    cert = feasibility_certificate(worked_game, F(1, 100))
+    cert = margin_certificate(worked_game, F(1, 100))
     assert cert.kind == "Feasibility"
     assert cert.lam == F(1, 100)
     holds, strict = check_certificate(worked_game, cert)
@@ -380,45 +379,42 @@ def test_feasibility_certificate_below_margin(worked_game):
 def test_feasibility_certificate_above_margin(worked_game):
     # the margin is 1/28; at lambda = 1 the shifted game is clearly losing
     with pytest.raises(CertificateInvalid):
-        feasibility_certificate(worked_game, F(1))
+        margin_certificate(worked_game, F(1))
 
 
 def test_feasibility_certificate_at_the_margin(worked_game):
     # shifting by the exact margin zeroes the mean payoff, so the iterate
     # never leaves a band around 0; the iterate on the floor grid at step
     # 16 is a certificate all the same, though not a strict one
-    cert = feasibility_certificate(worked_game, F(1, 28), max_iters=200)
+    cert = margin_certificate(worked_game, F(1, 28), max_iters=200)
     assert cert.vector == (F(2449, 7168), F(-4975, 7168), F(423, 1024))
     assert check_certificate(worked_game, cert) == (True, False)
 
 
-def test_feasibility_certificate_needs_positive_lambda(worked_game):
-    with pytest.raises(ValidationError):
-        feasibility_certificate(worked_game, F(0))
-    with pytest.raises(ValidationError):
-        feasibility_certificate(worked_game, F(-1, 2))
+def test_margin_certificate_kind_follows_the_sign_of_lambda(worked_game,
+                                                            losing_game):
+    # the sign of lambda names the kind, and lambda = 0 names none
+    for G in (worked_game, losing_game):
+        with pytest.raises(ValidationError):
+            margin_certificate(G, F(0))
+    assert margin_certificate(worked_game, F(1, 100)).kind == "Feasibility"
+    assert margin_certificate(losing_game, F(-1, 2)).kind == "Infeasibility"
 
 
 def test_infeasibility_certificate(losing_game):
-    cert = infeasibility_certificate(losing_game, F(-1, 2))
+    cert = margin_certificate(losing_game, F(-1, 2))
     assert cert.kind == "Infeasibility"
     assert cert.strict
     holds, strict = check_certificate(losing_game, cert)
     assert holds and strict
-    assert verify_superharmonic(losing_game, cert.vector, cert.lam)
+    assert verify_superharmonic(losing_game, cert.vector, cert.lam) == \
+        (True, True)
 
 
 def test_infeasibility_certificate_below_margin(losing_game):
     # shifting Min rewards up by 2 makes the cycle winning
     with pytest.raises(CertificateInvalid):
-        infeasibility_certificate(losing_game, F(-2))
-
-
-def test_infeasibility_certificate_needs_negative_lambda(losing_game):
-    with pytest.raises(ValidationError):
-        infeasibility_certificate(losing_game, F(0))
-    with pytest.raises(ValidationError):
-        infeasibility_certificate(losing_game, F(3))
+        margin_certificate(losing_game, F(-2))
 
 
 def holds_exactly(G, cert) -> bool:
@@ -432,11 +428,11 @@ def holds_exactly(G, cert) -> bool:
 
 def test_exact_mode_produces_a_valid_certificate(worked_game):
     # the certificates at a margin of +-1/100 hold in exact rationals too
-    cert = feasibility_certificate(worked_game, F(1, 100))
+    cert = margin_certificate(worked_game, F(1, 100))
     assert check_certificate(worked_game, cert)[0]
     assert holds_exactly(worked_game, cert)
     losing = shift_of_the_tuples(worked_game, F(-1, 10))  # value -9/140
-    cert = infeasibility_certificate(losing, F(-1, 100))
+    cert = margin_certificate(losing, F(-1, 100))
     assert check_certificate(losing, cert) == (True, True)
     assert holds_exactly(losing, cert)
 
@@ -449,11 +445,11 @@ def test_certificates_10_to_the_minus_7_from_the_value(worked_game, exact):
     near = F(1, 10**7)
     verify = holds_exactly if exact else \
         (lambda G, cert: check_certificate(G, cert) == (True, True))
-    cert = feasibility_certificate(worked_game, F(1, 28) - near)
+    cert = margin_certificate(worked_game, F(1, 28) - near)
     assert verify(worked_game, cert)
     # the running example with Min rewards lowered by 1/10: value -9/140
     losing = shift_of_the_tuples(worked_game, F(-1, 10))
-    cert = infeasibility_certificate(losing, F(-9, 140) + near)
+    cert = margin_certificate(losing, F(-9, 140) + near)
     assert cert.strict
     assert verify(losing, cert)
 
@@ -472,7 +468,7 @@ def test_check_certificate_sign_guards(worked_game):
 
 
 def test_tampered_certificate_fails_cleanly(worked_game):
-    cert = feasibility_certificate(worked_game, F(1, 100))
+    cert = margin_certificate(worked_game, F(1, 100))
     bumped = Certificate(cert.kind, (cert.vector[0] + 10,) + cert.vector[1:],
                          cert.lam, cert.strict)
     holds, _ = check_certificate(worked_game, bumped)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, formats, plumbing."""
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -10,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tropsdp import (Certificate, Pencil, SignedTrop, feasibility_certificate,
-                     game_from_pencil, jsonio)
+from tropsdp import (Certificate, Pencil, SignedTrop, game_from_pencil, jsonio,
+                     margin_certificate)
 from tropsdp import cli
 from tropsdp.cli import run
 
@@ -23,6 +24,8 @@ NEG = SignedTrop.neg
 
 RUNNING = example_path("running.json")
 DOMINION = example_path("dominion_game.json")
+PHASE = ["phase", "--n-list", "3", "--m-list", "2", "--samples", "2",
+         "--no-timing"]
 
 
 def subparsers():
@@ -99,8 +102,8 @@ def test_game_file_commands_read_no_action_tuples(tmp_path, monkeypatch,
     ]}, str(game))
     cert = tmp_path / "cert.json"
     commands = (["game", RUNNING], ["solve-game", str(game), "--policies"],
-                ["certify", str(game), "--game", "--lambda=-1/100"],
-                ["certify", str(game), "--game", "--check", str(cert)],
+                ["certify", str(game), "--lambda=-1/100"],
+                ["certify", str(game), "--check", str(cert)],
                 ["exact", RUNNING, "--policies"])
 
     def outputs():
@@ -156,18 +159,20 @@ def test_check_rejects_non_metzler(tmp_path, capsys):
     assert "Metzler" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["check", "certify"])
-def test_no_exact_flag(command, capsys):
+@pytest.mark.parametrize("argv", [["check", RUNNING], ["certify", RUNNING],
+                                  PHASE], ids=["check", "certify", "phase"])
+def test_no_exact_flag(argv, capsys):
     # the arithmetic and the stopping rule are the loop's choice, not the
     # user's: there is no --exact and no --eps
     with pytest.raises(SystemExit):
-        run([command, "--help"])
+        run([argv[0], "--help"])
     usage = capsys.readouterr().out
     for flag in ("--exact", "--eps"):
         assert flag not in usage
         with pytest.raises(SystemExit) as exc:
-            run([command, RUNNING, flag])
+            run([*argv, flag])
         assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 # n = 1, m = 2 pencils with moduli near 10^8 and 10^20, which doubles round:
@@ -205,6 +210,31 @@ def test_readme_transcripts_are_what_the_commands_print(monkeypatch, capsys):
     for argv, printed in transcripts:
         assert run(argv.split()) == 0
         assert json.loads(capsys.readouterr().out) == json.loads(printed)
+
+
+def test_readme_quick_start_does_what_its_comments_say(monkeypatch):
+    # the README's Python block, run statement by statement: each bare
+    # expression whose comment opens with a value evaluates to that value
+    root = os.path.join(os.path.dirname(RUNNING), "..")
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        block, = re.findall(r"^```python\n(.*?)^```$", f.read(),
+                            re.MULTILINE | re.DOTALL)
+    lines = block.splitlines()
+    monkeypatch.chdir(root)
+    namespace, stated = {}, []
+    for node in ast.parse(block).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README", "eval"),
+                     namespace)
+        comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+        found = re.match(r"'[^']*'|\(.*?\)|Fraction\(.*?\)", comment)
+        if found:
+            stated.append(found.group())
+            assert value == eval(found.group(), namespace), found.group()
+    assert stated == ["'Feasible'", "(True, True)", "'Feasibility'",
+                      "'Nontrivial'", "Fraction(1, 28)"]
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +313,8 @@ def test_solve_game_losing(tmp_path, capsys):
     ([[{"to": [1]}], []], [[{"to": 1}]], 2, "Min state 2 has no actions"),
     ([[{"to": [1]}]], [[]], 1, "Max state 1 has no actions"),
 ], ids=["min-target", "max-target", "no-min-action", "no-max-action"])
-@pytest.mark.parametrize("argv", [["solve-game"], ["certify", "--game"]],
+@pytest.mark.parametrize("argv", [["solve-game"],
+                                  ["certify", "--lambda=1/100"]],
                          ids=["solve-game", "certify"])
 def test_game_file_errors_count_states_from_one(tmp_path, capsys, argv, min_to,
                                                 max_to, n, reason):
@@ -422,7 +453,7 @@ def test_certify_infeasibility_on_game_file(tmp_path, capsys):
     }
     path = tmp_path / "losing.json"
     jsonio.dump_json(game, str(path))
-    assert run(["certify", str(path), "--game", "--lambda=-1/2"]) == 0
+    assert run(["certify", str(path), "--lambda=-1/2"]) == 0
     cert = json.loads(capsys.readouterr().out)
     assert cert["kind"] == "Infeasibility"
     assert cert["lambda"] == "-1/2"
@@ -449,6 +480,17 @@ def test_certify_check_rejects_a_badly_typed_certificate(tmp_path, capsys,
 def test_certify_needs_lambda_or_check(capsys):
     assert run(["certify", RUNNING]) == 1
     assert "--lambda" in capsys.readouterr().err
+
+
+def test_certify_takes_lambda_or_check_but_not_both(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert run(["certify", RUNNING, "--lambda=1/100", "-o", str(cert)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["certify", RUNNING, "--lambda=-5", "--check", str(cert)])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --check: not allowed with argument --lambda" in captured.err
 
 
 def test_certify_above_margin_fails(capsys):
@@ -704,8 +746,6 @@ def test_caps_below_one_exit_one(argv, name, value, capsys):
 
 
 HUGE = "1" + "0" * 400  # past the largest double
-PHASE = ["phase", "--n-list", "3", "--m-list", "2", "--samples", "2",
-         "--no-timing"]
 
 
 def test_certify_needs_a_nonzero_margin(capsys):
@@ -793,7 +833,7 @@ def test_exact_paths_make_no_doubles(tmp_path, huge, kernel_dtypes):
     else:
         G = game_from_pencil(jsonio.pencil_from_json(jsonio.load_json(RUNNING)))
         paths = exact_paths(tmp_path, RUNNING,
-                            feasibility_certificate(G, F(1, 100)).vector)
+                            margin_certificate(G, F(1, 100)).vector)
     kernel_dtypes.clear()
     for argv in paths:
         assert run(argv) == 0
@@ -805,18 +845,14 @@ def test_exact_paths_make_no_doubles(tmp_path, huge, kernel_dtypes):
 @pytest.mark.parametrize("value", ["0", "-1", "1e-400", HUGE],
                          ids=["zero", "negative", "tiny", "huge"])
 @pytest.mark.parametrize("argv, flag", [
-    (["check", RUNNING], "--eps"),
     (["check", RUNNING], "--max-iters"),
-    (["certify", RUNNING, "--lambda=1/100"], "--eps"),
     (["certify", RUNNING], "--lambda"),
     (["certify", RUNNING, "--lambda=1/100"], "--max-iters"),
-    (PHASE, "--eps"),
     (PHASE, "--max-iters"),
     (["exact", RUNNING], "--max-pairs"),
-], ids=["check-eps", "check-max-iters", "certify-eps", "certify-lambda",
-        "certify-max-iters", "phase-eps", "phase-max-iters", "exact-max-pairs"])
+], ids=["check-max-iters", "certify-lambda", "certify-max-iters",
+        "phase-max-iters", "exact-max-pairs"])
 def test_numeric_flags_never_raise(argv, flag, value, capsys):
-    # --eps is gone: argparse refuses it, whatever its value
     try:
         code = run([*argv, f"{flag}={value}"])
     except SystemExit as exc:  # argparse refuses the literal
@@ -854,6 +890,17 @@ def test_dump_chain_analyses_the_optimal_pair_once(command, tmp_path,
     assert run([command, path, "--dump-chain"]) == 0
     assert len(calls) == 1
     assert json.loads(capsys.readouterr().out)["chain"]["gain"] == ["1/56"] * 6
+
+
+@pytest.mark.parametrize("argv", [["exact", RUNNING],
+                                  ["solve-game", DOMINION]],
+                         ids=["exact", "solve-game"])
+def test_dump_chain_numbers_every_state_from_one(argv, capsys):
+    # each recurrent class is the key set of its stationary law
+    assert run([*argv, "--dump-chain"]) == 0
+    chain = json.loads(capsys.readouterr().out)["chain"]
+    assert chain["recurrent_classes"] == \
+        [sorted(map(int, law)) for law in chain["stationary"]]
 
 
 @pytest.mark.parametrize("argv,scans,translations", [

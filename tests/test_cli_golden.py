@@ -256,9 +256,9 @@ CASES = (
         ["certify", "--check", "{file:cert_tampered}"])]
     + [[*cmd, "{dominion}"] for cmd in (
         ["exact"], ["solve-game"], ["solve-game", "--policies", "--dump-chain"],
-        ["certify", "--game", "--lambda=1/100", "--max-iters", "200"])]
+        ["certify", "--lambda=1/100", "--max-iters", "200"])]
     + [[*cmd, "{file:losing_game}"] for cmd in (
-        ["solve-game"], ["certify", "--game", "--lambda=-1/100"])]
+        ["solve-game"], ["certify", "--lambda=-1/100"])]
     + [["gen", "--n", "3", "--m", "3", "--seed", "0"]]
     + [[cmd, f"{{gen:{n}:{m}:{seed}}}"]
        for n, m, seed in ((3, 3, 0), (3, 3, 1), (3, 3, 2), (30, 4, 3))

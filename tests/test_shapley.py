@@ -25,7 +25,7 @@ from tropsdp import (
     verify_subharmonic,
 )
 from tropsdp.bench import GenSpec, gen_random
-from tropsdp.certify import _check_pair, _superharmonic
+from tropsdp.certify import _check_pair, verify_superharmonic
 from tropsdp.markov import chain_from_policies
 from tropsdp import shapley
 from tropsdp.shapley import (
@@ -492,7 +492,7 @@ def test_near_boundary_is_decided_by_a_checked_iterate(worked_game, k, side,
     if side > 0:
         assert verify_subharmonic(g, report.witness)[0]
     else:
-        assert _superharmonic(g, report.witness, 0) == (True, True)
+        assert verify_superharmonic(g, report.witness) == (True, True)
     assert report.bits == K0
     assert max(map(digits, report.witness)) < 100
 
@@ -801,7 +801,7 @@ def assert_agrees_with_policy_enumeration(P):
     if nontrivial:
         assert verify_subharmonic(g, report.witness)[0]
     else:
-        assert _superharmonic(g, report.witness, 0) == (True, True)
+        assert verify_superharmonic(g, report.witness) == (True, True)
     return report
 
 
@@ -855,7 +855,7 @@ def test_infeasible_exit_is_certified_by_the_tilted_minimum(spec):
     report = check_feasibility(g)
     assert (report.verdict, report.iterations, report.bits, report.exit) == \
         ("Infeasible", iters, K0, stop)
-    assert _superharmonic(g, report.witness, 0) == (True, True)
+    assert verify_superharmonic(g, report.witness) == (True, True)
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["double", "exact"])
