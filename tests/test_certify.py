@@ -391,14 +391,11 @@ def test_feasibility_certificate_at_the_margin(worked_game):
     assert check_certificate(worked_game, cert) == (True, False)
 
 
-def test_margin_certificate_kind_follows_the_sign_of_lambda(worked_game,
-                                                            losing_game):
-    # the sign of lambda names the kind, and lambda = 0 names none
-    for G in (worked_game, losing_game):
-        with pytest.raises(ValidationError):
-            margin_certificate(G, F(0))
+def test_feasibility_certificate_needs_positive_lambda(worked_game):
+    # a positive lambda names a feasibility certificate; lambda = 0 names none
+    with pytest.raises(ValidationError):
+        margin_certificate(worked_game, F(0))
     assert margin_certificate(worked_game, F(1, 100)).kind == "Feasibility"
-    assert margin_certificate(losing_game, F(-1, 2)).kind == "Infeasibility"
 
 
 def test_infeasibility_certificate(losing_game):
@@ -415,6 +412,13 @@ def test_infeasibility_certificate_below_margin(losing_game):
     # shifting Min rewards up by 2 makes the cycle winning
     with pytest.raises(CertificateInvalid):
         margin_certificate(losing_game, F(-2))
+
+
+def test_infeasibility_certificate_needs_negative_lambda(losing_game):
+    # a negative lambda names an infeasibility certificate; lambda = 0 none
+    with pytest.raises(ValidationError):
+        margin_certificate(losing_game, F(0))
+    assert margin_certificate(losing_game, F(-1, 2)).kind == "Infeasibility"
 
 
 def holds_exactly(G, cert) -> bool:
