@@ -64,7 +64,7 @@ def gen_random(spec: GenSpec) -> Pencil:
     n, m = spec.n, spec.m
     i, j = np.triu_indices(m)  # row-major, the drawing order
     sign = np.where(i == j, POS, NEG).astype(np.int8)
-    return Pencil.from_arrays(
+    return Pencil(
         n, m, np.repeat(np.arange(n), len(i)), np.tile(i, n), np.tile(j, n),
         np.tile(sign, n), _draw_moduli(spec).ravel(), spec.entry_grid)
 
@@ -132,8 +132,8 @@ def phase_diagram(n_list: Sequence[int], m_list: Sequence[int], samples: int = 1
     Runs `samples` seeded instances per (n, m) cell, one after another, so
     no timed run overlaps another; with timing disabled the output is
     byte-identical across runs (wall clock is the only nondeterministic
-    column).  Every size, the sample count and the seed are checked before
-    the first sample runs.
+    column).  Every size, the sample count, the seed and the budget are
+    checked before the first sample runs.
     """
     if samples < 1:
         raise ValidationError("need at least one sample per cell")
@@ -143,6 +143,8 @@ def phase_diagram(n_list: Sequence[int], m_list: Sequence[int], samples: int = 1
         raise ValidationError("dense instances need m >= 2 so Min can move")
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
     return [_run_cell(n, m, samples, seed, max_iters, timing)
             for n in n_list for m in m_list]
 

@@ -286,7 +286,8 @@ def _emit_value(args, out: dict, G, value) -> None:
 
 def _cmd_exact(args) -> int:
     P = _load_pencil(args)
-    result = solve_tmsdfp(P, max_pairs=args.max_pairs)
+    result = solve_tmsdfp(P, max_pairs=args.max_pairs)  # rejects a non-Metzler pencil
+    _affine_note(P)
     out = {
         "status": result.status,
         "margin": None if result.margin is None

@@ -6,7 +6,7 @@ class TropSdpError(Exception):
 
 
 class ValidationError(TropSdpError):
-    """Malformed input data (bad JSON shape, asymmetric matrix, empty pencil...)."""
+    """Malformed input data (bad JSON shape, index out of range, empty pencil...)."""
 
 
 class AssumptionViolated(TropSdpError):

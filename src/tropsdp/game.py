@@ -32,14 +32,14 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from .errors import (AssumptionViolated, NotADominion, PolicySpaceTooLarge,
                      ValidationError)
-from .pencil import Pencil, int_array, require_metzler
+from .pencil import (Pencil, _over_common_denominator, int_array,
+                     require_metzler)
 from .tropical import NEG, POS, as_fraction
 
 
@@ -97,25 +97,28 @@ def _check_shape(n: int, m: int, min_states: int, max_states: int) -> None:
 
 
 def _canonical(n: int, m: int, min_rows: list, max_rows: list) -> tuple:
-    """The arrays of ``StochGame.from_arrays`` from one row per action:
-    (k, i, j, reward) for Min state k with targets i <= j (j = i for a
-    singleton), (i, k, reward) for Max state i with target k; every state
-    owns a row.  The Fraction rewards go over the lcm of their denominators,
-    one stable lexsort per player orders the rows, and equal rows go."""
-    den = math.lcm(*{row[-1].denominator for row in chain(min_rows, max_rows)})
+    """The arrays of ``StochGame.from_arrays`` from one row of integers per
+    action: (k, i, j, p, q) for Min state k with targets i <= j (j = i for a
+    singleton), (i, k, p, q) for Max state i with target k, the reward being
+    p / q, q > 0; every state owns a row.  The rewards go over one
+    denominator (``_over_common_denominator``), one stable lexsort per
+    player orders the rows, and equal rows go."""
+    *min_keys, min_num, min_den = zip(*min_rows)
+    *max_keys, max_num, max_den = zip(*max_rows)
+    num, den = _over_common_denominator(int_array(min_num + max_num),
+                                        int_array(min_den + max_den))
+    cut = len(min_num)
 
-    def rows(table: list, states: int) -> tuple:
-        *keys, rewards = zip(*table)
-        keys = [*(np.array(key, dtype=np.intp) for key in keys),
-                int_array([q.numerator * (den // q.denominator) for q in rewards])]
+    def rows(keys: tuple, p: np.ndarray, states: int) -> tuple:
+        keys = [*(np.array(key, dtype=np.intp) for key in keys), p]
         order = np.lexsort(keys[::-1])
         keys = [key[order] for key in keys]
         new = np.append(True, np.any([key[1:] != key[:-1] for key in keys], axis=0))
         state, *cols = (key[new] for key in keys)
         return _segment_starts(np.bincount(state, minlength=states)), *cols
 
-    max_seg, max_t, max_p = rows(max_rows, m)
-    min_seg, min_i, min_j, min_p = rows(min_rows, n)
+    max_seg, max_t, max_p = rows(max_keys, int_array(num[cut:]), m)
+    min_seg, min_i, min_j, min_p = rows(min_keys, int_array(num[:cut]), n)
     return max_t, max_seg, max_p, min_i, min_j, min_seg, min_p, den
 
 
@@ -151,14 +154,15 @@ class StochGame:
             for a in actions:
                 if not all(0 <= i < m for i in a.targets):
                     raise ValidationError(f"Min state {k} action targets {a.targets} out of range")
-                min_rows.append((k, a.targets[0], a.targets[-1], a.reward))
+                min_rows.append((k, a.targets[0], a.targets[-1],
+                                 a.reward.numerator, a.reward.denominator))
         for i, actions in enumerate(max_actions):
             if not actions:
                 raise ValidationError(f"Max state {i} has no actions")
             for b in actions:
                 if not 0 <= b.target < n:
                     raise ValidationError(f"Max state {i} action target {b.target} out of range")
-                max_rows.append((i, b.target, b.reward))
+                max_rows.append((i, b.target, b.reward.numerator, b.reward.denominator))
         self._store(*_canonical(n, m, min_rows, max_rows))
 
     @classmethod
@@ -328,8 +332,7 @@ def pencil_from_game(G: StochGame) -> Pencil:
     order = np.lexsort((sign, num, key))
     last = np.append(key[order][1:] != key[order][:-1], True)
     win = order[last]
-    return Pencil.from_arrays(G.n, G.m, k[win], i[win], j[win], sign[win],
-                              num[win], G.den)
+    return Pencil(G.n, G.m, k[win], i[win], j[win], sign[win], num[win], G.den)
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def pencil_from_json(obj) -> Pencil:
         if collecting:
             gc.enable()
     if columns is not None:
-        return Pencil.from_arrays(n, m, *columns, affine)
+        return Pencil(n, m, *columns, affine)
     counts, cells, nums, dens = [], [], [], []
     for k, mat in enumerate(matrices):
         if not isinstance(mat, dict):
@@ -186,9 +186,8 @@ def pencil_from_json(obj) -> Pencil:
             dens.append(value.denominator)
         counts.append(len(seen))
     cells = np.array(cells, dtype=np.intp).reshape(-1, 3)
-    return Pencil.from_arrays(n, m, np.repeat(np.arange(len(counts)), counts),
-                              cells[:, 0], cells[:, 1], cells[:, 2],
-                              int_array(nums), int_array(dens), affine)
+    return Pencil(n, m, np.repeat(np.arange(len(counts)), counts), cells[:, 0],
+                  cells[:, 1], cells[:, 2], int_array(nums), int_array(dens), affine)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,8 @@ def game_from_json(obj) -> StochGame:
                         f'Max action "to" must be a column state index in 1..{n}, '
                         f"got {to!r} at state {s + 1}")
                 to = (min(to) - 1, max(to) - 1) if player == "Min" else (to - 1,)
-                rows[player].append((s, *to, parse_rational(rec.get("reward", 0))))
+                reward = parse_rational(rec.get("reward", 0))
+                rows[player].append((s, *to, reward.numerator, reward.denominator))
     _check_shape(n, m, len(raw_min), len(raw_max))
     return StochGame.from_arrays(*_canonical(n, m, rows["Min"], rows["Max"]))
 

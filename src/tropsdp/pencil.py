@@ -88,56 +88,17 @@ class Pencil:
     ``StochGame``.  ``matrices`` (tuples of ``SignedTrop``) and ``entry``
     read the pencil back; that view is built on first read.
 
-    ``Pencil(n, m, matrices)`` builds from full symmetric matrices,
-    ``from_entries`` from sparse tuples and ``from_arrays`` from the arrays.
+    ``Pencil(n, m, k, i, j, sign, num, den)`` takes these columns, ``num``
+    an integer array and ``den`` one positive integer or an array of one
+    per entry, with at most one entry per position in any order, and sorts
+    them; ``from_entries`` reads sparse tuples.
     When ``affine`` is set, variable 0 plays the role of the affine
     constant: the pencil encodes Q^(0) + x_1 Q^(1) + ... and feasibility
     questions ask for points whose 0-th coordinate is finite.
     """
 
-    def __init__(self, n: int, m: int, matrices, affine: bool = False):
-        _check_size(n, m)
-        if len(matrices) != n:
-            raise ValidationError(f"expected {n} matrices, got {len(matrices)}")
-        for k, mat in enumerate(matrices):
-            if len(mat) != m or any(len(row) != m for row in mat):
-                raise ValidationError(f"matrix {k} is not {m}x{m}")
-            for i in range(m):
-                for j in range(i + 1, m):
-                    if mat[i][j] != mat[j][i]:
-                        raise ValidationError(
-                            f"matrix {k} is not symmetric at ({i},{j})"
-                        )
-        self._store(n, m, *_coordinates(
-            (k, i, j, mat[i][j]) for k, mat in enumerate(matrices)
-            for i in range(m) for j in range(i, m)), affine)
-
-    @classmethod
-    def from_entries(cls, n: int, m: int, entries, affine: bool = False) -> "Pencil":
-        """Build from sparse (k, i, j, value) tuples with 0-based i <= j;
-        missing positions are -oo, (j, i) is filled in symmetrically, and a
-        later tuple for the same position wins."""
-        cells = {}
-        for k, i, j, val in entries:
-            if not 0 <= k < n:
-                raise ValidationError(f"matrix index {k} out of range")
-            if not (0 <= i <= j < m):
-                raise ValidationError(f"entry index ({i},{j}) out of range")
-            cells[k, i, j] = val
-        return cls.from_arrays(n, m, *_coordinates(
-            (k, i, j, val) for (k, i, j), val in cells.items()), affine)
-
-    @classmethod
-    def from_arrays(cls, n: int, m: int, k, i, j, sign, num, den,
-                    affine: bool = False) -> "Pencil":
-        """The pencil with entries at (k, i, j), i <= j, at most one per
-        position and in any order, with signs ``sign`` and moduli
-        ``num / den``: ``den`` is one positive integer or one per entry."""
-        pencil = cls.__new__(cls)
-        pencil._store(n, m, k, i, j, sign, num, den, affine)
-        return pencil
-
-    def _store(self, n, m, k, i, j, sign, num, den, affine):
+    def __init__(self, n: int, m: int, k, i, j, sign, num, den,
+                 affine: bool = False):
         _check_size(n, m)
         k, i, j = (np.asarray(a, dtype=np.intp) for a in (k, i, j))
         sign = np.asarray(sign, dtype=np.int8)
@@ -150,6 +111,24 @@ class Pencil:
         self.k, self.i, self.j, self.sign = k, i, j, sign
         self.num, self.den = _over_common_denominator(num, den)
         self._matrices = None
+
+    @classmethod
+    def from_entries(cls, n: int, m: int, entries, affine: bool = False) -> "Pencil":
+        """Build from sparse (k, i, j, value) tuples with 0-based i <= j and
+        ``SignedTrop`` values; a position not listed is -oo, (j, i) is
+        filled in symmetrically, and a later tuple for the same position
+        wins."""
+        cells = {}
+        for k, i, j, val in entries:
+            if not 0 <= k < n:
+                raise ValidationError(f"matrix index {k} out of range")
+            if not (0 <= i <= j < m):
+                raise ValidationError(f"entry index ({i},{j}) out of range")
+            cells[k, i, j] = val
+        rows = [(k, i, j, v.sign, v.modulus.numerator, v.modulus.denominator)
+                for (k, i, j), v in cells.items() if not v.is_zero]
+        k, i, j, sign, p, q = zip(*rows) if rows else ((),) * 6
+        return cls(n, m, k, i, j, sign, int_array(p), int_array(q), affine)
 
     @property
     def matrices(self) -> tuple:
@@ -186,15 +165,6 @@ def _check_size(n: int, m: int) -> None:
     if n * m * m >= 2**63:  # the cell keys (k m + i) m + j must fit in int64
         raise ValidationError(f"pencil of {n} matrices {m} x {m} is too large: "
                               "n m^2 must be below 2^63")
-
-
-def _coordinates(cells) -> tuple:
-    """(k, i, j, sign, numerators, denominators) of the finite values among
-    (k, i, j, SignedTrop) tuples."""
-    rows = [(k, i, j, v.sign, v.modulus.numerator, v.modulus.denominator)
-            for k, i, j, v in cells if not v.is_zero]
-    k, i, j, sign, p, q = zip(*rows) if rows else ((),) * 6
-    return k, i, j, sign, int_array(p), int_array(q)
 
 
 NOT_METZLER = ("operation requires a Metzler pencil "
@@ -360,7 +330,7 @@ def metzlerize(P: Pencil) -> Metzlerization:
     slack_i = (slack_base + [0, 1, 2]).ravel()
     slack_j = (slack_base + [0, 1, 3]).ravel()
     slack_sign = np.tile(np.array([POS, POS, NEG], dtype=np.int8), len(pairs))
-    lifted = Pencil.from_arrays(
+    lifted = Pencil(
         n + len(pairs), m + 4 * len(pairs),
         np.concatenate((P.k[diag], P.k[off], P.k[off], P.k[pos_diag], slack)),
         np.concatenate((P.i[diag], row23, row23 + 1, row4, slack_i)),
@@ -453,7 +423,7 @@ def _extract(P: Pencil, var: np.ndarray, row: np.ndarray) -> Pencil:
     order; the renumbering is monotone, so i <= j holds."""
     keep = var[P.k] & row[P.i] & row[P.j]
     k, r = np.cumsum(var) - 1, np.cumsum(row) - 1
-    return Pencil.from_arrays(
+    return Pencil(
         int(var.sum()), int(row.sum()), k[P.k[keep]], r[P.i[keep]],
         r[P.j[keep]], P.sign[keep], P.num[keep], P.den,
         affine=P.affine and bool(var[0]))

@@ -261,8 +261,11 @@ def _decide(G: StochGame, max_iters: int, lam=0):
     t stands when F(z) < lam + z in every entry for ``_tilted_min``'s z;
     otherwise the loop reruns with the bits doubled, until they reach t,
     where z passes by construction.  The other stops return the loop's
-    vector, already checked or undecided.
+    vector, already checked or undecided.  A budget below one step raises
+    ValidationError.
     """
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
     bits = K0
     while True:
         grid = G.operator(lam, 1 << bits)

@@ -79,15 +79,17 @@ def test_phase_refuses_a_small_m_before_deciding(monkeypatch):
     assert decided == []
 
 
-@pytest.mark.parametrize("n_list, seed", [([3, 0], 0), ([3], -1)],
-                         ids=["n-zero", "seed-negative"])
-def test_phase_refuses_a_bad_size_or_seed_before_deciding(n_list, seed,
+@pytest.mark.parametrize("n_list, seed, max_iters",
+                         [([3, 0], 0, 10), ([3], -1, 10), ([3], 0, 0)],
+                         ids=["n-zero", "seed-negative", "max-iters-zero"])
+def test_phase_refuses_a_bad_size_or_seed_before_deciding(n_list, seed, max_iters,
                                                          monkeypatch):
     decided = []
     monkeypatch.setattr("tropsdp.bench._decide",
                         lambda *args: decided.append(args) or _decide(*args))
     with pytest.raises(ValidationError):
-        phase_diagram(n_list, [2], samples=2, seed=seed, timing=False)
+        phase_diagram(n_list, [2], samples=2, seed=seed, max_iters=max_iters,
+                      timing=False)
     assert decided == []
 
 

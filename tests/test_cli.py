@@ -312,7 +312,10 @@ def test_solve_game_losing(tmp_path, capsys):
      'Max action "to" must be a column state index in 1..1, got 2 at state 1'),
     ([[{"to": [1]}], []], [[{"to": 1}]], 2, "Min state 2 has no actions"),
     ([[{"to": [1]}]], [[]], 1, "Max state 1 has no actions"),
-], ids=["min-target", "max-target", "no-min-action", "no-max-action"])
+    ([[{"to": [1]}]], [[{"to": 1}]], 2, "min_actions must list every Min state"),
+    ([[{"to": [1]}]], [], 1, "max_actions must list every Max state"),
+], ids=["min-target", "max-target", "no-min-action", "no-max-action",
+        "missing-min-state", "missing-max-state"])
 @pytest.mark.parametrize("argv", [["solve-game"],
                                   ["certify", "--lambda=1/100"]],
                          ids=["solve-game", "certify"])
@@ -491,6 +494,16 @@ def test_certify_takes_lambda_or_check_but_not_both(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --check: not allowed with argument --lambda" in captured.err
+
+
+def test_certify_refuses_a_lambda_that_is_no_rational(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["certify", RUNNING, "--lambda=abc"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("tropsdp certify: error: argument --lambda: "
+                            "bad rational literal 'abc'\n")
 
 
 def test_certify_above_margin_fails(capsys):
@@ -806,7 +819,7 @@ def exact_paths(tmp_path, pencil, vector):
     P = jsonio.pencil_from_json(jsonio.load_json(pencil))
     affine, game, cert = (str(tmp_path / name) for name in
                           ("affine.json", "game.json", "cert.json"))
-    jsonio.dump_json(jsonio.pencil_to_json(Pencil.from_arrays(
+    jsonio.dump_json(jsonio.pencil_to_json(Pencil(
         P.n, P.m, P.k, P.i, P.j, P.sign, P.num, P.den, affine=True)), affine)
     jsonio.dump_json(jsonio.certificate_to_json(
         Certificate("Feasibility", tuple(vector), F(1, 100), True)), cert)
@@ -922,8 +935,8 @@ def test_pencil_command_scans_and_translates_once(argv, scans, translations,
     from tropsdp import game_from_pencil
 
     path = tmp_path / "running_affine.json"
-    affine = Pencil(running_pencil.n, running_pencil.m,
-                    running_pencil.matrices, affine=True)
+    R = running_pencil
+    affine = Pencil(R.n, R.m, R.k, R.i, R.j, R.sign, R.num, R.den, affine=True)
     jsonio.dump_json(jsonio.pencil_to_json(affine), str(path))
     scanned, translated = [], []
     is_metzler = Pencil.is_metzler

@@ -776,7 +776,7 @@ def test_affine_chance_split_needs_the_shrink(solves):
     assert winning_dominions(G) == [frozenset({1})]
     solves.clear()
     P = pencil_from_game(G)
-    P = Pencil.from_arrays(P.n, P.m, P.k, P.i, P.j, P.sign, P.num, P.den, affine=True)
+    P = Pencil(P.n, P.m, P.k, P.i, P.j, P.sign, P.num, P.den, affine=True)
     assert affine_feasibility(P) is False
     assert solves == [3]
 
@@ -864,7 +864,7 @@ def dense_affine(n):
     """``gen --n n --m 3 --grid 8 --seed 1`` with the affine flag: every
     nonempty state set of its game is a dominion."""
     P = gen_random(GenSpec(n, 3, 1, 8))
-    return Pencil.from_arrays(n, 3, P.k, P.i, P.j, P.sign, P.num, P.den, affine=True)
+    return Pencil(n, 3, P.k, P.i, P.j, P.sign, P.num, P.den, affine=True)
 
 
 def test_affine_solves_a_dense_game_once(solves):
@@ -885,8 +885,8 @@ def test_affine_solves_only_the_block_reachable_from_state_0(running_pencil, sol
     R, D = running_pencil, dense_affine(8)
     cat = lambda name, shift: np.concatenate((getattr(R, name), getattr(D, name) + shift))
     num = np.concatenate((R.num.astype(object) * D.den, D.num.astype(object) * R.den))
-    P = Pencil.from_arrays(R.n + D.n, R.m + D.m, cat("k", R.n), cat("i", R.m),
-                           cat("j", R.m), cat("sign", 0), num, R.den * D.den, affine=True)
+    P = Pencil(R.n + D.n, R.m + D.m, cat("k", R.n), cat("i", R.m), cat("j", R.m),
+               cat("sign", 0), num, R.den * D.den, affine=True)
     assert affine_feasibility(P) is True
     assert solves == [3]
 

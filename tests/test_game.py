@@ -165,6 +165,9 @@ def test_int_array_keeps_int64_up_to_its_bound():
     assert int_array([2**63 - 1, -(2**63 - 1)]).dtype == np.int64
     assert int_array([2**63]).dtype == object
     assert int_array([-(2**63)]).dtype == object
+    # each player's rewards are an int_array of their own
+    G = StochGame(1, 1, ((MinAction((0,), 1),),), ((MaxAction(0, 2**70),),))
+    assert (G.min_p.dtype, G.max_p.dtype) == (np.int64, object)
 
 
 def with_object_numerators(g):

@@ -274,8 +274,8 @@ def test_large_pencils_round_trip():
     assert jsonio._columns(P.n, P.m, obj["matrices"]) is not None
     assert jsonio.pencil_from_json(obj) == P
     # numerators beyond int64 stay Python ints
-    wide = Pencil.from_arrays(P.n, P.m, P.k, P.i, P.j, P.sign,
-                              P.num.astype(object) * 2 ** 64 + 1, P.den)
+    wide = Pencil(P.n, P.m, P.k, P.i, P.j, P.sign,
+                  P.num.astype(object) * 2 ** 64 + 1, P.den)
     obj = jsonio.pencil_to_json(wide)
     assert jsonio._columns(P.n, P.m, obj["matrices"]) is not None
     again = jsonio.pencil_from_json(obj)
@@ -370,6 +370,22 @@ def test_game_from_json_equals_the_game_of_its_actions(seed):
         assert G.max_actions == sorted_states(maxs, lambda b: (b.target, b.reward))
         assert G.den == math.lcm(*(a.reward.denominator for acts in mins + maxs
                                    for a in acts))
+
+
+@pytest.mark.parametrize("reader, obj, message", [
+    (jsonio.game_from_json, [1], "game file must contain a JSON object"),
+    (jsonio.game_from_json, {"n": 1, "m": 1, "min_actions": []},
+     "game object is missing key 'max_actions'"),
+    (jsonio.certificate_from_json, [1],
+     "certificate file must contain a JSON object"),
+    (jsonio.certificate_from_json, {"kind": "Feasibility", "vector": ["0"]},
+     "certificate object is missing key 'lambda'"),
+], ids=["game-not-object", "game-no-max-actions", "certificate-not-object",
+        "certificate-no-lambda"])
+def test_readers_refuse_a_non_object_or_a_missing_key(reader, obj, message):
+    with pytest.raises(ValidationError) as exc:
+        reader(obj)
+    assert str(exc.value) == message
 
 
 def test_game_from_json_validates_targets():

@@ -38,30 +38,26 @@ any_entry = st.one_of(st.just(TROP_ZERO), st.builds(SignedTrop.pos, mods),
 def metzler_pencils(draw, max_n=3, max_m=3):
     n = draw(st.integers(1, max_n))
     m = draw(st.integers(1, max_m))
-    mats = []
-    for _ in range(n):
-        grid = [[TROP_ZERO] * m for _ in range(m)]
+    entries = []
+    for k in range(n):
         for i in range(m):
-            grid[i][i] = draw(metzler_diag)
+            entries.append((k, i, i, draw(metzler_diag)))
             for j in range(i + 1, m):
-                grid[i][j] = grid[j][i] = draw(metzler_off)
-        mats.append(tuple(tuple(r) for r in grid))
-    return Pencil(n, m, tuple(mats))
+                entries.append((k, i, j, draw(metzler_off)))
+    return Pencil.from_entries(n, m, entries)
 
 
 @st.composite
 def general_pencils(draw, max_n=3, max_m=3):
     n = draw(st.integers(1, max_n))
     m = draw(st.integers(1, max_m))
-    mats = []
-    for _ in range(n):
-        grid = [[TROP_ZERO] * m for _ in range(m)]
+    entries = []
+    for k in range(n):
         for i in range(m):
-            grid[i][i] = draw(metzler_diag)
+            entries.append((k, i, i, draw(metzler_diag)))
             for j in range(i + 1, m):
-                grid[i][j] = grid[j][i] = draw(any_entry)
-        mats.append(tuple(tuple(r) for r in grid))
-    return Pencil(n, m, tuple(mats))
+                entries.append((k, i, j, draw(any_entry)))
+    return Pencil.from_entries(n, m, entries)
 
 
 def points(n):
@@ -71,11 +67,6 @@ def points(n):
 
 # -- construction ------------------------------------------------------------
 
-def test_pencil_validates_symmetry():
-    with pytest.raises(ValidationError):
-        Pencil(1, 2, (((TROP_ZERO, P("-", 0)), (TROP_ZERO, TROP_ZERO)),))
-
-
 def test_from_entries_rejects_bad_indices():
     with pytest.raises(ValidationError):
         Pencil.from_entries(1, 2, [(0, 1, 0, P("-", 0))])  # i > j
@@ -83,12 +74,11 @@ def test_from_entries_rejects_bad_indices():
         Pencil.from_entries(1, 2, [(2, 0, 0, P("+", 0))])  # k out of range
 
 
-def test_from_arrays_sorts_entries_over_the_least_denominator():
+def test_pencil_sorts_entries_over_the_least_denominator():
     reference = Pencil.from_entries(2, 2, [
         (1, 0, 1, P("-", "1/3")), (0, 1, 1, P("+", "5/4")), (0, 0, 0, P("-", 2))])
-    shuffled = Pencil.from_arrays(2, 2, [1, 0, 0], [0, 1, 0], [1, 1, 0],
-                                  [NEG, POS, NEG], np.array([2, 10, 4]),
-                                  np.array([6, 8, 2]))
+    shuffled = Pencil(2, 2, [1, 0, 0], [0, 1, 0], [1, 1, 0], [NEG, POS, NEG],
+                      np.array([2, 10, 4]), np.array([6, 8, 2]))
     assert shuffled == reference
     assert (reference.den, reference.k.tolist(), reference.num.tolist()) == \
         (12, [0, 0, 1], [24, 15, 4])
@@ -388,7 +378,7 @@ def extract_listed(Pz, vars_alive, rows_alive):
     rows = renumber(Pz.m, rows_alive)
     i, j = rows[Pz.i], rows[Pz.j]
     keep = (k >= 0) & (i >= 0) & (j >= 0)
-    return Pencil.from_arrays(
+    return Pencil(
         len(vars_alive), len(rows_alive), k[keep], np.minimum(i, j)[keep],
         np.maximum(i, j)[keep], Pz.sign[keep], Pz.num[keep], Pz.den,
         affine=Pz.affine and 0 in vars_alive)

@@ -25,7 +25,8 @@ from tropsdp import (
     verify_subharmonic,
 )
 from tropsdp.bench import GenSpec, gen_random
-from tropsdp.certify import _check_pair, verify_superharmonic
+from tropsdp.certify import (_check_pair, margin_certificate,
+                             verify_superharmonic)
 from tropsdp.markov import chain_from_policies
 from tropsdp import shapley
 from tropsdp.shapley import (
@@ -245,6 +246,15 @@ def test_values_of_both_signs_are_indeterminate(both_signs_pencil):
     assert report.iterations == 50
     assert report.witness == (F(50), F(-100))
     assert report.exit == "budget"
+
+
+@pytest.mark.parametrize("decide", [
+    lambda G: check_feasibility(G, 0),
+    lambda G: margin_certificate(G, F(1, 100), -5),
+], ids=["check-zero", "certificate-negative"])
+def test_a_budget_below_one_step_is_refused(worked_game, decide):
+    with pytest.raises(ValidationError, match="^max_iters must be at least 1, got"):
+        decide(worked_game)
 
 
 def test_zero_cycle_is_decided_at_the_first_check(monkeypatch):
