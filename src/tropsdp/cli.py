@@ -2,9 +2,9 @@
 
 Subcommands cover the full pipeline: feasibility checking by value
 iteration (`check`), exact margins by policy enumeration (`exact`),
-pencil/game translation (`game`, `solve-game`), preprocessing
-(`metzlerize`, `normalize`, `affine`), certificates (`certify`), and the
-experimental harness (`gen`, `phase`).
+pencil-to-game translation (`game`), preprocessing (`metzlerize`,
+`normalize`, `affine`), certificates (`certify`), and the experimental
+harness (`gen`, `phase`).  `exact` and `certify` also read a game file.
 
 Exit codes: 0 feasible/success, 10 infeasible/trivial, 20 indeterminate,
 1 usage or validation error.  `-` means stdin/stdout everywhere.
@@ -26,7 +26,7 @@ from . import jsonio
 from .errors import TropSdpError, ValidationError
 from .exact import (DEFAULT_PAIR_CAP, affine_feasibility, game_value_bruteforce,
                     optimal_chain, solve_tmsdfp)
-from .game import game_from_pencil
+from .game import StochGame, game_from_pencil
 from .pencil import metzlerize, normalize
 from .shapley import IterationReport, check_feasibility
 
@@ -124,21 +124,19 @@ def build_parser() -> _Parser:
                        help="nonnegative seed of the random draws "
                             "(default %(default)s)")
 
-    def enumeration_flags(p):
-        p.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_CAP,
-                       help="cap on the number of policy pairs to evaluate")
-        p.add_argument("--policies", action="store_true",
-                       help="also print the optimal pair in readable form")
-        p.add_argument("--dump-chain", action="store_true",
-                       help="include the Markov analysis of the optimal pair")
-
     iteration_flags(add("check", _cmd_check,
                         "decide feasibility of a pencil by value iteration"))
-    enumeration_flags(add("exact", _cmd_exact,
-                          "exact game value / margin by policy enumeration"))
+
+    p = add("exact", _cmd_exact, "exact game value / margin by policy "
+            "enumeration, of a pencil or a game file")
+    p.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_CAP,
+                   help="cap on the number of policy pairs to evaluate")
+    p.add_argument("--policies", action="store_true",
+                   help="also print the optimal pair in readable form")
+    p.add_argument("--dump-chain", action="store_true",
+                   help="include the Markov analysis of the optimal pair")
+
     add("game", _cmd_game, "translate a well-formed Metzler pencil to its game")
-    enumeration_flags(add("solve-game", _cmd_solve_game,
-                          "exact value of a game given directly as JSON"))
     add("metzlerize", _cmd_metzlerize,
         "rewrite a general symmetric pencil as a Metzler one")
     add("normalize", _cmd_normalize,
@@ -193,6 +191,15 @@ def _emit(args, payload: str) -> None:
 
 def _load_pencil(args):
     return jsonio.pencil_from_json(jsonio.load_json(args.input))
+
+
+def _load_instance(args):
+    """The game of a game file, a JSON object with a min_actions or
+    max_actions key; the pencil of anything else."""
+    data = jsonio.load_json(args.input)
+    if isinstance(data, dict) and {"min_actions", "max_actions"} & data.keys():
+        return jsonio.game_from_json(data)
+    return jsonio.pencil_from_json(data)
 
 
 def _affine_note(P) -> None:
@@ -255,12 +262,11 @@ def _cmd_check(args) -> int:
               "feasible ray; no iteration needed", file=sys.stderr)
         report = IterationReport("Feasible", 0, ())
     else:
-        reduced = norm.pencil
-        if reduced is not P:
+        if norm.eliminated_variables:
             gone = [v + 1 for v in norm.eliminated_variables]
             print(f"note: variables {gone} are forced to -inf; the witness is "
                   "over the remaining variables", file=sys.stderr)
-        report = check_feasibility(game_from_pencil(reduced), args.max_iters)
+        report = check_feasibility(game_from_pencil(norm.pencil), args.max_iters)
     _emit(args, jsonio.dump_json(jsonio.report_to_json(report)))
     if report.verdict == "Feasible":
         return EXIT_FEASIBLE
@@ -271,31 +277,28 @@ def _cmd_check(args) -> int:
     return EXIT_INDETERMINATE
 
 
-def _emit_value(args, out: dict, G, value) -> None:
-    """The shared tail of `exact` and `solve-game`: under --dump-chain the
-    ``markov.analyze`` report of the optimal pair's unfolded chain, run only
-    for that flag, the JSON, then --policies on stderr.  Without a value
-    (a trivial `exact` instance) only the JSON."""
+def _cmd_exact(args) -> int:
+    instance = _load_instance(args)
+    if isinstance(instance, StochGame):
+        G, value = instance, game_value_bruteforce(instance, max_pairs=args.max_pairs)
+        margin = 2 * max(value.chi)
+        status = "Nontrivial" if margin >= 0 else "Trivial"
+    else:
+        result = solve_tmsdfp(instance, max_pairs=args.max_pairs)  # rejects a non-Metzler pencil
+        _affine_note(instance)
+        status, margin, G, value = result.status, result.margin, result.game, result.value
+    out = {
+        "status": status,
+        "margin": None if margin is None else jsonio.format_rational(margin),
+        "value": None if value is None else _value_to_json(value),
+    }
     if value is not None and args.dump_chain:
         out["chain"] = _chain_to_json(optimal_chain(G, value))
     _emit(args, jsonio.dump_json(out))
     if value is not None and args.policies:
         print("optimal pair:\n" + _describe_policies(G, value.optimal_pair),
               file=sys.stderr)
-
-
-def _cmd_exact(args) -> int:
-    P = _load_pencil(args)
-    result = solve_tmsdfp(P, max_pairs=args.max_pairs)  # rejects a non-Metzler pencil
-    _affine_note(P)
-    out = {
-        "status": result.status,
-        "margin": None if result.margin is None
-        else jsonio.format_rational(result.margin),
-        "value": None if result.value is None else _value_to_json(result.value),
-    }
-    _emit_value(args, out, result.game, result.value)
-    return EXIT_FEASIBLE if result.status == "Nontrivial" else EXIT_INFEASIBLE
+    return EXIT_FEASIBLE if status == "Nontrivial" else EXIT_INFEASIBLE
 
 
 def _cmd_game(args) -> int:
@@ -304,13 +307,6 @@ def _cmd_game(args) -> int:
     _affine_note(P)
     _emit(args, jsonio.dump_json(jsonio.game_to_json(G)))
     return EXIT_FEASIBLE
-
-
-def _cmd_solve_game(args) -> int:
-    G = jsonio.game_from_json(jsonio.load_json(args.input))
-    value = game_value_bruteforce(G, max_pairs=args.max_pairs)
-    _emit_value(args, _value_to_json(value), G, value)
-    return EXIT_FEASIBLE if max(value.chi) >= 0 else EXIT_INFEASIBLE
 
 
 def _cmd_metzlerize(args) -> int:
@@ -362,12 +358,9 @@ def _cmd_phase(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    data = jsonio.load_json(args.input)
-    if isinstance(data, dict) and {"min_actions", "max_actions"} & data.keys():
-        G = jsonio.game_from_json(data)
-    else:
-        P = jsonio.pencil_from_json(data)
-        G = game_from_pencil(P)
+    G = _load_instance(args)
+    if not isinstance(G, StochGame):
+        P, G = G, game_from_pencil(G)
         _affine_note(P)
     if args.check is not None:
         cert = jsonio.certificate_from_json(jsonio.load_json(args.check))

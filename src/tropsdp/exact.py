@@ -334,7 +334,7 @@ def game_value_bruteforce(G: StochGame, max_pairs: int = DEFAULT_PAIR_CAP) -> Ga
 
 def optimal_chain(G: StochGame, value: GameValue) -> ChainAnalysis:
     """``markov.analyze`` of the unfolded chain of value's optimal pair on
-    G: the chain that `exact` and `solve-game` print under --dump-chain."""
+    G: the chain that `exact` prints under --dump-chain."""
     return analyze(chain_from_policies(G, *value.optimal_pair))
 
 

@@ -91,7 +91,9 @@ class Pencil:
     ``Pencil(n, m, k, i, j, sign, num, den)`` takes these columns, ``num``
     an integer array and ``den`` one positive integer or an array of one
     per entry, with at most one entry per position in any order, and sorts
-    them; ``from_entries`` reads sparse tuples.
+    them; it raises ``ValidationError`` on columns of unequal lengths, a
+    position out of range, a sign other than POS or NEG, a denominator
+    below 1 or two entries at one position.  ``from_entries`` reads sparse tuples.
     When ``affine`` is set, variable 0 plays the role of the affine
     constant: the pencil encodes Q^(0) + x_1 Q^(1) + ... and feasibility
     questions ask for points whose 0-th coordinate is finite.
@@ -101,12 +103,27 @@ class Pencil:
                  affine: bool = False):
         _check_size(n, m)
         k, i, j = (np.asarray(a, dtype=np.intp) for a in (k, i, j))
-        sign = np.asarray(sign, dtype=np.int8)
+        sign = np.asarray(sign)
+        if len({len(c) for c in (k, i, j, sign, num,
+                                 k if isinstance(den, int) else den)}) > 1:
+            raise ValidationError("pencil columns differ in length")
+        if k.size and (k.min() < 0 or k.max() >= n or i.min() < 0
+                       or j.max() >= m or (i > j).any()):
+            raise ValidationError(f"pencil entries need 0 <= k < {n} and "
+                                  f"0 <= i <= j < {m}")
+        if ((sign != POS) & (sign != NEG)).any():
+            raise ValidationError("pencil entry signs must be 1 or -1")
+        if (den if isinstance(den, int) else den.min(initial=1)) < 1:
+            raise ValidationError("pencil denominators must be positive")
+        sign = sign.astype(np.int8)
         key = (k * m + i) * m + j
-        if np.any(key[1:] < key[:-1]):
+        if (key[1:] <= key[:-1]).any():
             order = np.argsort(key, kind="stable")
             k, i, j, sign, num = k[order], i[order], j[order], sign[order], num[order]
             den = den if isinstance(den, int) else den[order]
+            key = key[order]
+            if (key[1:] == key[:-1]).any():
+                raise ValidationError("pencil lists two entries at one position")
         self.n, self.m, self.affine = n, m, affine
         self.k, self.i, self.j, self.sign = k, i, j, sign
         self.num, self.den = _over_common_denominator(num, den)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tropsdp import (Certificate, Pencil, SignedTrop, game_from_pencil, jsonio,
-                     margin_certificate)
+                     margin_certificate, normalize)
 from tropsdp import cli
 from tropsdp.cli import run
 
@@ -101,7 +101,7 @@ def test_game_file_commands_read_no_action_tuples(tmp_path, monkeypatch,
         [{"to": 2, "reward": "0.5"}],
     ]}, str(game))
     cert = tmp_path / "cert.json"
-    commands = (["game", RUNNING], ["solve-game", str(game), "--policies"],
+    commands = (["game", RUNNING], ["exact", str(game), "--policies"],
                 ["certify", str(game), "--lambda=-1/100"],
                 ["certify", str(game), "--check", str(cert)],
                 ["exact", RUNNING, "--policies"])
@@ -142,6 +142,20 @@ def test_check_free_ray(tmp_path, capsys):
     out = capsys.readouterr()
     assert json.loads(out.out)["verdict"] == "Feasible"
     assert "feasible ray" in out.err
+
+
+def test_check_notes_no_variables_when_only_rows_go(tmp_path, capsys):
+    # normalize removes the empty row 3 and no variable, so the witness is
+    # over both input variables and no variable is forced to -inf
+    entries = [(0, 0, 0, POS(F(1))), (0, 0, 1, NEG(F(0))), (0, 1, 1, POS(F(0))),
+               (1, 0, 0, NEG(F(2))), (1, 1, 1, POS(F(1)))]
+    norm = normalize(Pencil.from_entries(2, 3, entries))
+    assert (norm.kind, norm.removed_rows, norm.eliminated_variables) == \
+        ("reduced", (2,), ())
+    assert run(["check", write_pencil(tmp_path, "rows.json", 2, 3, entries)]) == 0
+    out = capsys.readouterr()
+    assert len(json.loads(out.out)["witness"]) == 2
+    assert out.err == ""
 
 
 def test_check_indeterminate(both_signs_path, capsys):
@@ -212,6 +226,15 @@ def test_readme_transcripts_are_what_the_commands_print(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out) == json.loads(printed)
 
 
+def test_readme_command_table_lists_the_subcommands_in_order():
+    root = os.path.join(os.path.dirname(RUNNING), "..")
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        table = re.search(r"^\| command +\|.*?\n\n", f.read(),
+                          re.MULTILINE | re.DOTALL).group()
+    listed = re.findall(r"^\| `([a-z-]+)` +\|", table, re.MULTILINE)
+    assert listed == list(subparsers())
+
+
 def test_readme_quick_start_does_what_its_comments_say(monkeypatch):
     # the README's Python block, run statement by statement: each bare
     # expression whose comment opens with a value evaluates to that value
@@ -238,7 +261,7 @@ def test_readme_quick_start_does_what_its_comments_say(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# exact / game / solve-game
+# exact / game
 # ---------------------------------------------------------------------------
 
 def test_exact_worked_example(capsys):
@@ -272,27 +295,45 @@ def test_game_pipe_matches_exact(tmp_path, capsys):
     game_file = tmp_path / "game.json"
     assert run(["game", RUNNING, "-o", str(game_file)]) == 0
     capsys.readouterr()
-    assert run(["solve-game", str(game_file)]) == 0
-    piped = json.loads(capsys.readouterr().out)
+    assert run(["exact", str(game_file)]) == 0
+    piped = capsys.readouterr()
     assert run(["exact", RUNNING]) == 0
-    direct = json.loads(capsys.readouterr().out)
-    assert piped == direct["value"]
+    assert capsys.readouterr() == piped
+    assert json.loads(piped.out)["margin"] == "1/28"
 
 
 def test_solve_game_policies_and_chain_match_exact(tmp_path, capsys):
+    # exact on the game file prints what exact on the pencil prints
     game_file = tmp_path / "game.json"
     assert run(["game", RUNNING, "-o", str(game_file)]) == 0
     capsys.readouterr()
-    assert run(["solve-game", str(game_file), "--policies", "--dump-chain"]) == 0
+    assert run(["exact", str(game_file), "--policies", "--dump-chain"]) == 0
     piped = capsys.readouterr()
     assert run(["exact", RUNNING, "--policies", "--dump-chain"]) == 0
-    direct = capsys.readouterr()
-    assert json.loads(piped.out)["chain"] == json.loads(direct.out)["chain"]
-    assert piped.err == direct.err
+    assert capsys.readouterr() == piped
+    assert json.loads(piped.out)["chain"]["gain"] == ["1/56"] * 6
     assert piped.err.startswith("optimal pair:\n  Min 1:")
 
 
+def test_solve_game_is_no_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["solve-game", DOMINION])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith(
+        "tropsdp: error: argument COMMAND: invalid choice: 'solve-game'")
+
+
+def test_exact_refuses_a_game_of_no_states(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    jsonio.dump_json({"n": 0, "m": 0, "min_actions": [], "max_actions": []},
+                     str(path))
+    assert run(["exact", str(path)]) == 1
+    assert capsys.readouterr() == ("", "tropsdp: ValidationError: game needs "
+                                   "n >= 1 and m >= 1, got (0, 0)\n")
+
+
 def test_solve_game_losing(tmp_path, capsys):
+    # exact on a game file: margin 2 max chi, exit 10 when it is negative
     game = {
         "n": 1, "m": 1,
         "min_actions": [[{"to": [1], "reward": "-1"}]],
@@ -300,9 +341,10 @@ def test_solve_game_losing(tmp_path, capsys):
     }
     path = tmp_path / "losing.json"
     jsonio.dump_json(game, str(path))
-    assert run(["solve-game", str(path)]) == 10
+    assert run(["exact", str(path)]) == 10
     out = json.loads(capsys.readouterr().out)
-    assert out["chi"] == ["-1/2"]
+    assert (out["status"], out["margin"]) == ("Trivial", "-1")
+    assert out["value"]["chi"] == ["-1/2"]
 
 
 @pytest.mark.parametrize("min_to, max_to, n, reason", [
@@ -316,9 +358,9 @@ def test_solve_game_losing(tmp_path, capsys):
     ([[{"to": [1]}]], [], 1, "max_actions must list every Max state"),
 ], ids=["min-target", "max-target", "no-min-action", "no-max-action",
         "missing-min-state", "missing-max-state"])
-@pytest.mark.parametrize("argv", [["solve-game"],
+@pytest.mark.parametrize("argv", [["exact"],
                                   ["certify", "--lambda=1/100"]],
-                         ids=["solve-game", "certify"])
+                         ids=["exact", "certify"])
 def test_game_file_errors_count_states_from_one(tmp_path, capsys, argv, min_to,
                                                 max_to, n, reason):
     # the file numbers states from 1, so its errors do too
@@ -655,8 +697,7 @@ def test_shared_flags_are_declared_once():
                 copies.setdefault(flag, []).append(
                     (action.help, action.type, default))
     shared = {flag for flag, seen in copies.items() if len(seen) > 1}
-    assert {"--max-iters", "--max-pairs", "--policies",
-            "--dump-chain"} <= shared
+    assert "--max-iters" in shared
     for flag in shared:
         assert len(set(copies[flag])) == 1, (flag, copies[flag])
 
@@ -704,7 +745,7 @@ def test_misshapen_pencil_exits_one_without_traceback(tmp_path, capsys):
      b'"val": ' + b"9" * 5000 + b"}]}]}", "malformed JSON: Exceeds the limit (4300 digits)"),
 ], ids=["utf16", "deep", "digits"])
 @pytest.mark.parametrize("via", ["file", "stdin"])
-@pytest.mark.parametrize("command", ["check", "solve-game"])
+@pytest.mark.parametrize("command", ["check", "exact"])
 def test_unreadable_input_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                       command, via, data, reason):
     path = tmp_path / "bad.json"
@@ -747,7 +788,7 @@ def test_sizes_past_the_address_space_exit_one(argv, capsys):
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("argv, name", [
     (["exact", RUNNING, "--max-pairs"], "max-pairs"),
-    (["solve-game", example_path("dominion_game.json"), "--max-pairs"], "max-pairs"),
+    (["exact", DOMINION, "--max-pairs"], "max-pairs"),
     (["certify", RUNNING, "--max-iters"], "max-iters"),
     (["check", RUNNING, "--max-iters"], "max-iters"),
 ])
@@ -813,8 +854,8 @@ def test_rewards_whose_sums_leave_the_doubles_are_decided(tmp_path, capsys):
 
 
 def exact_paths(tmp_path, pencil, vector):
-    """argv of the commands that never iterate: exact, game, solve-game on
-    the game that writes, affine on the pencil with its affine flag set,
+    """argv of the commands that never iterate: exact, game, exact on the
+    game that writes, affine on the pencil with its affine flag set,
     and certify --check of this vector as a certificate at margin 1/100."""
     P = jsonio.pencil_from_json(jsonio.load_json(pencil))
     affine, game, cert = (str(tmp_path / name) for name in
@@ -823,7 +864,7 @@ def exact_paths(tmp_path, pencil, vector):
         P.n, P.m, P.k, P.i, P.j, P.sign, P.num, P.den, affine=True)), affine)
     jsonio.dump_json(jsonio.certificate_to_json(
         Certificate("Feasibility", tuple(vector), F(1, 100), True)), cert)
-    return [["exact", pencil], ["game", pencil, "-o", game], ["solve-game", game],
+    return [["exact", pencil], ["game", pencil, "-o", game], ["exact", game],
             ["affine", affine], ["certify", pencil, "--check", cert]]
 
 
@@ -834,7 +875,8 @@ def test_exact_paths_take_any_reward(tmp_path, capsys):
         outputs.append(capsys.readouterr())
     exact, _, solved, affine, check = (json.loads(out.out or "null") for out in outputs)
     chi = [jsonio.format_rational(F(10**400 + 1, 4))]
-    assert (exact["status"], exact["value"]["chi"], solved["chi"]) == ("Nontrivial", chi, chi)
+    assert (exact["status"], exact["value"]["chi"]) == ("Nontrivial", chi)
+    assert solved == exact
     assert affine == {"feasible": True}
     assert (check["holds"], check["strict"]) == (True, True)
 
@@ -874,8 +916,8 @@ def test_numeric_flags_never_raise(argv, flag, value, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["exact", "solve-game"])
-def test_dump_chain_analyses_the_optimal_pair_once(command, tmp_path,
+@pytest.mark.parametrize("game_file", [False, True], ids=["exact", "exact-game"])
+def test_dump_chain_analyses_the_optimal_pair_once(game_file, tmp_path,
                                                    monkeypatch, capsys):
     # the value is checked without markov.analyze; --dump-chain analyses
     # the optimal pair once, and only that flag does
@@ -884,7 +926,7 @@ def test_dump_chain_analyses_the_optimal_pair_once(command, tmp_path,
     import tropsdp.markov
 
     path = RUNNING
-    if command == "solve-game":
+    if game_file:
         path = str(tmp_path / "game.json")
         assert run(["game", RUNNING, "-o", path]) == 0
     capsys.readouterr()
@@ -897,17 +939,16 @@ def test_dump_chain_analyses_the_optimal_pair_once(command, tmp_path,
 
     for module in (tropsdp.markov, tropsdp.exact, tropsdp.cli):
         monkeypatch.setattr(module, "analyze", counting, raising=False)
-    assert run([command, path, "--policies"]) == 0
+    assert run(["exact", path, "--policies"]) == 0
     assert calls == []
     capsys.readouterr()
-    assert run([command, path, "--dump-chain"]) == 0
+    assert run(["exact", path, "--dump-chain"]) == 0
     assert len(calls) == 1
     assert json.loads(capsys.readouterr().out)["chain"]["gain"] == ["1/56"] * 6
 
 
-@pytest.mark.parametrize("argv", [["exact", RUNNING],
-                                  ["solve-game", DOMINION]],
-                         ids=["exact", "solve-game"])
+@pytest.mark.parametrize("argv", [["exact", RUNNING], ["exact", DOMINION]],
+                         ids=["exact", "exact-game"])
 def test_dump_chain_numbers_every_state_from_one(argv, capsys):
     # each recurrent class is the key set of its stationary law
     assert run([*argv, "--dump-chain"]) == 0

@@ -255,10 +255,10 @@ CASES = (
         ["certify", "--check", "{file:cert}"],
         ["certify", "--check", "{file:cert_tampered}"])]
     + [[*cmd, "{dominion}"] for cmd in (
-        ["exact"], ["solve-game"], ["solve-game", "--policies", "--dump-chain"],
+        ["exact"], ["exact", "--policies", "--dump-chain"],
         ["certify", "--lambda=1/100", "--max-iters", "200"])]
     + [[*cmd, "{file:losing_game}"] for cmd in (
-        ["solve-game"], ["certify", "--lambda=-1/100"])]
+        ["exact"], ["certify", "--lambda=-1/100"])]
     + [["gen", "--n", "3", "--m", "3", "--seed", "0"]]
     + [[cmd, f"{{gen:{n}:{m}:{seed}}}"]
        for n, m, seed in ((3, 3, 0), (3, 3, 1), (3, 3, 2), (30, 4, 3))
@@ -279,7 +279,7 @@ CASES = (
     # the optimal pair's tie-break among equal replies
     + [["exact", "--policies", "--dump-chain", f"{{gen:3:3:{seed}}}"]
        for seed in (0, 1, 2)]
-    + [["exact", "{gen:2:4:0}"], ["solve-game", "--policies", "{file:tied_game}"]]
+    + [["exact", "{gen:2:4:0}"], ["exact", "--policies", "{file:tied_game}"]]
     # near the boundary: decided by the iterate checked after 32 steps
     + [[*cmd, f"{{file:{name}}}"]
        for name in ("near_feasible", "near_infeasible")
@@ -348,6 +348,31 @@ def test_one_process_writes_the_corpus_in_either_order(paths):
     for case in cases + cases[::-1]:
         assert _run(case["argv"], paths) == (case["exit"], case["stdout"],
                                              case["stderr"])
+
+
+AFFINE_NOTE = ("note: affine flag ignored here; use `tropsdp affine` for the "
+               "affine question\n")
+
+
+def test_exact_prints_alike_for_a_pencil_and_its_game_file(paths, tmp_path):
+    # every input of the corpus that `game` translates: exact on the game
+    # file prints what exact on the pencil prints, but for the affine note
+    translated = []
+    for arg in sorted(paths):
+        game = str(tmp_path / f"game{len(translated)}.json")
+        if _run(["game", paths[arg], "-o", game], {})[0]:
+            continue
+        translated.append(arg)
+        for flags in ([], ["--policies", "--dump-chain"]):
+            code, out, err = _run(["exact", *flags, arg], paths)
+            assert _run(["exact", *flags, game], {}) == \
+                (code, out, err.replace(AFFINE_NOTE, "")), (arg, flags)
+    assert translated == [
+        "{file:at_margin}", "{file:chance_split_affine}", "{file:dense_affine}",
+        "{file:direct_sum_affine}", "{file:losing_affine}",
+        "{file:near_feasible}", "{file:near_infeasible}",
+        "{file:running_affine}", "{gen:2:4:0}", "{gen:30:4:3}", "{gen:3:3:0}",
+        "{gen:3:3:1}", "{gen:3:3:2}", "{running}"]
 
 
 def _outcome(case) -> str:

@@ -438,10 +438,10 @@ MAX_TO = ("max_actions", 0, 0, "to")
     ("check", "running.json", ("n",), "3"),
     ("check", "running.json", ("m",), 3.0),
     ("affine", "running.json", ("affine",), "false"),
-    ("solve-game", "dominion_game.json", ("n",), 4.0),
-    ("solve-game", "dominion_game.json", ("m",), "3"),
-    ("solve-game", "dominion_game.json", MIN_TO, [True]),
-    ("solve-game", "dominion_game.json", MAX_TO, True),
+    ("exact", "dominion_game.json", ("n",), 4.0),
+    ("exact", "dominion_game.json", ("m",), "3"),
+    ("exact", "dominion_game.json", MIN_TO, [True]),
+    ("exact", "dominion_game.json", MAX_TO, True),
 ])
 def test_badly_typed_json_is_rejected(tmp_path, capsys, command, fixture,
                                       path, value):

@@ -67,6 +67,8 @@ def test_chain_validation():
         MarkovChain(((F(3, 2), F(-1, 2)), (0, 1)), (0, 0))  # negative entry
     with pytest.raises(ValidationError):
         MarkovChain(((0, 1), (1, 0)), (0,))  # reward count
+    with pytest.raises(ValidationError, match="row 1 has 1 entries, expected 2"):
+        MarkovChain(((0, 1), (1,)), (0, 0))  # short row
 
 
 def test_absorbing_chain():

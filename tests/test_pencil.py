@@ -89,6 +89,44 @@ def test_pencil_sorts_entries_over_the_least_denominator():
                     np.array([True, True])).den == 4
 
 
+# the 1 x 2 pencil with +1 at (1, 1) and -0 at (1, 2)
+COLUMNS = dict(n=1, m=2, k=[0, 0], i=[0, 0], j=[0, 1], sign=[POS, NEG],
+               num=np.array([1, 0]), den=1)
+
+
+@pytest.mark.parametrize("change, reason", [
+    ({"n": 0}, "n >= 1 and m >= 1, got \\(0, 2\\)"),
+    ({"m": 0}, "n >= 1 and m >= 1, got \\(1, 0\\)"),
+    ({"k": [0, 3]}, "0 <= k < 1 and 0 <= i <= j < 2"),
+    ({"k": [-1, 0]}, "0 <= k < 1"),
+    ({"i": [-1, 0]}, "0 <= i <= j < 2"),
+    ({"i": [0, 1], "j": [1, 0]}, "0 <= i <= j < 2"),
+    ({"j": [0, 2]}, "0 <= i <= j < 2"),
+    ({"j": [0, 0]}, "two entries at one position"),
+    ({"k": [0, 0, 0], "i": [0, 0, 0], "j": [1, 0, 1], "sign": [NEG, POS, NEG],
+      "num": np.array([0, 1, 2])}, "two entries at one position"),
+    ({"sign": [POS, 0]}, "signs must be 1 or -1"),
+    ({"sign": [2, NEG]}, "signs must be 1 or -1"),
+    ({"den": 0}, "denominators must be positive"),
+    ({"den": np.array([1, -2])}, "denominators must be positive"),
+    ({"num": np.array([1])}, "columns differ in length"),
+    ({"sign": [POS]}, "columns differ in length"),
+    ({"den": np.array([1, 1, 1])}, "columns differ in length"),
+], ids=["n-zero", "m-zero", "k-past-n", "k-negative", "i-negative",
+        "i-above-j", "j-past-m", "duplicate", "duplicate-unsorted",
+        "sign-zero", "sign-two", "den-zero", "den-negative", "short-num",
+        "short-sign", "long-den"])
+def test_pencil_refuses_malformed_columns(change, reason):
+    assert Pencil(**COLUMNS).num.tolist() == [1, 0]
+    with pytest.raises(ValidationError, match=reason):
+        Pencil(**dict(COLUMNS, **change))
+
+
+def test_pencil_equality_defers_to_other_types(running_pencil):
+    assert running_pencil.__eq__("pencil") is NotImplemented
+    assert running_pencil != "pencil"
+
+
 def test_require_metzler(running_pencil):
     require_metzler(running_pencil)  # no raise
     bad = Pencil.from_entries(1, 2, [(0, 0, 1, P("+", 0))])
@@ -118,6 +156,11 @@ def test_running_example_reinforced_membership(running_pencil):
 def test_membership_rejects_wrong_arity(running_pencil):
     with pytest.raises(ValidationError):
         membership_metzler(running_pencil, [F(0)])
+
+
+def test_general_membership_rejects_wrong_arity(running_pencil):
+    with pytest.raises(ValidationError, match="point has 2 coordinates, expected 3"):
+        membership_general(running_pencil, [F(0), F(0)])
 
 
 def test_trivial_point_always_member(running_pencil):

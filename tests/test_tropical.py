@@ -53,6 +53,19 @@ def test_signed_trop_rejects_inconsistent_zero():
         SignedTrop(0, Fraction(1))
 
 
+def test_signed_trop_checks_its_sign_and_makes_its_modulus_a_fraction():
+    with pytest.raises(ValueError, match="sign must be -1, 0 or 1, got 2"):
+        SignedTrop(2, Fraction(1))
+    three = SignedTrop(POS, 3)
+    assert type(three.modulus) is Fraction and three.modulus == 3
+
+
+def test_reprs():
+    assert repr(MINUS_INF) == repr(TROP_ZERO) == "-oo"
+    assert repr(SignedTrop.pos(Fraction(1, 2))) == "1/2"
+    assert repr(SignedTrop.neg(Fraction(-3))) == "(-)-3"
+
+
 def test_is_finite():
     assert is_finite(Fraction(3))
     assert not is_finite(MINUS_INF)
