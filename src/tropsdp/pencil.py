@@ -21,8 +21,10 @@ detecting obviously nontrivial or trivial instances along the way.
 In memory a pencil is its entries on and above the diagonal that are not
 -oo, as coordinate arrays; the structural checks, the reductions of
 ``normalize`` and the lifting of ``metzlerize`` are mask, ``bincount`` and
-concatenation passes over them.  The matrices of ``SignedTrop`` are a view
-for the membership tests, which are the exact reference.
+concatenation passes over them.  The membership tests, the exact
+reference, read the same arrays: they put the moduli and the point over
+one denominator and compare the forms in integers, with -oo as a missing
+form.
 """
 
 from __future__ import annotations
@@ -35,15 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .tropical import (
-    MINUS_INF,
-    NEG,
-    POS,
-    ExtReal,
-    SignedTrop,
-    TROP_ZERO,
-    as_fraction,
-)
+from .tropical import MINUS_INF, NEG, POS, ExtReal, as_fraction
 
 
 def int_array(values) -> np.ndarray:
@@ -85,15 +79,15 @@ class Pencil:
     the diagonal, are -oo.  Entries are sorted by (k, i, j).  ``den`` is the
     lcm of the moduli's reduced denominators and ``num`` an int64 array when
     every numerator fits, an object array of Python ints otherwise, as in
-    ``StochGame``.  ``matrices`` (tuples of ``SignedTrop``) and ``entry``
-    read the pencil back; that view is built on first read.
+    ``StochGame``.
 
     ``Pencil(n, m, k, i, j, sign, num, den)`` takes these columns, ``num``
     an integer array and ``den`` one positive integer or an array of one
     per entry, with at most one entry per position in any order, and sorts
     them; it raises ``ValidationError`` on columns of unequal lengths, a
-    position out of range, a sign other than POS or NEG, a denominator
-    below 1 or two entries at one position.  ``from_entries`` reads sparse tuples.
+    position that is not an integer or out of range, a sign other than POS
+    or NEG, a denominator below 1 or two entries at one position.
+    ``from_entries`` reads sparse tuples.
     When ``affine`` is set, variable 0 plays the role of the affine
     constant: the pencil encodes Q^(0) + x_1 Q^(1) + ... and feasibility
     questions ask for points whose 0-th coordinate is finite.
@@ -102,7 +96,10 @@ class Pencil:
     def __init__(self, n: int, m: int, k, i, j, sign, num, den,
                  affine: bool = False):
         _check_size(n, m)
-        k, i, j = (np.asarray(a, dtype=np.intp) for a in (k, i, j))
+        k, i, j = (np.asarray(a) for a in (k, i, j))
+        if any(a.size and a.dtype.kind not in "iu" for a in (k, i, j)):
+            raise ValidationError("pencil positions k, i, j must be integers")
+        k, i, j = (a.astype(np.intp, copy=False) for a in (k, i, j))
         sign = np.asarray(sign)
         if len({len(c) for c in (k, i, j, sign, num,
                                  k if isinstance(den, int) else den)}) > 1:
@@ -127,7 +124,6 @@ class Pencil:
         self.n, self.m, self.affine = n, m, affine
         self.k, self.i, self.j, self.sign = k, i, j, sign
         self.num, self.den = _over_common_denominator(num, den)
-        self._matrices = None
 
     @classmethod
     def from_entries(cls, n: int, m: int, entries, affine: bool = False) -> "Pencil":
@@ -146,23 +142,6 @@ class Pencil:
                 for (k, i, j), v in cells.items() if not v.is_zero]
         k, i, j, sign, p, q = zip(*rows) if rows else ((),) * 6
         return cls(n, m, k, i, j, sign, int_array(p), int_array(q), affine)
-
-    @property
-    def matrices(self) -> tuple:
-        """The n matrices as m x m tuples of SignedTrop."""
-        if self._matrices is None:
-            self._matrices = self._matrix_view()
-        return self._matrices
-
-    def _matrix_view(self) -> tuple:
-        grids = [[[TROP_ZERO] * self.m for _ in range(self.m)] for _ in range(self.n)]
-        for k, i, j, s, p in zip(*(a.tolist() for a in (
-                self.k, self.i, self.j, self.sign, self.num))):
-            grids[k][i][j] = grids[k][j][i] = SignedTrop(s, Fraction(p, self.den))
-        return tuple(tuple(tuple(row) for row in grid) for grid in grids)
-
-    def entry(self, k: int, i: int, j: int) -> SignedTrop:
-        return self.matrices[k][i][j]
 
     def is_metzler(self) -> bool:
         return not np.any((self.sign == POS) & (self.i != self.j))
@@ -193,26 +172,6 @@ def require_metzler(P: Pencil) -> None:
         raise ValidationError(NOT_METZLER)
 
 
-# ---------------------------------------------------------------------------
-# Evaluation of the linear forms Q_ij(x)
-# ---------------------------------------------------------------------------
-
-def form_eval(P: Pencil, i: int, j: int, x: Sequence[ExtReal], sign: int) -> ExtReal:
-    """max over k with sign(Q^(k)_ij) == sign of |Q^(k)_ij| + x_k."""
-    best: ExtReal = MINUS_INF
-    for k in range(P.n):
-        e = P.matrices[k][i][j]
-        if e.sign != sign:
-            continue
-        xk = x[k]
-        if xk is MINUS_INF:
-            continue
-        v = e.modulus + xk
-        if v > best:
-            best = v
-    return best
-
-
 def support(x: Sequence[ExtReal]) -> frozenset:
     return frozenset(k for k, v in enumerate(x) if v is not MINUS_INF)
 
@@ -221,54 +180,74 @@ def support(x: Sequence[ExtReal]) -> frozenset:
 # Membership
 # ---------------------------------------------------------------------------
 
-def membership_metzler(P: Pencil, x: Sequence[ExtReal], lam=Fraction(0)) -> bool:
-    """Does x lie in the lambda-reinforced spectrahedron of a Metzler pencil?
+def _forms(P: Pencil, x: Sequence[ExtReal], lam=Fraction(0)) -> tuple:
+    """(forms, S, L): the forms Q_ij+(x) and Q_ij-(x) and lam, in integers.
 
-    Checks Q_ii+(x) >= lam + Q_ii-(x) for every i and
-    Q_ii+(x) + Q_jj+(x) >= 2 (lam + Q_ij(x)) for every i < j.
-    With lam = 0 this is plain membership.
+    S is the lcm of ``P.den``, lam's denominator and those of the finite
+    x_k, and L = S lam.  ``forms[sign, i, j]``, for i <= j, is the integer
+    S Q_ij^sign(x): the max of num (S / den) + S x_k over the entries of
+    that sign at (i, j) whose x_k is finite.  A form with no such entry is
+    -oo and has no key.
     """
-    require_metzler(P)
     if len(x) != P.n:
         raise ValidationError(f"point has {len(x)} coordinates, expected {P.n}")
     lam = as_fraction(lam)
-    pos_diag = [form_eval(P, i, i, x, POS) for i in range(P.m)]
-    for i in range(P.m):
-        rhs = form_eval(P, i, i, x, NEG)
-        if rhs is not MINUS_INF and pos_diag[i] < lam + rhs:
-            return False
-    for i in range(P.m):
-        for j in range(i + 1, P.m):
-            off = form_eval(P, i, j, x, NEG)
-            if off is MINUS_INF:
-                continue
-            if pos_diag[i] + pos_diag[j] < 2 * (lam + off):
-                return False
-    return True
+    x = [None if v is MINUS_INF else Fraction(v) for v in x]
+    S = math.lcm(P.den, lam.denominator,
+                 *(v.denominator for v in x if v is not None))
+    sx = [None if v is None else v.numerator * (S // v.denominator) for v in x]
+    scale = S // P.den
+    forms = {}
+    for k, s, i, j, p in zip(*(a.tolist() for a in (
+            P.k, P.sign, P.i, P.j, P.num))):
+        if sx[k] is not None:
+            v = p * scale + sx[k]
+            if forms.get((s, i, j), v) <= v:
+                forms[s, i, j] = v
+    return forms, S, lam.numerator * (S // lam.denominator)
+
+
+def _diagonals_reach(forms: dict, i: int, j: int, bound: int) -> bool:
+    """S (Q_ii+(x) + Q_jj+(x)) >= bound; a -oo form falls short of it."""
+    a, b = forms.get((POS, i, i)), forms.get((POS, j, j))
+    return a is not None and b is not None and a + b >= bound
+
+
+def _top(forms: dict, i: int, j: int) -> Optional[int]:
+    """S max(Q_ij+, Q_ij-)(x), or None where the two forms are equal (the
+    entry vanishes, -oo included)."""
+    plus, minus = forms.get((POS, i, j)), forms.get((NEG, i, j))
+    if plus == minus:
+        return None
+    return max(v for v in (plus, minus) if v is not None)
+
+
+def membership_metzler(P: Pencil, x: Sequence[ExtReal], lam=Fraction(0)) -> bool:
+    """Does x lie in the lambda-reinforced spectrahedron of a Metzler pencil?
+
+    Checks Q_ii+(x) + Q_jj+(x) >= 2 (lam + Q_ij-(x)) for every i <= j
+    with Q_ij-(x) finite; at i = j this is Q_ii+(x) >= lam + Q_ii-(x).
+    With lam = 0 this is plain membership.
+    """
+    require_metzler(P)
+    forms, _, L = _forms(P, x, lam)
+    return all(_diagonals_reach(forms, i, j, 2 * (L + v))
+               for (s, i, j), v in forms.items() if s == NEG)
 
 
 def membership_general(P: Pencil, x: Sequence[ExtReal]) -> bool:
     """Membership in the spectrahedron of a general (signed) pencil.
 
     Same order-1 condition; the order-2 condition allows the alternative
-    that the off-diagonal form vanishes, i.e. Q_ij+(x) = Q_ij-(x).
+    that the off-diagonal form vanishes, i.e. Q_ij+(x) = Q_ij-(x).  Both
+    are Q_ii+(x) + Q_jj+(x) >= 2 max(Q_ij+, Q_ij-)(x) for every i <= j
+    whose two forms differ: at i = j it reads Q_ii+(x) >= Q_ii-(x).
     """
-    if len(x) != P.n:
-        raise ValidationError(f"point has {len(x)} coordinates, expected {P.n}")
-    pos_diag = [form_eval(P, i, i, x, POS) for i in range(P.m)]
-    for i in range(P.m):
-        rhs = form_eval(P, i, i, x, NEG)
-        if rhs is not MINUS_INF and pos_diag[i] < rhs:
+    forms, _, _ = _forms(P, x)
+    for i, j in {cell[1:] for cell in forms}:
+        top = _top(forms, i, j)
+        if top is not None and not _diagonals_reach(forms, i, j, 2 * top):
             return False
-    for i in range(P.m):
-        for j in range(i + 1, P.m):
-            plus = form_eval(P, i, j, x, POS)
-            minus = form_eval(P, i, j, x, NEG)
-            if plus == minus:
-                continue  # vanishing off-diagonal entry
-            off = max(plus, minus)
-            if pos_diag[i] + pos_diag[j] < 2 * off:
-                return False
     return True
 
 
@@ -282,7 +261,8 @@ class Metzlerization:
     spectrahedron, plus the bookkeeping to construct witnesses.
 
     Variables 0..n-1 are the original ones; variable ``pair_var[(i, j)]``
-    is the slack y_ij attached to matrix position (i, j), i < j.
+    is the slack y_ij attached to matrix position (i, j), i < j, and the
+    pairs are listed in the order of their variables.
     """
 
     pencil: Pencil
@@ -296,16 +276,10 @@ class Metzlerization:
         For x in the source spectrahedron, (x, witness) lies in the lifted
         one; for x outside, no y works and this candidate fails membership.
         """
-        n = self.source.n
-        y: list[ExtReal] = [MINUS_INF] * len(self.pair_var)
-        for (i, j), var in self.pair_var.items():
-            plus = form_eval(self.source, i, j, x, POS)
-            minus = form_eval(self.source, i, j, x, NEG)
-            if plus == minus:
-                y[var - n] = MINUS_INF
-            else:
-                y[var - n] = max(plus, minus)
-        return list(x) + y
+        forms, S, _ = _forms(self.source, x)
+        tops = [_top(forms, i, j) for i, j in self.pair_var]
+        return list(x) + [MINUS_INF if top is None else Fraction(top, S)
+                          for top in tops]
 
 
 def metzlerize(P: Pencil) -> Metzlerization:

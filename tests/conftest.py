@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tropsdp import (MinAction, MaxAction, Pencil, SignedTrop, StochGame,
                      apply_F, jsonio)
 from tropsdp.shapley import _bracket, _certificate
-from tropsdp.tropical import MINUS_INF
+from tropsdp.tropical import MINUS_INF, TROP_ZERO
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 EXAMPLES = os.path.join(HERE, "..", "examples")
@@ -24,6 +24,16 @@ EXAMPLES = os.path.join(HERE, "..", "examples")
 #   and Max actions 0->0@-1, 1->2@0, 2->3@-1.
 def example_path(name):
     return os.path.join(EXAMPLES, name)
+
+
+def entry_of(P, k, i, j):
+    """The entry of P at (k, i, j) as a SignedTrop, TROP_ZERO where it is
+    -oo, read off the coordinate arrays; (j, i) mirrors (i, j)."""
+    i, j = min(i, j), max(i, j)
+    at = np.flatnonzero((P.k == k) & (P.i == i) & (P.j == j))
+    if not at.size:
+        return TROP_ZERO
+    return SignedTrop(int(P.sign[at[0]]), Fraction(int(P.num[at[0]]), P.den))
 
 
 @pytest.fixture(scope="session")

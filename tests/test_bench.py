@@ -21,7 +21,7 @@ from tropsdp.exact import game_value_bruteforce
 from tropsdp.shapley import K0, _decide, apply_F, value_iteration_raw
 from tropsdp.tropical import POS, NEG
 
-from conftest import first_checked_certificate
+from conftest import entry_of, first_checked_certificate
 
 F = Fraction
 
@@ -52,12 +52,12 @@ def test_generated_pencils_are_dense_normalized_metzler():
     for k in range(P.n):
         for i in range(P.m):
             for j in range(i, P.m):
-                e = P.matrices[k][i][j]
+                e = entry_of(P, k, i, j)
                 assert e.sign == (POS if i == j else NEG)
                 assert 0 <= e.modulus <= 1
                 assert e.modulus.denominator & (e.modulus.denominator - 1) == 0
-    # symmetric completion
-    assert P.matrices[0][2][1] == P.matrices[0][1][2]
+    # dense: every position on and above the diagonal is listed once
+    assert len(P.k) == P.n * P.m * (P.m + 1) // 2
 
 
 def test_generated_pencil_survives_json_round_trip():

@@ -999,23 +999,6 @@ def test_pencil_command_scans_and_translates_once(argv, scans, translations,
     assert (len(scanned), len(translated)) == (scans + translations, translations)
 
 
-def test_check_builds_no_matrix_view(tmp_path, monkeypatch, capsys):
-    # `check` runs on the pencil's coordinate arrays from parse to verdict
-    path = str(tmp_path / "gen.json")
-    assert run(["gen", "--n", "30", "--m", "4", "--seed", "3", "-o", path]) == 0
-    built = []
-    matrix_view = Pencil._matrix_view
-
-    def counted_view(self):
-        built.append(self)
-        return matrix_view(self)
-
-    monkeypatch.setattr(Pencil, "_matrix_view", counted_view)
-    assert run(["check", path]) == 0
-    capsys.readouterr()
-    assert built == []
-
-
 @pytest.mark.parametrize("argv", [["game"], ["certify", "--lambda=1/100"]],
                          ids=["game", "certify"])
 def test_untranslatable_affine_pencil_prints_no_note(argv, tmp_path, capsys):

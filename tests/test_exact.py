@@ -750,15 +750,8 @@ def test_affine_on_dominion_example(dominion_game):
     from tropsdp import pencil_from_game
 
     base = pencil_from_game(dominion_game)
-    P = Pencil.from_entries(
-        base.n, base.m,
-        [(k, i, j, base.matrices[k][i][j])
-         for k in range(base.n)
-         for i in range(base.m)
-         for j in range(i, base.m)
-         if not base.matrices[k][i][j].is_zero],
-        affine=True,
-    )
+    P = Pencil(base.n, base.m, base.k, base.i, base.j, base.sign, base.num,
+               base.den, affine=True)
     # the only winning dominion is {2}, which misses the affine variable
     assert affine_feasibility(P) is False
 

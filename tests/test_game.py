@@ -35,7 +35,8 @@ from tropsdp.shapley import K0
 from tropsdp.shapley import apply_F
 from tropsdp.tropical import MINUS_INF
 
-from conftest import games, overlap_free_games, sparse_json_games, trop_points
+from conftest import (entry_of, games, overlap_free_games, sparse_json_games,
+                      trop_points)
 
 F = Fraction
 
@@ -238,7 +239,7 @@ def test_diagonal_slot_keeps_binding_constraint():
             (tuple(MinAction((0,), r) for r in min_rewards),),
             (tuple(MaxAction(0, r) for r in max_rewards),),
         )
-        return pencil_from_game(g).matrices[0][0][0]
+        return entry_of(pencil_from_game(g), 0, 0, 0)
 
     assert slot([F(-5)], [F(3)]) == SignedTrop.neg(F(5))
     assert slot([F(-2)], [F(3)]) == SignedTrop.pos(F(3))
@@ -256,8 +257,8 @@ def test_parallel_actions_collapse_to_dominant():
         ((MaxAction(0, F(2)), MaxAction(0, F(7))), (MaxAction(0, F(0)),)),
     )
     P = pencil_from_game(g)
-    assert P.matrices[0][0][1] == SignedTrop.neg(F(4))
-    assert P.matrices[0][0][0] == SignedTrop.pos(F(7))
+    assert entry_of(P, 0, 0, 1) == SignedTrop.neg(F(4))
+    assert entry_of(P, 0, 0, 0) == SignedTrop.pos(F(7))
     # Min state 0: three parallel {0, 1} actions and two singletons {1}
     # whose strongest ties with Max state 1's strongest action back to 0;
     # Min state 1: a singleton {0} that beats Max state 0's actions to 1

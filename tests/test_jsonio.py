@@ -26,7 +26,7 @@ from tropsdp import (
 )
 from tropsdp.bench import GenSpec, gen_random
 
-from conftest import example_path, games, overlap_free_games
+from conftest import entry_of, example_path, games, overlap_free_games
 
 F = Fraction
 
@@ -77,7 +77,7 @@ def test_pencil_literals_rejected_like_parse_rational(val):
                                  "1_0/3", "\u0663/4"])
 def test_pencil_literals_read_like_parse_rational(val):
     P = jsonio.pencil_from_json(one_entry_pencil(val))
-    modulus = P.entry(0, 0, 0).modulus
+    modulus = entry_of(P, 0, 0, 0).modulus
     assert modulus == jsonio.parse_rational(val)
     assert P.den == modulus.denominator
 
@@ -219,14 +219,14 @@ def test_column_reader_reads_json_integers(val):
     assert jsonio._columns(1, 1, obj["matrices"]) is not None
     P = jsonio.pencil_from_json(obj)
     assert P == read_by_records(obj) == jsonio.pencil_from_json(one_entry_pencil(str(val)))
-    assert P.entry(0, 0, 0).modulus == val
+    assert entry_of(P, 0, 0, 0).modulus == val
 
 
 def test_column_reader_declines_an_int_past_the_digit_limit():
     # no JSON text parses to it, but a caller's dict can hold it
     obj = one_entry_pencil(10 ** 5000)
     assert jsonio._columns(1, 1, obj["matrices"]) is None
-    assert jsonio.pencil_from_json(obj).entry(0, 0, 0).modulus == 10 ** 5000
+    assert entry_of(jsonio.pencil_from_json(obj), 0, 0, 0).modulus == 10 ** 5000
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropsdp import (Pencil, ValidationError, membership_general,
-                     membership_metzler, metzlerize, normalize,
-                     require_metzler, support)
+from tropsdp import (Pencil, ValidationError, apply_F, game_from_pencil,
+                     membership_general, membership_metzler, metzlerize,
+                     normalize, require_metzler, support)
 from tropsdp.errors import AssumptionViolated
 from tropsdp.pencil import (NormalizeResult, _extract, _forced_reductions,
-                            all_positive_variables)
+                            all_positive_variables, int_array)
 from tropsdp.tropical import MINUS_INF, NEG, POS, TROP_ZERO, SignedTrop
+
+from conftest import entry_of
 
 F = Fraction
 
@@ -82,8 +84,7 @@ def test_pencil_sorts_entries_over_the_least_denominator():
     assert shuffled == reference
     assert (reference.den, reference.k.tolist(), reference.num.tolist()) == \
         (12, [0, 0, 1], [24, 15, 4])
-    assert shuffled.matrices == reference.matrices
-    assert reference.entry(1, 1, 0) == P("-", "1/3")
+    assert entry_of(reference, 1, 1, 0) == P("-", "1/3")
     # without the entry over 3, the kept moduli share the denominator 4
     assert _extract(reference, np.array([True, False]),
                     np.array([True, True])).den == 4
@@ -99,6 +100,7 @@ COLUMNS = dict(n=1, m=2, k=[0, 0], i=[0, 0], j=[0, 1], sign=[POS, NEG],
     ({"m": 0}, "n >= 1 and m >= 1, got \\(1, 0\\)"),
     ({"k": [0, 3]}, "0 <= k < 1 and 0 <= i <= j < 2"),
     ({"k": [-1, 0]}, "0 <= k < 1"),
+    ({"k": [0.5, 0]}, "positions k, i, j must be integers"),
     ({"i": [-1, 0]}, "0 <= i <= j < 2"),
     ({"i": [0, 1], "j": [1, 0]}, "0 <= i <= j < 2"),
     ({"j": [0, 2]}, "0 <= i <= j < 2"),
@@ -112,12 +114,14 @@ COLUMNS = dict(n=1, m=2, k=[0, 0], i=[0, 0], j=[0, 1], sign=[POS, NEG],
     ({"num": np.array([1])}, "columns differ in length"),
     ({"sign": [POS]}, "columns differ in length"),
     ({"den": np.array([1, 1, 1])}, "columns differ in length"),
-], ids=["n-zero", "m-zero", "k-past-n", "k-negative", "i-negative",
-        "i-above-j", "j-past-m", "duplicate", "duplicate-unsorted",
-        "sign-zero", "sign-two", "den-zero", "den-negative", "short-num",
-        "short-sign", "long-den"])
+], ids=["n-zero", "m-zero", "k-past-n", "k-negative", "k-fractional",
+        "i-negative", "i-above-j", "j-past-m", "duplicate",
+        "duplicate-unsorted", "sign-zero", "sign-two", "den-zero",
+        "den-negative", "short-num", "short-sign", "long-den"])
 def test_pencil_refuses_malformed_columns(change, reason):
     assert Pencil(**COLUMNS).num.tolist() == [1, 0]
+    # no entries: the empty columns of from_entries are float arrays
+    assert Pencil.from_entries(1, 2, []).k.size == 0
     with pytest.raises(ValidationError, match=reason):
         Pencil(**dict(COLUMNS, **change))
 
@@ -165,6 +169,40 @@ def test_general_membership_rejects_wrong_arity(running_pencil):
 
 def test_trivial_point_always_member(running_pencil):
     assert membership_metzler(running_pencil, [MINUS_INF] * 3)
+
+
+def huge_pencil(off_sign):
+    """A 3 x 2 pencil over the denominator 3 with moduli past 10^400; its
+    (0, 1) entry in Q^(0) has the sign off_sign.  The huge parts cancel in
+    the comparisons, so only exact integers see what is left."""
+    rows = [(0, 0, 0, POS, 10**400 + 1), (0, 0, 1, off_sign, 10**400),
+            (0, 1, 1, POS, 10**400 + 4), (1, 0, 0, NEG, 2),
+            (1, 0, 1, NEG, 10**400 + 3), (1, 1, 1, POS, 1),
+            (2, 0, 0, POS, 7), (2, 1, 1, NEG, 10**400 + 2)]
+    k, i, j, sign, num = zip(*rows)
+    return Pencil(3, 2, k, i, j, sign, int_array(num), 3)
+
+
+@pytest.mark.parametrize("x", [
+    (F(1, 2), MINUS_INF, F(3, 5)), (F(3, 2), F(1, 2), MINUS_INF),
+    (MINUS_INF, F(2, 7), F(1, 2)), (F(-1, 2), F(1, 5), MINUS_INF),
+    (F(0), MINUS_INF, MINUS_INF), (F(1, 7), MINUS_INF, F(1, 2)),
+    (F(1, 2), F(-1, 2), F(1, 4))])
+def test_membership_is_exact_past_int64(x):
+    # the Metzler pencil against its game's sublevel sets, at the margin
+    # of x (the largest lambda that keeps it inside) and around it
+    P = huge_pencil(NEG)
+    assert (P.den, P.num.dtype) == (3, object)
+    fx = apply_F(game_from_pencil(P), x)
+    margin = min(f - v for v, f in zip(x, fx) if v is not MINUS_INF)
+    for lam in (margin - F(1, 10), margin, margin + F(1, 10), F(0), F(5, 6)):
+        inside = all(lam + v <= f for v, f in zip(x, fx))
+        assert membership_metzler(P, x, lam) == inside, lam
+    # (3/2, 1/2, -oo) makes the (0, 1) forms of the general variant equal
+    general = huge_pencil(POS)
+    lift = metzlerize(general)
+    assert membership_general(general, x) == \
+        membership_metzler(lift.pencil, lift.witness(x))
 
 
 @given(metzler_pencils(), st.data())
