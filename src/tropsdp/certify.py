@@ -14,7 +14,7 @@ kind, by value iteration on F - lambda, whose sublevel sets are exactly the
 reinforced spectrahedra: its checked witness is the certificate.  That is
 the iterate that a checkpoint found to be one, or else the running entrywise
 maximum of the iterates (feasibility) or their tilted running minimum
-(infeasibility).  Every entry is a rational on the loop's dyadic grid.
+(infeasibility), on the coarsest dyadic grid its slack allows when strict.
 Lambda is an argument of the one operator ``StochGame.operator``, in the
 loop and in every check, of these or of third-party certificates: a check
 runs the operator on a grid where F(v) is exact (``_check_pair``).  All of
@@ -104,7 +104,8 @@ def check_certificate(G: StochGame, cert: Certificate):
 def margin_certificate(G: StochGame, lam,
                        max_iters: int = 10**6) -> Certificate:
     """The certificate at margin lam != 0 whose kind the sign of lam names:
-    the checked witness of value iteration on F - lam (``shapley._decide``).
+    the checked witness of value iteration on F - lam (``shapley._decide``),
+    on the coarsest dyadic grid its slack allows when strict.
 
     lam > 0: Feasibility, v with lam + v <= F(v).  lam < 0: Infeasibility,
     u with F(u) < lam + u in every entry, so always strict; its entries need

@@ -180,6 +180,8 @@ class StochGame:
         self.den = den
         self.n, self.m = len(min_seg), len(max_seg)
         self._tuples = None
+        # the largest |reward numerator|, at least 1
+        self._top = max(int(np.abs(max_p).max()), int(np.abs(min_p).max()), 1)
 
     @property
     def min_actions(self) -> tuple:
@@ -226,10 +228,6 @@ class StochGame:
         return np.minimum.reduceat(min_r + (pair >> 1 if halve else pair),
                                    self.min_seg)
 
-    def _top(self) -> int:
-        """The largest |reward numerator|, at least 1."""
-        return max(int(np.abs(self.max_p).max()), int(np.abs(self.min_p).max()), 1)
-
     def operator(self, lam=0, unit: int = 1) -> tuple:
         """(S, R, step) on the grid S = lcm(den, the denominator of lam) unit.
 
@@ -247,7 +245,7 @@ class StochGame:
         p, q = lam.as_integer_ratio()
         scale = math.lcm(self.den, q) * unit
         factor, shift = scale // self.den, p * (scale // q)
-        reach = 2 * self._top() * factor + abs(shift)
+        reach = 2 * self._top * factor + abs(shift)
 
         @functools.cache
         def bind(dtype):

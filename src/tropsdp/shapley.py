@@ -44,7 +44,8 @@ max(step(X_c) - X_c)], which holds the game's value chi, and tests:
 
 Every verdict is thus checked exactly, and the budget of steps is the only
 limit.  A failed check's step is the next iterate, so (a) costs no kernel
-call of its own, only its bracket and the int64 bound.
+call of its own, only its bracket and the int64 bound.  A strict witness
+leaves on the coarsest dyadic grid its slack allows (``_snapped``).
 `recession` runs the same kernel with zero rewards over Fractions and -oo.
 `apply_F` evaluates F over Fractions and -oo from the game's action tuples;
 it is the exact reference the arrays are tested against.
@@ -52,6 +53,7 @@ it is the exact reference the arrays are tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -59,7 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .game import StochGame, _widened
+from .game import INT64_ROOM, StochGame, _widened
 from .pencil import Pencil
 from .tropical import MINUS_INF, ExtReal
 
@@ -138,7 +140,8 @@ class IterationReport:
     verdict (the checked iterate, or the running maximum of the iterates),
     and F(u) < u in every entry for an Infeasible one (the checked iterate,
     or the tilted minimum of the iterates); for Indeterminate it is the
-    last iterate.  Entries are exact rationals on the run's dyadic grid.
+    last iterate.  Entries are exact rationals, on the run's grid, or on the
+    coarsest dyadic grid its slack allows for a strict witness (``_snapped``).
     iterations is the step count of that run's stop, a power of two unless
     the budget ended the run.  bits is the grid width K of the run that
     decided: K0, or a doubling of it after a tilted minimum failed its
@@ -193,7 +196,7 @@ def _iterate(grid: tuple, n: int, max_iters: int):
     and W become Python ints when it fails; V_c lies between 0 and the
     iterates, inside the same bound.
 
-    Returns (status, iterations, X, exit), X the stop's vector.
+    Returns (status, iterations, X, exit, X's bracket or None at the budget).
     """
     reach, step = grid[1:]
     x = _widened(np.zeros(n, dtype=np.int64), 2 * reach)
@@ -202,21 +205,21 @@ def _iterate(grid: tuple, n: int, max_iters: int):
     while True:
         if iters == checkpoint:
             fx = kernel(x)
-            status = _certificate(*_bracket(x, fx))
+            status = _certificate(*(bracket := _bracket(x, fx)))
             if status is not None:
-                return status, iters, x, "certificate"
+                return status, iters, x, "certificate", bracket
             if np.maximum(w, fx).min() >= 0:
                 v = np.maximum(w, 0)
-                if _certificate(*_bracket(v, kernel(v))) == "feasible":
-                    return "feasible", iters, v, "running-max"
+                if _certificate(*(v_bracket := _bracket(v, kernel(v)))) == "feasible":
+                    return "feasible", iters, v, "running-max", v_bracket
             if x.max() < 0:
-                return "infeasible", iters, x, "tilted-min"
+                return "infeasible", iters, x, "tilted-min", bracket
             x = _widened(x, reach * (checkpoint + 1))
             fx, w = fx.astype(x.dtype, copy=False), w.astype(x.dtype, copy=False)
             kernel = step.bind(x.dtype)
             checkpoint *= 2
         if iters >= max_iters:
-            return "indeterminate", iters, x, "budget"
+            return "indeterminate", iters, x, "budget", None
         if fx is None:
             fx = kernel(x)
         x, fx = fx, None
@@ -252,10 +255,38 @@ def _to_fractions(x: np.ndarray, scale: int) -> tuple:
     return tuple(Fraction(t, scale) for t in x.tolist())
 
 
+def _snapped(G: StochGame, lam, x: np.ndarray, scale: int, bracket) -> tuple:
+    """u = X / S (S = scale) as Fractions, rounded to the nearest multiple
+    of 1/q if its bracket (lo, hi) (``_bracket``; None at the budget) makes
+    it strict for F - lam, q the least power of two with q s > 1 for its
+    slack s: lo / S, or (-hi - 1/2) / S as a step floors a multiple of 1/2.
+    F is monotone and additively homogeneous, so this moves F(u) - lam - u
+    by at most 1/q < s, and a check on the exact grid 2 lcm(den, lam's
+    denominator) q that fails raises AssertionError.  u stays as it is
+    where q >= S or an entry's lowest denominator is below q and does not
+    divide it: only such an entry, never one on a dyadic S, gains digits."""
+    lo, hi = bracket or (0, 0)
+    slack = 2 * lo if lo > 0 else -2 * hi - 1  # in units of 1 / (2 S)
+    if slack <= 0 or (q := 1 << (2 * scale // slack).bit_length()) >= scale:
+        return _to_fractions(x, scale)
+    xs = x.tolist()
+    lowest = (scale // math.gcd(t, scale) for t in xs)
+    if scale & (scale - 1) and any(d < q and q % d for d in lowest):
+        return _to_fractions(x, scale)
+    y = [(2 * q * t + scale) // (2 * scale) for t in xs]
+    check, reach, step = G.operator(lam, 2 * q)
+    z = [t * (check // q) for t in y]
+    z = np.array(z, dtype=np.int64 if max(map(abs, z)) + reach < INT64_ROOM else object)
+    low, high = _bracket(z, step(z))
+    if not (low > 0 if lo > 0 else high < 0):
+        raise AssertionError("a snapped witness failed its check")
+    return tuple(Fraction(t, q) for t in y)
+
+
 def _decide(G: StochGame, max_iters: int, lam=0):
     """Value iteration on F - lam (``_iterate``) whose every stop is
     checked in integers; returns (status, iterations, witness, bits, exit),
-    the witness as a tuple of Fractions (see ``IterationReport``).
+    the witness as Fractions, snapped (``_snapped``; see ``IterationReport``).
 
     The loop runs on the grid of K0 bits first.  A tilted-min stop at step
     t stands when F(z) < lam + z in every entry for ``_tilted_min``'s z;
@@ -269,12 +300,12 @@ def _decide(G: StochGame, max_iters: int, lam=0):
     bits = K0
     while True:
         grid = G.operator(lam, 1 << bits)
-        status, iters, x, stop = _iterate(grid, G.n, max_iters)
+        status, iters, x, stop, bracket = _iterate(grid, G.n, max_iters)
         if stop != "tilted-min":
-            return status, iters, _to_fractions(x, grid[0]), bits, stop
+            return status, iters, _snapped(G, lam, x, grid[0], bracket), bits, stop
         z, (scale, _, step) = _tilted_min(G, grid, iters, -int(x.max()), bits, lam)
-        if _certificate(*_bracket(z, step(z))) == "infeasible":
-            return status, iters, _to_fractions(z, scale), bits, stop
+        if _certificate(*(bracket := _bracket(z, step(z)))) == "infeasible":
+            return status, iters, _snapped(G, lam, z, scale, bracket), bits, stop
         if bits >= iters:
             raise AssertionError("a tilted minimum of the exact iteration "
                                  "failed its check")
@@ -285,12 +316,12 @@ def value_iteration_raw(G: StochGame, epsilon, max_iters: int, exact: bool):
     """The bare iteration loop of ``_decide``, with no check of a tilted
     minimum, on the grid of K0 bits, or of max_iters bits when ``exact``,
     where the iterates are F^t(0) exactly.  Returns (status, iterations, w,
-    w, None), w the loop's vector with rational entries.  epsilon is
+    w, None), w the loop's vector, snapped (``_snapped``).  epsilon is
     unused; the signature is kept for the benchmark's traced ``check``,
     and the ROADMAP lists the function for removal."""
     grid = G.operator(0, 1 << (max_iters if exact else K0))
-    status, iters, x, _ = _iterate(grid, G.n, max_iters)
-    w = _to_fractions(x, grid[0])
+    status, iters, x, _, bracket = _iterate(grid, G.n, max_iters)
+    w = _snapped(G, 0, x, grid[0], bracket)
     return status, iters, w, w, None
 
 

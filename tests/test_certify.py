@@ -290,7 +290,7 @@ def test_margin_check_at_the_int64_bound(over):
     assert (G.den, INT64_ROOM) == (8, 2**61)
     v = [F(0)] * G.n
     for sign in (1, -1):
-        lam = sign * F(2**60 - 1 - 2 * G._top() + over, 8)
+        lam = sign * F(2**60 - 1 - 2 * G._top + over, 8)
         x, fx = assert_checks_match_the_shifted_game(G, v, lam)
         assert x.dtype == fx.dtype == (object if over else np.int64)
 

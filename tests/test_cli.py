@@ -63,7 +63,7 @@ def test_check_feasible(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "Feasible"
     assert report["iterations"] == 8
-    assert report["witness"] == ["161/256", "-209/512", "713/1024"]
+    assert report["witness"] == ["5/8", "-13/32", "11/16"]
 
 
 def test_check_reads_no_action_tuples(tmp_path, monkeypatch, capsys):

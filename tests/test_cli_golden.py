@@ -184,6 +184,10 @@ CERT = {"kind": "Feasibility",
         "vector": ["4550473850856407/4503599627370496", "0",
                    "4872159469020117/4503599627370496"],
         "lambda": "1/100", "strict": True}
+# what `certify --lambda=1/100 {running}` prints: its witness snapped to the
+# grid 1/64
+SNAPPED_CERT = {"kind": "Feasibility", "vector": ["35/64", "-31/64", "39/64"],
+                "lambda": "1/100", "strict": True}
 
 
 
@@ -231,6 +235,7 @@ FILES = {
     "at_margin": {"n": 3, "m": 3, "matrices": AT_MARGIN},
     "cert": CERT,
     "cert_tampered": dict(CERT, vector=["100"] + CERT["vector"][1:]),
+    "snapped_cert": SNAPPED_CERT,
     "general": {"n": 3, "m": 3, "matrices": GENERAL_MATRICES},
     "mixed_den": {"n": 2, "m": 2, "matrices": MIXED_DEN_MATRICES},
     "dominion_affine": DOMINION_AFFINE,
@@ -253,7 +258,8 @@ CASES = (
         ["certify", "--lambda=1/100"],
         ["certify", "--lambda=1"], ["certify", "--lambda=-1/100"],
         ["certify", "--check", "{file:cert}"],
-        ["certify", "--check", "{file:cert_tampered}"])]
+        ["certify", "--check", "{file:cert_tampered}"],
+        ["certify", "--check", "{file:snapped_cert}"])]
     + [[*cmd, "{dominion}"] for cmd in (
         ["exact"], ["exact", "--policies", "--dump-chain"],
         ["certify", "--lambda=1/100", "--max-iters", "200"])]

@@ -487,7 +487,7 @@ def test_report_serialization(running_pencil):
     assert obj["verdict"] == "Feasible"
     assert obj["iterations"] == 8
     assert list(obj) == ["verdict", "iterations", "witness"]
-    assert obj["witness"] == ["161/256", "-209/512", "713/1024"]
+    assert obj["witness"] == ["5/8", "-13/32", "11/16"]
     assert all("." not in w for w in obj["witness"])
 
 

@@ -1,5 +1,6 @@
 """The Shapley operator and value-iteration feasibility checking."""
 
+import contextlib
 import functools
 import math
 import random
@@ -25,6 +26,7 @@ from tropsdp import (
     verify_subharmonic,
 )
 from tropsdp.bench import GenSpec, gen_random
+from tropsdp.errors import CertificateInvalid
 from tropsdp.certify import (_check_pair, margin_certificate,
                              verify_superharmonic)
 from tropsdp.markov import chain_from_policies
@@ -34,7 +36,9 @@ from tropsdp.shapley import (
     K0,
     UNKNOWN,
     _iterate,
+    _snapped,
     _tilted_min,
+    _to_fractions,
     recession,
     structural_constant_value_check,
     value_iteration_raw,
@@ -211,11 +215,12 @@ def test_structural_check(running_pencil):
 # ---------------------------------------------------------------------------
 
 def test_worked_example_feasible_in_eight_iterations(worked_game):
-    # the iterate of step 8 is subharmonic
+    # the iterate of step 8, (161/256, -209/512, 713/1024), is strictly
+    # subharmonic, and its slack puts it on the grid 1/32
     report = check_feasibility(worked_game)
     assert report.verdict == "Feasible"
     assert report.iterations == 8
-    assert report.witness == (F(161, 256), F(-209, 512), F(713, 1024))
+    assert report.witness == (F(5, 8), F(-13, 32), F(11, 16))
     assert (report.exit, report.bits) == ("certificate", K0)
     fw = apply_F(worked_game, report.witness)
     assert all(a <= b for a, b in zip(report.witness, fw))
@@ -444,7 +449,7 @@ def test_rounded_witness_triggers_rational_rerun():
     g = game_from_pencil(gen_random(GenSpec(3, 3, 744536, 2)))
     assert set(game_value_bruteforce(g).chi) == {0}
     grid = g.operator(0, 1 << K0)
-    status, iters, x, stop = _iterate(grid, g.n, 3000)
+    status, iters, x, stop, _ = _iterate(grid, g.n, 3000)
     assert (status, iters, stop) == ("infeasible", 512, "tilted-min")
     z, fine = _tilted_min(g, grid, iters, -int(x.max()), K0)
     assert certificate_of(grid[2], x) is None
@@ -507,11 +512,12 @@ def test_near_boundary_is_decided_by_a_checked_iterate(worked_game, k, side,
     assert max(map(digits, report.witness)) < 100
 
 
-def test_near_boundary_stops_at_step_32_after_33_kernel_calls(worked_game,
+def test_near_boundary_stops_at_step_32_after_34_kernel_calls(worked_game,
                                                                monkeypatch):
     # the running example at value +-10^-5 per step: the checks at 1, ...,
     # 16 fail, and each one's step is the next iterate; the check at 32
-    # passes with one kernel call of its own
+    # passes with one kernel call of its own, and the snapped witness's
+    # check makes one more
     calls = []
     apply = StochGame._apply
 
@@ -525,7 +531,7 @@ def test_near_boundary_stops_at_step_32_after_33_kernel_calls(worked_game,
         calls.clear()
         report = check_feasibility(g)
         assert (report.exit, report.iterations, len(calls)) == \
-            ("certificate", 32, 33)
+            ("certificate", 32, 34)
 
 
 @settings(max_examples=80, deadline=None)
@@ -626,7 +632,8 @@ def every_step_iterate(grid, n, max_iters):
     that a certificate persists.  At every check after 1, 2, 4, ... steps
     it asserts that the iterate passes iff some iterate so far was a
     certificate, and that the running maximum max(X_0, ..., X_c) passes
-    wherever max(X_1, ..., X_(c+1)) >= 0 in every entry."""
+    wherever max(X_1, ..., X_(c+1)) >= 0 in every entry.  Returns what
+    ``_iterate`` returns, the bracket of the stop's vector included."""
     reach, step = grid[1:]
     x = shapley._widened(np.zeros(n, dtype=np.int64), 2 * reach)
     orbit = [x]
@@ -641,17 +648,18 @@ def every_step_iterate(grid, n, max_iters):
             status = certificate_of(step, x)
             assert (status is not None) == certified
             if status is not None:
-                return status, iters, x, "certificate"
+                return status, iters, x, "certificate", (low, high)
             v = functools.reduce(np.maximum, orbit).astype(x.dtype)
             if functools.reduce(np.maximum, orbit[1:] + [step(x)]).min() >= 0:
                 assert certificate_of(step, v) == "feasible"
-                return "feasible", iters, v, "running-max"
+                return ("feasible", iters, v, "running-max",
+                        shapley._bracket(v, step(v)))
             if x.max() < 0:
-                return "infeasible", iters, x, "tilted-min"
+                return "infeasible", iters, x, "tilted-min", (low, high)
             x = shapley._widened(x, reach * (checkpoint + 1))
             checkpoint *= 2
         if iters >= max_iters:
-            return "indeterminate", iters, x, "budget"
+            return "indeterminate", iters, x, "budget", None
         x = step(x)
         orbit.append(x)
         iters += 1
@@ -786,7 +794,7 @@ def test_running_maximum_is_checked_by_the_kernel():
 
     step.bind = lambda dtype: step
     assert comparable(_iterate((1, 4, step), 2, 100)) == \
-        comparable(("feasible", 2, np.array([1, 1]), "certificate"))
+        comparable(("feasible", 2, np.array([1, 1]), "certificate", (0, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +864,7 @@ U_FAILS = [GenSpec(10, 5, 2549989531), GenSpec(3, 5, 46, 8),
 def test_infeasible_exit_is_certified_by_the_tilted_minimum(spec):
     g = game_from_pencil(gen_random(spec))
     grid = g.operator(0, 1 << K0)
-    status, iters, x, stop = _iterate(grid, g.n, 10**6)
+    status, iters, x, stop, _ = _iterate(grid, g.n, 10**6)
     assert (status, iters, stop) == \
         (("infeasible", 16, "certificate") if spec is U_FAILS[0]
          else ("infeasible", 2, "tilted-min"))
@@ -880,7 +888,7 @@ def test_tilted_minimum_is_rounded_down_to_its_grid(spec, exact):
     bits = t if exact else K0
     grid = g.operator(0, 1 << bits)
     scale, _, step = grid
-    _, stop, x, _ = _iterate(grid, g.n, 10**6)
+    _, stop, x, *_ = _iterate(grid, g.n, 10**6)
     assert stop == t
     z, (fine, _, fine_step) = _tilted_min(g, grid, t, -int(x.max()), bits)
     delta = F(-int(x.max()), scale) / t
@@ -895,3 +903,166 @@ def test_tilted_minimum_is_rounded_down_to_its_grid(spec, exact):
         reference = [min(r, uk + s * delta) for r, uk in zip(reference, u)]
     assert z.tolist() == [math.floor(r * fine) for r in reference]
     assert certificate_of(fine_step, z) == "infeasible"
+
+
+# ---------------------------------------------------------------------------
+# snapped witnesses
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def snaps():
+    """Every call of ``shapley._snapped`` in the block, as (args, result,
+    the kernel calls it made)."""
+    seen, snapped, apply = [], shapley._snapped, StochGame._apply
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return apply(self, *args, **kwargs)
+
+    def recorded(*args):
+        before = len(calls)
+        seen.append((args, snapped(*args)))
+        seen[-1] += (len(calls) - before,)
+        return seen[-1][1]
+
+    shapley._snapped, StochGame._apply = recorded, counted
+    try:
+        yield seen
+    finally:
+        shapley._snapped, StochGame._apply = snapped, apply
+
+
+def slack_bound(scale, lo, hi):
+    """The slack of u = X / S that a bracket (lo, hi) proves: lo / S where
+    F(u) > lam + u, (-hi - 1/2) / S where F(u) < lam + u, as a step is the
+    floor of a multiple of half a unit; <= 0 where u is not strict."""
+    return F(lo, scale) if lo > 0 else F(-2 * hi - 1, 2 * scale)
+
+
+def assert_snapped(seen, witness) -> bool:
+    """The last snap of ``seen`` made ``witness`` from the stop's vector u =
+    X / S of slack s: u rounded to the nearest multiple of 1/q for the least
+    power of two q with q s > 1, with one kernel call to check it, unless u
+    is not strict, q >= S or an entry's lowest denominator is below q and
+    does not divide it, where it is u itself and no kernel call is made.  A
+    strict witness passes its check strictly, and no entry of a snapped one
+    has more digits than it had in u.  Returns whether u was snapped."""
+    (G, lam, x, scale, bracket), got, calls = seen[-1]
+    assert got == tuple(witness)
+    u = tuple(F(t, scale) for t in x.tolist())
+    s = slack_bound(scale, *bracket) if bracket else 0
+    if s > 0:
+        verify = verify_subharmonic if bracket[0] > 0 else verify_superharmonic
+        assert verify(G, witness, lam) == (True, True)
+        q = 1
+        while q * s <= 1:
+            q *= 2
+        rounded = tuple(F(math.floor(t * q + F(1, 2)), q) for t in u)
+    if s <= 0 or q >= scale or any(t.denominator < q and q % t.denominator
+                                   for t in u):
+        assert (got, calls) == (u, 0)
+        return False
+    assert (got, calls) == (rounded, 1)
+    # its denominators divide q, and q / 2 would break q s > 1
+    assert all(q % t.denominator == 0 for t in witness)
+    assert q == 1 or q * s / 2 <= 1
+    assert all(map(int.__le__, map(digits, witness), map(digits, u)))
+    return True
+
+
+@pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_tight_witnesses_snap_to_the_coarsest_grid(worked_game, k, side):
+    # the running example at value +-10^-k per step, and at +-2 10^-k with
+    # the margin +-10^-k: slack about 10^-k, on grids of 10^k or more
+    g = shift_of_the_tuples(worked_game, side * F(1, 10**k) - RUNNING_MARGIN)
+    with snaps() as seen:
+        report = check_feasibility(g)
+    assert report.verdict == ("Feasible" if side > 0 else "Infeasible")
+    assert assert_snapped(seen, report.witness)
+    g = shift_of_the_tuples(worked_game, side * F(2, 10**k) - RUNNING_MARGIN)
+    with snaps() as seen:
+        cert = margin_certificate(g, side * F(1, 10**k))
+    assert cert.strict and assert_snapped(seen, cert.vector)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=games(), lam=small_rationals, max_iters=st.integers(1, 200))
+def test_strict_witnesses_snap_to_the_coarsest_grid(g, lam, max_iters):
+    # every stop goes through the snap, strict or not
+    with snaps() as seen:
+        report = check_feasibility(g, max_iters)
+    assert len(seen) == 1
+    assert_snapped(seen, report.witness)
+    if lam != 0:
+        with snaps() as seen:
+            try:
+                cert = margin_certificate(g, lam, max_iters)
+            except CertificateInvalid:
+                return
+        assert_snapped(seen, cert.vector)
+
+
+@pytest.mark.parametrize("make, stop, bracket", [
+    (lambda g: shift_of_the_tuples(g, -RUNNING_MARGIN), 16, (0, 0)),
+    (lambda g: swapped(1, F(1, 10**8) / 20), 1, (0, 512)),
+], ids=["at-margin", "running-max"])
+def test_witnesses_that_are_not_strict_are_not_snapped(worked_game, make,
+                                                       stop, bracket):
+    # the running example at value 0, whose iterate of step 16 is
+    # subharmonic with lo = hi = 0, and the running maximum (1 + d, 0) of
+    # ``swapped`` with lo = 0 < hi: no slack to round away
+    g = make(worked_game)
+    with snaps() as seen:
+        report = check_feasibility(g)
+    assert (report.verdict, report.iterations) == ("Feasible", stop)
+    assert seen[-1][0][4] == bracket
+    assert not assert_snapped(seen, report.witness)
+    assert verify_subharmonic(g, report.witness) == (True, False)
+
+
+def averaging(r, s):
+    """F(x) = ((x_1 + x_2) / 2, x_1 + r, x_2 + s)."""
+    return StochGame(3, 3, ((MinAction((1, 2), F(0)),), (MinAction((1,), r),),
+                            (MinAction((2,), s),)),
+                     tuple((MaxAction(i, F(0)),) for i in range(3)))
+
+
+def test_a_witness_without_room_to_round_is_kept_unchecked():
+    # F(u)_0 - u_0 = 1 unit of the grid S = 4 2^8 at u = (0, 0, 2) / S, so
+    # q = 2 S: u is returned as it is, with no kernel call
+    g = averaging(F(1, 4), F(1, 4))
+    scale, _, step = g.operator(0, 1 << K0)
+    x = np.array([0, 0, 2])
+    bracket = shapley._bracket(x, step(x))
+    assert (scale, bracket) == (1024, (1, 256))
+    with snaps() as seen:
+        assert shapley._snapped(g, 0, x, scale, bracket) == (0, 0, F(1, 512))
+    assert not assert_snapped(seen, (0, 0, F(1, 512)))
+
+
+def test_the_floor_step_hides_half_a_unit_of_slack():
+    # on the grid S = 11 2^8, u = (15, 7, 18) / S has F(u)_0 - u_0 = -5/2
+    # units, and the floor step makes it -3.  With -hi = 3 units of slack,
+    # q = 1024 would round u to (5, 3, 7) / 1024, which is not strict; the
+    # true 5/2 units need q = 2048, on which 18 / S = 9 / 1408 could gain
+    # digits, so u stays as it is
+    g = averaging(F(-1, 11), F(-1, 11))
+    scale, _, step = g.operator(0, 1 << K0)
+    x = np.array([15, 7, 18])
+    lo, hi = shapley._bracket(x, step(x))
+    assert (scale, hi) == (2816, -3)
+    assert _snapped(g, 0, x, scale, (lo, hi)) == _to_fractions(x, scale)
+    assert verify_superharmonic(g, (F(5, 1024), F(3, 1024), F(7, 1024))) == \
+        (True, False)
+
+
+def test_a_snapped_witness_that_fails_its_check_raises():
+    # the check does not trust the bracket: u = 0 with F(u) = u, passed with
+    # a bracket that claims a slack of 1, is rounded to the grid 1/2 and
+    # then fails its strict check
+    g = averaging(F(0), F(0))
+    scale = g.operator(0, 1 << K0)[0]
+    with pytest.raises(AssertionError, match="a snapped witness failed its check"):
+        _snapped(g, 0, np.zeros(3, dtype=np.int64), scale, (scale, scale))
